@@ -15,8 +15,8 @@ TIMES = (0.0, 1.0, 2.0)  # two unit intervals -> a 2-dimensional vector
 
 fam = kernel_family(H, Q, N, TIMES)
 print(f"Hurst {H}, rank {Q}, level n={N}, times {TIMES}")
-print(f"sigma = {fam.sigma.value:.6f} (lag sum truncated at {fam.sigma.lags},"
-      f" tail {fam.sigma.tail_estimate:.2e})")
+print(f"sigma = {fam.sigma.value:.6f} (lags up to {fam.sigma.lags} summed directly,"
+      f" closed-form tail {fam.sigma.tail_estimate:.2e})")
 for i, ker in enumerate(fam.kernels):
     print(f"kernel {i}: block {ker.block}, scale {ker.scale:.6f}")
 

@@ -32,7 +32,7 @@ from .fgn import (
     rho_asymptotic_constant,
     sigma_bm,
 )
-from .hermite import MAX_RANK
+from .hermite import _check_rank
 from .linalg import as_covariance, prefactor
 
 __all__ = [
@@ -60,13 +60,6 @@ WINDOW_SAFETY = 4.0
 WINDOW_MIN_LAG = 32
 
 _BRUTE_MAX_BLOCK = 64
-
-
-def _check_rank(q: int) -> int:
-    q = int(q)
-    if not 1 <= q <= MAX_RANK:
-        raise ValueError(f"rank must be in [1, {MAX_RANK}], got {q}")
-    return q
 
 
 @dataclass(frozen=True)
@@ -351,14 +344,14 @@ class BoundReport:
             "times": list(self.times),
             "dim": self.dim,
             "sigma": self.sigma,
-            "sigmaTail": self.sigma_tail,
-            "innerProducts": self.inner_products.tolist(),
-            "contractionNormsSq": self.contraction_norms_sq.tolist(),
-            "lemmaEntries": self.lemma_entries.tolist(),
+            "sigma_tail": self.sigma_tail,
+            "inner_products": self.inner_products.tolist(),
+            "contraction_norms_sq": self.contraction_norms_sq.tolist(),
+            "lemma_entries": self.lemma_entries.tolist(),
             "prefactor": self.prefactor,
             "bound": self.bound,
             "window": self.window,
-            "truncationTail": self.truncation_tail,
+            "truncation_tail": self.truncation_tail,
         }
 
 

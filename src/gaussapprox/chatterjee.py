@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff import fd_gradient as _fd_gradient_impl
+from .diff import fd_gradient
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
 from .stein import QuadratureSpec, _legendre_01, default_quadrature, gaussian_rule
@@ -41,11 +41,6 @@ __all__ = [
     "componentwise_family",
     "family_from_config",
 ]
-
-
-def fd_gradient(f, y, h: float) -> np.ndarray:
-    """Central-difference gradient of f at y, one step h per coordinate."""
-    return _fd_gradient_impl(f, np.asarray(y, dtype=np.float64), h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,33 +83,24 @@ class SmoothVectorFunction:
         out = np.empty_like(pts)
         for row, y in enumerate(pts):
             h = 1e-4 * (1.0 + float(np.linalg.norm(y)))
-            out[row] = _fd_gradient_impl(self.components[j], y, h)
+            out[row] = fd_gradient(self.components[j], y, h)
         return out
 
 
 def t_ab(F: SmoothVectorFunction, a: int, b: int, k, y, quad: QuadratureSpec | None = None) -> float:
-    """T_ab(y): Gauss-Legendre in u, configured Gaussian rule for the inner mean."""
+    """T_ab(y): entry (a, b) of :func:`t_ab_matrix`."""
+    return float(t_ab_matrix(F, k, y, quad)[a, b])
+
+
+def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """All T_ab(y) at once: Gauss-Legendre in u, configured Gaussian rule for the inner mean.
+
+    The inner expectations are shared across (a, b).
+    """
     k = as_covariance(k)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (k.dim,):
         raise ValueError(f"point has shape {y.shape}, expected ({k.dim},)")
-    if quad is None:
-        quad = default_quadrature(k.dim)
-    u, wu = _legendre_01(quad.u_nodes)
-    pts, wts = gaussian_rule(k, quad)
-    grad_a = F.gradient_at(a, y[None, :])[0]
-    shifted = u[:, None, None] * y[None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts[None, :, :]
-    flat = shifted.reshape(-1, k.dim)
-    grads_b = F.gradient_at(b, flat).reshape(u.size, pts.shape[0], k.dim)
-    inner = np.tensordot(wts, grads_b, axes=([0], [1]))  # (Nu, n)
-    v = wu @ inner  # integral over u of E[grad f_b]
-    return float(grad_a @ k.matrix @ v)
-
-
-def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """All T_ab(y) at once; the inner expectations are shared across (a, b)."""
-    k = as_covariance(k)
-    y = np.asarray(y, dtype=np.float64)
     if quad is None:
         quad = default_quadrature(k.dim)
     u, wu = _legendre_01(quad.u_nodes)

@@ -265,45 +265,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, need_bm: bool):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, *, bm: bool = False, matrices: bool = False, seed: bool = False,
+               quad: bool = False):
+        """Every subcommand takes --out and --threads; the other groups only where read."""
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--matrix-file", type=str, default=None)
-        p.add_argument("--C", type=str, default=None, help="target covariance as inline JSON")
-        if need_bm:
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if matrices:
+            p.add_argument("--matrix-file", type=str, default=None)
+            p.add_argument("--C", type=str, default=None, help="target covariance as inline JSON")
+        if bm:
             p.add_argument("--H", type=float, required=True)
             p.add_argument("--q", type=int, required=True)
             p.add_argument("--times", type=str, default="1")
-        p.add_argument("--quad-unodes", type=int, default=64)
-        p.add_argument("--quad-gh-order", type=int, default=None)
-        p.add_argument("--mc-inner", type=int, default=None)
+        if quad:
+            p.add_argument("--quad-unodes", type=int, default=64)
+            p.add_argument("--quad-gh-order", type=int, default=None)
+            p.add_argument("--mc-inner", type=int, default=None)
 
     p = sub.add_parser("bound", help="Wasserstein bound for one discretization level")
-    common(p, need_bm=True)
+    common(p, bm=True, matrices=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("rates", help="bound curve over levels and its log-log slope")
-    common(p, need_bm=True)
+    common(p, bm=True, matrices=True)
     p.add_argument("--n", type=str, required=True, help="comma-separated increasing levels")
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("simulate", help="Monte Carlo sample of the increment vector")
-    common(p, need_bm=True)
+    common(p, bm=True, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--dump-samples", type=str, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("malliavin", help="pathwise Malliavin Gram matrix statistics")
-    common(p, need_bm=True)
+    common(p, bm=True, matrices=True, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=500)
     p.set_defaults(func=_cmd_malliavin)
 
     p = sub.add_parser("stein-check", help="Stein equation residual and Hessian bound")
-    common(p, need_bm=False)
+    common(p, matrices=True, seed=True, quad=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")
     p.add_argument("--grid-lo", type=float, default=-3.0)
@@ -312,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stein_check)
 
     p = sub.add_parser("chatterjee", help="smooth-function bound for a finite Gaussian vector")
-    common(p, need_bm=False)
+    common(p, matrices=True, seed=True, quad=True)
     p.add_argument("--K", type=str, default=None, help="input covariance as inline JSON")
     p.add_argument("--functions", type=str, default=None, help="function family JSON")
     p.add_argument("--m", type=int, default=500)
     p.set_defaults(func=_cmd_chatterjee)
 
     p = sub.add_parser("gaussian-pair", help="Gaussian-vs-Gaussian Wasserstein bound")
-    common(p, need_bm=False)
+    common(p, matrices=True)
     p.add_argument("--K", type=str, default=None)
     p.set_defaults(func=_cmd_gaussian_pair)
 

@@ -9,7 +9,9 @@ partial sums.
 ``rho(x) = (|x+1|^{2H} + |x-1|^{2H} - 2|x|^{2H}) / 2`` is a second difference
 of ``|x|^{2H}`` and cancels catastrophically for large ``|x|`` in the direct
 form, so beyond a fixed cutoff it is evaluated through the binomial series
-``sum_j C(2H, 2j) |x|^{2H-2j}``, accurate to machine precision there.
+``sum_{j>=1} C(2H, 2j) |x|^{2H-2j}``, accurate to machine precision there.
+The same series, raised to the q-th power, gives the lag sum inside
+``sigma_bm`` beyond its head in closed form as Hurwitz zeta values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import binom
+from scipy.special import binom, zeta
 
 from .batch import write_binary_header
 from .errors import HypothesisViolation
@@ -37,14 +39,10 @@ __all__ = [
     "sigma_bm",
     "path_to_csv",
     "path_to_binary",
-    "SIGMA_MAX_LAG",
 ]
 
 _SERIES_CUTOFF = 16.0
 _SERIES_TERMS = 10
-
-#: Default truncation for the lag sum inside sigma_bm.
-SIGMA_MAX_LAG = 1_000_000
 
 #: Relative tolerance on the circulant embedding's negative eigenvalues.
 EMBEDDING_RTOL = 1e-9
@@ -55,6 +53,11 @@ def check_hurst(h: float) -> float:
     if not 0.0 < h < 1.0:
         raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
     return h
+
+
+def _series_coefficients(h: float) -> np.ndarray:
+    """C(2H, 2j) for j = 1.._SERIES_TERMS, so rho(x) = sum_j c_j |x|^{2H-2j} beyond the cutoff."""
+    return binom(2.0 * h, 2.0 * np.arange(1, _SERIES_TERMS + 1))
 
 
 def rho(h: float, x) -> np.ndarray | float:
@@ -73,8 +76,8 @@ def rho(h: float, x) -> np.ndarray | float:
     if np.any(far):
         a = ax[far]
         acc = np.zeros_like(a)
-        for j in range(1, _SERIES_TERMS + 1):
-            acc += binom(2.0 * h, 2 * j) * a ** (2.0 * h - 2 * j)
+        for j, c in enumerate(_series_coefficients(h), start=1):
+            acc += c * a ** (2.0 * h - 2 * j)
         out[far] = acc
 
     return float(out[0]) if scalar else out.reshape(x.shape)
@@ -167,9 +170,9 @@ def sample_fgn(h: float, n: int, seed: int, method: str | None = None) -> FgnPat
 class SigmaEstimate:
     """Limiting standard deviation sqrt(q! * sum_r rho(r)^q) with diagnostics.
 
-    ``value`` folds the analytic tail estimate for lags beyond ``lags`` into
-    the truncated sum; ``partial_sum`` and ``tail_estimate`` report the two
-    pieces of ``sum_r rho(r)^q`` separately.
+    ``partial_sum`` is the direct sum over the head ``|r| <= lags`` and
+    ``tail_estimate`` the closed-form sum over ``|r| > lags``; ``value``
+    folds both pieces together.
     """
 
     value: float
@@ -191,51 +194,40 @@ def check_breuer_major_hypothesis(h: float, q: int) -> None:
         )
 
 
-def _tail_estimate(h: float, q: int, lag: int) -> float:
-    """Signed integral estimate of sum_{|r| > lag} rho(r)^q from the asymptotic."""
-    alpha = q * (2.0 * h - 2.0)
-    c = rho_asymptotic_constant(h) ** q
-    return 2.0 * c * (lag + 0.5) ** (alpha + 1.0) / (-(alpha + 1.0))
-
-
-def sigma_bm(h: float, q: int, max_lag: int = SIGMA_MAX_LAG, tail_rtol: float = 1e-10) -> SigmaEstimate:
+def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
     """Breuer-Major normalization sigma = sqrt(q! * sum_{r in Z} rho(r)^q).
 
-    The lag sum is truncated at ``max_lag`` or earlier once the asymptotic
-    tail estimate drops below ``tail_rtol`` of the partial sum, whichever
-    comes first; the tail estimate itself is added to the returned value
-    (and reported separately), pinning the result to near machine precision
-    for admissible (H, q) at the default truncation.
+    Lags ``|r| <= max_lag`` are summed directly.  Beyond the series cutoff
+    ``rho(x)^q = sum_k e_k x^{q(2H-2)-2k}``, where the e_k are the
+    coefficients of the q-th power of the binomial series of ``rho``, so the
+    rest of the sum is ``2 sum_k e_k zeta(q(2-2H)+2k, max_lag+1)`` with the
+    Hurwitz zeta function, exact to machine precision.  ``max_lag`` must
+    reach the series cutoff (16).
     """
     h = check_hurst(h)
     q = int(q)
     if not 2 <= q <= MAX_RANK:
         raise ValueError(f"rank must be in [2, {MAX_RANK}], got {q}")
     check_breuer_major_hypothesis(h, q)
+    max_lag = int(max_lag)
+    if max_lag < _SERIES_CUTOFF:
+        raise ValueError(f"max_lag must be >= {_SERIES_CUTOFF:g}, got {max_lag}")
 
-    total = rho(h, 0.0) ** q  # = 1
-    lag = 0
-    chunk = 1 << 14
-    while lag < max_lag:
-        upper = min(lag + chunk, max_lag)
-        r = np.arange(lag + 1, upper + 1, dtype=np.float64)
-        total += 2.0 * float(np.sum(rho(h, r) ** q))
-        lag = upper
-        chunk = min(2 * chunk, 1 << 19)
-        if abs(_tail_estimate(h, q, lag)) <= tail_rtol * abs(total):
-            break
-
-    tail = _tail_estimate(h, q, lag)
-    corrected = total + tail
-    if corrected <= 0.0:
+    head = 1.0 + 2.0 * float(np.sum(rho(h, np.arange(1, max_lag + 1, dtype=np.float64)) ** q))
+    # The k-th coefficient of the power uses series terms 0..k only, so these are exact.
+    e = np.polynomial.polynomial.polypow(_series_coefficients(h), q)[:_SERIES_TERMS]
+    s = q * (2.0 - 2.0 * h) + 2.0 * np.arange(_SERIES_TERMS)
+    tail = 2.0 * float(np.sum(e * zeta(s, max_lag + 1)))
+    total = head + tail
+    if total <= 0.0:
         raise ValueError("nonpositive variance sum; inadmissible configuration")
     return SigmaEstimate(
-        value=float(np.sqrt(math.factorial(q) * corrected)),
+        value=float(np.sqrt(math.factorial(q) * total)),
         hurst=h,
         rank=q,
-        lags=lag,
-        partial_sum=float(total),
-        tail_estimate=float(tail),
+        lags=max_lag,
+        partial_sum=head,
+        tail_estimate=tail,
     )
 
 

@@ -52,8 +52,10 @@ def philox_stream(seed: int) -> np.random.Generator:
 def standard_normals(seed: int, shape) -> np.ndarray:
     """i.i.d. standard normals, Box-Muller on Philox uniforms.
 
-    Uniforms are ``(k + 0.5) / 2**64`` with ``k`` a raw 64-bit draw, hence
-    strictly inside (0, 1) and safe under the logarithm.
+    Uniforms are ``(k + 0.5) / 2**64`` with ``k`` a raw 64-bit draw, so they
+    lie in (0, 1] and are safe under the logarithm.  float64 rounding sends a
+    draw within about 2**10 of 2**64 to u = 1.0, which gives radius r = 0;
+    that is harmless.
     """
     shape = (shape,) if np.isscalar(shape) else tuple(shape)
     n = int(np.prod(shape)) if shape else 1

@@ -199,8 +199,8 @@ def test_wasserstein_bound_permutation_invariant():
 def test_bound_report_json_keys():
     fam = kernel_family(0.5, 2, 16, (0.0, 1.0))
     blob = wasserstein_bound(fam, np.eye(1)).to_json()
-    for key in ("innerProducts", "contractionNormsSq", "lemmaEntries", "prefactor",
-                "bound", "window", "sigma", "truncationTail"):
+    for key in ("inner_products", "contraction_norms_sq", "lemma_entries", "prefactor",
+                "bound", "window", "sigma", "truncation_tail"):
         assert key in blob
 
 

@@ -54,6 +54,32 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--H", "0.5", "--q", "2", "--n", "10", "--seed", "1"],
+    ["rates", "--H", "0.5", "--q", "2", "--n", "10,20", "--quad-unodes", "8"],
+    ["simulate", "--H", "0.5", "--q", "2", "--n", "10", "--C", "[[1.0]]"],
+    ["simulate", "--H", "0.5", "--q", "2", "--n", "10", "--matrix-file", "m.json"],
+    ["malliavin", "--H", "0.5", "--q", "2", "--n", "10", "--mc-inner", "4"],
+    ["gaussian-pair", "--C", "[[1.0]]", "--K", "[[1.0]]", "--quad-gh-order", "4"],
+    ["gaussian-pair", "--C", "[[1.0]]", "--K", "[[1.0]]", "--seed", "1"],
+], ids=["bound-seed", "rates-quad", "simulate-C", "simulate-matrix-file", "malliavin-mc-inner",
+        "gaussian-pair-quad", "gaussian-pair-seed"])
+def test_flag_not_read_by_subcommand_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("c", ["[[Infinity, 0], [0, 1]]", "[[1, Infinity], [Infinity, 1]]",
+                               "[[NaN, 0], [0, 1]]"])
+def test_non_finite_matrix_exit_code(c):
+    code, out = run_cli(["gaussian-pair", "--C", c, "--K", "[[1, 0], [0, 1]]"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "non-finite" in err["message"]
+
+
 def test_config_error_exit_code():
     code, out = run_cli(["bound", "--H", "0.5", "--q", "2", "--times", "0,2,1", "--n", "50"])
     assert code == 2

@@ -100,6 +100,42 @@ def test_sigma_partial_sums_monotone_and_cauchy():
         assert abs(partials[-1] - part) < 10.0 * r**rate
 
 
+def sigma_mpmath(h, q, n=64, terms=12):
+    """sigma at 30 digits: head summed directly, tail from the binomial series of rho."""
+    with mpmath.workdps(30):
+        h = mpmath.mpf(h)
+        head = 1 + 2 * mpmath.fsum(
+            ((r + 1) ** (2 * h) + (r - 1) ** (2 * h) - 2 * mpmath.mpf(r) ** (2 * h)) ** q / 2**q
+            for r in range(1, n + 1)
+        )
+        c = [mpmath.binomial(2 * h, 2 * j + 2) for j in range(terms)]
+        power = [mpmath.mpf(1)]
+        for _ in range(q):
+            power = [mpmath.fsum(power[i] * c[k - i] for i in range(min(k + 1, len(power))))
+                     for k in range(terms)]
+        tail = 2 * mpmath.fsum(
+            e * mpmath.zeta(q * (2 - 2 * h) + 2 * k, n + 1) for k, e in enumerate(power)
+        )
+        return float(mpmath.sqrt(mpmath.factorial(q) * (head + tail)))
+
+
+@pytest.mark.parametrize("h,q", [(0.3, 2), (0.6, 2), (0.74, 2), (0.45, 3), (0.82, 3), (0.85, 4)])
+def test_sigma_matches_high_precision_oracle(h, q):
+    assert sigma_bm(h, q).value == pytest.approx(sigma_mpmath(h, q), rel=1e-14)
+
+
+def test_sigma_independent_of_head_length():
+    for h, q in ((0.6, 2), (0.74, 2), (0.3, 3)):
+        short, long = sigma_bm(h, q, max_lag=64), sigma_bm(h, q, max_lag=10**5)
+        assert long.lags == 10**5
+        assert short.value == pytest.approx(long.value, rel=1e-13)
+
+
+def test_sigma_head_must_reach_series_cutoff():
+    with pytest.raises(ValueError):
+        sigma_bm(0.6, 2, max_lag=8)
+
+
 def test_sample_fgn_deterministic():
     a = sample_fgn(0.7, 128, seed=5)
     b = sample_fgn(0.7, 128, seed=5)

@@ -37,6 +37,13 @@ def test_check_symmetric_rejects_asymmetry():
         operator_norm(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_check_symmetric_rejects_non_finite(bad):
+    for a in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_symmetric(a)
+
+
 def test_hs_inner_examples():
     assert hs_inner(np.eye(5), np.eye(5)) == 5.0
     assert hs_inner(np.ones((3, 3)), np.zeros((3, 3))) == 0.0
