@@ -23,8 +23,10 @@ for q, h in [(2, 0.5), (2, 0.65), (3, 0.7), (3, 0.8)]:
         print(f"    n={n:5d}  bound={v:.6f}")
     print(f"    fitted slope {fit.slope:+.4f}  sharp exponent {sharp_rate_exponent(h, q):+.2f}"
           f"  envelope exponent {envelope:+.2f}")
-    # one-sided check: the curve is dominated by an envelope with the map's slope
-    logs = [np.log(v) - envelope * np.log(n) for n, v in curve]
-    c = np.exp(max(logs))
-    dominated = all(v <= c * n**envelope * (1 + 1e-9) for n, v in curve)
-    print(f"    dominated by {c:.3f} * n^{envelope:+.2f}: {dominated}\n")
+    # one-sided checks: the constant is fixed at the lowest level only, so the
+    # later levels can fail to stay under c * n^envelope
+    (n0, v0), rest = curve[0], curve[1:]
+    c = v0 * n0 ** -envelope
+    dominated = all(v <= c * n**envelope * (1 + 1e-9) for n, v in rest)
+    print(f"    levels above n={n0} dominated by {c:.3f} * n^{envelope:+.2f}: {dominated}")
+    print(f"    fitted slope <= envelope + 0.1: {fit.slope <= envelope + 0.1}\n")

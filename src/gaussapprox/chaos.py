@@ -14,11 +14,22 @@ T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.  The accelerated
 evaluator exploits that: entries of M = T_a T_b differ from a full discrete
 convolution only by two one-sided corner sums, and those corrections are
 suffix sums over a single gap variable.  That yields an exact O(m^2) pass
-(m = block size) against the O(m^4) brute force kept as the oracle.
+(m = block size) against the O(m^4) brute force kept as the oracle.  The
+pass reads every lag as a slice: b(|g - tau|) comes from the mirrored table
+``b_sym = concatenate((b_ext[:0:-1], b_ext))``, so no index array is built.
+
+The unscaled sum depends only on (H, q, r, m): shifting the block leaves it
+unchanged and the scale enters as c^4.  It is also unchanged by r <-> q-r,
+the identity ||f (x)_r f|| = ||f (x)_{q-r} f|| for symmetric f, because the
+swap exchanges a and b and Tr((T_a T_b)^2) = Tr((T_b T_a)^2).  So each sum is
+computed once and kept in a bounded LRU cache under the key
+(H, q, min(r, q-r), m), and a d-dimensional family of equal blocks costs one
+pass per distinct min(r, q-r).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +72,9 @@ WINDOW_SAFETY = 4.0
 WINDOW_MIN_LAG = 32
 
 _BRUTE_MAX_BLOCK = 64
+
+#: Distinct unscaled contraction sums kept in memory, one float each.
+CONTRACTION_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -204,26 +218,49 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int, g_max: int) -> float:
     ``a`` holds lags 0..m-1, ``b_ext`` lags 0..2m-2 (both even in the lag).
     Writing M = T_a T_b, the sum is Tr(M^2) = sum_g sum_s M[s+g, s] M[s, s+g];
     each entry is the full convolution F(g) minus two suffix-sum corner
-    corrections, which costs O(m) per gap g.
+    corrections, which costs O(m) per gap g.  Both lag lookups of a gap are
+    slices: b(|g - tau|) for tau = 1..m-1 is ``b_sym[c+1-g : c+m-g]`` of the
+    mirrored table with lag 0 at c = 2m-2, and b(g + tau) is
+    ``b_ext[g+1 : g+m]``.
     """
     total = 0.0
-    tau = np.arange(1, m)
     a_tau = a[1:m]
+    b_sym = np.concatenate((b_ext[:0:-1], b_ext))
+    c = 2 * m - 2
+    # up[i] = sum_{tau > i} a(tau) b(g - tau), vp[i] likewise with b(g + tau);
+    # the last entry of each stays 0.
+    up = np.zeros(m)
+    vp = np.zeros(m)
     for g in range(0, min(g_max, m - 1) + 1):
-        p = a_tau * b_ext[np.abs(g - tau)]
-        qv = a_tau * b_ext[g + tau]
-        # up[i] = sum_{tau > i} a(tau) b(g - tau), vp[i] likewise with b(g + tau)
-        up = np.zeros(m)
-        vp = np.zeros(m)
-        if m > 1:
-            up[: m - 1] = np.cumsum(p[::-1])[::-1]
-            vp[: m - 1] = np.cumsum(qv[::-1])[::-1]
+        p = a_tau * b_sym[c + 1 - g : c + m - g]
+        qv = a_tau * b_ext[g + 1 : g + m]
+        up[: m - 1] = np.cumsum(p[::-1])[::-1]
+        vp[: m - 1] = np.cumsum(qv[::-1])[::-1]
         f_g = a[0] * b_ext[g] + float(np.sum(p)) + float(np.sum(qv))
         term1 = f_g - up[g:m] - vp[: m - g][::-1]
+        # term1[::-1] in exact arithmetic, but it subtracts the corrections
+        # in the other order; computing it keeps the rounding of the sum.
         term2 = f_g - vp[: m - g] - up[g:m][::-1]
         contrib = float(np.dot(term1, term2))
         total += contrib if g == 0 else 2.0 * contrib
     return total
+
+
+@functools.lru_cache(maxsize=CONTRACTION_CACHE_SIZE)
+def _unscaled_contraction(h: float, q: int, r: int, m: int) -> float:
+    """Tr((T_a T_b)^2) with a = rho^r, b = rho^{q-r} on a block of size m."""
+    rho_tab = rho(h, np.arange(2 * m - 1))
+    a = rho_tab[:m] ** r
+    b_ext = rho_tab ** (q - r)
+
+    w_a, _ = lag_window(h, r, m - 1) if m > 1 else (0, 0.0)
+    w_b, _ = lag_window(h, q - r, m - 1) if m > 1 else (0, 0.0)
+    if w_a < m - 1:
+        a[w_a + 1 :] = 0.0
+    if w_b < m - 1:
+        b_ext[w_b + 1 :] = 0.0
+
+    return _quad_sum(a, b_ext, m, g_max=min(m - 1, w_a + w_b))
 
 
 def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
@@ -231,28 +268,13 @@ def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
 
     Exact over the block; the lag-window policy only shortens the sums when
     the certified tail permits (effectively at H = 1/2, where rho has
-    one-point support).
+    one-point support).  Orders r and q - r share one cached lattice sum.
     """
     q = f.rank
     if not 1 <= r <= q - 1:
         raise ValueError(f"contraction order must be in [1, {q - 1}], got {r}")
     h = check_hurst(h)
-    m = f.size
-    lags = np.arange(2 * m - 1)
-    rho_tab = rho(h, lags)
-    a = rho_tab[:m] ** r
-    b_ext = rho_tab ** (q - r)
-
-    w_a, _ = lag_window(h, r, m - 1) if m > 1 else (0, 0.0)
-    w_b, _ = lag_window(h, q - r, m - 1) if m > 1 else (0, 0.0)
-    if w_a < m - 1:
-        a = a.copy()
-        a[w_a + 1 :] = 0.0
-    if w_b < m - 1:
-        b_ext = b_ext.copy()
-        b_ext[w_b + 1 :] = 0.0
-
-    total = _quad_sum(a, b_ext, m, g_max=min(m - 1, w_a + w_b))
+    total = _unscaled_contraction(h, q, min(r, q - r), f.size)
     return f.scale**4 * max(total, 0.0)
 
 

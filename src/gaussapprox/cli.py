@@ -45,6 +45,17 @@ def _parse_times(text: str) -> tuple[float, ...]:
     return vals
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_n_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                quad: bool = False):
         """Every subcommand takes --out and --threads; the other groups only where read."""
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if matrices:
@@ -313,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")
     p.add_argument("--grid-lo", type=float, default=-3.0)
     p.add_argument("--grid-hi", type=float, default=3.0)
-    p.add_argument("--grid-steps", type=int, default=21)
+    p.add_argument("--grid-steps", type=_positive_int, default=21)
     p.set_defaults(func=_cmd_stein_check)
 
     p = sub.add_parser("chatterjee", help="smooth-function bound for a finite Gaussian vector")

@@ -119,25 +119,28 @@ def _legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-_rule_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+#: Gaussian rules kept in memory; a tensor rule has gh_order^d points.
+RULE_CACHE_SIZE = 64
 
 
 def gaussian_rule(cov: CovarianceMatrix, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights integrating E[phi(Z)], Z ~ N(0, C).
 
-    Cached per (C, quad); callers must treat the returned arrays as read-only.
+    Cached per (C, quad) in a bounded LRU; callers must treat the returned
+    arrays as read-only.
     """
     cov = as_covariance(cov)
-    cache_key = (cov.matrix.tobytes(), quad.key())
-    hit = _rule_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    d = cov.dim
-    ell = cholesky_lower(cov)
-    if quad.gh_order is not None:
-        if quad.gh_order**d > 10**7:
+    return _gaussian_rule(cov.matrix.tobytes(), cov.dim, quad.key())
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _gaussian_rule(matrix_bytes: bytes, d: int, quad_key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    _, gh_order, mc_size, mc_seed = quad_key
+    ell = cholesky_lower(np.frombuffer(matrix_bytes).reshape(d, d))
+    if gh_order is not None:
+        if gh_order**d > 10**7:
             raise ValueError("tensor Gauss-Hermite rule too large; use mc_size")
-        x, w = np.polynomial.hermite_e.hermegauss(quad.gh_order)
+        x, w = np.polynomial.hermite_e.hermegauss(gh_order)
         w = w / math.sqrt(2.0 * math.pi)
         grids = np.meshgrid(*([x] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -145,12 +148,9 @@ def gaussian_rule(cov: CovarianceMatrix, quad: QuadratureSpec) -> tuple[np.ndarr
             np.stack([g.ravel() for g in np.meshgrid(*([w] * d), indexing="ij")], axis=0),
             axis=0,
         )
-        rule = (pts @ ell.T, wts)
-    else:
-        z = standard_normals(hash64(quad.mc_seed, "stein-inner"), (quad.mc_size, d))
-        rule = (z @ ell.T, np.full(quad.mc_size, 1.0 / quad.mc_size))
-    _rule_cache[cache_key] = rule
-    return rule
+        return pts @ ell.T, wts
+    z = standard_normals(hash64(mc_seed, "stein-inner"), (mc_size, d))
+    return z @ ell.T, np.full(mc_size, 1.0 / mc_size)
 
 
 # keyed on the live TestFunction so entries die with it (no id reuse)

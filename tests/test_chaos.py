@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gaussapprox import chaos
 from gaussapprox.chaos import (
     StepKernel,
     bound_curve,
@@ -98,6 +99,83 @@ def test_contraction_invariant_under_block_translation():
     b = StepKernel(rank=3, scale=0.5, block=(40, 47))
     for r in (1, 2):
         assert contraction_norm_sq(a, r, 0.65) == contraction_norm_sq(b, r, 0.65)
+
+
+def test_contraction_orders_r_and_q_minus_r_agree():
+    for h in (0.3, 0.5, 0.7):
+        for q in (3, 4):
+            for m in (1, 7, 64):
+                f = StepKernel(rank=q, scale=0.8, block=(3, 3 + m))
+                for r in range(1, q):
+                    fast = contraction_norm_sq(f, r, h)
+                    assert fast == contraction_norm_sq(f, q - r, h)
+                    brute = contraction_norm_sq_brute(f, r, h)
+                    assert fast == pytest.approx(brute, rel=1e-12, abs=1e-300)
+
+
+def test_contraction_cache_runs_one_lattice_sum_per_key(monkeypatch):
+    runs = []
+    real = chaos._quad_sum
+
+    def counting(*args, **kwargs):
+        runs.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chaos, "_quad_sum", counting)
+    chaos._unscaled_contraction.cache_clear()
+    fam = kernel_family(0.7, 3, 512, (0, 1, 2, 3))
+    first = wasserstein_bound(fam, np.eye(3))
+    # three equal blocks, orders 1 and 2: one distinct (H, q, min(r, q-r), m)
+    assert runs == [512]
+    second = wasserstein_bound(fam, np.eye(3))
+    assert runs == [512]
+    assert second.bound == first.bound
+    assert np.array_equal(second.contraction_norms_sq, first.contraction_norms_sq)
+
+
+def test_contraction_cache_is_bounded():
+    maxsize = chaos._unscaled_contraction.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize == chaos.CONTRACTION_CACHE_SIZE
+
+
+def _gather_quad_sum(a, b_ext, m, g_max):
+    """Reference lattice sum that looks lags up through index arrays."""
+    total = 0.0
+    tau = np.arange(1, m)
+    a_tau = a[1:m]
+    for g in range(0, min(g_max, m - 1) + 1):
+        p = a_tau * b_ext[np.abs(g - tau)]
+        qv = a_tau * b_ext[g + tau]
+        up = np.zeros(m)
+        vp = np.zeros(m)
+        if m > 1:
+            up[: m - 1] = np.cumsum(p[::-1])[::-1]
+            vp[: m - 1] = np.cumsum(qv[::-1])[::-1]
+        f_g = a[0] * b_ext[g] + float(np.sum(p)) + float(np.sum(qv))
+        term1 = f_g - up[g:m] - vp[: m - g][::-1]
+        term2 = f_g - vp[: m - g] - up[g:m][::-1]
+        contrib = float(np.dot(term1, term2))
+        total += contrib if g == 0 else 2.0 * contrib
+    return total
+
+
+def test_quad_sum_equals_gather_loop_bit_for_bit():
+    for h in (0.5, 0.65, 0.8):
+        for q, r in ((3, 1), (3, 2), (4, 2)):
+            for m in (1, 2, 3, 257, 1024):
+                rho_tab = rho(h, np.arange(2 * m - 1))
+                a = rho_tab[:m] ** r
+                b_ext = rho_tab ** (q - r)
+                w_a = lag_window(h, r, m - 1)[0] if m > 1 else 0
+                w_b = lag_window(h, q - r, m - 1)[0] if m > 1 else 0
+                if w_a < m - 1:
+                    a[w_a + 1 :] = 0.0
+                if w_b < m - 1:
+                    b_ext[w_b + 1 :] = 0.0
+                g_max = min(m - 1, w_a + w_b)
+                if h == 0.5 and m > 3:
+                    assert g_max == 2  # the windowed case: rho has one-point support
+                assert chaos._quad_sum(a, b_ext, m, g_max) == _gather_quad_sum(a, b_ext, m, g_max)
 
 
 def test_cauchy_schwarz_on_random_kernel_pairs():

@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from gaussapprox.cli import main
+from gaussapprox.cli import SUBCOMMANDS, main
 
 
 def run_cli(argv):
@@ -68,6 +68,33 @@ def test_flag_not_read_by_subcommand_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+MINIMAL_ARGV = {
+    "bound": ["--H", "0.5", "--q", "2", "--n", "10"],
+    "rates": ["--H", "0.5", "--q", "2", "--n", "10,20"],
+    "simulate": ["--H", "0.5", "--q", "2", "--n", "10"],
+    "malliavin": ["--H", "0.5", "--q", "2", "--n", "10"],
+    "stein-check": [],
+    "chatterjee": ["--K", "[[1.0]]"],
+    "gaussian-pair": ["--C", "[[1.0]]", "--K", "[[1.0]]"],
+}
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_nonpositive_threads_exit_2(subcommand, threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *MINIMAL_ARGV[subcommand], "--threads", threads])
+    assert exc.value.code == 2
+    assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+
+
+def test_nonpositive_grid_steps_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stein-check", "--grid-steps", "0"])
+    assert exc.value.code == 2
+    assert "argument --grid-steps: must be >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("c", ["[[Infinity, 0], [0, 1]]", "[[1, Infinity], [Infinity, 1]]",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussapprox import stein
 from gaussapprox.linalg import CovarianceMatrix, sample_gaussian
 from gaussapprox.stein import (
     QuadratureSpec,
@@ -45,6 +46,19 @@ def test_gaussian_rule_moments():
     assert np.allclose(emp, C_CORR.matrix, atol=1e-12)
     # fourth moment of the first marginal: 3 c11^2, exact for order-8 rule
     assert np.dot(wts, pts[:, 0] ** 4) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_gaussian_rule_cache_is_bounded_and_keyed_by_value():
+    assert stein._gaussian_rule.cache_info().maxsize == stein.RULE_CACHE_SIZE
+    stein._gaussian_rule.cache_clear()
+    first = gaussian_rule(C_CORR, QUAD)
+    # an equal matrix given as a plain array hits the same entry
+    again = gaussian_rule(np.array([[1.0, 0.5], [0.5, 1.0]]), QuadratureSpec(u_nodes=64, gh_order=8))
+    assert again[0] is first[0] and again[1] is first[1]
+    info = stein._gaussian_rule.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    other = gaussian_rule(C_CORR, QuadratureSpec(u_nodes=64, gh_order=6))
+    assert other[0].shape == (36, 2)
 
 
 def test_u0_linear_reproduces_g():
