@@ -10,24 +10,14 @@ import math
 
 import numpy as np
 
-from gaussapprox import (
-    kernel_family,
-    kernel_inner,
-    pathwise_malliavin_inner,
-    sample_fgn,
-    wasserstein_bound,
-)
-from gaussapprox.rng import hash64
+from gaussapprox import kernel_family, kernel_inner, malliavin_grams, wasserstein_bound
 
 H, Q, N, M = 0.6, 2, 256, 1500
 TIMES = (0.0, 1.0, 2.0)
 
 fam = kernel_family(H, Q, N, TIMES)
-length = fam.kernels[-1].block[1]
-grams = np.empty((M, 2, 2))
-for r in range(M):
-    path = sample_fgn(H, length, hash64(99, "demo-malliavin", r))
-    grams[r] = pathwise_malliavin_inner(fam, path)
+# pathwise_malliavin_inner of M paths, the sampling factors built once
+grams, embedding_min_ratio = malliavin_grams(fam, M, seed=99)
 
 target = np.eye(2)
 dev_sq = (target[None] - grams) ** 2
@@ -35,7 +25,7 @@ mean_dev = dev_sq.mean(axis=0)
 se_dev = dev_sq.std(axis=0, ddof=1) / math.sqrt(M)
 entries = wasserstein_bound(fam, target).lemma_entries
 
-print(f"H={H}, q={Q}, n={N}, {M} paths")
+print(f"H={H}, q={Q}, n={N}, {M} paths, embedding min/max eigenvalue {embedding_min_ratio:.4f}")
 print("MC mean of (C(i,j) - gram_ij)^2:")
 print(np.array_str(mean_dev, precision=5))
 print("pair-estimate entries (upper bounds):")

@@ -37,6 +37,7 @@ from .empirical import (
     empirical_w1_1d,
     empirical_w1_multid,
     fit_rate,
+    malliavin_grams,
     normal_quantile,
     pathwise_malliavin_inner,
     simulate_bm_vector,
@@ -89,6 +90,7 @@ __all__ = [
     "empirical_w1_1d",
     "empirical_w1_multid",
     "fit_rate",
+    "malliavin_grams",
     "normal_quantile",
     "pathwise_malliavin_inner",
     "simulate_bm_vector",

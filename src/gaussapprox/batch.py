@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,12 +19,14 @@ class SampleBatch:
 
     ``values`` has shape (m, d).  ``seed`` is the master seed the batch was
     produced from and ``provenance`` names the experiment, so any batch can be
-    regenerated exactly.
+    regenerated exactly.  ``diagnostics`` holds deterministic facts about how
+    the batch was drawn, e.g. the ``embedding_min_ratio`` of a simulation.
     """
 
     values: np.ndarray
     seed: int
     provenance: str = ""
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=np.float64))

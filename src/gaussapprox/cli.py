@@ -19,9 +19,8 @@ import numpy as np
 from . import __version__
 from .chaos import bound_curve, kernel_family, rate_exponent, wasserstein_bound
 from .chatterjee import chatterjee_bound, family_from_config, gaussian_pair_bound
-from .empirical import fit_rate, pathwise_malliavin_inner, simulate_bm_vector
+from .empirical import fit_rate, malliavin_grams, simulate_bm_vector
 from .errors import GaussApproxError
-from .fgn import sample_fgn
 from .linalg import as_covariance, matrix_from_json, matrix_to_json, q_factor, hs_norm
 from .rng import hash64, standard_normals
 from .stein import (
@@ -156,6 +155,7 @@ def _cmd_simulate(args) -> dict:
         "covariance": np.cov(values.T, ddof=1).reshape(batch.d, batch.d).tolist(),
         "fourth_moments": np.mean(values**4, axis=0).tolist(),
         "provenance": batch.provenance,
+        "diagnostics": batch.diagnostics,
     }
     if args.dump_samples:
         with open(args.dump_samples, "w", encoding="utf-8", newline="\n") as fh:
@@ -181,12 +181,7 @@ def _cmd_malliavin(args) -> dict:
     fam = kernel_family(args.H, args.q, args.n, times)
     if cov.dim != fam.dim:
         raise ValueError(f"C has dim {cov.dim}, expected {fam.dim}")
-    length = fam.kernels[-1].block[1]
-    d = fam.dim
-    grams = np.empty((args.m, d, d))
-    for r in range(args.m):
-        path = sample_fgn(args.H, length, hash64(args.seed, "malliavin", r))
-        grams[r] = pathwise_malliavin_inner(fam, path)
+    grams, min_ratio = malliavin_grams(fam, args.m, args.seed, threads=args.threads)
     dev_sq = (cov.matrix[None, :, :] - grams) ** 2
     lemma = wasserstein_bound(fam, cov).lemma_entries
     return {
@@ -202,6 +197,7 @@ def _cmd_malliavin(args) -> dict:
             "dev_sq_mean": dev_sq.mean(axis=0).tolist(),
             "dev_sq_se": (dev_sq.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
             "lemma_entries": lemma.tolist(),
+            "diagnostics": {"embedding_min_ratio": min_ratio},
         },
     }
 

@@ -7,7 +7,10 @@ Wasserstein distances of the resulting samples (1-d quantile estimator, exact
 min-cost matching for small batches, normalized sliced estimator beyond).
 
 Replication r of any experiment draws its seed as hash64(master, tag, r), so
-parallel and serial schedules produce identical batches.
+parallel and serial schedules produce identical batches.  ``replicate`` is the
+one replication loop: it builds the fGn sampling factors of a family once and
+draws every path from them, for ``simulate_bm_vector`` and
+``malliavin_grams`` alike.
 """
 
 from __future__ import annotations
@@ -23,15 +26,17 @@ from scipy.special import erfc
 
 from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
-from .fgn import FgnPath, rho, sample_fgn
+from .fgn import FgnPath, _circulant_factors, _draw, rho
 from .hermite import hermite_eval
 from .rng import hash64, standard_normals
 
 __all__ = [
     "WassersteinEstimate",
     "RateFit",
+    "replicate",
     "simulate_bm_vector",
     "pathwise_malliavin_inner",
+    "malliavin_grams",
     "empirical_w1_1d",
     "empirical_w1_multid",
     "normal_cdf",
@@ -68,27 +73,26 @@ class RateFit:
     n_range: tuple[int, int]
 
 
-def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
-                       threads: int = 1, family: KernelFamily | None = None) -> SampleBatch:
-    """m replications of the normalized d-dimensional increment vector.
+def replicate(fam: KernelFamily, m: int, seed: int, tag: str, statistic, shape: tuple,
+              threads: int = 1) -> tuple[np.ndarray, float | None]:
+    """m replications of a per-path statistic of fGn paths of the family's length.
 
-    Each replication r simulates one fGn path of length floor(n t_d) with seed
-    hash64(seed, "bm-vector", r) and block-sums H_q over each kernel block.
-    The output is independent of ``threads``.  ``family`` skips the rebuild
-    when a matching kernel family (same h, q, n, times) is already at hand.
+    The sampling factors of (H, length) are built once (one embedding
+    spectrum and guard check per call) and replication r draws its path
+    from them with seed hash64(seed, tag, r), so every path is the one
+    ``sample_fgn`` gives for that seed.  ``statistic`` maps the increments to
+    an array of ``shape``, stored in row r of the returned (m, *shape) array;
+    ``threads > 1`` spreads the replications over a thread pool without
+    changing the result.  Also returns min(lam) / max(lam) of the embedding
+    spectrum before clipping, the margin of the guard.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    fam = family if family is not None else kernel_family(h, q, n, times)
-    length = fam.kernels[-1].block[1]
-    values = np.empty((m, fam.dim))
+    factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
+    out = np.empty((m, *shape))
 
     def fill(r: int) -> None:
-        path = sample_fgn(fam.hurst, length, hash64(seed, "bm-vector", r))
-        hq = hermite_eval(fam.rank, path.increments)
-        for i, ker in enumerate(fam.kernels):
-            k0, k1 = ker.block
-            values[r, i] = ker.scale * float(np.sum(hq[k0:k1]))
+        out[r] = statistic(_draw(factors, hash64(seed, tag, r)))
 
     if threads <= 1:
         for r in range(m):
@@ -96,14 +100,70 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(m)))
-    return SampleBatch(values=values, seed=seed, provenance="bm-vector")
+    return out, factors.min_ratio
+
+
+def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
+                       threads: int = 1, family: KernelFamily | None = None) -> SampleBatch:
+    """m replications of the normalized d-dimensional increment vector.
+
+    Each replication r simulates one fGn path of length floor(n t_d) with seed
+    hash64(seed, "bm-vector", r) and block-sums H_q over each kernel block.
+    The embedding spectrum of that length is factored once for all m paths
+    (``replicate``); each path then costs only its normals and one FFT.  The
+    output is independent of ``threads``.  ``family`` skips the rebuild
+    when a matching kernel family (same h, q, n, times) is already at hand.
+    The batch's ``diagnostics`` carry ``embedding_min_ratio``.
+    """
+    fam = family if family is not None else kernel_family(h, q, n, times)
+
+    def block_sums(increments: np.ndarray) -> list[float]:
+        hq = hermite_eval(fam.rank, increments)
+        return [ker.scale * float(np.sum(hq[ker.block[0]:ker.block[1]])) for ker in fam.kernels]
+
+    values, min_ratio = replicate(fam, m, seed, "bm-vector", block_sums, (fam.dim,), threads)
+    return SampleBatch(values=values, seed=seed, provenance="bm-vector",
+                       diagnostics={"embedding_min_ratio": min_ratio})
+
+
+def _shifts(nv: int, nw: int) -> np.ndarray:
+    """Offsets s = -(nv - 1)..nw - 1 of all shifted products of lengths nv and nw."""
+    return np.arange(-(nv - 1), nw)
 
 
 def _cross_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All shifted products: sums[s] = sum_j v[j] w[j+s], s = -(len v - 1)..len w - 1."""
-    full = np.correlate(w, v, mode="full")
-    shifts = np.arange(-(v.size - 1), w.size)
-    return shifts, full
+    return _shifts(v.size, w.size), np.correlate(w, v, mode="full")
+
+
+def _gram_pairs(fam: KernelFamily) -> list[tuple]:
+    """Per block pair i >= j: (i, j, c_i c_j q, rho of every gap k - l), fixed per family.
+
+    The weight of shift s is rho(a0 - b0 - s), the lag between v index j + a0
+    and w index j + s + b0.
+    """
+    q = fam.rank
+    pairs = []
+    for i, ki in enumerate(fam.kernels):
+        a0, a1 = ki.block
+        for j in range(i + 1):
+            kj = fam.kernels[j]
+            b0, b1 = kj.block
+            gaps = a0 - b0 - _shifts(a1 - a0, b1 - b0)
+            pairs.append((i, j, ki.scale * kj.scale * q, rho(fam.hurst, gaps)))
+    return pairs
+
+
+def _malliavin_gram(fam: KernelFamily, pairs: list[tuple], increments: np.ndarray) -> np.ndarray:
+    """Gram matrix of one path from the family's ``_gram_pairs``."""
+    hq1 = hermite_eval(fam.rank - 1, increments[: fam.kernels[-1].block[1]])
+    out = np.empty((fam.dim, fam.dim))
+    for i, j, coef, weights in pairs:
+        a0, a1 = fam.kernels[i].block
+        b0, b1 = fam.kernels[j].block
+        _, sums = _cross_sums(hq1[a0:a1], hq1[b0:b1])
+        out[i, j] = out[j, i] = coef * float(np.dot(sums, weights))
+    return out
 
 
 def pathwise_malliavin_inner(fam: KernelFamily, path: FgnPath) -> np.ndarray:
@@ -114,28 +174,25 @@ def pathwise_malliavin_inner(fam: KernelFamily, path: FgnPath) -> np.ndarray:
     ``c_i c_j q sum_{k in B_i, l in B_j} H_{q-1}(x_k) H_{q-1}(x_l) rho(k-l)``.
     The H_{q-1} vector is computed once per path and the lattice sums run over
     exact cross-correlations.  The result is symmetric exactly as computed.
+    ``malliavin_grams`` computes the rho weights once for a whole batch.
     """
     length = fam.kernels[-1].block[1]
     if path.n < length:
         raise ValueError(f"path length {path.n} shorter than required {length}")
-    q = fam.rank
-    hq1 = hermite_eval(q - 1, path.increments[:length])
-    d = fam.dim
-    out = np.empty((d, d))
-    for i in range(d):
-        a0, a1 = fam.kernels[i].block
-        v = hq1[a0:a1]
-        for j in range(i + 1):
-            b0, b1 = fam.kernels[j].block
-            w = hq1[b0:b1]
-            shifts, sums = _cross_sums(v, w)
-            # k - l = a0 - b0 - s for v index offset by a0 and w index by b0
-            gaps = a0 - b0 - shifts
-            val = fam.kernels[i].scale * fam.kernels[j].scale * q * float(
-                np.dot(sums, rho(fam.hurst, gaps))
-            )
-            out[i, j] = out[j, i] = val
-    return out
+    return _malliavin_gram(fam, _gram_pairs(fam), path.increments)
+
+
+def malliavin_grams(fam: KernelFamily, m: int, seed: int,
+                    threads: int = 1) -> tuple[np.ndarray, float | None]:
+    """(m, d, d) pathwise Gram matrices, path r seeded by hash64(seed, "malliavin", r).
+
+    Entry r equals ``pathwise_malliavin_inner`` of that path; the rho weights
+    of each block pair and the sampling factors are built once for all m.
+    Also returns the embedding margin of ``replicate``.
+    """
+    pairs = _gram_pairs(fam)
+    return replicate(fam, m, seed, "malliavin", lambda x: _malliavin_gram(fam, pairs, x),
+                     (fam.dim, fam.dim), threads)
 
 
 def normal_cdf(x):

@@ -4,7 +4,8 @@ Covers the stationary unit-step increments of fractional Brownian motion with
 Hurst index H in (0, 1): the autocovariance ``rho``, the fBm covariance
 kernel, exact sampling by circulant embedding (Cholesky fallback), and the
 limiting standard deviation ``sigma_bm`` that normalizes the Hermite-functional
-partial sums.
+partial sums.  Sampling is split into factors that depend on (H, n) only and
+a draw per seed, so many paths of one length share one embedding spectrum.
 
 ``rho(x) = (|x+1|^{2H} + |x-1|^{2H} - 2|x|^{2H}) / 2`` is a second difference
 of ``|x|^{2H}`` and cancels catastrophically for large ``|x|`` in the direct
@@ -123,8 +124,76 @@ def _embedding_eigenvalues(h: float, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
+@dataclass(frozen=True)
+class _Factors:
+    """Sampling factors of fGn paths of one (H, n), shared by every seed.
+
+    ``method`` "circulant": ``factor`` holds the per-frequency scales of the
+    clipped embedding spectrum (sqrt(lam) at frequencies 0 and size/2,
+    sqrt(lam/2) in between).  ``method`` "cholesky": ``factor`` is the lower
+    Cholesky factor of the n x n Toeplitz covariance.  ``min_ratio`` is
+    min(lam) / max(lam) before clipping, or None when no spectrum was built.
+    """
+
+    n: int
+    method: str
+    factor: np.ndarray
+    min_ratio: float | None
+
+
+def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
+    """Run the embedding guard once and build the factors every draw reuses.
+
+    The circulant spectrum is used unless it dips below ``-EMBEDDING_RTOL``
+    relative to its maximum (never expected for fGn, kept as a guard), in
+    which case the Toeplitz Cholesky factor is returned instead.  ``method``
+    forces "circulant" (an error if the guard fires) or "cholesky".
+    """
+    if method not in (None, "circulant", "cholesky"):
+        raise ValueError(f"unknown method {method!r}")
+    min_ratio = None
+    if method != "cholesky":
+        lam = _embedding_eigenvalues(h, n)
+        lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
+        min_ratio = lam_min / lam_max
+        embeddable = lam_min >= -EMBEDDING_RTOL * lam_max
+        if method == "circulant" and not embeddable:
+            raise ValueError("circulant embedding is not nonnegative definite")
+        if embeddable:
+            lam = np.clip(lam, 0.0, None)
+            half = lam.size // 2
+            scales = np.sqrt(lam)
+            scales[1:half] = np.sqrt(lam[1:half] / 2.0)
+            return _Factors(n, "circulant", scales, min_ratio)
+    ell = np.linalg.cholesky(toeplitz(rho(h, np.arange(n))))
+    return _Factors(n, "cholesky", ell, min_ratio)
+
+
+def _draw(factors: _Factors, seed: int) -> np.ndarray:
+    """The n increments of the path with this seed, from precomputed factors."""
+    if factors.method == "cholesky":
+        return factors.factor @ standard_normals(seed, factors.n)
+    scales = factors.factor
+    size = scales.size
+    half = size // 2
+    z = standard_normals(seed, size)
+    spectrum = np.zeros(size, dtype=np.complex128)
+    spectrum[0] = scales[0] * z[0]
+    spectrum[half] = scales[half] * z[1]
+    re = z[2 : half + 1]
+    im = z[half + 1 : size]
+    spectrum[1:half] = scales[1:half] * (re + 1j * im)
+    spectrum[half + 1 :] = np.conj(spectrum[1:half][::-1])
+    return (np.fft.fft(spectrum)[: factors.n] / np.sqrt(size)).real
+
+
 def sample_fgn(h: float, n: int, seed: int, method: str | None = None) -> FgnPath:
     """Exact fGn sample of length n, reproducible for fixed (H, n, seed).
+
+    Two steps: ``_circulant_factors`` builds the sampling factors of (H, n)
+    and ``_draw`` turns the seed into increments.  Code that draws many paths
+    of one (H, n) builds the factors once and draws each seed from them
+    (``empirical.replicate``); the increments are the same bits either way.
 
     Primary method is circulant embedding; if the embedding spectrum dips
     below -1e-9 relative to its maximum (never expected for fGn, kept as a
@@ -135,35 +204,8 @@ def sample_fgn(h: float, n: int, seed: int, method: str | None = None) -> FgnPat
     n = int(n)
     if n < 1:
         raise ValueError("path length must be >= 1")
-    if method not in (None, "circulant", "cholesky"):
-        raise ValueError(f"unknown method {method!r}")
-
-    lam = None
-    if method != "cholesky":
-        lam = _embedding_eigenvalues(h, n)
-        lam_max = float(np.max(lam))
-        embeddable = float(np.min(lam)) >= -EMBEDDING_RTOL * lam_max
-        if method == "circulant" and not embeddable:
-            raise ValueError("circulant embedding is not nonnegative definite")
-    if method == "cholesky" or (method is None and not embeddable):
-        cov = toeplitz(rho(h, np.arange(n)))
-        ell = np.linalg.cholesky(cov)
-        values = ell @ standard_normals(seed, n)
-        return FgnPath(hurst=h, increments=values, seed=seed, method="cholesky")
-
-    lam = np.clip(lam, 0.0, None)
-    size = lam.size
-    half = size // 2
-    z = standard_normals(seed, size)
-    spectrum = np.zeros(size, dtype=np.complex128)
-    spectrum[0] = np.sqrt(lam[0]) * z[0]
-    spectrum[half] = np.sqrt(lam[half]) * z[1]
-    re = z[2 : half + 1]
-    im = z[half + 1 : size]
-    spectrum[1:half] = np.sqrt(lam[1:half] / 2.0) * (re + 1j * im)
-    spectrum[half + 1 :] = np.conj(spectrum[1:half][::-1])
-    values = (np.fft.fft(spectrum) / np.sqrt(size)).real[:n]
-    return FgnPath(hurst=h, increments=values, seed=seed, method="circulant")
+    factors = _circulant_factors(h, n, method)
+    return FgnPath(hurst=h, increments=_draw(factors, seed), seed=seed, method=factors.method)
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,12 @@ def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None,
         quad = default_quadrature(cov.dim)
     grad = u0_gradient(g, cov, x, quad, step=grad_step)
     hess = u0_hessian(g, cov, x, quad, step=hess_step)
+    return _residual(g, cov, x, quad, grad, hess)
+
+
+def _residual(g: TestFunction, cov: CovarianceMatrix, x: np.ndarray, quad: QuadratureSpec,
+              grad: np.ndarray, hess: np.ndarray) -> float:
+    """The Stein residual at x from the derivatives of U0g there."""
     lhs = float(g(x)) - mean_under_target(g, cov, quad)
     rhs = float(np.dot(x, grad)) - hs_inner(cov.matrix, hess)
     return abs(lhs - rhs)
@@ -229,19 +235,26 @@ def hessian_bound_check(g: TestFunction, cov, points, quad: QuadratureSpec | Non
 
     Passes iff the FD maximum stays below the right-hand side inflated by 1%.
     """
-    if g.lipschitz is None:
-        raise ValueError(f"test function {g.name!r} has no Lipschitz constant")
+    _require_lipschitz(g)
     cov = as_covariance(cov)
     if quad is None:
         quad = default_quadrature(cov.dim)
-    worst = 0.0
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    for x in pts:
-        worst = max(worst, hs_norm(u0_hessian(g, cov, x, quad)))
+    return _bound_check(g, cov, [hs_norm(u0_hessian(g, cov, x, quad)) for x in pts])
+
+
+def _require_lipschitz(g: TestFunction) -> None:
+    if g.lipschitz is None:
+        raise ValueError(f"test function {g.name!r} has no Lipschitz constant")
+
+
+def _bound_check(g: TestFunction, cov: CovarianceMatrix, norms: list[float]) -> HessianBoundCheck:
+    """The Hessian bound verdict from the HS norms at each point."""
+    worst = max([0.0, *norms])
     rhs = prefactor(cov) * g.lipschitz
     return HessianBoundCheck(
         function=g.name,
-        points=pts.shape[0],
+        points=len(norms),
         max_hs_norm=float(worst),
         rhs=float(rhs),
         passed=bool(worst <= rhs * (1.0 + HESSIAN_FD_SLACK)),
@@ -249,13 +262,25 @@ def hessian_bound_check(g: TestFunction, cov, points, quad: QuadratureSpec | Non
 
 
 def stein_report(g: TestFunction, cov, points, quad: QuadratureSpec | None = None) -> dict:
-    """Combined diagnostic: residual max and Hessian check over the points."""
+    """Combined diagnostic: residual max and Hessian check over the points.
+
+    Gives the values of ``stein_residual`` and ``hessian_bound_check`` at the
+    default steps, with one FD gradient and one FD Hessian of U0g per point
+    shared by both.
+    """
+    _require_lipschitz(g)
     cov = as_covariance(cov)
     if quad is None:
         quad = default_quadrature(cov.dim)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    residual_max = max(stein_residual(g, cov, x, quad) for x in pts)
-    check = hessian_bound_check(g, cov, pts, quad)
+    residuals, norms = [], []
+    for x in pts:
+        grad = u0_gradient(g, cov, x, quad)
+        hess = u0_hessian(g, cov, x, quad)
+        residuals.append(_residual(g, cov, x, quad, grad, hess))
+        norms.append(hs_norm(hess))
+    residual_max = max(residuals)
+    check = _bound_check(g, cov, norms)
     return {
         "function": g.name,
         "points": check.points,

@@ -171,6 +171,20 @@ def test_malliavin_subcommand():
     assert res["dev_sq_mean"][0][1] <= res["lemma_entries"][0][1] * 1.5 + 0.05
 
 
+def test_monte_carlo_reports_carry_embedding_margin():
+    short = ["--H", "0.6", "--q", "2", "--times", "0,1,2", "--n", "32", "--m", "20", "--seed", "3"]
+    reports = {}
+    for sub in ("simulate", "malliavin"):
+        outs = [run_cli([sub, *short, "--threads", t]) for t in ("1", "2")]
+        assert [code for code, _ in outs] == [0, 0]
+        blobs = [json.loads(out) for _, out in outs]
+        assert blobs[0]["results"] == blobs[1]["results"]
+        reports[sub] = blobs[0]["results"]["diagnostics"]
+    assert reports["simulate"] == reports["malliavin"]
+    assert set(reports["simulate"]) == {"embedding_min_ratio"}
+    assert 0.0 < reports["simulate"]["embedding_min_ratio"] < 1.0
+
+
 def test_stein_check_subcommand():
     code, out = run_cli([
         "stein-check", "--C", "[[1.0, 0.5], [0.5, 1.0]]",

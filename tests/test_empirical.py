@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussapprox import fgn
 from gaussapprox.batch import SampleBatch
 from gaussapprox.chaos import (
     KernelFamily,
@@ -17,13 +18,15 @@ from gaussapprox.empirical import (
     empirical_w1_1d,
     empirical_w1_multid,
     fit_rate,
+    malliavin_grams,
     normal_cdf,
     normal_quantile,
     pathwise_malliavin_inner,
     simulate_bm_vector,
 )
 from gaussapprox.fgn import SigmaEstimate, rho, sample_fgn
-from gaussapprox.rng import standard_normals
+from gaussapprox.hermite import hermite_eval
+from gaussapprox.rng import hash64, standard_normals
 
 
 def series_normal_cdf(x: float) -> float:
@@ -172,6 +175,103 @@ def test_simulate_threads_do_not_change_results():
     serial = simulate_bm_vector(**kwargs, threads=1)
     parallel = simulate_bm_vector(**kwargs, threads=4)
     assert np.array_equal(serial.values, parallel.values)
+
+
+def _per_path_vectors(fam, m, seed, method=None):
+    """Reference for the replication engine: one sample_fgn call per path."""
+    length = fam.kernels[-1].block[1]
+    out = np.empty((m, fam.dim))
+    for r in range(m):
+        x = sample_fgn(fam.hurst, length, hash64(seed, "bm-vector", r), method=method).increments
+        hq = hermite_eval(fam.rank, x)
+        for i, ker in enumerate(fam.kernels):
+            out[r, i] = ker.scale * float(np.sum(hq[ker.block[0]:ker.block[1]]))
+    return out
+
+
+def _per_path_gram(fam, path):
+    """Reference Gram matrix: rho of the gaps recomputed for every block pair of every path."""
+    hq1 = hermite_eval(fam.rank - 1, path.increments[: fam.kernels[-1].block[1]])
+    out = np.empty((fam.dim, fam.dim))
+    for i in range(fam.dim):
+        a0, a1 = fam.kernels[i].block
+        for j in range(i + 1):
+            b0, b1 = fam.kernels[j].block
+            shifts, sums = _cross_sums(hq1[a0:a1], hq1[b0:b1])
+            val = fam.kernels[i].scale * fam.kernels[j].scale * fam.rank * float(
+                np.dot(sums, rho(fam.hurst, a0 - b0 - shifts))
+            )
+            out[i, j] = out[j, i] = val
+    return out
+
+
+@pytest.mark.parametrize("h", [0.5, 0.6, 0.8])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_engine_matches_per_path_sample_fgn(h, threads):
+    times = (0.0, 1.0, 2.5)
+    fam = kernel_family(h, 3, 40, times)
+    batch = simulate_bm_vector(h, 3, 40, times, 25, seed=123, threads=threads)
+    assert np.array_equal(batch.values, _per_path_vectors(fam, 25, 123))
+    ratio = batch.diagnostics["embedding_min_ratio"]
+    assert ratio == fgn._circulant_factors(h, fam.kernels[-1].block[1]).min_ratio
+    assert 0.0 < ratio <= 1.0  # a flat spectrum at H = 1/2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_malliavin_grams_match_per_path_loop(threads):
+    for h, q in ((0.5, 2), (0.65, 2), (0.8, 3)):
+        fam = kernel_family(h, q, 48, (0.0, 1.0, 2.0, 3.5))
+        length = fam.kernels[-1].block[1]
+        grams, ratio = malliavin_grams(fam, 12, seed=31, threads=threads)
+        assert grams.shape == (12, 3, 3)
+        for r in range(12):
+            path = sample_fgn(h, length, hash64(31, "malliavin", r))
+            assert np.array_equal(grams[r], _per_path_gram(fam, path))
+            assert np.array_equal(grams[r], pathwise_malliavin_inner(fam, path))
+        assert ratio == fgn._circulant_factors(h, length).min_ratio
+
+
+def test_engine_builds_the_spectrum_once_per_call(monkeypatch):
+    calls = []
+    real = fgn._embedding_eigenvalues
+
+    def counted(h, n):
+        calls.append((h, n))
+        return real(h, n)
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", counted)
+    fam = kernel_family(0.6, 2, 64, (0.0, 1.0, 2.0))
+    for threads in (1, 2):
+        calls.clear()
+        simulate_bm_vector(0.6, 2, 64, (0.0, 1.0, 2.0), 30, seed=5, threads=threads, family=fam)
+        assert calls == [(0.6, 128)]
+    calls.clear()
+    malliavin_grams(fam, 30, seed=5)
+    assert calls == [(0.6, 128)]
+
+
+def test_engine_negative_spectrum_uses_cholesky_bits(monkeypatch):
+    real = fgn._embedding_eigenvalues
+
+    def dipped(h, n):
+        lam = real(h, n).copy()
+        lam[-1] = -1e-3 * float(np.max(lam))
+        return lam
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
+    times = (0.0, 1.0, 2.0)
+    fam = kernel_family(0.7, 2, 32, times)
+    batch = simulate_bm_vector(0.7, 2, 32, times, 10, seed=8, threads=2, family=fam)
+    assert np.array_equal(batch.values, _per_path_vectors(fam, 10, 8, method="cholesky"))
+    assert batch.diagnostics["embedding_min_ratio"] == pytest.approx(-1e-3, rel=1e-12)
+
+
+def test_replicate_rejects_empty_batch():
+    fam = kernel_family(0.6, 2, 16, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        simulate_bm_vector(0.6, 2, 16, (0.0, 1.0), 0, seed=1, family=fam)
+    with pytest.raises(ValueError):
+        malliavin_grams(fam, 0, seed=1)
 
 
 def test_pathwise_malliavin_symmetry_and_isometry():

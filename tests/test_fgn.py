@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import toeplitz
+
+from gaussapprox import fgn
 from gaussapprox.batch import read_binary
 from gaussapprox.errors import HypothesisViolation
 from gaussapprox.fgn import (
@@ -18,6 +21,7 @@ from gaussapprox.fgn import (
     sample_fgn,
     sigma_bm,
 )
+from gaussapprox.rng import standard_normals
 
 
 def rho_mpmath(h, x):
@@ -142,6 +146,63 @@ def test_sample_fgn_deterministic():
     assert np.array_equal(a.increments, b.increments)
     assert a.method == "circulant"
     assert not np.array_equal(a.increments, sample_fgn(0.7, 128, seed=6).increments)
+
+
+def _one_step_sample(h, n, seed):
+    """The single-pass sampler the factors/draw split replaced, as a bit-level reference."""
+    size = 1 << max(1, 2 * n - 1).bit_length()
+    half = size // 2
+    head = rho(h, np.arange(half + 1))
+    lam = np.fft.fft(np.concatenate([head, head[-2:0:-1]])).real
+    if float(np.min(lam)) < -fgn.EMBEDDING_RTOL * float(np.max(lam)):
+        return np.linalg.cholesky(toeplitz(rho(h, np.arange(n)))) @ standard_normals(seed, n)
+    lam = np.clip(lam, 0.0, None)
+    z = standard_normals(seed, size)
+    spectrum = np.zeros(size, dtype=np.complex128)
+    spectrum[0] = np.sqrt(lam[0]) * z[0]
+    spectrum[half] = np.sqrt(lam[half]) * z[1]
+    spectrum[1:half] = np.sqrt(lam[1:half] / 2.0) * (z[2 : half + 1] + 1j * z[half + 1 : size])
+    spectrum[half + 1 :] = np.conj(spectrum[1:half][::-1])
+    return (np.fft.fft(spectrum) / np.sqrt(size)).real[:n]
+
+
+@pytest.mark.parametrize("h", [0.2, 0.5, 0.6, 0.8, 0.95])
+def test_sample_fgn_bit_identical_to_one_step_sampler(h):
+    for n in (1, 2, 3, 17, 64, 1000):
+        for seed in (0, 7, 2**63 + 5):
+            path = sample_fgn(h, n, seed)
+            assert path.method == "circulant"
+            assert np.array_equal(path.increments, _one_step_sample(h, n, seed))
+
+
+def test_factors_draw_every_seed_like_sample_fgn():
+    factors = fgn._circulant_factors(0.7, 100)
+    assert factors.method == "circulant" and 0.0 < factors.min_ratio < 1.0
+    for seed in range(5):
+        assert np.array_equal(fgn._draw(factors, seed), sample_fgn(0.7, 100, seed).increments)
+    forced = fgn._circulant_factors(0.7, 100, method="cholesky")
+    assert forced.method == "cholesky" and forced.min_ratio is None
+    assert np.array_equal(fgn._draw(forced, 3), sample_fgn(0.7, 100, 3, method="cholesky").increments)
+
+
+def test_negative_spectrum_falls_back_to_cholesky(monkeypatch):
+    real = fgn._embedding_eigenvalues
+
+    def dipped(h, n):
+        lam = real(h, n).copy()
+        lam[3] = -1e-6 * float(np.max(lam))
+        return lam
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
+    factors = fgn._circulant_factors(0.6, 50)
+    assert factors.method == "cholesky"
+    assert factors.min_ratio == pytest.approx(-1e-6, rel=1e-12)
+    for seed in (1, 2):
+        path = sample_fgn(0.6, 50, seed)
+        assert path.method == "cholesky"
+        assert np.array_equal(path.increments, sample_fgn(0.6, 50, seed, method="cholesky").increments)
+    with pytest.raises(ValueError, match="nonnegative definite"):
+        sample_fgn(0.6, 50, 1, method="circulant")
 
 
 def _sample_autocov(h, n, m, lags, seed, method=None):

@@ -154,6 +154,25 @@ def test_stein_report_keys():
     assert rep["pass"]
 
 
+def test_stein_report_computes_each_derivative_once_per_point(monkeypatch):
+    pts = grid_points(-2.0, 2.0, 3)
+    for g in lipschitz_test_functions(2)[1:3]:
+        residual_max = max(stein_residual(g, C_CORR, x, QUAD) for x in pts)
+        check = hessian_bound_check(g, C_CORR, pts, QUAD)
+        calls = []
+        real = stein.u0_apply
+        monkeypatch.setattr(stein, "u0_apply", lambda *a, **k: calls.append(1) or real(*a, **k))
+        rep = stein_report(g, C_CORR, pts, QUAD)
+        monkeypatch.undo()
+        # d = 2: 4 evaluations for the gradient and 9 for the Hessian stencil
+        assert len(calls) == 13 * len(pts)
+        assert rep["residual_max"] == residual_max
+        assert rep["hessian_max"] == check.max_hs_norm
+        assert (rep["rhs"], rep["pass"], rep["points"]) == (check.rhs, check.passed, check.points)
+    with pytest.raises(ValueError, match="Lipschitz"):
+        stein_report(TestFunction("nolip", lambda x: x[..., 0]), C_EYE, pts, QUAD)
+
+
 def test_registry_has_five_functions_with_constants():
     fns = lipschitz_test_functions(2)
     assert len(fns) == 5
