@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SampleBatch", "BINARY_MAGIC"]
-
-#: Magic bytes opening the binary stream format shared with fgn path exports.
-BINARY_MAGIC = b"FGN1"
+__all__ = ["SampleBatch"]
 
 
 @dataclass(frozen=True)
@@ -53,30 +49,3 @@ class SampleBatch:
         fileobj.write(",".join(names) + "\n")
         for row in self.values:
             fileobj.write(",".join(repr(float(x)) for x in row) + "\n")
-
-    def to_binary(self, fileobj) -> None:
-        """Write the flattened batch in the little-endian stream format.
-
-        Same layout as fgn path export: magic, H slot (NaN here), value count,
-        seed, then float64 values row-major.
-        """
-        write_binary_header(fileobj, float("nan"), self.m * self.d, self.seed)
-        fileobj.write(self.values.astype("<f8").tobytes())
-
-
-def write_binary_header(fileobj, hurst: float, count: int, seed: int) -> None:
-    """Binary header: magic (4s), hurst (f64), count (u32), seed (u64)."""
-    fileobj.write(BINARY_MAGIC)
-    fileobj.write(struct.pack("<dIQ", hurst, count, seed & ((1 << 64) - 1)))
-
-
-def read_binary(fileobj):
-    """Read back a binary stream; returns (hurst, seed, values)."""
-    magic = fileobj.read(4)
-    if magic != BINARY_MAGIC:
-        raise ValueError("bad magic bytes in binary stream")
-    hurst, count, seed = struct.unpack("<dIQ", fileobj.read(20))
-    values = np.frombuffer(fileobj.read(8 * count), dtype="<f8")
-    if values.size != count:
-        raise ValueError("truncated binary stream")
-    return hurst, seed, values

@@ -162,14 +162,14 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     return f.scale * g.scale * float(np.dot(counts, vals))
 
 
-def lag_window(h: float, power: int, max_lag: int,
-               rel_tol: float = WINDOW_RTOL, safety: float = WINDOW_SAFETY) -> tuple[int, float]:
-    """Smallest lag W whose certified tail is below rel_tol of the partial sum.
+def lag_window(h: float, power: int, max_lag: int) -> tuple[int, float]:
+    """Smallest lag W whose certified tail is below WINDOW_RTOL of the partial sum.
 
     The omitted tail of ``sum_r |rho(r)|^power`` beyond W is bounded through
-    the asymptotic ``|rho(x)| ~ |c| x^{2H-2}`` padded by ``safety``.  Returns
-    ``(W, tail_bound)``; when no W <= max_lag certifies (the usual case away
-    from H = 1/2), returns ``(max_lag, 0.0)`` and sums run over the full range.
+    the asymptotic ``|rho(x)| ~ |c| x^{2H-2}`` padded by ``WINDOW_SAFETY``.
+    Returns ``(W, tail_bound)``; when no W <= max_lag certifies (the usual
+    case away from H = 1/2), returns ``(max_lag, 0.0)`` and sums run over the
+    full range.
     """
     h = check_hurst(h)
     power = int(power)
@@ -185,8 +185,8 @@ def lag_window(h: float, power: int, max_lag: int,
     partial = abs(rho(h, 0.0)) ** power + 2.0 * float(np.sum(np.abs(rho(h, lags)) ** power))
     w = int(lags[-1])
     while w < max_lag:
-        tail = safety * 2.0 * c**power * (w + 0.5) ** (alpha + 1.0) / (-(alpha + 1.0))
-        if tail <= rel_tol * partial:
+        tail = WINDOW_SAFETY * 2.0 * c**power * (w + 0.5) ** (alpha + 1.0) / (-(alpha + 1.0))
+        if tail <= WINDOW_RTOL * partial:
             return w, float(tail)
         nxt = min(2 * w, max_lag)
         ext = np.arange(w + 1, nxt + 1)
@@ -408,8 +408,10 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
 
     pref = prefactor(cov)
     bound = pref * math.sqrt(float(np.sum(entries)))
-    max_block = max(f.size for f in fam.kernels)
-    windows = [lag_window(h, p, max_block - 1) for p in range(1, q + 1)] if max_block > 1 else [(0, 0.0)]
+    # The contraction sums window only the powers r and q - r, i.e. 1..q-1;
+    # a block's tail is either the largest block's or 0, so that block decides.
+    max_lag = max(f.size for f in fam.kernels) - 1
+    windows = [lag_window(h, p, max_lag) for p in range(1, q)] or [(max_lag, 0.0)]
     return BoundReport(
         hurst=h,
         rank=q,

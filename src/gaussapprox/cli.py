@@ -147,8 +147,7 @@ def _cmd_simulate(args) -> dict:
     times = _parse_times(args.times)
     if args.m < 2:
         raise ValueError("simulate needs --m >= 2 (sample covariance)")
-    batch = simulate_bm_vector(args.H, args.q, args.n, times, args.m, args.seed,
-                               threads=args.threads)
+    batch = simulate_bm_vector(args.H, args.q, args.n, times, args.m, args.seed)
     values = batch.values
     results = {
         "mean": values.mean(axis=0).tolist(),
@@ -181,7 +180,7 @@ def _cmd_malliavin(args) -> dict:
     fam = kernel_family(args.H, args.q, args.n, times)
     if cov.dim != fam.dim:
         raise ValueError(f"C has dim {cov.dim}, expected {fam.dim}")
-    grams, min_ratio = malliavin_grams(fam, args.m, args.seed, threads=args.threads)
+    grams, min_ratio = malliavin_grams(fam, args.m, args.seed)
     dev_sq = (cov.matrix[None, :, :] - grams) ** 2
     lemma = wasserstein_bound(fam, cov).lemma_entries
     return {
@@ -274,9 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, bm: bool = False, matrices: bool = False, seed: bool = False,
                quad: bool = False):
-        """Every subcommand takes --out and --threads; the other groups only where read."""
+        """Every subcommand takes --out and --threads; the other groups only where read.
+
+        --threads is validated and echoed in the report's config; the
+        replication engine is serial, so it changes neither results nor
+        scheduling.
+        """
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=_positive_int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted and echoed in the config; no effect")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if matrices:

@@ -7,16 +7,15 @@ Wasserstein distances of the resulting samples (1-d quantile estimator, exact
 min-cost matching for small batches, normalized sliced estimator beyond).
 
 Replication r of any experiment draws its seed as hash64(master, tag, r), so
-parallel and serial schedules produce identical batches.  ``replicate`` is the
-one replication loop: it builds the fGn sampling factors of a family once and
-draws every path from them, for ``simulate_bm_vector`` and
+a batch depends only on the master seed.  ``replicate`` is the one
+replication loop, a plain serial loop: it builds the fGn sampling factors of
+a family once and draws every path from them, for ``simulate_bm_vector`` and
 ``malliavin_grams`` alike.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ __all__ = [
 #: Largest batch size routed to the exact O(m^3) assignment solver.
 MATCHING_CAP = 512
 
-#: Default number of random projection directions for the sliced estimator.
+#: Number of random projection directions of the sliced estimator.
 SLICED_DIRECTIONS = 128
 
 
@@ -73,47 +72,35 @@ class RateFit:
     n_range: tuple[int, int]
 
 
-def replicate(fam: KernelFamily, m: int, seed: int, tag: str, statistic, shape: tuple,
-              threads: int = 1) -> tuple[np.ndarray, float | None]:
+def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
+              statistic) -> tuple[np.ndarray, float | None]:
     """m replications of a per-path statistic of fGn paths of the family's length.
 
     The sampling factors of (H, length) are built once (one embedding
     spectrum and guard check per call) and replication r draws its path
     from them with seed hash64(seed, tag, r), so every path is the one
-    ``sample_fgn`` gives for that seed.  ``statistic`` maps the increments to
-    an array of ``shape``, stored in row r of the returned (m, *shape) array;
-    ``threads > 1`` spreads the replications over a thread pool without
-    changing the result.  Also returns min(lam) / max(lam) of the embedding
-    spectrum before clipping, the margin of the guard.
+    ``sample_fgn`` gives for that seed.  Row r of the returned array is
+    ``statistic`` of path r.  Also returns min(lam) / max(lam) of the
+    embedding spectrum before clipping, the margin of the guard.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
-    out = np.empty((m, *shape))
-
-    def fill(r: int) -> None:
-        out[r] = statistic(_draw(factors, hash64(seed, tag, r)))
-
-    if threads <= 1:
-        for r in range(m):
-            fill(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(m)))
-    return out, factors.min_ratio
+    values = np.array([statistic(_draw(factors, hash64(seed, tag, r))) for r in range(m)])
+    return values, factors.min_ratio
 
 
 def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
-                       threads: int = 1, family: KernelFamily | None = None) -> SampleBatch:
+                       family: KernelFamily | None = None) -> SampleBatch:
     """m replications of the normalized d-dimensional increment vector.
 
     Each replication r simulates one fGn path of length floor(n t_d) with seed
     hash64(seed, "bm-vector", r) and block-sums H_q over each kernel block.
     The embedding spectrum of that length is factored once for all m paths
-    (``replicate``); each path then costs only its normals and one FFT.  The
-    output is independent of ``threads``.  ``family`` skips the rebuild
-    when a matching kernel family (same h, q, n, times) is already at hand.
-    The batch's ``diagnostics`` carry ``embedding_min_ratio``.
+    (``replicate``); each path then costs only its normals and one FFT.
+    ``family`` skips the rebuild when a matching kernel family (same h, q,
+    n, times) is already at hand.  The batch's ``diagnostics`` carry
+    ``embedding_min_ratio``.
     """
     fam = family if family is not None else kernel_family(h, q, n, times)
 
@@ -121,7 +108,7 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
         hq = hermite_eval(fam.rank, increments)
         return [ker.scale * float(np.sum(hq[ker.block[0]:ker.block[1]])) for ker in fam.kernels]
 
-    values, min_ratio = replicate(fam, m, seed, "bm-vector", block_sums, (fam.dim,), threads)
+    values, min_ratio = replicate(fam, m, seed, "bm-vector", block_sums)
     return SampleBatch(values=values, seed=seed, provenance="bm-vector",
                        diagnostics={"embedding_min_ratio": min_ratio})
 
@@ -182,8 +169,7 @@ def pathwise_malliavin_inner(fam: KernelFamily, path: FgnPath) -> np.ndarray:
     return _malliavin_gram(fam, _gram_pairs(fam), path.increments)
 
 
-def malliavin_grams(fam: KernelFamily, m: int, seed: int,
-                    threads: int = 1) -> tuple[np.ndarray, float | None]:
+def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, float | None]:
     """(m, d, d) pathwise Gram matrices, path r seeded by hash64(seed, "malliavin", r).
 
     Entry r equals ``pathwise_malliavin_inner`` of that path; the rho weights
@@ -191,8 +177,7 @@ def malliavin_grams(fam: KernelFamily, m: int, seed: int,
     Also returns the embedding margin of ``replicate``.
     """
     pairs = _gram_pairs(fam)
-    return replicate(fam, m, seed, "malliavin", lambda x: _malliavin_gram(fam, pairs, x),
-                     (fam.dim, fam.dim), threads)
+    return replicate(fam, m, seed, "malliavin", lambda x: _malliavin_gram(fam, pairs, x))
 
 
 def normal_cdf(x):
@@ -293,13 +278,13 @@ def _mean_abs_projection(d: int) -> float:
 
 
 def empirical_w1_multid(a: SampleBatch, b: SampleBatch, method: str | None = None,
-                        directions: int = SLICED_DIRECTIONS, seed: int = 0) -> WassersteinEstimate:
+                        seed: int = 0) -> WassersteinEstimate:
     """Empirical W1 between two d-dimensional batches.
 
     Exact min-cost perfect matching with Euclidean costs for equal sizes up to
-    512; otherwise the sliced estimate: the average 1-d distance over seeded
-    random directions, divided by E|<theta, e_1>| so a rigid translation is
-    estimated consistently.
+    512; otherwise the sliced estimate: the average 1-d distance over
+    ``SLICED_DIRECTIONS`` seeded random directions, divided by
+    E|<theta, e_1>| so a rigid translation is estimated consistently.
     """
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
@@ -319,7 +304,7 @@ def empirical_w1_multid(a: SampleBatch, b: SampleBatch, method: str | None = Non
 
     if method != "sliced":
         raise ValueError(f"unknown method {method!r}")
-    theta = standard_normals(hash64(seed, "sliced-directions"), (directions, a.d))
+    theta = standard_normals(hash64(seed, "sliced-directions"), (SLICED_DIRECTIONS, a.d))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
     vals = np.array(
         [_w1_1d_pair(a.values @ t, b.values @ t) for t in theta]
@@ -328,7 +313,7 @@ def empirical_w1_multid(a: SampleBatch, b: SampleBatch, method: str | None = Non
         value=float(np.mean(vals)),
         method="sliced",
         sizes=(a.m, b.m),
-        stderr=float(np.std(vals, ddof=1) / math.sqrt(directions)),
+        stderr=float(np.std(vals, ddof=1) / math.sqrt(SLICED_DIRECTIONS)),
     )
 
 

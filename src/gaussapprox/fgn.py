@@ -24,7 +24,6 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import binom, zeta
 
-from .batch import write_binary_header
 from .errors import HypothesisViolation
 from .hermite import MAX_RANK
 from .rng import standard_normals
@@ -38,8 +37,6 @@ __all__ = [
     "sample_fgn",
     "SigmaEstimate",
     "sigma_bm",
-    "path_to_csv",
-    "path_to_binary",
 ]
 
 _SERIES_CUTOFF = 16.0
@@ -271,15 +268,3 @@ def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
         partial_sum=head,
         tail_estimate=tail,
     )
-
-
-def path_to_csv(path: FgnPath, fileobj) -> None:
-    """One increment per line."""
-    for x in path.increments:
-        fileobj.write(repr(float(x)) + "\n")
-
-
-def path_to_binary(path: FgnPath, fileobj) -> None:
-    """Little-endian stream: header (magic, H, n, seed) then float64 increments."""
-    write_binary_header(fileobj, path.hurst, path.n, path.seed)
-    fileobj.write(path.increments.astype("<f8").tobytes())

@@ -3,9 +3,11 @@
 All randomness in the package flows through Philox4x64 counter-based bit
 generators keyed by an explicit 64-bit seed.  Normal deviates are produced by
 Box-Muller applied to uniforms built from raw 64-bit draws, so a given
-``(seed, shape)`` pair yields bit-identical output on every platform and
-under any thread schedule.  Parallel work derives per-task seeds with
-:func:`hash64` instead of splitting generator state.
+``(seed, shape)`` pair yields bit-identical output on every platform.
+Per-task seeds are derived with :func:`hash64` instead of by splitting
+generator state, so each task's stream depends only on its seed and not on
+the order or schedule the tasks run in.  Nothing in the package runs
+threads; the replication loop is serial.
 """
 
 from __future__ import annotations

@@ -334,6 +334,20 @@ def test_bound_curve_scaling_and_monotonicity():
         bound_curve(0.5, 2, (0.0, 1.0), [100, 100], np.eye(1))
 
 
+@pytest.mark.parametrize("h, q, n", [(0.3, 4, 256), (0.4, 4, 376), (0.1, 4, 300),
+                                     (0.2, 3, 200), (0.5, 3, 100), (0.7, 2, 64)])
+def test_bound_report_window_is_the_applied_one(h, q, n):
+    # The contraction sums window the powers 1..q-1 on each block; power q
+    # is never windowed, so its tail (7.18e-14 at H = 0.3, q = 4, n = 256)
+    # must not appear in the report.  At H = 0.1, q = 4 power 3 certifies a
+    # nonzero tail.
+    fam = kernel_family(h, q, n, (0.0, 1.0, 2.5))
+    rep = wasserstein_bound(fam, np.eye(2))
+    windows = [lag_window(h, p, f.size - 1) for f in fam.kernels for p in range(1, q)]
+    assert rep.truncation_tail == max(t for _, t in windows)
+    assert rep.window == max(w for w, _ in windows)
+
+
 def test_lag_window_certifies_only_near_brownian():
     w, tail = lag_window(0.5, 2, 1000)
     assert w == 1 and tail == 0.0

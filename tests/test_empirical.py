@@ -170,13 +170,6 @@ def test_simulate_bm_vector_statistics():
     assert np.max(np.abs(emp_cov - np.eye(2))) < 0.1
 
 
-def test_simulate_threads_do_not_change_results():
-    kwargs = dict(h=0.55, q=2, n=64, times=(0.0, 1.0), m=40, seed=77)
-    serial = simulate_bm_vector(**kwargs, threads=1)
-    parallel = simulate_bm_vector(**kwargs, threads=4)
-    assert np.array_equal(serial.values, parallel.values)
-
-
 def _per_path_vectors(fam, m, seed, method=None):
     """Reference for the replication engine: one sample_fgn call per path."""
     length = fam.kernels[-1].block[1]
@@ -206,23 +199,21 @@ def _per_path_gram(fam, path):
 
 
 @pytest.mark.parametrize("h", [0.5, 0.6, 0.8])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_engine_matches_per_path_sample_fgn(h, threads):
+def test_engine_matches_per_path_sample_fgn(h):
     times = (0.0, 1.0, 2.5)
     fam = kernel_family(h, 3, 40, times)
-    batch = simulate_bm_vector(h, 3, 40, times, 25, seed=123, threads=threads)
+    batch = simulate_bm_vector(h, 3, 40, times, 25, seed=123)
     assert np.array_equal(batch.values, _per_path_vectors(fam, 25, 123))
     ratio = batch.diagnostics["embedding_min_ratio"]
     assert ratio == fgn._circulant_factors(h, fam.kernels[-1].block[1]).min_ratio
     assert 0.0 < ratio <= 1.0  # a flat spectrum at H = 1/2
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_malliavin_grams_match_per_path_loop(threads):
+def test_malliavin_grams_match_per_path_loop():
     for h, q in ((0.5, 2), (0.65, 2), (0.8, 3)):
         fam = kernel_family(h, q, 48, (0.0, 1.0, 2.0, 3.5))
         length = fam.kernels[-1].block[1]
-        grams, ratio = malliavin_grams(fam, 12, seed=31, threads=threads)
+        grams, ratio = malliavin_grams(fam, 12, seed=31)
         assert grams.shape == (12, 3, 3)
         for r in range(12):
             path = sample_fgn(h, length, hash64(31, "malliavin", r))
@@ -241,10 +232,8 @@ def test_engine_builds_the_spectrum_once_per_call(monkeypatch):
 
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", counted)
     fam = kernel_family(0.6, 2, 64, (0.0, 1.0, 2.0))
-    for threads in (1, 2):
-        calls.clear()
-        simulate_bm_vector(0.6, 2, 64, (0.0, 1.0, 2.0), 30, seed=5, threads=threads, family=fam)
-        assert calls == [(0.6, 128)]
+    simulate_bm_vector(0.6, 2, 64, (0.0, 1.0, 2.0), 30, seed=5, family=fam)
+    assert calls == [(0.6, 128)]
     calls.clear()
     malliavin_grams(fam, 30, seed=5)
     assert calls == [(0.6, 128)]
@@ -261,7 +250,7 @@ def test_engine_negative_spectrum_uses_cholesky_bits(monkeypatch):
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
     times = (0.0, 1.0, 2.0)
     fam = kernel_family(0.7, 2, 32, times)
-    batch = simulate_bm_vector(0.7, 2, 32, times, 10, seed=8, threads=2, family=fam)
+    batch = simulate_bm_vector(0.7, 2, 32, times, 10, seed=8, family=fam)
     assert np.array_equal(batch.values, _per_path_vectors(fam, 10, 8, method="cholesky"))
     assert batch.diagnostics["embedding_min_ratio"] == pytest.approx(-1e-3, rel=1e-12)
 

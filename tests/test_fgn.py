@@ -1,4 +1,3 @@
-import io
 import math
 
 import mpmath
@@ -10,13 +9,10 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from gaussapprox import fgn
-from gaussapprox.batch import read_binary
 from gaussapprox.errors import HypothesisViolation
 from gaussapprox.fgn import (
     FgnPath,
     fbm_covariance,
-    path_to_binary,
-    path_to_csv,
     rho,
     sample_fgn,
     sigma_bm,
@@ -247,23 +243,6 @@ def test_forced_cholesky_method_tag():
     assert p.n == 32
     with pytest.raises(ValueError):
         sample_fgn(0.6, 32, seed=1, method="hosking")
-
-
-def test_exports_roundtrip():
-    p = sample_fgn(0.55, 16, seed=3)
-    csv = io.StringIO()
-    path_to_csv(p, csv)
-    lines = csv.getvalue().strip().split("\n")
-    assert len(lines) == 16
-    assert float(lines[0]) == p.increments[0]
-
-    buf = io.BytesIO()
-    path_to_binary(p, buf)
-    buf.seek(0)
-    hurst, seed, values = read_binary(buf)
-    assert hurst == 0.55
-    assert seed == 3
-    assert np.array_equal(values, p.increments)
 
 
 def test_path_validation():
