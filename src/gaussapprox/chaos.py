@@ -25,6 +25,10 @@ swap exchanges a and b and Tr((T_a T_b)^2) = Tr((T_b T_a)^2).  So each sum is
 computed once and kept in a bounded LRU cache under the key
 (H, q, min(r, q-r), m), and a d-dimensional family of equal blocks costs one
 pass per distinct min(r, q-r).
+
+Every sum is exact over the block.  At H = 1/2 the increments are
+independent, rho has one-point support and T_a = T_b = I, so the sum is the
+closed form m and no lattice pass runs.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .fgn import (
     check_breuer_major_hypothesis,
     check_hurst,
     rho,
-    rho_asymptotic_constant,
     sigma_bm,
 )
 from .hermite import _check_rank
@@ -53,7 +56,6 @@ __all__ = [
     "kernel_inner",
     "contraction_norm_sq",
     "contraction_norm_sq_brute",
-    "lag_window",
     "lemma_pair_bound",
     "BoundReport",
     "wasserstein_bound",
@@ -61,15 +63,6 @@ __all__ = [
     "sharp_rate_exponent",
     "bound_curve",
 ]
-
-#: Relative tolerance certifying that lags beyond the window are negligible.
-WINDOW_RTOL = 1e-12
-
-#: Safety factor padding the asymptotic tail bound before certification.
-WINDOW_SAFETY = 4.0
-
-#: Smallest lag at which the power-law tail bound is trusted.
-WINDOW_MIN_LAG = 32
 
 _BRUTE_MAX_BLOCK = 64
 
@@ -162,39 +155,6 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     return f.scale * g.scale * float(np.dot(counts, vals))
 
 
-def lag_window(h: float, power: int, max_lag: int) -> tuple[int, float]:
-    """Smallest lag W whose certified tail is below WINDOW_RTOL of the partial sum.
-
-    The omitted tail of ``sum_r |rho(r)|^power`` beyond W is bounded through
-    the asymptotic ``|rho(x)| ~ |c| x^{2H-2}`` padded by ``WINDOW_SAFETY``.
-    Returns ``(W, tail_bound)``; when no W <= max_lag certifies (the usual
-    case away from H = 1/2), returns ``(max_lag, 0.0)`` and sums run over the
-    full range.
-    """
-    h = check_hurst(h)
-    power = int(power)
-    alpha = power * (2.0 * h - 2.0)
-    c = abs(rho_asymptotic_constant(h))
-    if c == 0.0:
-        # Exactly H = 1/2: rho vanishes beyond lag 0.
-        return min(1, max_lag), 0.0
-    if alpha >= -1.0 or max_lag <= WINDOW_MIN_LAG:
-        return max_lag, 0.0
-
-    lags = np.arange(1, min(WINDOW_MIN_LAG, max_lag) + 1)
-    partial = abs(rho(h, 0.0)) ** power + 2.0 * float(np.sum(np.abs(rho(h, lags)) ** power))
-    w = int(lags[-1])
-    while w < max_lag:
-        tail = WINDOW_SAFETY * 2.0 * c**power * (w + 0.5) ** (alpha + 1.0) / (-(alpha + 1.0))
-        if tail <= WINDOW_RTOL * partial:
-            return w, float(tail)
-        nxt = min(2 * w, max_lag)
-        ext = np.arange(w + 1, nxt + 1)
-        partial += 2.0 * float(np.sum(np.abs(rho(h, ext)) ** power))
-        w = nxt
-    return max_lag, 0.0
-
-
 def contraction_norm_sq_brute(f: StepKernel, r: int, h: float) -> float:
     """O(m^4) oracle for ||f (x)_r f||^2; refuses blocks larger than 64."""
     q = f.rank
@@ -212,7 +172,7 @@ def contraction_norm_sq_brute(f: StepKernel, r: int, h: float) -> float:
     return f.scale**4 * float(total)
 
 
-def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int, g_max: int) -> float:
+def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
     """sum_{k,l,k',l' in [0,m)} a(k-l) a(k'-l') b(k-k') b(l-l').
 
     ``a`` holds lags 0..m-1, ``b_ext`` lags 0..2m-2 (both even in the lag).
@@ -231,7 +191,7 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int, g_max: int) -> float:
     # the last entry of each stays 0.
     up = np.zeros(m)
     vp = np.zeros(m)
-    for g in range(0, min(g_max, m - 1) + 1):
+    for g in range(m):
         p = a_tau * b_sym[c + 1 - g : c + m - g]
         qv = a_tau * b_ext[g + 1 : g + m]
         up[: m - 1] = np.cumsum(p[::-1])[::-1]
@@ -249,26 +209,18 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int, g_max: int) -> float:
 @functools.lru_cache(maxsize=CONTRACTION_CACHE_SIZE)
 def _unscaled_contraction(h: float, q: int, r: int, m: int) -> float:
     """Tr((T_a T_b)^2) with a = rho^r, b = rho^{q-r} on a block of size m."""
+    if h == 0.5:
+        return float(m)  # rho has one-point support, so T_a = T_b = I
     rho_tab = rho(h, np.arange(2 * m - 1))
-    a = rho_tab[:m] ** r
-    b_ext = rho_tab ** (q - r)
-
-    w_a, _ = lag_window(h, r, m - 1) if m > 1 else (0, 0.0)
-    w_b, _ = lag_window(h, q - r, m - 1) if m > 1 else (0, 0.0)
-    if w_a < m - 1:
-        a[w_a + 1 :] = 0.0
-    if w_b < m - 1:
-        b_ext[w_b + 1 :] = 0.0
-
-    return _quad_sum(a, b_ext, m, g_max=min(m - 1, w_a + w_b))
+    return _quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)
 
 
 def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
     """||f (x)_r f||^2 in H^{(x 2(q-r))} via the gap-reindexed evaluator.
 
-    Exact over the block; the lag-window policy only shortens the sums when
-    the certified tail permits (effectively at H = 1/2, where rho has
-    one-point support).  Orders r and q - r share one cached lattice sum.
+    Exact over the block, with H = 1/2 in closed form (rho has one-point
+    support there, so the lattice sum is the block size).  Orders r and
+    q - r share one cached lattice sum.
     """
     q = f.rank
     if not 1 <= r <= q - 1:
@@ -355,8 +307,6 @@ class BoundReport:
     lemma_entries: np.ndarray  # (d, d)
     prefactor: float
     bound: float
-    window: int
-    truncation_tail: float
 
     def to_json(self) -> dict:
         """JSON object with every intermediate named."""
@@ -373,8 +323,6 @@ class BoundReport:
             "lemma_entries": self.lemma_entries.tolist(),
             "prefactor": self.prefactor,
             "bound": self.bound,
-            "window": self.window,
-            "truncation_tail": self.truncation_tail,
         }
 
 
@@ -408,10 +356,6 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
 
     pref = prefactor(cov)
     bound = pref * math.sqrt(float(np.sum(entries)))
-    # The contraction sums window only the powers r and q - r, i.e. 1..q-1;
-    # a block's tail is either the largest block's or 0, so that block decides.
-    max_lag = max(f.size for f in fam.kernels) - 1
-    windows = [lag_window(h, p, max_lag) for p in range(1, q)] or [(max_lag, 0.0)]
     return BoundReport(
         hurst=h,
         rank=q,
@@ -425,8 +369,6 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
         lemma_entries=entries,
         prefactor=pref,
         bound=float(bound),
-        window=int(max(w for w, _ in windows)),
-        truncation_tail=float(max(t for _, t in windows)),
     )
 
 

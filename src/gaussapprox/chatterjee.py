@@ -48,10 +48,9 @@ class SmoothVectorFunction:
     """d absolutely continuous components on R^n with gradient oracles.
 
     ``components[j]`` maps arrays of shape (..., n) to shape (...,).  Missing
-    gradient oracles fall back to central differences when ``fd_fallback`` is
-    set.  ``offsets`` are centering shifts so each f_j(Y) is (approximately)
-    zero mean; sub-exponential growth of the components is the caller's
-    responsibility.
+    gradient oracles fall back to central differences.  ``offsets`` are
+    centering shifts so each f_j(Y) is (approximately) zero mean;
+    sub-exponential growth of the components is the caller's responsibility.
     """
 
     name: str
@@ -59,7 +58,6 @@ class SmoothVectorFunction:
     components: tuple
     gradients: tuple | None = None
     offsets: tuple | None = None
-    fd_fallback: bool = True
 
     @property
     def dim(self) -> int:
@@ -76,10 +74,6 @@ class SmoothVectorFunction:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if self.gradients is not None:
             return np.asarray(self.gradients[j](pts), dtype=np.float64)
-        if not self.fd_fallback:
-            raise ValueError(
-                f"component {j} of {self.name!r} has no gradient oracle and FD fallback is disabled"
-            )
         out = np.empty_like(pts)
         for row, y in enumerate(pts):
             h = 1e-4 * (1.0 + float(np.linalg.norm(y)))

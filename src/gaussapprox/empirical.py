@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
-from scipy.special import erfc
+from scipy.special import ndtr, ndtri
 
 from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
@@ -181,65 +181,18 @@ def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, f
 
 
 def normal_cdf(x):
-    """Standard normal CDF through the complementary error function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * erfc(-x / math.sqrt(2.0))
+    """Standard normal CDF, ``scipy.special.ndtr``."""
+    out = ndtr(np.asarray(x, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 
-_ACKLAM_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-             1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_ACKLAM_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-             6.680131188771972e01, -1.328068155288572e01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-             -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-             3.754408661907416e00)
-
-
 def normal_quantile(p):
-    """Inverse standard normal CDF to absolute error below 1e-9.
-
-    Acklam's piecewise rational approximation followed by one Newton step
-    against the erfc-based CDF.
-    """
+    """Inverse standard normal CDF, ``scipy.special.ndtri``, on p strictly inside (0, 1)."""
     p_arr = np.asarray(p, dtype=np.float64)
-    scalar = p_arr.ndim == 0
-    p_arr = np.atleast_1d(p_arr)
     if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    x = np.empty_like(p_arr)
-
-    low = p_arr < p_low
-    if np.any(low):
-        qv = np.sqrt(-2.0 * np.log(p_arr[low]))
-        x[low] = (
-            ((((c[0] * qv + c[1]) * qv + c[2]) * qv + c[3]) * qv + c[4]) * qv + c[5]
-        ) / ((((d[0] * qv + d[1]) * qv + d[2]) * qv + d[3]) * qv + 1.0)
-
-    high = p_arr > 1.0 - p_low
-    if np.any(high):
-        qv = np.sqrt(-2.0 * np.log(1.0 - p_arr[high]))
-        x[high] = -(
-            ((((c[0] * qv + c[1]) * qv + c[2]) * qv + c[3]) * qv + c[4]) * qv + c[5]
-        ) / ((((d[0] * qv + d[1]) * qv + d[2]) * qv + d[3]) * qv + 1.0)
-
-    mid = ~(low | high)
-    if np.any(mid):
-        qv = p_arr[mid] - 0.5
-        rv = qv * qv
-        x[mid] = (
-            ((((a[0] * rv + a[1]) * rv + a[2]) * rv + a[3]) * rv + a[4]) * rv + a[5]
-        ) * qv / (
-            ((((b[0] * rv + b[1]) * rv + b[2]) * rv + b[3]) * rv + b[4]) * rv + 1.0
-        )
-
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    x = x - (normal_cdf(x) - p_arr) / pdf
-    return float(x[0]) if scalar else x
+    out = ndtri(p_arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def empirical_w1_1d(sample) -> WassersteinEstimate:

@@ -39,10 +39,12 @@ PD_RTOL = 1e-12
 
 
 def check_symmetric(a) -> np.ndarray:
-    """Validate a finite square matrix that is symmetric exactly as stored."""
+    """Validate a finite, nonempty square matrix that is symmetric exactly as stored."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     if not np.array_equal(a, a.T):

@@ -105,11 +105,14 @@ class QuadratureSpec:
         return (self.u_nodes, self.gh_order, self.mc_size, self.mc_seed)
 
 
-def default_quadrature(d: int, u_nodes: int = 64, gh_order: int = 8,
-                       mc_size: int = 4000, mc_seed: int = 0) -> QuadratureSpec:
-    """Tensor Gauss-Hermite for d <= 4, Monte Carlo beyond (rules explode in d)."""
+def default_quadrature(d: int, u_nodes: int = 64, mc_size: int = 4000,
+                       mc_seed: int = 0) -> QuadratureSpec:
+    """QuadratureSpec's default tensor Gauss-Hermite for d <= 4, Monte Carlo beyond.
+
+    A tensor rule has order^d points, so it explodes in d.
+    """
     if d <= GH_MAX_DIM:
-        return QuadratureSpec(u_nodes=u_nodes, gh_order=gh_order)
+        return QuadratureSpec(u_nodes=u_nodes)
     return QuadratureSpec(u_nodes=u_nodes, gh_order=None, mc_size=max(mc_size, 1000), mc_seed=mc_seed)
 
 

@@ -12,7 +12,6 @@ from gaussapprox.chaos import (
     contraction_norm_sq_brute,
     kernel_family,
     kernel_inner,
-    lag_window,
     lemma_pair_bound,
     rate_exponent,
     sharp_rate_exponent,
@@ -138,12 +137,12 @@ def test_contraction_cache_is_bounded():
     assert maxsize is not None and 0 < maxsize == chaos.CONTRACTION_CACHE_SIZE
 
 
-def _gather_quad_sum(a, b_ext, m, g_max):
+def _gather_quad_sum(a, b_ext, m):
     """Reference lattice sum that looks lags up through index arrays."""
     total = 0.0
     tau = np.arange(1, m)
     a_tau = a[1:m]
-    for g in range(0, min(g_max, m - 1) + 1):
+    for g in range(m):
         p = a_tau * b_ext[np.abs(g - tau)]
         qv = a_tau * b_ext[g + tau]
         up = np.zeros(m)
@@ -166,16 +165,20 @@ def test_quad_sum_equals_gather_loop_bit_for_bit():
                 rho_tab = rho(h, np.arange(2 * m - 1))
                 a = rho_tab[:m] ** r
                 b_ext = rho_tab ** (q - r)
-                w_a = lag_window(h, r, m - 1)[0] if m > 1 else 0
-                w_b = lag_window(h, q - r, m - 1)[0] if m > 1 else 0
-                if w_a < m - 1:
-                    a[w_a + 1 :] = 0.0
-                if w_b < m - 1:
-                    b_ext[w_b + 1 :] = 0.0
-                g_max = min(m - 1, w_a + w_b)
-                if h == 0.5 and m > 3:
-                    assert g_max == 2  # the windowed case: rho has one-point support
-                assert chaos._quad_sum(a, b_ext, m, g_max) == _gather_quad_sum(a, b_ext, m, g_max)
+                assert chaos._quad_sum(a, b_ext, m) == _gather_quad_sum(a, b_ext, m)
+
+
+def test_brownian_contraction_is_the_block_size():
+    # At H = 1/2 rho vanishes off lag 0, so T_a = T_b = I and Tr(I^2) = m.
+    for q, r in ((2, 1), (3, 1), (4, 2)):
+        for m in (1, 2, 3, 257, 1024):
+            closed = chaos._unscaled_contraction.__wrapped__(0.5, q, r, m)
+            rho_tab = rho(0.5, np.arange(2 * m - 1))
+            assert closed == m
+            assert closed == chaos._quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)
+            if m <= 64:
+                f = StepKernel(rank=q, scale=1.0, block=(0, m))
+                assert contraction_norm_sq_brute(f, r, 0.5) == pytest.approx(closed, rel=1e-14)
 
 
 def test_cauchy_schwarz_on_random_kernel_pairs():
@@ -280,9 +283,9 @@ def test_wasserstein_bound_permutation_invariant():
 def test_bound_report_json_keys():
     fam = kernel_family(0.5, 2, 16, (0.0, 1.0))
     blob = wasserstein_bound(fam, np.eye(1)).to_json()
-    for key in ("inner_products", "contraction_norms_sq", "lemma_entries", "prefactor",
-                "bound", "window", "sigma", "truncation_tail"):
-        assert key in blob
+    assert set(blob) == {"hurst", "rank", "level", "times", "dim", "sigma", "sigma_tail",
+                         "inner_products", "contraction_norms_sq", "lemma_entries",
+                         "prefactor", "bound"}
 
 
 def test_rate_exponent_examples():
@@ -332,24 +335,3 @@ def test_bound_curve_scaling_and_monotonicity():
 
     with pytest.raises(ValueError):
         bound_curve(0.5, 2, (0.0, 1.0), [100, 100], np.eye(1))
-
-
-@pytest.mark.parametrize("h, q, n", [(0.3, 4, 256), (0.4, 4, 376), (0.1, 4, 300),
-                                     (0.2, 3, 200), (0.5, 3, 100), (0.7, 2, 64)])
-def test_bound_report_window_is_the_applied_one(h, q, n):
-    # The contraction sums window the powers 1..q-1 on each block; power q
-    # is never windowed, so its tail (7.18e-14 at H = 0.3, q = 4, n = 256)
-    # must not appear in the report.  At H = 0.1, q = 4 power 3 certifies a
-    # nonzero tail.
-    fam = kernel_family(h, q, n, (0.0, 1.0, 2.5))
-    rep = wasserstein_bound(fam, np.eye(2))
-    windows = [lag_window(h, p, f.size - 1) for f in fam.kernels for p in range(1, q)]
-    assert rep.truncation_tail == max(t for _, t in windows)
-    assert rep.window == max(w for w, _ in windows)
-
-
-def test_lag_window_certifies_only_near_brownian():
-    w, tail = lag_window(0.5, 2, 1000)
-    assert w == 1 and tail == 0.0
-    w, tail = lag_window(0.7, 2, 1000)
-    assert w == 1000 and tail == 0.0

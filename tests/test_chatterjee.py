@@ -84,11 +84,6 @@ def test_t_ab_fd_fallback():
     )
     val = t_ab(fam, 0, 1, K2, np.array([0.3, 0.4]), QUAD)
     assert val == pytest.approx(K2.matrix[0, 1], abs=1e-7)
-    strict = SmoothVectorFunction(
-        name="strict", input_dim=2, components=fam.components, fd_fallback=False
-    )
-    with pytest.raises(ValueError):
-        t_ab(strict, 0, 1, K2, np.array([0.3, 0.4]), QUAD)
 
 
 def test_chatterjee_linear_exactness():

@@ -107,6 +107,19 @@ def test_non_finite_matrix_exit_code(c):
     assert "non-finite" in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["stein-check", "--d", "0", "--grid-steps", "2"],
+    ["chatterjee", "--K", "[[1.0]]",
+     "--functions", '{"type":"componentwise","kind":"tanh","n":0}'],
+])
+def test_empty_matrix_exit_code(argv):
+    code, out = run_cli(argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "nonempty" in err["message"]
+
+
 def test_config_error_exit_code():
     code, out = run_cli(["bound", "--H", "0.5", "--q", "2", "--times", "0,2,1", "--n", "50"])
     assert code == 2

@@ -37,6 +37,13 @@ def test_check_symmetric_rejects_asymmetry():
         operator_norm(np.ones((2, 3)))
 
 
+def test_check_symmetric_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="nonempty"):
+        check_symmetric(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="nonempty"):
+        CovarianceMatrix.from_matrix(np.eye(0))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_check_symmetric_rejects_non_finite(bad):
     for a in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
