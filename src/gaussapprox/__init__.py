@@ -28,7 +28,7 @@ from .chatterjee import (
     chatterjee_bound,
     gaussian_pair_bound,
     linear_map_family,
-    t_ab,
+    t_ab_matrix,
     w1_gaussian_1d,
 )
 from .empirical import (
@@ -83,7 +83,7 @@ __all__ = [
     "chatterjee_bound",
     "gaussian_pair_bound",
     "linear_map_family",
-    "t_ab",
+    "t_ab_matrix",
     "w1_gaussian_1d",
     "RateFit",
     "WassersteinEstimate",

@@ -40,12 +40,8 @@ class SampleBatch:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def to_csv(self, fileobj, names=None) -> None:
-        """Write the batch as CSV with a header row of coordinate names."""
-        if names is None:
-            names = [f"f{i + 1}" for i in range(self.d)]
-        if len(names) != self.d:
-            raise ValueError("one column name per coordinate required")
-        fileobj.write(",".join(names) + "\n")
+    def to_csv(self, fileobj) -> None:
+        """Write the batch as CSV with a header row f1, ..., fd."""
+        fileobj.write(",".join(f"f{i + 1}" for i in range(self.d)) + "\n")
         for row in self.values:
             fileobj.write(",".join(repr(float(x)) for x in row) + "\n")

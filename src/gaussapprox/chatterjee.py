@@ -1,13 +1,17 @@
 """Wasserstein bounds for smooth functions of a finite Gaussian vector.
 
-For W = (f_1(Y), ..., f_d(Y)) with Y ~ N_n(0, K) and zero-mean components,
+For W = F(Y) with F: R^n -> R^d, Y ~ N_n(0, K) and zero-mean components,
 the distance to N_d(0, C) is bounded by
 
     prefactor(C) * sqrt( sum_ab E[(C(a,b) - T_ab(Y))^2] ),
 
-where, after the substitution t = u^2,
+where, after the substitution t = u^2 and with J the Jacobian of F,
 
-    T_ab(y) = int_0^1 sum_ij K(i,j) d_i f_a(y) E[d_j f_b(u y + sqrt(1-u^2) Y)] du.
+    T(y) = J(y) K Jbar(y)^T,   Jbar(y) = int_0^1 E[J(u y + sqrt(1-u^2) Y)] du,
+
+that is T_ab(y) = int_0^1 sum_ij K(i,j) d_i f_a(y) E[d_j f_b(u y + sqrt(1-u^2) Y)] du.
+The interpolation nodes are those of the Stein solution U0, built by
+:func:`gaussapprox.stein.ou_points`.
 
 The outer expectation over Y and the inner expectation inside T_ab run on
 independent seeded streams.  Specializing to the identity map gives the
@@ -25,12 +29,10 @@ import numpy as np
 from .diff import fd_gradient
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
-from .stein import QuadratureSpec, _legendre_01, default_quadrature, gaussian_rule
+from .stein import QuadratureSpec, default_quadrature, ou_points
 
 __all__ = [
     "SmoothVectorFunction",
-    "fd_gradient",
-    "t_ab",
     "t_ab_matrix",
     "ChatterjeeReport",
     "chatterjee_bound",
@@ -45,51 +47,38 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SmoothVectorFunction:
-    """d absolutely continuous components on R^n with gradient oracles.
+    """An absolutely continuous map F: R^n -> R^d with an optional Jacobian oracle.
 
-    ``components[j]`` maps arrays of shape (..., n) to shape (...,).  Missing
-    gradient oracles fall back to central differences.  ``offsets`` are
-    centering shifts so each f_j(Y) is (approximately) zero mean;
-    sub-exponential growth of the components is the caller's responsibility.
+    ``fn`` maps arrays of shape (..., n) to shape (..., d) and ``jacobian``
+    maps them to shape (..., d, n).  Without a Jacobian oracle, central
+    differences are used.  Sub-exponential growth of F is the caller's
+    responsibility.
     """
 
     name: str
     input_dim: int
-    components: tuple
-    gradients: tuple | None = None
-    offsets: tuple | None = None
+    dim: int
+    fn: object
+    jacobian: object = None
 
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def value(self, j: int, y: np.ndarray):
-        v = self.components[j](y)
-        if self.offsets is not None:
-            v = v - self.offsets[j]
-        return v
-
-    def gradient_at(self, j: int, pts: np.ndarray) -> np.ndarray:
-        """Gradient of component j at each row of pts, shape (N, n)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self.gradients is not None:
-            return np.asarray(self.gradients[j](pts), dtype=np.float64)
-        out = np.empty_like(pts)
-        for row, y in enumerate(pts):
+    def jacobian_at(self, pts) -> np.ndarray:
+        """Jacobian of F at each point of pts, shape (..., d, n)."""
+        pts = np.asarray(pts, dtype=np.float64)
+        if self.jacobian is not None:
+            return np.asarray(self.jacobian(pts), dtype=np.float64)
+        flat = pts.reshape(-1, self.input_dim)
+        out = np.empty((flat.shape[0], self.dim, self.input_dim))
+        for row, y in enumerate(flat):
             h = 1e-4 * (1.0 + float(np.linalg.norm(y)))
-            out[row] = fd_gradient(self.components[j], y, h)
-        return out
-
-
-def t_ab(F: SmoothVectorFunction, a: int, b: int, k, y, quad: QuadratureSpec | None = None) -> float:
-    """T_ab(y): entry (a, b) of :func:`t_ab_matrix`."""
-    return float(t_ab_matrix(F, k, y, quad)[a, b])
+            out[row] = fd_gradient(self.fn, y, h)
+        return out.reshape(pts.shape[:-1] + (self.dim, self.input_dim))
 
 
 def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """All T_ab(y) at once: Gauss-Legendre in u, configured Gaussian rule for the inner mean.
+    """All T_ab(y) at once: J(y) K Jbar(y)^T.
 
-    The inner expectations are shared across (a, b).
+    Jbar averages the Jacobian over the nodes of :func:`ou_points`:
+    Gauss-Legendre in u and the configured Gaussian rule for the inner mean.
     """
     k = as_covariance(k)
     y = np.asarray(y, dtype=np.float64)
@@ -97,17 +86,10 @@ def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = Non
         raise ValueError(f"point has shape {y.shape}, expected ({k.dim},)")
     if quad is None:
         quad = default_quadrature(k.dim)
-    u, wu = _legendre_01(quad.u_nodes)
-    pts, wts = gaussian_rule(k, quad)
-    d = F.dim
-    grad0 = np.stack([F.gradient_at(j, y[None, :])[0] for j in range(d)])  # (d, n)
-    shifted = u[:, None, None] * y[None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts[None, :, :]
-    flat = shifted.reshape(-1, k.dim)
-    v = np.empty((d, k.dim))
-    for j in range(d):
-        grads = F.gradient_at(j, flat).reshape(u.size, pts.shape[0], k.dim)
-        v[j] = wu @ np.tensordot(wts, grads, axes=([0], [1]))
-    return grad0 @ k.matrix @ v.T
+    _, wu, shifted, wts = ou_points(k, y, quad)
+    nodes = F.jacobian_at(shifted)  # (u_nodes, points, d, n)
+    mean_jac = wu @ (wts @ nodes.reshape(wu.size, wts.size, -1))
+    return F.jacobian_at(y) @ k.matrix @ mean_jac.reshape(F.dim, k.dim).T
 
 
 @dataclass(frozen=True)
@@ -167,8 +149,8 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
     d = F.dim
 
     offsets = np.zeros(d)
-    for j in range(d):
-        vals = np.asarray(F.value(j, outer), dtype=np.float64)
+    values = np.asarray(F.fn(outer), dtype=np.float64)
+    for j, vals in enumerate(values.T):
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(mc_size))
         if se > 0 and abs(mean) > 4.0 * se:
@@ -220,37 +202,36 @@ def w1_gaussian_1d(var_a: float, var_b: float) -> float:
 
 
 def linear_map_family(a) -> SmoothVectorFunction:
-    """F(y) = A y with constant gradients (exact T_ab = (A K A^T)_ab)."""
+    """F(y) = A y with constant Jacobian A (exact T_ab = (A K A^T)_ab)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a (d, n) matrix")
     d, n = a.shape
-    components = tuple((lambda y, row=a[j]: y @ row) for j in range(d))
-    gradients = tuple(
-        (lambda pts, row=a[j]: np.broadcast_to(row, (pts.shape[0], n)).copy())
-        for j in range(d)
-    )
     return SmoothVectorFunction(
-        name="linear", input_dim=n, components=components, gradients=gradients
+        name="linear", input_dim=n, dim=d,
+        fn=lambda y: y @ a.T,
+        jacobian=lambda pts: np.broadcast_to(a, pts.shape[:-1] + (d, n)),
     )
 
 
 def quadratic_form_family(mats, k=None) -> SmoothVectorFunction:
     """f_j(y) = y^T Q_j y - tr(Q_j K); centering uses K when supplied."""
     mats = [np.asarray(q, dtype=np.float64) for q in mats]
+    if not mats or mats[0].ndim != 2:
+        raise ValueError("expected a nonempty list of (n, n) matrices")
     n = mats[0].shape[0]
     if any(q.shape != (n, n) for q in mats):
         raise ValueError("all quadratic forms must share the input dimension")
-    traces = [float(np.trace(q @ as_covariance(k).matrix)) if k is not None else 0.0 for q in mats]
-    components = tuple(
-        (lambda y, q=q, t=t: np.einsum("...i,ij,...j->...", y, q, y) - t)
-        for q, t in zip(mats, traces)
-    )
-    gradients = tuple(
-        (lambda pts, q=q: pts @ (q + q.T)) for q in mats
-    )
+    d = len(mats)
+    forms = np.stack(mats)
+    traces = np.array([float(np.trace(q @ as_covariance(k).matrix)) if k is not None else 0.0
+                       for q in mats])
+    # column block j is Q_j + Q_j^T, so pts @ sym holds every gradient at once
+    sym = np.concatenate([q + q.T for q in mats], axis=1)
     return SmoothVectorFunction(
-        name="quadratic", input_dim=n, components=components, gradients=gradients
+        name="quadratic", input_dim=n, dim=d,
+        fn=lambda y: np.einsum("...i,jik,...k->...j", y, forms, y) - traces,
+        jacobian=lambda pts: (pts @ sym).reshape(pts.shape[:-1] + (d, n)),
     )
 
 
@@ -265,19 +246,14 @@ def componentwise_family(kind: str, n: int) -> SmoothVectorFunction:
     if kind not in kinds:
         raise ValueError(f"unknown componentwise kind {kind!r}; choose from {sorted(kinds)}")
     phi, dphi = kinds[kind]
-    components = tuple((lambda y, j=j: phi(y[..., j])) for j in range(n))
 
-    def make_grad(j):
-        def grad(pts):
-            out = np.zeros_like(pts)
-            out[:, j] = dphi(pts[:, j])
-            return out
+    def jacobian(pts):
+        out = np.zeros(pts.shape + (n,))
+        out.reshape(-1, n * n)[:, :: n + 1] = dphi(pts).reshape(-1, n)
+        return out
 
-        return grad
-
-    gradients = tuple(make_grad(j) for j in range(n))
     return SmoothVectorFunction(
-        name=f"componentwise-{kind}", input_dim=n, components=components, gradients=gradients
+        name=f"componentwise-{kind}", input_dim=n, dim=n, fn=phi, jacobian=jacobian
     )
 
 
@@ -288,6 +264,8 @@ def family_from_config(cfg: dict, k=None) -> SmoothVectorFunction:
     {"type": "quadratic", "matrices": [[[...]], ...]}
     {"type": "componentwise", "kind": "tanh", "n": 3}
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"function family config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("type")
     if kind == "linear":
         return linear_map_family(np.asarray(cfg["matrix"], dtype=np.float64))

@@ -8,16 +8,20 @@ __all__ = ["fd_gradient", "fd_hessian"]
 
 
 def fd_gradient(f, x, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one step per axis."""
+    """Central-difference derivative of f at x, one step per axis.
+
+    A scalar f gives its gradient, shape (n,); an f with values of shape (d,)
+    gives its Jacobian, shape (d, n).
+    """
     if h <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.empty(x.shape[0])
+    columns = []
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
         e[i] = h
-        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return grad
+        columns.append((f(x + e) - f(x - e)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def fd_hessian(f, x, h: float) -> np.ndarray:

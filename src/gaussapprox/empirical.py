@@ -189,8 +189,8 @@ def normal_cdf(x):
 def normal_quantile(p):
     """Inverse standard normal CDF, ``scipy.special.ndtri``, on p strictly inside (0, 1)."""
     p_arr = np.asarray(p, dtype=np.float64)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
+    if not np.all(np.isfinite(p_arr)) or np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+        raise ValueError("probabilities must be finite and lie strictly inside (0, 1)")
     out = ndtri(p_arr)
     return float(out) if out.ndim == 0 else out
 

@@ -32,7 +32,6 @@ __all__ = [
     "check_hurst",
     "rho",
     "fbm_covariance",
-    "rho_asymptotic_constant",
     "FgnPath",
     "sample_fgn",
     "SigmaEstimate",
@@ -87,12 +86,6 @@ def fbm_covariance(h: float, s: float, t: float) -> float:
     if s < 0 or t < 0:
         raise ValueError("times must be nonnegative")
     return 0.5 * (t ** (2 * h) + s ** (2 * h) - abs(t - s) ** (2 * h))
-
-
-def rho_asymptotic_constant(h: float) -> float:
-    """Signed constant c with rho(x) ~ c * |x|^(2H-2); zero at H = 1/2."""
-    h = check_hurst(h)
-    return h * (2.0 * h - 1.0)
 
 
 @dataclass(frozen=True)

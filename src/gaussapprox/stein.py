@@ -35,6 +35,7 @@ __all__ = [
     "TestFunction",
     "QuadratureSpec",
     "default_quadrature",
+    "ou_points",
     "u0_apply",
     "mean_under_target",
     "u0_gradient",
@@ -171,6 +172,21 @@ def mean_under_target(g: TestFunction, cov, quad: QuadratureSpec) -> float:
     return per_fn[key]
 
 
+def ou_points(cov: CovarianceMatrix, x: np.ndarray,
+              quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Interpolation nodes u x + sqrt(1 - u^2) Z of the time integral, Z ~ N(0, C).
+
+    Returns ``(u, wu, shifted, wts)``: the Gauss-Legendre nodes and weights on
+    [0, 1], ``shifted[i, z] = u_i x + sqrt(1 - u_i^2) z`` over the points z of
+    the configured Gaussian rule, and that rule's weights.  ``x`` must have
+    shape (d,); the caller validates it.
+    """
+    u, wu = _legendre_01(quad.u_nodes)
+    pts, wts = gaussian_rule(cov, quad)
+    shifted = u[:, None, None] * x[None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts[None, :, :]
+    return u, wu, shifted, wts
+
+
 def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> float:
     """Evaluate U0g(x) by quadrature after the substitution t = u^2."""
     cov = as_covariance(cov)
@@ -179,11 +195,8 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
         raise ValueError(f"point has shape {x.shape}, expected ({cov.dim},)")
     if quad is None:
         quad = default_quadrature(cov.dim)
-    u, wu = _legendre_01(quad.u_nodes)
-    pts, wts = gaussian_rule(cov, quad)
+    u, wu, shifted, wts = ou_points(cov, x, quad)
     mean_gz = mean_under_target(g, cov, quad)
-    # shifted[ui, zi, :] = u_i x + sqrt(1 - u_i^2) z_zi
-    shifted = u[:, None, None] * x[None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts[None, :, :]
     inner = g(shifted) @ wts
     return float(np.dot(wu, (inner - mean_gz) / u))
 

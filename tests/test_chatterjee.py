@@ -8,16 +8,15 @@ from gaussapprox.chatterjee import (
     chatterjee_bound,
     componentwise_family,
     family_from_config,
-    fd_gradient,
     gaussian_pair_bound,
     linear_map_family,
     quadratic_form_family,
-    t_ab,
     t_ab_matrix,
     w1_gaussian_1d,
 )
+from gaussapprox.diff import fd_gradient
 from gaussapprox.linalg import CovarianceMatrix, hs_norm, prefactor
-from gaussapprox.stein import QuadratureSpec
+from gaussapprox.stein import QuadratureSpec, gaussian_rule
 
 K2 = CovarianceMatrix.from_matrix([[1.0, 0.3], [0.3, 2.0]])
 QUAD = QuadratureSpec(u_nodes=32, gh_order=8)
@@ -44,23 +43,26 @@ def test_t_ab_linear_exact():
     alpha, beta = np.array([1.0, -0.5]), np.array([0.2, 0.7])
     fam = linear_map_family(np.stack([alpha, beta]))
     y = np.array([0.4, -1.1])
-    assert t_ab(fam, 0, 1, K2, y, QUAD) == pytest.approx(float(alpha @ K2.matrix @ beta), rel=1e-12)
+    assert t_ab_matrix(fam, K2, y, QUAD)[0, 1] == pytest.approx(float(alpha @ K2.matrix @ beta), rel=1e-12)
     mat = t_ab_matrix(fam, K2, y, QUAD)
     a = np.stack([alpha, beta])
     assert np.allclose(mat, a @ K2.matrix @ a.T, rtol=1e-12)
 
 
 def test_t_ab_zero_gradient_component():
+    def jacobian(p):
+        out = np.zeros(p.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0
+        return out
+
     fam = SmoothVectorFunction(
         name="mixed",
         input_dim=2,
-        components=(lambda y: y[..., 0], lambda y: np.ones(y.shape[:-1])),
-        gradients=(
-            lambda p: np.stack([np.ones(p.shape[0]), np.zeros(p.shape[0])], axis=-1),
-            lambda p: np.zeros_like(p),
-        ),
+        dim=2,
+        fn=lambda y: np.stack([y[..., 0], np.ones(y.shape[:-1])], axis=-1),
+        jacobian=jacobian,
     )
-    assert t_ab(fam, 0, 1, K2, np.array([1.0, 2.0]), QUAD) == 0.0
+    assert t_ab_matrix(fam, K2, np.array([1.0, 2.0]), QUAD)[0, 1] == 0.0
 
 
 def test_t_ab_univariate_mixed_rank():
@@ -68,21 +70,18 @@ def test_t_ab_univariate_mixed_rank():
     fam = SmoothVectorFunction(
         name="y-and-y2",
         input_dim=1,
-        components=(lambda y: y[..., 0], lambda y: y[..., 0] ** 2),
-        gradients=(lambda p: np.ones_like(p), lambda p: 2.0 * p),
+        dim=2,
+        fn=lambda y: np.concatenate([y, y**2], axis=-1),
+        jacobian=lambda p: np.stack([np.ones_like(p), 2.0 * p], axis=-2),
     )
     for yv in (0.5, -1.3, 2.0):
         # E[2(u y + sqrt(1-u^2) Y)] = 2 u y, then int_0^1 2u y du = y
-        assert t_ab(fam, 0, 1, k1, np.array([yv]), QUAD) == pytest.approx(yv, rel=1e-12)
+        assert t_ab_matrix(fam, k1, np.array([yv]), QUAD)[0, 1] == pytest.approx(yv, rel=1e-12)
 
 
 def test_t_ab_fd_fallback():
-    fam = SmoothVectorFunction(
-        name="no-oracles",
-        input_dim=2,
-        components=(lambda y: y[..., 0], lambda y: y[..., 1]),
-    )
-    val = t_ab(fam, 0, 1, K2, np.array([0.3, 0.4]), QUAD)
+    fam = SmoothVectorFunction(name="no-oracles", input_dim=2, dim=2, fn=lambda y: y)
+    val = t_ab_matrix(fam, K2, np.array([0.3, 0.4]), QUAD)[0, 1]
     assert val == pytest.approx(K2.matrix[0, 1], abs=1e-7)
 
 
@@ -140,8 +139,9 @@ def test_centering_warning_for_noncentered_component():
     fam = SmoothVectorFunction(
         name="shifted",
         input_dim=1,
-        components=(lambda y: y[..., 0] + 5.0,),
-        gradients=(lambda p: np.ones_like(p),),
+        dim=1,
+        fn=lambda y: y + 5.0,
+        jacobian=lambda p: np.ones(p.shape + (1,)),
     )
     k = CovarianceMatrix.from_matrix([[1.0]])
     with pytest.warns(UserWarning, match="nonzero mean"):
@@ -177,6 +177,117 @@ def test_family_from_config():
 def test_componentwise_gradients():
     fam = componentwise_family("tanh", 2)
     pts = np.array([[0.5, -1.0], [0.0, 2.0]])
-    g0 = fam.gradient_at(0, pts)
+    g0 = fam.jacobian_at(pts)[:, 0, :]
     assert np.allclose(g0[:, 0], 1.0 / np.cosh(pts[:, 0]) ** 2)
     assert np.all(g0[:, 1] == 0.0)
+
+
+def test_fd_gradient_scalar_matches_axis_loop_bit_for_bit():
+    def loop(f, x, h):
+        grad = np.empty(x.shape[0])
+        for i in range(x.shape[0]):
+            e = np.zeros_like(x)
+            e[i] = h
+            grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+        return grad
+
+    f = lambda y: np.sin(y[0] * y[1]) + np.exp(0.3 * y[2])
+    for x in (np.array([0.2, -0.5, 1.3]), np.array([2.0, 0.1, -0.7])):
+        got = fd_gradient(f, x, 1e-4)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert np.array_equal(got, loop(f, x, 1e-4))
+
+
+def test_fd_gradient_vector_rows_are_component_gradients():
+    f = lambda y: np.array([y[0] * y[1], np.tanh(y[1] - y[0]), y[0] ** 3])
+    x = np.array([0.4, -1.1])
+    jac = fd_gradient(f, x, 1e-4)
+    assert jac.shape == (3, 2)
+    for j in range(3):
+        assert np.array_equal(jac[j], fd_gradient(lambda y, j=j: f(y)[j], x, 1e-4))
+
+
+# Families with the parameters of one gradient oracle per component: the
+# reference below evaluates T_ab the way it was done before the Jacobian form.
+K3 = CovarianceMatrix.from_matrix([[1.0, 0.3, 0.15], [0.3, 1.0, 0.3], [0.15, 0.3, 1.0]])
+QUAD_SMALL = QuadratureSpec(u_nodes=16, gh_order=6)
+DPHI = {
+    "tanh": lambda t: 1.0 / np.cosh(t) ** 2,
+    "sin": np.cos,
+    "cube": lambda t: 3.0 * t**2,
+    "identity": lambda t: np.ones_like(t),
+}
+A23 = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.45]])
+QS = [np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 0.3]]),
+      np.array([[0.0, 0.5, -0.4], [0.1, 0.2, 0.0], [0.3, 0.0, 1.0]])]
+FD_COMPONENTS = (lambda y: np.sin(y[..., 0] + y[..., 1]), lambda y: y[..., 0] * y[..., 2] ** 2)
+
+
+def _componentwise_gradients(kind, n):
+    def grad(pts, j):
+        out = np.zeros_like(pts)
+        out[:, j] = DPHI[kind](pts[:, j])
+        return out
+
+    return [lambda pts, j=j: grad(pts, j) for j in range(n)]
+
+
+def _fd_gradients(components):
+    def grad(pts, f):
+        out = np.empty_like(pts)
+        for row, y in enumerate(pts):
+            out[row] = fd_gradient(f, y, 1e-4 * (1.0 + float(np.linalg.norm(y))))
+        return out
+
+    return [lambda pts, f=f: grad(pts, f) for f in components]
+
+
+REFERENCE_CASES = {
+    **{kind: (componentwise_family(kind, 3), _componentwise_gradients(kind, 3)) for kind in DPHI},
+    "linear": (linear_map_family(A23),
+               [lambda p, row=row: np.broadcast_to(row, p.shape).copy() for row in A23]),
+    "quadratic": (quadratic_form_family(QS, k=K3), [lambda p, q=q: p @ (q + q.T) for q in QS]),
+    "fd-fallback": (
+        SmoothVectorFunction(name="fd", input_dim=3, dim=2,
+                             fn=lambda y: np.stack([f(y) for f in FD_COMPONENTS], axis=-1)),
+        _fd_gradients(FD_COMPONENTS),
+    ),
+}
+
+
+def _t_ab_per_component(gradients, k, y, quad):
+    """T(y) from one gradient oracle per component, looping over components."""
+    u, wu = np.polynomial.legendre.leggauss(quad.u_nodes)
+    u, wu = 0.5 * (u + 1.0), 0.5 * wu
+    pts, wts = gaussian_rule(k, quad)
+    grad0 = np.stack([g(y[None, :])[0] for g in gradients])
+    shifted = u[:, None, None] * y[None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts[None, :, :]
+    flat = shifted.reshape(-1, k.dim)
+    v = np.empty((len(gradients), k.dim))
+    for j, g in enumerate(gradients):
+        grads = g(flat).reshape(u.size, pts.shape[0], k.dim)
+        v[j] = wu @ np.tensordot(wts, grads, axes=([0], [1]))
+    return grad0 @ k.matrix @ v.T
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_t_ab_matrix_matches_per_component_loop(case):
+    fam, gradients = REFERENCE_CASES[case]
+    for y in (np.array([0.3, -0.8, 1.1]), np.array([-1.5, 0.2, 0.6])):
+        got = t_ab_matrix(fam, K3, y, QUAD_SMALL)
+        ref = _t_ab_per_component(gradients, K3, y, QUAD_SMALL)
+        assert got.shape == (fam.dim, fam.dim)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(set(REFERENCE_CASES) - {"fd-fallback"}))
+def test_family_jacobian_matches_fd_of_fn(case):
+    fam, _ = REFERENCE_CASES[case]
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(2, 3, fam.input_dim))
+    values = fam.fn(pts)
+    jac = fam.jacobian(pts)
+    assert values.shape == (2, 3, fam.dim)
+    assert jac.shape == (2, 3, fam.dim, fam.input_dim)
+    for idx in np.ndindex(2, 3):
+        fd = fd_gradient(fam.fn, pts[idx], 1e-5)
+        np.testing.assert_allclose(jac[idx], fd, rtol=1e-6, atol=1e-9)

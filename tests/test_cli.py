@@ -120,6 +120,13 @@ def test_empty_matrix_exit_code(argv):
     assert "nonempty" in err["message"]
 
 
+@pytest.mark.parametrize("functions", ['{"type":"quadratic","matrices":[]}', "[1,2]"])
+def test_bad_function_family_exit_code(functions):
+    code, out = run_cli(["chatterjee", "--K", "[[1.0]]", "--functions", functions])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_config_error_exit_code():
     code, out = run_cli(["bound", "--H", "0.5", "--q", "2", "--times", "0,2,1", "--n", "50"])
     assert code == 2

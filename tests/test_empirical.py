@@ -62,6 +62,10 @@ def test_normal_quantile_examples():
         normal_quantile(0.0)
     with pytest.raises(ValueError):
         normal_quantile(1.0)
+    with pytest.raises(ValueError):
+        normal_quantile(float("nan"))
+    with pytest.raises(ValueError):
+        normal_quantile(np.array([0.5, np.nan]))
 
 
 def test_normal_quantile_roundtrip_grid():

@@ -1,11 +1,15 @@
 import ast
 import importlib
+import importlib.util
+import io
 import pkgutil
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import gaussapprox
+import gaussapprox.cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(gaussapprox.__path__))
 
@@ -42,3 +46,48 @@ def test_traced_function_resolves(layer, name):
     # leave a traced run silently without that layer.
     module = importlib.import_module(f"gaussapprox.{layer}")
     assert callable(getattr(module, name, None))
+
+
+#: One tiny job per subcommand family the tracer's counters read.
+SMOKE_ARGVS = [
+    ["stein-check", "--grid-steps", "2", "--quad-unodes", "8", "--quad-gh-order", "4",
+     "--functions", "sin_of_sum"],
+    ["chatterjee", "--K", "[[1.0, 0.2], [0.2, 1.0]]", "--m", "10", "--quad-unodes", "8",
+     "--quad-gh-order", "4", "--functions", '{"type": "componentwise", "kind": "tanh", "n": 2}'],
+    ["simulate", "--H", "0.6", "--q", "2", "--times", "0,1", "--n", "16", "--m", "4"],
+    ["bound", "--H", "0.6", "--q", "2", "--times", "0,1,2", "--n", "16"],
+]
+
+
+def test_traced_smoke_run():
+    # The counters read arguments by position, so a signature change would
+    # otherwise break or skew a traced benchmark run without any test failing.
+    spec = importlib.util.spec_from_file_location("layertrace_smoke", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    ran = set()
+
+    def recording(name, count):
+        def counter(t, args, kwargs, result):
+            ran.add(name)
+            count(t, args, kwargs, result)
+
+        return counter
+
+    layertrace._COUNTERS = {name: recording(name, count)
+                            for name, count in layertrace._COUNTERS.items()}
+    tracer = layertrace.Tracer("smoke")
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            codes = [gaussapprox.cli.main(list(argv)) for argv in SMOKE_ARGVS]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(SMOKE_ARGVS)
+    metrics = tracer.metrics(1.0)
+    called = {name for name in layertrace._COUNTERS if metrics[f"{name}.calls"] > 0}
+    assert called == ran
+    assert {"chatterjee.t_ab_matrix", "stein.u0_apply", "chaos.contraction_norm_sq",
+            "empirical.simulate_bm_vector"} <= called
+    assert metrics["chatterjee.t_ab_matrix.nodes"] == metrics["chatterjee.t_ab_matrix.calls"] * 8 * 4**2
+    assert metrics["stein.u0_apply.nodes"] == metrics["stein.u0_apply.calls"] * 8 * 4**2

@@ -260,3 +260,24 @@ def test_mean_under_target_cached():
     a = mean_under_target(g, C_CORR, QUAD)
     b = mean_under_target(g, C_CORR, QUAD)
     assert a == b == pytest.approx(1.0, abs=1e-12)
+
+
+def _u0_inline(g, cov, x, quad):
+    """U0g(x) with the node tensor built inline, the reference for ``ou_points``."""
+    u, wu = np.polynomial.legendre.leggauss(quad.u_nodes)
+    u, wu = 0.5 * (u + 1.0), 0.5 * wu
+    pts, wts = gaussian_rule(cov, quad)
+    shifted = u[:, None, None] * x[None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts[None, :, :]
+    inner = g(shifted) @ wts
+    return float(np.dot(wu, (inner - mean_under_target(g, cov, quad)) / u))
+
+
+@pytest.mark.parametrize("quad", [
+    QuadratureSpec(u_nodes=16, gh_order=6),
+    QuadratureSpec(u_nodes=16, gh_order=None, mc_size=1000, mc_seed=3),
+], ids=["gh", "mc"])
+def test_u0_apply_equals_inline_quadrature_bit_for_bit(quad):
+    for g in lipschitz_test_functions(2):
+        for x in ([0.0, 0.0], [0.7, -1.2], [2.5, 1.5]):
+            x = np.array(x)
+            assert u0_apply(g, C_CORR, x, quad) == _u0_inline(g, C_CORR, x, quad), (g.name, x)
