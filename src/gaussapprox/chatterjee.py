@@ -268,11 +268,25 @@ def family_from_config(cfg: dict, k=None) -> SmoothVectorFunction:
         raise ValueError(f"function family config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("type")
     if kind == "linear":
-        return linear_map_family(np.asarray(cfg["matrix"], dtype=np.float64))
+        return linear_map_family(_config_matrix(cfg["matrix"], "matrix"))
     if kind == "quadratic":
-        return quadratic_form_family(
-            [np.asarray(q, dtype=np.float64) for q in cfg["matrices"]], k=k
-        )
+        mats = cfg["matrices"]
+        if not isinstance(mats, list):
+            raise ValueError(f"'matrices' must be a list of matrices, got {type(mats).__name__}")
+        return quadratic_form_family([_config_matrix(q, "matrices") for q in mats], k=k)
     if kind == "componentwise":
-        return componentwise_family(cfg["kind"], int(cfg["n"]))
+        name, n = cfg["kind"], cfg["n"]
+        if not isinstance(name, str):
+            raise ValueError(f"'kind' must be a string, got {type(name).__name__}")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"'n' must be an integer, got {type(n).__name__}")
+        return componentwise_family(name, n)
     raise ValueError(f"unknown function family type {kind!r}")
+
+
+def _config_matrix(obj, field: str) -> np.ndarray:
+    """A numeric array from a config field, or ValueError naming the field."""
+    try:
+        return np.asarray(obj, dtype=np.float64)
+    except TypeError:
+        raise ValueError(f"{field!r} must hold numbers, got {obj!r}") from None

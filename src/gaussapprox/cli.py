@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -52,6 +53,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of a coordinate flag: a finite real."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -323,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, matrices=True, seed=True, quad=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")
-    p.add_argument("--grid-lo", type=float, default=-3.0)
-    p.add_argument("--grid-hi", type=float, default=3.0)
+    p.add_argument("--grid-lo", type=_finite_float, default=-3.0)
+    p.add_argument("--grid-hi", type=_finite_float, default=3.0)
     p.add_argument("--grid-steps", type=_positive_int, default=21)
     p.set_defaults(func=_cmd_stein_check)
 

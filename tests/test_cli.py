@@ -97,6 +97,15 @@ def test_nonpositive_grid_steps_exit_2(capsys):
     assert "argument --grid-steps: must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--grid-lo", "nan"), ("--grid-hi", "inf"),
+                                         ("--grid-lo", "-inf")])
+def test_non_finite_grid_exit_2(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stein-check", "--grid-steps", "2", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("c", ["[[Infinity, 0], [0, 1]]", "[[1, Infinity], [Infinity, 1]]",
                                "[[NaN, 0], [0, 1]]"])
 def test_non_finite_matrix_exit_code(c):
@@ -120,7 +129,14 @@ def test_empty_matrix_exit_code(argv):
     assert "nonempty" in err["message"]
 
 
-@pytest.mark.parametrize("functions", ['{"type":"quadratic","matrices":[]}', "[1,2]"])
+@pytest.mark.parametrize("functions", [
+    '{"type":"quadratic","matrices":[]}',
+    "[1,2]",
+    '{"type":"quadratic","matrices":5}',
+    '{"type":"componentwise","kind":"tanh","n":[1]}',
+    '{"type":"componentwise","kind":["tanh"],"n":1}',
+    '{"type":"linear","matrix":{"a":1}}',
+])
 def test_bad_function_family_exit_code(functions):
     code, out = run_cli(["chatterjee", "--K", "[[1.0]]", "--functions", functions])
     assert code == 2

@@ -6,10 +6,12 @@ import pkgutil
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaussapprox
 import gaussapprox.cli
+import gaussapprox.stein
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(gaussapprox.__path__))
 
@@ -81,6 +83,11 @@ def test_traced_smoke_run():
     try:
         with redirect_stdout(io.StringIO()):
             codes = [gaussapprox.cli.main(list(argv)) for argv in SMOKE_ARGVS]
+        # stein-check differentiates the registered functions exactly, so
+        # u0_apply's counter needs a call of its own
+        stein = gaussapprox.stein
+        stein.u0_apply(stein.lipschitz_test_functions(2)[1], np.eye(2), np.zeros(2),
+                       stein.QuadratureSpec(u_nodes=8, gh_order=4))
     finally:
         tracer.uninstall()
     assert codes == [0] * len(SMOKE_ARGVS)

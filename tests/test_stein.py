@@ -19,6 +19,9 @@ from gaussapprox.stein import (
     stein_report,
     stein_residual,
     u0_apply,
+    u0_derivatives,
+    u0_gradient,
+    u0_hessian,
 )
 
 QUAD = QuadratureSpec(u_nodes=64, gh_order=8)
@@ -154,23 +157,135 @@ def test_stein_report_keys():
     assert rep["pass"]
 
 
+def _without_oracles(g):
+    return TestFunction(g.name, g.fn, lipschitz=g.lipschitz)
+
+
 def test_stein_report_computes_each_derivative_once_per_point(monkeypatch):
     pts = grid_points(-2.0, 2.0, 3)
     for g in lipschitz_test_functions(2)[1:3]:
-        residual_max = max(stein_residual(g, C_CORR, x, QUAD) for x in pts)
-        check = hessian_bound_check(g, C_CORR, pts, QUAD)
-        calls = []
-        real = stein.u0_apply
-        monkeypatch.setattr(stein, "u0_apply", lambda *a, **k: calls.append(1) or real(*a, **k))
-        rep = stein_report(g, C_CORR, pts, QUAD)
-        monkeypatch.undo()
-        # d = 2: 4 evaluations for the gradient and 9 for the Hessian stencil
-        assert len(calls) == 13 * len(pts)
-        assert rep["residual_max"] == residual_max
-        assert rep["hessian_max"] == check.max_hs_norm
-        assert (rep["rhs"], rep["pass"], rep["points"]) == (check.rhs, check.passed, check.points)
+        for fn, per_point in ((g, 0), (_without_oracles(g), 13)):
+            residual_max = max(stein_residual(fn, C_CORR, x, QUAD) for x in pts)
+            check = hessian_bound_check(fn, C_CORR, pts, QUAD)
+            calls = []
+            real = stein.u0_apply
+            monkeypatch.setattr(stein, "u0_apply", lambda *a, **k: calls.append(1) or real(*a, **k))
+            rep = stein_report(fn, C_CORR, pts, QUAD)
+            monkeypatch.undo()
+            # d = 2 without oracles: 4 evaluations for the gradient and 9 for
+            # the Hessian stencil; with oracles the derivatives are exact
+            assert len(calls) == per_point * len(pts)
+            assert rep["residual_max"] == residual_max
+            assert rep["hessian_max"] == check.max_hs_norm
+            assert (rep["rhs"], rep["pass"], rep["points"]) == (check.rhs, check.passed, check.points)
     with pytest.raises(ValueError, match="Lipschitz"):
         stein_report(TestFunction("nolip", lambda x: x[..., 0]), C_EYE, pts, QUAD)
+
+
+def test_stein_check_path_makes_no_finite_differences(monkeypatch):
+    from gaussapprox import diff
+
+    calls = {"u0_apply": 0, "fd_hessian": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(stein, "u0_apply", counting("u0_apply", stein.u0_apply))
+    fd_hessian = counting("fd_hessian", diff.fd_hessian)
+    monkeypatch.setattr(stein, "fd_hessian", fd_hessian)
+    monkeypatch.setattr(diff, "fd_hessian", fd_hessian)
+    pts = grid_points(-2.0, 2.0, 3)
+    for g in lipschitz_test_functions(2):
+        stein_report(g, C_CORR, pts, QUAD)
+        hessian_bound_check(g, C_CORR, pts, QUAD)
+        stein_residual(g, C_CORR, pts[1], QUAD)
+    assert calls == {"u0_apply": 0, "fd_hessian": 0}
+    # the fallback for a function without oracles: 4 + 9 evaluations per point at d = 2
+    stein_report(_without_oracles(lipschitz_test_functions(2)[1]), C_CORR, pts, QUAD)
+    assert calls == {"u0_apply": 13 * len(pts), "fd_hessian": len(pts)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_registered_oracles_match_central_differences(d):
+    x = np.random.default_rng(d).uniform(-2.0, 2.0, size=(2, 3, d))
+    h, k = 1e-5, 1e-3
+    for g in lipschitz_test_functions(d):
+        grad, hess = g.gradient(x), g.hessian(x)
+        assert grad.shape == (2, 3, d) and hess.shape == (2, 3, d, d)
+        fd_grad = np.stack([(g.fn(x + e) - g.fn(x - e)) / (2 * h) for e in h * np.eye(d)], axis=-1)
+        fd_hess = np.stack([
+            np.stack([(g.fn(x + ei + ej) - g.fn(x + ei - ej) - g.fn(x - ei + ej)
+                       + g.fn(x - ei - ej)) / (4 * k * k) for ej in k * np.eye(d)], axis=-1)
+            for ei in k * np.eye(d)], axis=-1)
+        assert np.allclose(grad, fd_grad, rtol=0, atol=1e-8), g.name
+        assert np.allclose(hess, fd_hess, rtol=0, atol=1e-5), g.name
+        # one point of shape (d,) gives the values it has inside the batch
+        assert np.allclose(g.hessian(x[1, 2]), hess[1, 2], rtol=0, atol=1e-15), g.name
+
+
+@pytest.mark.parametrize("cov", [
+    C_CORR,
+    CovarianceMatrix.from_matrix([[1.0, 0.4, -0.2], [0.4, 1.5, 0.3], [-0.2, 0.3, 0.8]]),
+], ids=["d2", "d3"])
+def test_u0_derivatives_match_finite_differences(cov):
+    d = cov.dim
+    quad = QuadratureSpec(u_nodes=32, gh_order=6)
+    pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(4, d))
+    for g in lipschitz_test_functions(d):
+        grads, hessians = u0_derivatives(g, cov, pts, quad)
+        assert grads.shape == (4, d) and hessians.shape == (4, d, d)
+        for x, grad, hess in zip(pts, grads, hessians):
+            assert np.allclose(grad, u0_gradient(g, cov, x, quad), rtol=0, atol=1e-7), g.name
+            assert np.allclose(hess, u0_hessian(g, cov, x, quad), rtol=0, atol=5e-6), g.name
+
+
+def test_u0_derivatives_of_monomials_closed_form():
+    # U0(x_i x_j) = (x_i x_j - c_ij) / 2; the monomials' Hessian oracle is a
+    # constant (d, d) matrix
+    pts = grid_points(-2.0, 2.0, 3)
+    for g in quadratic_test_functions(2):
+        grads, hessians = u0_derivatives(g, C_CORR, pts, QUAD)
+        for x, grad, hess in zip(pts, grads, hessians):
+            assert np.allclose(grad, g.gradient(x) / 2.0, rtol=0, atol=1e-12), g.name
+            assert np.allclose(hess, g.hessian(x) / 2.0, rtol=0, atol=1e-12), g.name
+            assert stein_residual(g, C_CORR, x, QUAD) < 1e-12
+
+
+def test_u0_derivatives_chunked_over_u_nodes(monkeypatch):
+    # a node budget below one point's nodes splits the sum over u-nodes
+    g = lipschitz_test_functions(2)[3]
+    pts = grid_points(-2.0, 2.0, 3)
+    whole = u0_derivatives(g, C_CORR, pts, QUAD)
+    monkeypatch.setattr(stein, "DERIVATIVE_NODES", 3 * 64)
+    chunked = u0_derivatives(g, C_CORR, pts, QUAD)
+    for a, b in zip(whole, chunked):
+        assert np.allclose(a, b, rtol=0, atol=1e-15)
+    single = [u0_derivatives(g, C_CORR, x, QUAD) for x in pts]
+    assert all(np.array_equal(s[1][0], h) for s, h in zip(single, chunked[1]))
+
+
+def test_u0_derivatives_requires_oracles_and_matching_points():
+    with pytest.raises(ValueError, match="oracles"):
+        u0_derivatives(TestFunction("plain", lambda x: x[..., 0]), C_EYE, np.zeros(2), QUAD)
+    with pytest.raises(ValueError, match="shape"):
+        u0_derivatives(lipschitz_test_functions(2)[0], C_EYE, np.zeros((2, 3)), QUAD)
+
+
+@np.errstate(invalid="ignore")
+def test_non_finite_norm_fails_the_bound_check():
+    g = lipschitz_test_functions(2)[1]
+    for bad in (np.nan, np.inf):
+        pts = np.array([[0.0, 0.0], [bad, 0.0]])
+        check = hessian_bound_check(g, C_EYE, pts, QUAD)
+        assert not check.passed and math.isnan(check.max_hs_norm)
+        rep = stein_report(g, C_EYE, pts, QUAD)
+        assert not rep["pass"] and math.isnan(rep["residual_max"])
+    fd = hessian_bound_check(_without_oracles(g), C_EYE, np.array([[np.nan, 0.0], [0.0, 0.0]]), QUAD)
+    assert not fd.passed and math.isnan(fd.max_hs_norm)
 
 
 def test_registry_has_five_functions_with_constants():
@@ -194,9 +309,9 @@ def test_u0_hessian_against_scalar_quadrature_oracle():
     # with S ~ N(0, s^2), s^2 = 1^T C 1, so Hess U0g = phi(s_x) * ones(2, 2)
     # with phi(s_x) = -(1/2) int_0^1 sin(sqrt(t) s_x) exp(-(1-t) s^2/2) dt
     from scipy.integrate import quad as scalar_quad
-    from gaussapprox.stein import u0_hessian
 
     g = TestFunction("sin", lambda x: np.sin(x[..., 0] + x[..., 1]))
+    registered = [f for f in lipschitz_test_functions(2) if f.name == "sin_of_sum"][0]
     s_sq = float(np.sum(C_CORR.matrix))
     for x in ([0.4, -0.9], [1.5, 0.5]):
         x = np.asarray(x)
@@ -207,12 +322,22 @@ def test_u0_hessian_against_scalar_quadrature_oracle():
         )
         hess = u0_hessian(g, C_CORR, x, QUAD)
         assert np.allclose(hess, phi * np.ones((2, 2)), atol=5e-6)
+        exact = u0_derivatives(registered, C_CORR, x, QUAD)[1][0]
+        assert np.allclose(exact, phi * np.ones((2, 2)), atol=5e-6)
 
 
 def test_stein_discrepancy_gaussian_samples():
     batch = sample_gaussian(C_CORR, 100_000, seed=21)
     for res in stein_discrepancy(batch, quadratic_test_functions(2), C_CORR):
         assert abs(res.value) <= 4.0 * res.stderr
+
+
+def test_stein_discrepancy_of_registered_functions_on_gaussian_samples():
+    batch = sample_gaussian(C_CORR, 100_000, seed=24)
+    results = stein_discrepancy(batch, lipschitz_test_functions(2), C_CORR)
+    assert len(results) == 5
+    for res in results:
+        assert abs(res.value) <= 4.0 * res.stderr, res.function
 
 
 def test_stein_discrepancy_detects_covariance_mismatch():
