@@ -10,25 +10,54 @@ autocovariance ``rho``:
                                           rho(k-k')^{q-r} rho(l-l')^{q-r}
 
 The quadruple sum equals Tr((T_a T_b)^2) for the symmetric Toeplitz matrices
-T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.  The accelerated
-evaluator exploits that: entries of M = T_a T_b differ from a full discrete
-convolution only by two one-sided corner sums, and those corrections are
-suffix sums over a single gap variable.  That yields an exact O(m^2) pass
-(m = block size) against the O(m^4) brute force kept as the oracle.  The
-pass reads every lag as a slice: b(|g - tau|) comes from the mirrored table
-``b_sym = concatenate((b_ext[:0:-1], b_ext))``, so no index array is built.
+T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.  Both evaluators
+rest on one split, the finite form of Widom's identity
+T(a) T(b) = T(ab) - H(a) H(b~):
+
+  M = T_a T_b = T_F - E,   E = E_up + J E_up J,
+
+where F = a * b is the full convolution over lags |t| <= m-1, J reverses
+the index, and E_up[i, j] = sum_{s >= 1} a(i+s) b(j+s) is a product of two
+Hankel matrices, the corner the block cuts off the convolution.
+
+* The lattice pass ``_quad_sum`` (m = block size) forms every entry of M as
+  F(g) minus two suffix-sum corner corrections, O(m) per gap g and O(m^2)
+  in all, against the O(m^4) brute force kept as the oracle.  It reads every
+  lag as a slice: b(|g - tau|) comes from the mirrored table
+  ``b_sym = concatenate((b_ext[:0:-1], b_ext))``, so no index array is built.
+* The low-rank evaluator ``_lowrank_sum`` expands
+  Tr(M^2) = Tr(T_F^2) - 4 Tr(T_F E_up) + 2 Tr(E_up^2) + 2 Tr(E_up J E_up J).
+  Tr(T_F^2) = sum_g (m - |g|) F(g)^2 takes one FFT for F.  E_up is a product
+  of Hankel matrices of power-law sequences, whose singular values fall
+  fast (numerical rank about 30), so a randomized range finder
+  (Halko-Martinsson-Tropp) with ``LOWRANK_PROBES`` seeded sign probes and
+  one power iteration gives E_up ~ Q B^T, and the other three traces cost
+  O(k m log m) through circular FFTs of length next_fast_len(2m - 1).  The
+  probes are seeded from (H, q, r, m), and every m-long reduction is an
+  einsum loop or a BLAS dot short enough to run on one thread, so the bits
+  do not depend on the run or on the BLAS thread count.
+
+Sums of blocks of at least ``LOWRANK_CROSSOVER`` run on the low-rank
+evaluator; smaller ones keep the lattice pass.  The evaluator also estimates
+its relative error from ``_RESIDUAL_PROBES`` more probes of |E_up - Q B^T|
+together with |T_F| and |B|.  Above ``LOWRANK_TOLERANCE`` the lattice pass
+runs instead, so every sum is exact to that tolerance; :func:`contraction_error` reads the largest
+estimate behind a kernel family (0.0 for lattice and closed-form sums).
 
 The unscaled sum depends only on (H, q, r, m): shifting the block leaves it
 unchanged and the scale enters as c^4.  It is also unchanged by r <-> q-r,
 the identity ||f (x)_r f|| = ||f (x)_{q-r} f|| for symmetric f, because the
 swap exchanges a and b and Tr((T_a T_b)^2) = Tr((T_b T_a)^2).  So each sum is
-computed once and kept in a bounded LRU cache under the key
-(H, q, min(r, q-r), m), and a d-dimensional family of equal blocks costs one
-pass per distinct min(r, q-r).
-
-Every sum is exact over the block.  At H = 1/2 the increments are
+computed once and kept, with its error estimate, in a bounded LRU cache under
+the key (H, q, min(r, q-r), m), and a d-dimensional family of equal blocks
+costs one sum per distinct min(r, q-r).  At H = 1/2 the increments are
 independent, rho has one-point support and T_a = T_b = I, so the sum is the
-closed form m and no lattice pass runs.
+closed form m and no evaluator runs.
+
+Before its first sum, :func:`wasserstein_bound` estimates the contraction
+work of its largest block with :func:`contraction_work` and refuses a family
+past ``WORK_BUDGET`` operations or ``MEMORY_BUDGET`` bytes; :func:`bound_curve`
+checks every level before any of them runs.
 """
 
 from __future__ import annotations
@@ -38,6 +67,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .fgn import (
     SigmaEstimate,
@@ -48,6 +78,7 @@ from .fgn import (
 )
 from .hermite import _check_rank
 from .linalg import as_covariance, prefactor
+from .rng import hash64, philox_stream
 
 __all__ = [
     "StepKernel",
@@ -62,12 +93,42 @@ __all__ = [
     "rate_exponent",
     "sharp_rate_exponent",
     "bound_curve",
+    "contraction_error",
+    "contraction_work",
 ]
 
 _BRUTE_MAX_BLOCK = 64
 
-#: Distinct unscaled contraction sums kept in memory, one float each.
+#: Distinct unscaled contraction sums kept in memory, one float and its
+#: error estimate each.
 CONTRACTION_CACHE_SIZE = 1024
+
+#: Smallest block size whose contraction sum runs on the low-rank evaluator.
+LOWRANK_CROSSOVER = 1024
+
+#: Probes of the randomized range finder, the largest rank it can return.
+LOWRANK_PROBES = 40
+
+#: Largest estimated relative error a low-rank sum may carry; above it the
+#: exact lattice pass runs instead.
+LOWRANK_TOLERANCE = 1e-13
+
+#: Extra probes that estimate the range finder's residual.
+_RESIDUAL_PROBES = 4
+
+#: Probe rows sent through one batched FFT.  Larger batches hold more
+#: transforms in memory at once and were not faster.
+_FFT_ROWS = 2
+
+#: Longest vector handed to one BLAS dot.  OpenBLAS splits a dot of more
+#: than 10,000 terms across its threads, which changes the rounding with
+#: OPENBLAS_NUM_THREADS; chunks of this length run on one thread.
+_DOT_CHUNK = 8192
+
+#: Pre-flight budget of one bound: estimated operations of its contraction
+#: sums, and bytes of the low-rank evaluator's probe buffer.
+WORK_BUDGET = 2**30
+MEMORY_BUDGET = 2**28
 
 
 @dataclass(frozen=True)
@@ -119,10 +180,15 @@ def kernel_family(h: float, q: int, n: int, times, sigma: SigmaEstimate | None =
     if n < 1:
         raise ValueError("discretization level n must be >= 1")
     times = tuple(float(t) for t in times)
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"times must be finite, got {t}")
     if len(times) < 2 or times[0] != 0.0:
         raise ValueError("times must start at t_0 = 0 and contain at least one interval")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
+    if n > 2**62 or not math.isfinite(n * times[-1]):
+        raise ValueError(f"n * t_d = {n} * {times[-1]} is out of range")
     if sigma is None:
         sigma = sigma_bm(h, q)
 
@@ -141,6 +207,18 @@ def kernel_family(h: float, q: int, n: int, times, sigma: SigmaEstimate | None =
     )
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y as BLAS dots of at most ``_DOT_CHUNK`` terms, added in order.
+
+    One chunk gives exactly ``np.dot``; longer vectors give the same bits at
+    every BLAS thread count.
+    """
+    if len(x) <= _DOT_CHUNK:
+        return float(np.dot(x, y))
+    return sum(float(np.dot(x[i:i + _DOT_CHUNK], y[i:i + _DOT_CHUNK]))
+               for i in range(0, len(x), _DOT_CHUNK))
+
+
 def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     """<f, g> in H^{(x q)}; E[I_q(f) I_q(g)] = q! <f, g>."""
     if f.rank != g.rank:
@@ -152,7 +230,7 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     counts = np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)
     counts = np.clip(counts, 0, None).astype(np.float64)
     vals = rho(h, t) ** f.rank
-    return f.scale * g.scale * float(np.dot(counts, vals))
+    return f.scale * g.scale * _dot(counts, vals)
 
 
 def contraction_norm_sq_brute(f: StepKernel, r: int, h: float) -> float:
@@ -201,26 +279,174 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
         # term1[::-1] in exact arithmetic, but it subtracts the corrections
         # in the other order; computing it keeps the rounding of the sum.
         term2 = f_g - vp[: m - g] - up[g:m][::-1]
-        contrib = float(np.dot(term1, term2))
+        contrib = _dot(term1, term2)
         total += contrib if g == 0 else 2.0 * contrib
     return total
 
 
+def _signs(seed: int, rows: int, m: int) -> np.ndarray:
+    """rows x m Rademacher probes, one raw Philox bit each."""
+    n = rows * m
+    raw = philox_stream(seed).bit_generator.random_raw(-(-n // 64))
+    bits = np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")[:n]
+    out = bits.reshape(rows, m).astype(np.float64)
+    out *= -2.0
+    out += 1.0
+    return out
+
+
+def _orthonormalize(rows: np.ndarray) -> int:
+    """Gram-Schmidt on the rows, in place and twice; returns the rank kept.
+
+    A row that the second pass shrinks below half its norm lies in the span
+    of the rows kept before it, up to rounding (the Kahan-Parlett test), so
+    it is dropped and later rows move up.  The reductions are einsum loops,
+    not BLAS calls, so their bits do not depend on the BLAS thread count.
+    """
+    rank = 0
+    for j in range(rows.shape[0]):
+        v = rows[rank]
+        if rank != j:
+            v[:] = rows[j]
+        basis = rows[:rank]
+        norms = []
+        for _ in range(2):
+            v -= np.einsum("k,km->m", np.einsum("km,m->k", basis, v), basis)
+            norms.append(math.sqrt(np.einsum("m,m->", v, v)))
+        if norms[1] > 0.5 * norms[0]:
+            v /= norms[1]
+            rank += 1
+    return rank
+
+
+def _toeplitz_part(a, b_ext, a_hat, b_hat, m: int, n: int) -> tuple[float, np.ndarray]:
+    """Tr(T_F^2) and the length-n spectrum of T_F's circulant, F = a * b on lags |t| <= m-1.
+
+    F(g) = sum_{t=0}^{m-1} a(t) b(|g-t|) + sum_{t=1}^{m-1} a(t) b(g+t): a
+    Toeplitz product with b on lags |l| <= m-1 plus a Hankel product with
+    a(0) left out, which subtracts a(0) from every frequency of a_hat.
+    """
+    b_sym_hat = rfft(np.concatenate((b_ext[:m], np.zeros(n - 2 * m + 1), b_ext[m - 1:0:-1])))
+    f = irfft(b_sym_hat * a_hat + b_hat * np.conj(a_hat - a[0]), n)[:m]
+    weights = 2.0 * (m - np.arange(m))
+    weights[0] = m
+    tf_sq = float(np.einsum("g,g,g->", weights, f, f))
+    return tf_sq, rfft(np.concatenate((f, np.zeros(n - 2 * m + 1), f[:0:-1])))
+
+
+def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[float, float]:
+    """Tr((T_a T_b)^2) from M = T_F - E, with its estimated relative error.
+
+    Same inputs as :func:`_quad_sum`; the method is in the module docstring.
+    Q is an orthonormal basis of E_up (E_up^T E_up) Omega for
+    ``LOWRANK_PROBES`` sign probes Omega drawn from ``seed``, and
+    B = E_up^T Q.  The terms that use Q B^T in place of E_up err by at most
+    |R| (4 |T_F| + 8 |B| + 4 |R|) in Frobenius norms, R = E_up - Q B^T, and
+    |R| is estimated from ``_RESIDUAL_PROBES`` more sign probes w, since
+    E |R w|^2 = |R|^2.
+    """
+    n = next_fast_len(2 * m - 1, real=True)
+    a_hat, b_hat = rfft(a, n), rfft(b_ext, n)
+    tf_sq, f_hat = _toeplitz_part(a, b_ext, a_hat, b_hat, m, n)
+
+    def hankel(c_hat, x):
+        # z[u] = sum_v c(u + v) x[v] is a correlation: multiply by conj(x_hat)
+        x_hat = rfft(x, n)
+        np.conjugate(x_hat, out=x_hat)
+        x_hat *= c_hat
+        return irfft(x_hat, n)[:, :m]
+
+    def e_up(x):
+        y = hankel(b_hat, x)
+        y[:, 0] = 0.0
+        return hankel(a_hat, y)
+
+    def e_up_t(x):
+        y = hankel(a_hat, x)
+        y[:, 0] = 0.0
+        return hankel(b_hat, y)
+
+    q = _signs(seed, LOWRANK_PROBES, m)  # the one k x m buffer, overwritten in place
+    rank = LOWRANK_PROBES
+    for apply in (e_up, e_up_t, e_up):
+        for s in range(0, rank, _FFT_ROWS):
+            rows = q[s:min(s + _FFT_ROWS, rank)]
+            rows[:] = apply(rows)
+        rank = _orthonormalize(q[:rank])
+    q = q[:rank]
+
+    # terms() and residual_sq() run per chunk of rows, so each chunk's FFT
+    # temporaries are freed before the next chunk allocates its own
+    def terms(rows):
+        # rows of Q -> their share of Tr(T_F Q B^T) and |B|^2, rows of B^T Q and B^T J Q
+        b_rows = e_up_t(rows)
+        x_hat = rfft(rows, n)
+        x_hat *= f_hat
+        tf_rows = irfft(x_hat, n)[:, :m]
+        return (float(np.einsum("im,im->", b_rows, tf_rows)),
+                float(np.einsum("im,im->", b_rows, b_rows)),
+                np.einsum("im,jm->ij", b_rows, q),
+                np.einsum("im,jm->ij", b_rows[:, ::-1], q))
+
+    trace_fe = b_sq = 0.0
+    c = np.empty((rank, rank))  # B^T Q
+    d = np.empty((rank, rank))  # B^T J Q
+    for s in range(0, rank, _FFT_ROWS):
+        t_fe, t_b, c[s:s + _FFT_ROWS], d[s:s + _FFT_ROWS] = terms(q[s:s + _FFT_ROWS])
+        trace_fe += t_fe
+        b_sq += t_b
+    total = (tf_sq - 4.0 * trace_fe
+             + 2.0 * float(np.einsum("ij,ji->", c, c)) + 2.0 * float(np.einsum("ij,ji->", d, d)))
+
+    def residual_sq(probes):
+        z = e_up(probes)
+        z -= np.einsum("lk,km->lm", np.einsum("lm,km->lk", z, q), q)
+        return float(np.einsum("lm,lm->", z, z))
+
+    res_sq = sum(residual_sq(_signs(hash64(seed, "residual", s),
+                                    min(_FFT_ROWS, _RESIDUAL_PROBES - s), m))
+                 for s in range(0, _RESIDUAL_PROBES, _FFT_ROWS))
+    res = math.sqrt(res_sq / _RESIDUAL_PROBES)
+    bound = res * (4.0 * math.sqrt(tf_sq) + 8.0 * math.sqrt(b_sq) + 4.0 * res)
+    return total, (bound / total if total > 0.0 else math.inf)
+
+
+class _Sum(float):
+    """An unscaled contraction sum with its estimated relative error."""
+
+    __slots__ = ("error",)
+
+    def __new__(cls, value: float, error: float = 0.0):
+        obj = super().__new__(cls, value)
+        obj.error = error
+        return obj
+
+
 @functools.lru_cache(maxsize=CONTRACTION_CACHE_SIZE)
-def _unscaled_contraction(h: float, q: int, r: int, m: int) -> float:
-    """Tr((T_a T_b)^2) with a = rho^r, b = rho^{q-r} on a block of size m."""
+def _unscaled_contraction(h: float, q: int, r: int, m: int) -> _Sum:
+    """Tr((T_a T_b)^2) with a = rho^r, b = rho^{q-r} on a block of size m.
+
+    The value carries ``.error``, the estimated relative error of a low-rank
+    sum and 0.0 for the exact lattice pass and the closed form.
+    """
     if h == 0.5:
-        return float(m)  # rho has one-point support, so T_a = T_b = I
+        return _Sum(m)  # rho has one-point support, so T_a = T_b = I
     rho_tab = rho(h, np.arange(2 * m - 1))
-    return _quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)
+    a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
+    if m >= LOWRANK_CROSSOVER:
+        value, error = _lowrank_sum(a, b_ext, m, hash64("contraction", float(h).hex(), q, r, m))
+        if error < LOWRANK_TOLERANCE:
+            return _Sum(value, error)
+    return _Sum(_quad_sum(a, b_ext, m))
 
 
 def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
-    """||f (x)_r f||^2 in H^{(x 2(q-r))} via the gap-reindexed evaluator.
+    """||f (x)_r f||^2 in H^{(x 2(q-r))}.
 
-    Exact over the block, with H = 1/2 in closed form (rho has one-point
-    support there, so the lattice sum is the block size).  Orders r and
-    q - r share one cached lattice sum.
+    Exact over the block: the lattice pass below ``LOWRANK_CROSSOVER``, the
+    low-rank evaluator (to ``LOWRANK_TOLERANCE``) from it on, and H = 1/2 in
+    closed form (rho has one-point support there, so the lattice sum is the
+    block size).  Orders r and q - r share one cached sum.
     """
     q = f.rank
     if not 1 <= r <= q - 1:
@@ -228,6 +454,47 @@ def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
     h = check_hurst(h)
     total = _unscaled_contraction(h, q, min(r, q - r), f.size)
     return f.scale**4 * max(total, 0.0)
+
+
+def contraction_work(m: int, q: int) -> tuple[float, float]:
+    """Estimated (operations, bytes) of the contraction sums of one rank-q block of m points.
+
+    Orders r and q - r share a sum, so there are q // 2 of them.  Below
+    ``LOWRANK_CROSSOVER`` each is the lattice pass, m^2 operations; from it on
+    the low-rank evaluator, k m log2(m) operations and a k x m probe buffer
+    of 8 k m bytes, k = ``LOWRANK_PROBES``.
+    """
+    sums = q // 2
+    if m < LOWRANK_CROSSOVER:
+        return float(sums * m * m), 0.0
+    k = LOWRANK_PROBES
+    return sums * k * float(m) * math.log2(m), 8.0 * k * m
+
+
+def _check_work(fam: KernelFamily) -> None:
+    """Refuse a family whose largest block would take contraction work past the budget."""
+    m = max(f.size for f in fam.kernels)
+    ops, nbytes = contraction_work(m, fam.rank)
+    if ops > WORK_BUDGET or nbytes > MEMORY_BUDGET:
+        size = f"{m}" if m < 10**12 else f"{m:.3g}"
+        raise ValueError(
+            f"contraction work at n={fam.level}: block size {size}, q={fam.rank} needs an "
+            f"estimated {ops:.3g} operations and {nbytes / 2**20:.3g} MiB, past the budget "
+            f"of {WORK_BUDGET:.3g} operations and {MEMORY_BUDGET / 2**20:.3g} MiB; "
+            f"lower n or the last time"
+        )
+
+
+def contraction_error(fam: KernelFamily) -> float:
+    """Largest estimated relative error of the contraction sums behind ``fam``.
+
+    0.0 when every sum ran on the exact lattice pass or in closed form.  The
+    sums come from the contraction cache, so after ``wasserstein_bound`` on
+    the same family no sum runs again.
+    """
+    h, q = fam.hurst, fam.rank
+    return max((_unscaled_contraction(h, q, min(r, q - r), f.size).error
+                for f in fam.kernels for r in range(1, q)), default=0.0)
 
 
 def _pair_entry(a_target: float, f: StepKernel, g: StepKernel,
@@ -330,12 +597,16 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
     """Assembled bound prefactor(C) * sqrt(sum_ij pair_entry(C_ij, f_i, f_j)).
 
     Contraction norms are computed once per kernel and shared across the d^2
-    pair entries; the report retains every intermediate.
+    pair entries; the report retains every intermediate.  A family whose
+    largest block would need contraction work past ``WORK_BUDGET`` or
+    ``MEMORY_BUDGET`` (see :func:`contraction_work`) is refused with a
+    ``ValueError`` before any sum runs.
     """
     cov = as_covariance(c)
     d = fam.dim
     if cov.dim != d:
         raise ValueError(f"covariance dim {cov.dim} != family dim {d}")
+    _check_work(fam)
     h, q = fam.hurst, fam.rank
 
     contr = np.array(
@@ -423,14 +694,14 @@ def sharp_rate_exponent(h: float, q: int) -> float:
 def bound_curve(h: float, q: int, times, n_list, c) -> list[tuple[int, float]]:
     """wasserstein_bound for each n in the strictly increasing n_list.
 
-    sigma is computed once and shared across levels.
+    sigma is computed once and shared across levels.  Every level passes the
+    work check of :func:`wasserstein_bound` before the first one runs.
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     sigma = sigma_bm(h, q)
-    out = []
-    for n in n_list:
-        fam = kernel_family(h, q, n, times, sigma=sigma)
-        out.append((n, wasserstein_bound(fam, c).bound))
-    return out
+    fams = [kernel_family(h, q, n, times, sigma=sigma) for n in n_list]
+    for fam in fams:
+        _check_work(fam)
+    return [(fam.level, wasserstein_bound(fam, c).bound) for fam in fams]

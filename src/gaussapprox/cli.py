@@ -18,10 +18,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chaos import bound_curve, kernel_family, rate_exponent, wasserstein_bound
+from .chaos import (
+    bound_curve,
+    contraction_error,
+    kernel_family,
+    rate_exponent,
+    wasserstein_bound,
+)
 from .chatterjee import chatterjee_bound, family_from_config, gaussian_pair_bound
 from .empirical import fit_rate, malliavin_grams, simulate_bm_vector
 from .errors import GaussApproxError
+from .fgn import sigma_bm
 from .linalg import as_covariance, matrix_from_json, matrix_to_json, q_factor, hs_norm
 from .rng import hash64, standard_normals
 from .stein import (
@@ -131,7 +138,10 @@ def _cmd_bound(args) -> dict:
             "h": args.H, "q": args.q, "n": args.n, "times": list(times),
             "c": matrix_to_json(c), "threads": args.threads,
         },
-        "results": {"bound_report": report.to_json()},
+        "results": {
+            "bound_report": report.to_json(),
+            "diagnostics": {"contraction_error_max": contraction_error(fam)},
+        },
     }
 
 
@@ -141,6 +151,9 @@ def _cmd_rates(args) -> dict:
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
     curve = bound_curve(args.H, args.q, times, n_list, c)
     fit = fit_rate(curve)
+    sigma = sigma_bm(args.H, args.q)
+    error = max((contraction_error(kernel_family(args.H, args.q, n, times, sigma=sigma))
+                 for n in n_list), default=0.0)
     return {
         "subcommand": "rates",
         "config": {
@@ -151,6 +164,7 @@ def _cmd_rates(args) -> dict:
             "points": [[n, v] for n, v in curve],
             "fit": {"slope": fit.slope, "intercept": fit.intercept, "rss": fit.rss},
             "rate_exponent": rate_exponent(args.H, args.q),
+            "diagnostics": {"contraction_error_max": error},
         },
     }
 

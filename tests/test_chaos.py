@@ -335,3 +335,82 @@ def test_bound_curve_scaling_and_monotonicity():
 
     with pytest.raises(ValueError):
         bound_curve(0.5, 2, (0.0, 1.0), [100, 100], np.eye(1))
+
+
+def test_kernel_family_rejects_times_out_of_range():
+    for times in ((0.0, math.inf), (0.0, 1.0, math.nan), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="times must be finite"):
+            kernel_family(0.6, 2, 16, times)
+    with pytest.raises(ValueError, match="out of range"):
+        kernel_family(0.6, 2, 10, (0.0, 1e308))
+    with pytest.raises(ValueError, match="out of range"):
+        kernel_family(0.6, 2, 10**30, (0.0, 1.0))
+
+
+LOWRANK_CASES = [(h, q, r) for h in (0.3, 0.6, 0.7, 0.8) for q in (2, 3, 4)
+                 if h < 1.0 - 1.0 / (2 * q) for r in range(1, q // 2 + 1)]
+
+
+def test_lowrank_sum_matches_lattice_pass():
+    for m in (1024, 2048, 4096):
+        for h, q, r in LOWRANK_CASES:
+            rho_tab = rho(h, np.arange(2 * m - 1))
+            exact = chaos._quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)
+            fast = chaos._unscaled_contraction.__wrapped__(h, q, r, m)
+            assert 0.0 < fast.error < chaos.LOWRANK_TOLERANCE, (h, q, r, m)
+            assert abs(fast - exact) <= 1e-13 * exact, (h, q, r, m)
+
+
+def _count_evaluators(monkeypatch):
+    runs = {"lattice": [], "lowrank": []}
+    quad, lowrank = chaos._quad_sum, chaos._lowrank_sum
+
+    def counting_quad(a, b_ext, m):
+        runs["lattice"].append(m)
+        return quad(a, b_ext, m)
+
+    def counting_lowrank(a, b_ext, m, seed):
+        runs["lowrank"].append(m)
+        return lowrank(a, b_ext, m, seed)
+
+    monkeypatch.setattr(chaos, "_quad_sum", counting_quad)
+    monkeypatch.setattr(chaos, "_lowrank_sum", counting_lowrank)
+    chaos._unscaled_contraction.cache_clear()
+    return runs
+
+
+def test_contraction_dispatch_at_the_crossover(monkeypatch):
+    runs = _count_evaluators(monkeypatch)
+    m = chaos.LOWRANK_CROSSOVER
+    below = chaos._unscaled_contraction(0.7, 2, 1, m - 1)
+    assert runs == {"lattice": [m - 1], "lowrank": []} and below.error == 0.0
+    at = chaos._unscaled_contraction(0.7, 2, 1, m)
+    assert runs == {"lattice": [m - 1], "lowrank": [m]} and 0.0 < at.error
+    # the largest bound-grid level, blocks 376 and 564, stays on the lattice pass
+    fam = kernel_family(0.7, 3, 376, (0, 1, 2.5))
+    wasserstein_bound(fam, np.eye(2))
+    assert runs == {"lattice": [m - 1, 376, 564], "lowrank": [m]}
+    assert chaos.contraction_error(fam) == 0.0
+
+
+def test_lowrank_fallback_returns_lattice_bits(monkeypatch):
+    quad = chaos._quad_sum
+    runs = _count_evaluators(monkeypatch)
+    monkeypatch.setattr(chaos, "LOWRANK_TOLERANCE", 0.0)
+    m = chaos.LOWRANK_CROSSOVER
+    value = chaos._unscaled_contraction(0.6, 3, 1, m)
+    assert runs == {"lattice": [m], "lowrank": [m]}
+    rho_tab = rho(0.6, np.arange(2 * m - 1))
+    assert value == quad(rho_tab[:m], rho_tab**2, m)
+    assert value.error == 0.0
+
+
+def test_bound_curve_refuses_oversize_level_before_any_sum(monkeypatch):
+    runs = _count_evaluators(monkeypatch)
+    with pytest.raises(ValueError, match="contraction work at n=4194304: block size 4194304"):
+        bound_curve(0.7, 2, (0.0, 1.0), [128, 256, 4194304], np.eye(1))
+    assert runs == {"lattice": [], "lowrank": []}
+    # the deepest recorded rates level, 2^13, and m = 2^16 fit the budget at the largest rank
+    for m in (2**13, 2**16):
+        ops, nbytes = chaos.contraction_work(m, 20)
+        assert ops <= chaos.WORK_BUDGET and nbytes <= chaos.MEMORY_BUDGET

@@ -1,7 +1,12 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -317,3 +322,64 @@ def test_report_reproducible_from_embedded_config(argv):
     code2, out2 = run_cli(rebuilt)
     assert code2 == 0
     assert out2 == out  # byte-identical
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("subcommand", ["bound", "rates", "simulate", "malliavin"])
+def test_non_finite_times_exit_2(subcommand, value):
+    argv = [subcommand, *MINIMAL_ARGV[subcommand], "--times", f"0,1,{value}"]
+    code, out = run_cli(argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == f"times must be finite, got {value}"
+
+
+def test_oversize_rates_refused_before_any_level_runs():
+    t0 = time.perf_counter()
+    code, out = run_cli(["rates", "--H", "0.7", "--q", "2", "--n", "128,256,4194304"])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert "contraction work at n=4194304" in json.loads(out)["error"]["message"]
+    assert elapsed < 1.0
+
+
+def test_oversize_bound_refused_with_work_estimate():
+    code, out = run_cli(["bound", "--H", "0.7", "--q", "3", "--times", "0,1e300", "--n", "10"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("contraction work at n=10: block size 1e+301, q=3 needs an estimated ")
+
+
+def test_bound_and_rates_report_contraction_error():
+    small = ["--H", "0.7", "--q", "2", "--times", "0,1"]
+    blobs = {}
+    for key, argv in (("bound-lattice", ["bound", *small, "--n", "512"]),
+                      ("bound-lowrank", ["bound", *small, "--n", "2048"]),
+                      ("rates", ["rates", *small, "--n", "512,1024,2048"]),
+                      ("bound-half", ["bound", "--H", "0.5", "--q", "2", "--n", "4096"])):
+        code, out = run_cli(argv)
+        assert code == 0
+        blobs[key] = json.loads(out)["results"]["diagnostics"]["contraction_error_max"]
+    assert blobs["bound-lattice"] == blobs["bound-half"] == 0.0
+    assert 0.0 < blobs["bound-lowrank"] < 1e-13
+    # 2048 is the rates curve's largest estimate, and it comes from the cache
+    assert blobs["rates"] >= blobs["bound-lowrank"]
+    code, out = run_cli(["bound", *small, "--n", "2048"])
+    assert json.loads(out)["results"]["diagnostics"]["contraction_error_max"] == blobs["bound-lowrank"]
+
+
+def test_rates_report_independent_of_blas_threads():
+    # Fresh interpreters: an in-process rerun would read the contraction cache.
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "gaussapprox.cli", "rates", "--H", "0.7", "--q", "2",
+            "--times", "0,1", "--n", "1024,2048,4096,8192"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["results"]["diagnostics"]["contraction_error_max"] > 0.0
