@@ -10,8 +10,13 @@ where, after the substitution t = u^2 and with J the Jacobian of F,
     T(y) = J(y) K Jbar(y)^T,   Jbar(y) = int_0^1 E[J(u y + sqrt(1-u^2) Y)] du,
 
 that is T_ab(y) = int_0^1 sum_ij K(i,j) d_i f_a(y) E[d_j f_b(u y + sqrt(1-u^2) Y)] du.
-The interpolation nodes are those of the Stein solution U0, built by
-:func:`gaussapprox.stein.ou_points`.
+Jbar is the Ornstein-Uhlenbeck (Mehler) semigroup applied to J.  A family
+that knows it in closed form or by a 1-d rule carries ``mean_jacobian``: the
+linear map (Jbar = A), the quadratic forms (J is linear and E[Y] = 0, so
+Jbar = J / 2) and the componentwise maps (Jbar is diagonal, each entry a 1-d
+average, :func:`gaussapprox.stein.ou_rule_1d`).  Any other family averages J
+over the tensor nodes of the Stein solution U0, built by
+:func:`gaussapprox.stein.ou_points`; that path is also the tests' oracle.
 
 The outer expectation over Y and the inner expectation inside T_ab run on
 independent seeded streams.  Specializing to the identity map gives the
@@ -29,7 +34,7 @@ import numpy as np
 from .diff import fd_gradient
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
-from .stein import QuadratureSpec, default_quadrature, ou_points
+from .stein import DEFAULT_GH_ORDER, QuadratureSpec, default_quadrature, ou_points, ou_rule_1d
 
 __all__ = [
     "SmoothVectorFunction",
@@ -45,14 +50,25 @@ __all__ = [
 ]
 
 
+#: Jacobian (tensor rule) or phi' (1-d rule) evaluations t_ab_matrix holds at
+#: once: the tensor rule at n = 3 and order 8 has 32,768 nodes per point.
+T_AB_NODES = 2**16
+
+
 @dataclass(frozen=True, eq=False)
 class SmoothVectorFunction:
-    """An absolutely continuous map F: R^n -> R^d with an optional Jacobian oracle.
+    """An absolutely continuous map F: R^n -> R^d with optional Jacobian oracles.
 
     ``fn`` maps arrays of shape (..., n) to shape (..., d) and ``jacobian``
     maps them to shape (..., d, n).  Without a Jacobian oracle, central
-    differences are used.  Sub-exponential growth of F is the caller's
-    responsibility.
+    differences are used.  ``mean_jacobian(ys, k, u_nodes, order)`` maps a
+    batch ys of shape (m, n) and the CovarianceMatrix k of Y to Jbar at each
+    point, shape (m, d, n), using
+    ``u_nodes`` Gauss-Legendre nodes in u and, where it needs one, a
+    Gauss-Hermite rule of that ``order``; its ``inner_rule`` attribute names
+    the rule for the report (``"exact"`` or ``"gauss-hermite-1d"``).  Without
+    it, Jbar comes from the tensor rule (``"tensor"``).  Sub-exponential
+    growth of F is the caller's responsibility.
     """
 
     name: str
@@ -60,6 +76,7 @@ class SmoothVectorFunction:
     dim: int
     fn: object
     jacobian: object = None
+    mean_jacobian: object = None
 
     def jacobian_at(self, pts) -> np.ndarray:
         """Jacobian of F at each point of pts, shape (..., d, n)."""
@@ -73,23 +90,64 @@ class SmoothVectorFunction:
             out[row] = fd_gradient(self.fn, y, h)
         return out.reshape(pts.shape[:-1] + (self.dim, self.input_dim))
 
+    @property
+    def inner_rule(self) -> str:
+        return "tensor" if self.mean_jacobian is None else self.mean_jacobian.inner_rule
+
+
+def _inner_rule(name: str):
+    """Tag a ``mean_jacobian`` with the inner rule it uses."""
+    def tag(fn):
+        fn.inner_rule = name
+        return fn
+
+    return tag
+
 
 def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """All T_ab(y) at once: J(y) K Jbar(y)^T.
+    """All T_ab(y) at once: J(y) K Jbar(y)^T, for one point (n,) or a batch (m, n).
 
-    Jbar averages the Jacobian over the nodes of :func:`ou_points`:
-    Gauss-Legendre in u and the configured Gaussian rule for the inner mean.
+    Jbar comes from ``F.mean_jacobian`` at the Gauss-Hermite order of ``quad``
+    (:data:`~gaussapprox.stein.DEFAULT_GH_ORDER` for a Monte Carlo spec), or,
+    without it, from the Jacobian averaged over the nodes of :func:`ou_points`.
+    Either runs over the batch in chunks of at most ``T_AB_NODES`` evaluations
+    (one point at a time when a point needs more).  Returns shape (d, d) or
+    (m, d, d).
     """
     k = as_covariance(k)
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (k.dim,):
-        raise ValueError(f"point has shape {y.shape}, expected ({k.dim},)")
+    if y.ndim not in (1, 2) or y.shape[-1] != k.dim:
+        raise ValueError(f"points have shape {y.shape}, expected ({k.dim},) or (m, {k.dim})")
     if quad is None:
         quad = default_quadrature(k.dim)
-    _, wu, shifted, wts = ou_points(k, y, quad)
-    nodes = F.jacobian_at(shifted)  # (u_nodes, points, d, n)
-    mean_jac = wu @ (wts @ nodes.reshape(wu.size, wts.size, -1))
-    return F.jacobian_at(y) @ k.matrix @ mean_jac.reshape(F.dim, k.dim).T
+    t = _t_values(F, k, y.reshape(-1, k.dim), quad, _inner_order(quad))
+    return t.reshape(y.shape[:-1] + (F.dim, F.dim))
+
+
+def _inner_order(quad: QuadratureSpec) -> int:
+    return quad.gh_order if quad.gh_order is not None else DEFAULT_GH_ORDER
+
+
+def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
+              order: int) -> np.ndarray:
+    """T at each row of ys, shape (m, d, d), with Jbar's Gauss-Hermite order ``order``."""
+    u_nodes = quad.u_nodes
+    if F.mean_jacobian is None:
+        per_point = u_nodes * (quad.mc_size if quad.gh_order is None else quad.gh_order**k.dim)
+    else:
+        per_point = u_nodes * order * k.dim
+    step = max(1, T_AB_NODES // per_point)
+    mean_jac = np.empty((ys.shape[0], F.dim, k.dim))
+    for start in range(0, ys.shape[0], step):
+        chunk = ys[start:start + step]
+        if F.mean_jacobian is None:
+            _, wu, shifted, wts = ou_points(k, chunk, quad)
+            nodes = F.jacobian_at(shifted)  # (chunk, u_nodes, points, d, n)
+            flat = wu @ (wts @ nodes.reshape(chunk.shape[0], wu.size, wts.size, -1))
+            mean_jac[start:start + step] = flat.reshape(-1, F.dim, k.dim)
+        else:
+            mean_jac[start:start + step] = F.mean_jacobian(chunk, k, u_nodes, order)
+    return F.jacobian_at(ys) @ k.matrix @ np.swapaxes(mean_jac, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -98,7 +156,11 @@ class ChatterjeeReport:
 
     ``t_values[t, a, b]`` is T_ab at the t-th outer draw; ``entries_mean`` and
     ``entries_se`` are the per-(a, b) mean and standard error of
-    (C(a,b) - T_ab(Y))^2, so every entry is nonnegative.
+    (C(a,b) - T_ab(Y))^2, so every entry is nonnegative.  ``diagnostics``
+    names the inner rule behind Jbar and the Gauss-Hermite orders T was
+    evaluated at, the reported one first, and holds the largest |Delta T|
+    entry and |Delta bound| between the two (None for the tensor rule, which
+    runs once).
     """
 
     dim: int
@@ -111,6 +173,7 @@ class ChatterjeeReport:
     offsets: np.ndarray  # centering shifts applied to the components
     prefactor: float
     bound: float
+    diagnostics: dict
 
     def to_json(self) -> dict:
         return {
@@ -123,6 +186,7 @@ class ChatterjeeReport:
             "offsets": self.offsets.tolist(),
             "prefactor": self.prefactor,
             "bound": self.bound,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -133,6 +197,8 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
     If a component's sample mean exceeds 4 standard errors the zero-mean
     hypothesis is violated; a warning is emitted and the estimated mean is
     recorded as a centering offset (T_ab itself depends only on gradients).
+    With ``F.mean_jacobian``, T is evaluated again at twice the inner order,
+    and the difference is the reported inner-rule error.
     """
     k = as_covariance(k)
     c = as_covariance(c)
@@ -161,13 +227,21 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
             )
             offsets[j] = mean
 
-    t_values = np.empty((mc_size, d, d))
-    for t, y in enumerate(outer):
-        t_values[t] = t_ab_matrix(F, k, y, quad)
-    sq = (c.matrix[None, :, :] - t_values) ** 2
-    entries_mean = sq.mean(axis=0)
-    entries_se = sq.std(axis=0, ddof=1) / math.sqrt(mc_size)
+    t_values = t_ab_matrix(F, k, outer, quad)
     pref = prefactor(c)
+    entries_mean, entries_se, bound = _bound_terms(c, t_values, pref)
+    diagnostics = {"inner_rule": F.inner_rule, "orders": [],
+                   "t_error_max": None, "bound_error": None}
+    if F.mean_jacobian is not None:
+        order = _inner_order(quad)
+        t_check = _t_values(F, k, outer, quad, 2 * order)
+        diagnostics.update(
+            orders=[order, 2 * order],
+            t_error_max=float(np.max(np.abs(t_check - t_values))),
+            bound_error=abs(_bound_terms(c, t_check, pref)[2] - bound),
+        )
+    elif quad.gh_order is not None:
+        diagnostics["orders"].append(quad.gh_order)
     return ChatterjeeReport(
         dim=d,
         input_dim=k.dim,
@@ -178,8 +252,17 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
         entries_se=entries_se,
         offsets=offsets,
         prefactor=pref,
-        bound=float(pref * math.sqrt(float(np.sum(entries_mean)))),
+        bound=bound,
+        diagnostics=diagnostics,
     )
+
+
+def _bound_terms(c, t_values: np.ndarray, pref: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """MC mean and standard error of (C(a,b) - T_ab)^2 over the draws, and the bound."""
+    sq = (c.matrix[None, :, :] - t_values) ** 2
+    entries_mean = sq.mean(axis=0)
+    entries_se = sq.std(axis=0, ddof=1) / math.sqrt(t_values.shape[0])
+    return entries_mean, entries_se, float(pref * math.sqrt(float(np.sum(entries_mean))))
 
 
 def gaussian_pair_bound(k, c) -> float:
@@ -207,10 +290,17 @@ def linear_map_family(a) -> SmoothVectorFunction:
     if a.ndim != 2:
         raise ValueError("expected a (d, n) matrix")
     d, n = a.shape
+
+    def jacobian(pts):
+        return np.broadcast_to(a, pts.shape[:-1] + (d, n))
+
+    @_inner_rule("exact")
+    def mean_jacobian(ys, k, u_nodes, order):
+        return jacobian(ys)
+
     return SmoothVectorFunction(
         name="linear", input_dim=n, dim=d,
-        fn=lambda y: y @ a.T,
-        jacobian=lambda pts: np.broadcast_to(a, pts.shape[:-1] + (d, n)),
+        fn=lambda y: y @ a.T, jacobian=jacobian, mean_jacobian=mean_jacobian,
     )
 
 
@@ -228,10 +318,19 @@ def quadratic_form_family(mats, k=None) -> SmoothVectorFunction:
                        for q in mats])
     # column block j is Q_j + Q_j^T, so pts @ sym holds every gradient at once
     sym = np.concatenate([q + q.T for q in mats], axis=1)
+
+    def jacobian(pts):
+        return (pts @ sym).reshape(pts.shape[:-1] + (d, n))
+
+    @_inner_rule("exact")
+    def mean_jacobian(ys, k, u_nodes, order):
+        # J is linear and E[Y] = 0, so Jbar(y) = int_0^1 u J(y) du
+        return 0.5 * jacobian(ys)
+
     return SmoothVectorFunction(
         name="quadratic", input_dim=n, dim=d,
         fn=lambda y: np.einsum("...i,jik,...k->...j", y, forms, y) - traces,
-        jacobian=lambda pts: (pts @ sym).reshape(pts.shape[:-1] + (d, n)),
+        jacobian=jacobian, mean_jacobian=mean_jacobian,
     )
 
 
@@ -247,13 +346,24 @@ def componentwise_family(kind: str, n: int) -> SmoothVectorFunction:
         raise ValueError(f"unknown componentwise kind {kind!r}; choose from {sorted(kinds)}")
     phi, dphi = kinds[kind]
 
-    def jacobian(pts):
-        out = np.zeros(pts.shape + (n,))
-        out.reshape(-1, n * n)[:, :: n + 1] = dphi(pts).reshape(-1, n)
+    def diagonal(vals):
+        out = np.zeros(vals.shape + (n,))
+        out.reshape(-1, n * n)[:, :: n + 1] = vals.reshape(-1, n)
         return out
 
+    def jacobian(pts):
+        return diagonal(dphi(pts))
+
+    @_inner_rule("gauss-hermite-1d")
+    def mean_jacobian(ys, k, u_nodes, order):
+        # Jbar(y)_jj = int_0^1 E phi'(u y_j + sqrt(1 - u^2) sqrt(K_jj) xi) du
+        u, s, w = ou_rule_1d(u_nodes, order)
+        scale = np.sqrt(np.diag(k.matrix))[:, None]
+        return diagonal(dphi(ys[..., None] * u + scale * s) @ w)
+
     return SmoothVectorFunction(
-        name=f"componentwise-{kind}", input_dim=n, dim=n, fn=phi, jacobian=jacobian
+        name=f"componentwise-{kind}", input_dim=n, dim=n, fn=phi,
+        jacobian=jacobian, mean_jacobian=mean_jacobian,
     )
 
 

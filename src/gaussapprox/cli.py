@@ -29,7 +29,7 @@ from .chatterjee import chatterjee_bound, family_from_config, gaussian_pair_boun
 from .empirical import fit_rate, malliavin_grams, simulate_bm_vector
 from .errors import GaussApproxError
 from .fgn import sigma_bm
-from .linalg import as_covariance, matrix_from_json, matrix_to_json, q_factor, hs_norm
+from .linalg import as_covariance, hs_norm, matrix_from_json, matrix_to_json, prefactor, q_factor
 from .rng import hash64, standard_normals
 from .stein import (
     QuadratureSpec,
@@ -99,6 +99,8 @@ def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int 
 
 
 def _quadrature(args, d: int) -> QuadratureSpec:
+    if args.mc_inner is not None and args.quad_gh_order is not None:
+        raise ValueError("--mc-inner and --quad-gh-order select different inner rules; give one")
     if args.mc_inner is not None:
         return QuadratureSpec(
             u_nodes=args.quad_unodes, gh_order=None,
@@ -228,8 +230,10 @@ def _cmd_malliavin(args) -> dict:
 
 
 def _cmd_stein_check(args) -> dict:
-    c = _parse_matrix(args.C, args.matrix_file, "C", args.d)
+    c = _parse_matrix(args.C, args.matrix_file, "C", 2 if args.d is None else args.d)
     cov = as_covariance(c)
+    if args.d is not None and cov.dim != args.d:
+        raise ValueError(f"--d {args.d} disagrees with C of dim {cov.dim}")
     quad = _quadrature(args, cov.dim)
     if cov.dim == 2:
         pts = grid_points(args.grid_lo, args.grid_hi, args.grid_steps, d=2)
@@ -285,6 +289,9 @@ def _cmd_gaussian_pair(args) -> dict:
             "q_factor": q_factor(ccov, kcov),
             "hs_distance": hs_norm(ccov.matrix - kcov.matrix),
             "bound": gaussian_pair_bound(kcov, ccov),
+            "diagnostics": {
+                "cond_c": ccov.cond, "cond_k": kcov.cond, "prefactor_c": prefactor(ccov),
+            },
         },
     }
 
@@ -347,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stein-check", help="Stein equation residual and Hessian bound")
     common(p, matrices=True, seed=True, quad=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None,
+                   help="dimension of the identity target without --C (default 2)")
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")
     p.add_argument("--grid-lo", type=_finite_float, default=-3.0)
     p.add_argument("--grid-hi", type=_finite_float, default=3.0)

@@ -110,6 +110,11 @@ class CovarianceMatrix:
     def lambda_min(self) -> float:
         return float(self.spectrum[-1])
 
+    @property
+    def cond(self) -> float:
+        """Spectral condition number lambda_max / lambda_min."""
+        return float(self.spectrum[0] / self.spectrum[-1])
+
     def entry(self, i: int, j: int) -> float:
         return float(self.matrix[i, j])
 

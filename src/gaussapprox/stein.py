@@ -44,6 +44,7 @@ __all__ = [
     "QuadratureSpec",
     "default_quadrature",
     "ou_points",
+    "ou_rule_1d",
     "u0_apply",
     "mean_under_target",
     "u0_gradient",
@@ -62,6 +63,9 @@ __all__ = [
 
 #: Dimension above which the inner Gaussian rule defaults to Monte Carlo.
 GH_MAX_DIM = 4
+
+#: Gauss-Hermite order of ``QuadratureSpec`` unless configured.
+DEFAULT_GH_ORDER = 8
 
 #: FD slack multiplier accepted in the Hessian bound check.
 HESSIAN_FD_SLACK = 1e-2
@@ -108,7 +112,7 @@ class QuadratureSpec:
     """
 
     u_nodes: int = 64
-    gh_order: int | None = 8
+    gh_order: int | None = DEFAULT_GH_ORDER
     mc_size: int | None = None
     mc_seed: int = 0
 
@@ -143,6 +147,13 @@ def _legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@functools.lru_cache(maxsize=64)
+def _hermite_std(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights integrating E[phi(xi)], xi ~ N(0, 1)."""
+    x, w = np.polynomial.hermite_e.hermegauss(order)
+    return x, w / math.sqrt(2.0 * math.pi)
+
+
 #: Gaussian rules kept in memory; a tensor rule has gh_order^d points.
 RULE_CACHE_SIZE = 64
 
@@ -164,8 +175,7 @@ def _gaussian_rule(matrix_bytes: bytes, d: int, quad_key: tuple) -> tuple[np.nda
     if gh_order is not None:
         if gh_order**d > 10**7:
             raise ValueError("tensor Gauss-Hermite rule too large; use mc_size")
-        x, w = np.polynomial.hermite_e.hermegauss(gh_order)
-        w = w / math.sqrt(2.0 * math.pi)
+        x, w = _hermite_std(gh_order)
         grids = np.meshgrid(*([x] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         wts = np.prod(
@@ -205,6 +215,24 @@ def ou_points(cov: CovarianceMatrix, x: np.ndarray,
     pts, wts = gaussian_rule(cov, quad)
     shifted = u[:, None, None] * x[..., None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts
     return u, wu, shifted, wts
+
+
+@functools.lru_cache(maxsize=64)
+def ou_rule_1d(u_nodes: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Product rule of a 1-d OU average int_0^1 E[h(u x + sqrt(1 - u^2) xi)] du, xi ~ N(0, 1).
+
+    Returns ``(u, s, w)``, each of length ``u_nodes * order``: the average is
+    ``sum_p w[p] h(u[p] x + s[p])``, with Gauss-Legendre in u and Gauss-Hermite
+    of the given order in xi; for xi ~ N(0, v), scale ``s`` by sqrt(v).
+    Cached, so the arrays are read-only.
+    """
+    u, wu = _legendre_01(u_nodes)
+    xi, wxi = _hermite_std(order)
+    rule = (np.repeat(u, order), (np.sqrt(1.0 - u**2)[:, None] * xi).ravel(),
+            np.outer(wu, wxi).ravel())
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -272,7 +273,10 @@ def _t_ab_per_component(gradients, k, y, quad):
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_t_ab_matrix_matches_per_component_loop(case):
+    # the loop averages over the tensor nodes, so it checks the tensor path;
+    # the structured families' own rules are checked against that path below
     fam, gradients = REFERENCE_CASES[case]
+    fam = dataclasses.replace(fam, mean_jacobian=None)
     for y in (np.array([0.3, -0.8, 1.1]), np.array([-1.5, 0.2, 0.6])):
         got = t_ab_matrix(fam, K3, y, QUAD_SMALL)
         ref = _t_ab_per_component(gradients, K3, y, QUAD_SMALL)
@@ -291,3 +295,86 @@ def test_family_jacobian_matches_fd_of_fn(case):
     for idx in np.ndindex(2, 3):
         fd = fd_gradient(fam.fn, pts[idx], 1e-5)
         np.testing.assert_allclose(jac[idx], fd, rtol=1e-6, atol=1e-9)
+
+
+# The structured families' Jbar against the tensor rule, which is their oracle.
+OUTER = np.random.default_rng(11).multivariate_normal(np.zeros(3), K3.matrix, size=7)
+K3_DIAG = CovarianceMatrix.from_matrix(np.diag([1.0, 0.5, 2.0]))
+
+
+def _tensor(fam):
+    return dataclasses.replace(fam, mean_jacobian=None)
+
+
+@pytest.mark.parametrize("case", ["linear", "quadratic"])
+def test_exact_mean_jacobian_matches_tensor_rule(case):
+    fam, _ = REFERENCE_CASES[case]
+    assert fam.inner_rule == "exact" and _tensor(fam).inner_rule == "tensor"
+    got = t_ab_matrix(fam, K3, OUTER, QUAD_SMALL)
+    ref = t_ab_matrix(_tensor(fam), K3, OUTER, QUAD_SMALL)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", sorted(DPHI))
+def test_componentwise_1d_rule_is_tensor_rule_for_diagonal_k(kind):
+    # a diagonal K factorizes the tensor rule into the 1-d rule of the same order
+    fam = componentwise_family(kind, 3)
+    assert fam.inner_rule == "gauss-hermite-1d"
+    got = t_ab_matrix(fam, K3_DIAG, OUTER, QUAD_SMALL)
+    ref = t_ab_matrix(_tensor(fam), K3_DIAG, OUTER, QUAD_SMALL)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sin"])
+def test_reported_inner_error_tracks_the_true_error(kind):
+    # correlated K: the tensor rule no longer factorizes, so judge the
+    # reported two-order difference by the distance to an order-128 1-d rule
+    fam = componentwise_family(kind, 3)
+    quad = QuadratureSpec(u_nodes=64, gh_order=8)
+    rep = chatterjee_bound(fam, K3, np.eye(3), mc_size=50, seed=4, quad=quad)
+    ref = t_ab_matrix(fam, K3, _outer_draws(K3, 50, 4), QuadratureSpec(u_nodes=64, gh_order=128))
+    true_error = float(np.max(np.abs(rep.t_values - ref)))
+    diag = rep.diagnostics
+    assert diag["inner_rule"] == "gauss-hermite-1d" and diag["orders"] == [8, 16]
+    assert true_error / 2.0 <= diag["t_error_max"] <= 2.0 * true_error
+    assert diag["bound_error"] <= rep.bound
+
+
+def _outer_draws(k, mc_size, seed):
+    from gaussapprox.linalg import sample_gaussian
+    from gaussapprox.rng import hash64
+
+    return sample_gaussian(k, mc_size, hash64(seed, "chatterjee-outer")).values
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_t_ab_batch_equals_single_point_calls(case):
+    fam, _ = REFERENCE_CASES[case]
+    batch = t_ab_matrix(fam, K3, OUTER, QUAD_SMALL)
+    single = np.stack([t_ab_matrix(fam, K3, y, QUAD_SMALL) for y in OUTER])
+    assert batch.shape == (OUTER.shape[0], fam.dim, fam.dim)
+    # equal up to the last bits a BLAS product of another shape may change
+    np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+
+def test_t_ab_rejects_misshapen_points():
+    fam = linear_map_family(A23)
+    for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match="expected"):
+            t_ab_matrix(fam, K3, bad, QUAD_SMALL)
+
+
+def test_chatterjee_diagnostics_per_inner_rule():
+    k = CovarianceMatrix.from_matrix(np.eye(2))
+    lin = linear_map_family(np.array([[1.0, 0.3], [0.2, 0.8]]))
+    rep = chatterjee_bound(lin, k, k, mc_size=10, seed=1, quad=QUAD)
+    assert rep.diagnostics == {"inner_rule": "exact", "orders": [8, 16],
+                               "t_error_max": 0.0, "bound_error": 0.0}
+    rep = chatterjee_bound(_tensor(lin), k, k, mc_size=10, seed=1, quad=QUAD)
+    assert rep.diagnostics == {"inner_rule": "tensor", "orders": [8],
+                               "t_error_max": None, "bound_error": None}
+    # a Monte Carlo spec runs the 1-d rule at the default Gauss-Hermite order
+    mc = QuadratureSpec(u_nodes=32, gh_order=None, mc_size=1000)
+    rep = chatterjee_bound(componentwise_family("tanh", 2), k, k, mc_size=10, seed=1, quad=mc)
+    assert rep.diagnostics["orders"] == [8, 16]
+    assert 0.0 < rep.diagnostics["t_error_max"] < 1e-2

@@ -257,6 +257,58 @@ def test_gaussian_pair_subcommand():
     assert res["q_factor"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_gaussian_pair_report_carries_conditioning():
+    code, out = run_cli(["gaussian-pair", "--C", "[[4.0, 0.0], [0.0, 1.0]]",
+                         "--K", "[[2.0, 0.0], [0.0, 0.5]]"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert set(res) == {"q_factor", "hs_distance", "bound", "diagnostics"}
+    assert res["diagnostics"] == {"cond_c": 4.0, "cond_k": 4.0, "prefactor_c": 2.0}
+
+
+@pytest.mark.parametrize("functions, rule", [
+    ('{"type": "linear", "matrix": [[1.0, 0.5]]}', "exact"),
+    ('{"type": "quadratic", "matrices": [[[1.0, 0.0], [0.0, -1.0]]]}', "exact"),
+    ('{"type": "componentwise", "kind": "tanh", "n": 2}', "gauss-hermite-1d"),
+])
+def test_chatterjee_report_carries_inner_rule_error(functions, rule):
+    argv = ["chatterjee", "--K", "[[1.0, 0.3], [0.3, 1.0]]", "--m", "20", "--functions", functions]
+    reports = [json.loads(run_cli(argv + extra)[1]) for extra in ([], ["--mc-inner", "1000"])]
+    for report in reports:
+        diag = report["results"]["diagnostics"]
+        assert set(diag) == {"inner_rule", "orders", "t_error_max", "bound_error"}
+        assert diag["inner_rule"] == rule and diag["orders"] == [8, 16]
+        assert 0.0 <= diag["t_error_max"] < 1e-2 and 0.0 <= diag["bound_error"] < 1e-2
+    # the 1-d rule reads no Monte Carlo nodes, so both specs give one result
+    assert reports[0]["results"] == reports[1]["results"]
+
+
+@pytest.mark.parametrize("subcommand", ["stein-check", "chatterjee"])
+def test_conflicting_inner_rule_flags_exit_2(subcommand):
+    code, out = run_cli([subcommand, *MINIMAL_ARGV[subcommand],
+                         "--mc-inner", "1000", "--quad-gh-order", "6"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "--mc-inner" in err["message"] and "--quad-gh-order" in err["message"]
+
+
+def test_stein_check_dimension_flag():
+    small = ["--grid-steps", "2", "--functions", "first_coordinate"]
+    code, out = run_cli(["stein-check", "--d", "3", "--C", "[[1.0, 0.2], [0.2, 1.0]]", *small])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "--d 3 disagrees with C of dim 2"
+    # a matching --d, or none, changes nothing; --d alone sets the identity's dim
+    _, plain = run_cli(["stein-check", "--C", "[[1.0, 0.2], [0.2, 1.0]]", *small])
+    _, matching = run_cli(["stein-check", "--d", "2", "--C", "[[1.0, 0.2], [0.2, 1.0]]", *small])
+    assert matching == plain
+    code, out = run_cli(["stein-check", "--d", "3", *small])
+    assert code == 0
+    assert json.loads(out)["config"]["c"]["dim"] == 3
+    _, default = run_cli(["stein-check", *small])
+    assert json.loads(default)["config"]["c"]["rows"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_matrix_file_input(tmp_path):
     mf = tmp_path / "mats.json"
     mf.write_text(json.dumps({"C": {"dim": 1, "rows": [[4.0]]}, "K": {"dim": 1, "rows": [[1.0]]}}))
