@@ -34,7 +34,8 @@ import numpy as np
 from .diff import fd_gradient
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
-from .stein import DEFAULT_GH_ORDER, QuadratureSpec, default_quadrature, ou_points, ou_rule_1d
+from .stein import (DEFAULT_GH_ORDER, OU_NODES, QuadratureSpec, default_quadrature, gaussian_rule,
+                    ou_points, ou_rule_1d)
 
 __all__ = [
     "SmoothVectorFunction",
@@ -48,11 +49,6 @@ __all__ = [
     "componentwise_family",
     "family_from_config",
 ]
-
-
-#: Jacobian (tensor rule) or phi' (1-d rule) evaluations t_ab_matrix holds at
-#: once: the tensor rule at n = 3 and order 8 has 32,768 nodes per point.
-T_AB_NODES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +106,9 @@ def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = Non
     Jbar comes from ``F.mean_jacobian`` at the Gauss-Hermite order of ``quad``
     (:data:`~gaussapprox.stein.DEFAULT_GH_ORDER` for a Monte Carlo spec), or,
     without it, from the Jacobian averaged over the nodes of :func:`ou_points`.
-    Either runs over the batch in chunks of at most ``T_AB_NODES`` evaluations
-    (one point at a time when a point needs more).  Returns shape (d, d) or
-    (m, d, d).
+    Either holds at most :data:`~gaussapprox.stein.OU_NODES` evaluations at a
+    time, in blocks of points; the tensor rule splits one point's sum over
+    u-nodes when that point has more.  Returns shape (d, d) or (m, d, d).
     """
     k = as_covariance(k)
     y = np.asarray(y, dtype=np.float64)
@@ -131,23 +127,35 @@ def _inner_order(quad: QuadratureSpec) -> int:
 def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
               order: int) -> np.ndarray:
     """T at each row of ys, shape (m, d, d), with Jbar's Gauss-Hermite order ``order``."""
-    u_nodes = quad.u_nodes
     if F.mean_jacobian is None:
-        per_point = u_nodes * (quad.mc_size if quad.gh_order is None else quad.gh_order**k.dim)
+        mean_jac = _tensor_mean_jacobian(F, k, ys, quad)
     else:
-        per_point = u_nodes * order * k.dim
-    step = max(1, T_AB_NODES // per_point)
-    mean_jac = np.empty((ys.shape[0], F.dim, k.dim))
-    for start in range(0, ys.shape[0], step):
-        chunk = ys[start:start + step]
-        if F.mean_jacobian is None:
-            _, wu, shifted, wts = ou_points(k, chunk, quad)
-            nodes = F.jacobian_at(shifted)  # (chunk, u_nodes, points, d, n)
-            flat = wu @ (wts @ nodes.reshape(chunk.shape[0], wu.size, wts.size, -1))
-            mean_jac[start:start + step] = flat.reshape(-1, F.dim, k.dim)
-        else:
-            mean_jac[start:start + step] = F.mean_jacobian(chunk, k, u_nodes, order)
+        mean_jac = np.empty((len(ys), F.dim, k.dim))
+        step = max(1, OU_NODES // (quad.u_nodes * order * k.dim))
+        for lo in range(0, len(ys), step):
+            mean_jac[lo:lo + step] = F.mean_jacobian(ys[lo:lo + step], k, quad.u_nodes, order)
     return F.jacobian_at(ys) @ k.matrix @ np.swapaxes(mean_jac, -1, -2)
+
+
+def _tensor_mean_jacobian(F: SmoothVectorFunction, k, ys: np.ndarray,
+                          quad: QuadratureSpec) -> np.ndarray:
+    """Jbar at each row of ys, shape (m, d, n), over the tensor nodes of :func:`ou_points`.
+
+    The Gaussian-rule sum of each (point, u-node) is kept apart, so splitting
+    a point's u-nodes over blocks leaves its bits unchanged.
+    """
+    u_nodes, points = quad.u_nodes, gaussian_rule(k, quad)[1].size
+    u_step = max(1, min(u_nodes, OU_NODES // points))
+    p_step = max(1, OU_NODES // (u_nodes * points))
+    mean_jac = np.empty((len(ys), F.dim, k.dim))
+    for lo in range(0, len(ys), p_step):
+        _, wu, shifted, wts = ou_points(k, ys[lo:lo + p_step], quad)
+        inner = np.empty((len(shifted), u_nodes, F.dim * k.dim))
+        for a in range(0, u_nodes, u_step):
+            nodes = F.jacobian_at(shifted[:, a:a + u_step])  # (block, u_step, points, d, n)
+            inner[:, a:a + u_step] = wts @ nodes.reshape(nodes.shape[:3] + (-1,))
+        mean_jac[lo:lo + p_step] = (wu @ inner).reshape(-1, F.dim, k.dim)
+    return mean_jac
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ carry a machine-readable error object.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ from .fgn import sigma_bm
 from .linalg import as_covariance, hs_norm, matrix_from_json, matrix_to_json, prefactor, q_factor
 from .rng import hash64, standard_normals
 from .stein import (
+    DEFAULT_GH_ORDER,
     QuadratureSpec,
     default_quadrature,
     grid_points,
@@ -98,7 +100,8 @@ def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int 
     return np.asarray(obj, dtype=np.float64)
 
 
-def _quadrature(args, d: int) -> QuadratureSpec:
+def _stein_quadrature(args, d: int) -> QuadratureSpec:
+    """The inner rule of ``stein-check``: Monte Carlo, a tensor rule, or the default for d."""
     if args.mc_inner is not None and args.quad_gh_order is not None:
         raise ValueError("--mc-inner and --quad-gh-order select different inner rules; give one")
     if args.mc_inner is not None:
@@ -111,15 +114,6 @@ def _quadrature(args, d: int) -> QuadratureSpec:
     return default_quadrature(d, u_nodes=args.quad_unodes, mc_seed=hash64(args.seed, "inner"))
 
 
-def _quad_config(quad: QuadratureSpec) -> dict:
-    return {
-        "u_nodes": quad.u_nodes,
-        "gh_order": quad.gh_order,
-        "mc_size": quad.mc_size,
-        "mc_seed": quad.mc_seed,
-    }
-
-
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True) + "\n"
     if out_path:
@@ -129,25 +123,23 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_bound(args) -> dict:
+# Each _cmd_* returns the report's config and results; main adds the
+# subcommand name and config.threads.
+
+
+def _cmd_bound(args) -> tuple[dict, dict]:
     times = _parse_times(args.times)
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
     fam = kernel_family(args.H, args.q, args.n, times)
     report = wasserstein_bound(fam, c)
-    return {
-        "subcommand": "bound",
-        "config": {
-            "h": args.H, "q": args.q, "n": args.n, "times": list(times),
-            "c": matrix_to_json(c), "threads": args.threads,
-        },
-        "results": {
-            "bound_report": report.to_json(),
-            "diagnostics": {"contraction_error_max": contraction_error(fam)},
-        },
+    config = {"h": args.H, "q": args.q, "n": args.n, "times": list(times), "c": matrix_to_json(c)}
+    return config, {
+        "bound_report": report.to_json(),
+        "diagnostics": {"contraction_error_max": contraction_error(fam)},
     }
 
 
-def _cmd_rates(args) -> dict:
+def _cmd_rates(args) -> tuple[dict, dict]:
     times = _parse_times(args.times)
     n_list = _parse_n_list(args.n)
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
@@ -156,22 +148,16 @@ def _cmd_rates(args) -> dict:
     sigma = sigma_bm(args.H, args.q)
     error = max((contraction_error(kernel_family(args.H, args.q, n, times, sigma=sigma))
                  for n in n_list), default=0.0)
-    return {
-        "subcommand": "rates",
-        "config": {
-            "h": args.H, "q": args.q, "n_list": n_list, "times": list(times),
-            "c": matrix_to_json(c), "threads": args.threads,
-        },
-        "results": {
-            "points": [[n, v] for n, v in curve],
-            "fit": {"slope": fit.slope, "intercept": fit.intercept, "rss": fit.rss},
-            "rate_exponent": rate_exponent(args.H, args.q),
-            "diagnostics": {"contraction_error_max": error},
-        },
+    config = {"h": args.H, "q": args.q, "n_list": n_list, "times": list(times), "c": matrix_to_json(c)}
+    return config, {
+        "points": [[n, v] for n, v in curve],
+        "fit": {"slope": fit.slope, "intercept": fit.intercept, "rss": fit.rss},
+        "rate_exponent": rate_exponent(args.H, args.q),
+        "diagnostics": {"contraction_error_max": error},
     }
 
 
-def _cmd_simulate(args) -> dict:
+def _cmd_simulate(args) -> tuple[dict, dict]:
     times = _parse_times(args.times)
     if args.m < 2:
         raise ValueError("simulate needs --m >= 2 (sample covariance)")
@@ -188,18 +174,14 @@ def _cmd_simulate(args) -> dict:
         with open(args.dump_samples, "w", encoding="utf-8", newline="\n") as fh:
             batch.to_csv(fh)
         results["samples_csv"] = args.dump_samples
-    return {
-        "subcommand": "simulate",
-        "config": {
-            "h": args.H, "q": args.q, "n": args.n, "times": list(times),
-            "m": args.m, "seed": args.seed, "threads": args.threads,
-            "dump_samples": args.dump_samples,
-        },
-        "results": results,
+    config = {
+        "h": args.H, "q": args.q, "n": args.n, "times": list(times),
+        "m": args.m, "seed": args.seed, "dump_samples": args.dump_samples,
     }
+    return config, results
 
 
-def _cmd_malliavin(args) -> dict:
+def _cmd_malliavin(args) -> tuple[dict, dict]:
     times = _parse_times(args.times)
     if args.m < 2:
         raise ValueError("malliavin needs --m >= 2 (standard errors)")
@@ -211,30 +193,26 @@ def _cmd_malliavin(args) -> dict:
     grams, min_ratio = malliavin_grams(fam, args.m, args.seed)
     dev_sq = (cov.matrix[None, :, :] - grams) ** 2
     lemma = wasserstein_bound(fam, cov).lemma_entries
-    return {
-        "subcommand": "malliavin",
-        "config": {
-            "h": args.H, "q": args.q, "n": args.n, "times": list(times),
-            "m": args.m, "seed": args.seed, "c": matrix_to_json(cov.matrix),
-            "threads": args.threads,
-        },
-        "results": {
-            "gram_mean": grams.mean(axis=0).tolist(),
-            "gram_se": (grams.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
-            "dev_sq_mean": dev_sq.mean(axis=0).tolist(),
-            "dev_sq_se": (dev_sq.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
-            "lemma_entries": lemma.tolist(),
-            "diagnostics": {"embedding_min_ratio": min_ratio},
-        },
+    config = {
+        "h": args.H, "q": args.q, "n": args.n, "times": list(times),
+        "m": args.m, "seed": args.seed, "c": matrix_to_json(cov.matrix),
+    }
+    return config, {
+        "gram_mean": grams.mean(axis=0).tolist(),
+        "gram_se": (grams.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
+        "dev_sq_mean": dev_sq.mean(axis=0).tolist(),
+        "dev_sq_se": (dev_sq.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
+        "lemma_entries": lemma.tolist(),
+        "diagnostics": {"embedding_min_ratio": min_ratio},
     }
 
 
-def _cmd_stein_check(args) -> dict:
+def _cmd_stein_check(args) -> tuple[dict, dict]:
     c = _parse_matrix(args.C, args.matrix_file, "C", 2 if args.d is None else args.d)
     cov = as_covariance(c)
     if args.d is not None and cov.dim != args.d:
         raise ValueError(f"--d {args.d} disagrees with C of dim {cov.dim}")
-    quad = _quadrature(args, cov.dim)
+    quad = _stein_quadrature(args, cov.dim)
     if cov.dim == 2:
         pts = grid_points(args.grid_lo, args.grid_hi, args.grid_steps, d=2)
     else:
@@ -244,54 +222,44 @@ def _cmd_stein_check(args) -> dict:
     registry = {f.name: f for f in lipschitz_test_functions(cov.dim)}
     chosen = [registry[n] for n in names] if names else list(registry.values())
     reports = [stein_report(g, cov, pts, quad) for g in chosen]
-    return {
-        "subcommand": "stein-check",
-        "config": {
-            "c": matrix_to_json(cov.matrix), "seed": args.seed,
-            "functions": [g.name for g in chosen],
-            "grid": {"lo": args.grid_lo, "hi": args.grid_hi, "steps": args.grid_steps},
-            "quadrature": _quad_config(quad), "threads": args.threads,
-        },
-        "results": {"checks": reports},
+    config = {
+        "c": matrix_to_json(cov.matrix), "seed": args.seed,
+        "functions": [g.name for g in chosen],
+        "grid": {"lo": args.grid_lo, "hi": args.grid_hi, "steps": args.grid_steps},
+        "quadrature": dataclasses.asdict(quad),
     }
+    return config, {"checks": reports}
 
 
-def _cmd_chatterjee(args) -> dict:
+def _cmd_chatterjee(args) -> tuple[dict, dict]:
     k = _parse_matrix(args.K, args.matrix_file, "K", None)
     kcov = as_covariance(k)
     fn_cfg = json.loads(args.functions) if args.functions else {"type": "componentwise", "kind": "identity", "n": kcov.dim}
     family = family_from_config(fn_cfg, k=kcov)
     c = _parse_matrix(args.C, args.matrix_file, "C", family.dim)
-    quad = _quadrature(args, kcov.dim)
+    # every family the CLI builds averages J exactly or by a 1-d Gauss-Hermite rule
+    order = DEFAULT_GH_ORDER if args.quad_gh_order is None else args.quad_gh_order
+    quad = QuadratureSpec(u_nodes=args.quad_unodes, gh_order=order)
     report = chatterjee_bound(family, kcov, c, mc_size=args.m, seed=args.seed, quad=quad)
-    return {
-        "subcommand": "chatterjee",
-        "config": {
-            "k": matrix_to_json(kcov.matrix), "c": matrix_to_json(np.asarray(c)),
-            "functions": fn_cfg, "m": args.m, "seed": args.seed,
-            "quadrature": _quad_config(quad), "threads": args.threads,
-        },
-        "results": report.to_json(),
+    config = {
+        "k": matrix_to_json(kcov.matrix), "c": matrix_to_json(np.asarray(c)),
+        "functions": fn_cfg, "m": args.m, "seed": args.seed,
+        "quadrature": dataclasses.asdict(quad),
     }
+    return config, report.to_json()
 
 
-def _cmd_gaussian_pair(args) -> dict:
+def _cmd_gaussian_pair(args) -> tuple[dict, dict]:
     c = _parse_matrix(args.C, args.matrix_file, "C", None)
     k = _parse_matrix(args.K, args.matrix_file, "K", None)
     ccov, kcov = as_covariance(c), as_covariance(k)
-    return {
-        "subcommand": "gaussian-pair",
-        "config": {
-            "c": matrix_to_json(ccov.matrix), "k": matrix_to_json(kcov.matrix),
-            "threads": args.threads,
-        },
-        "results": {
-            "q_factor": q_factor(ccov, kcov),
-            "hs_distance": hs_norm(ccov.matrix - kcov.matrix),
-            "bound": gaussian_pair_bound(kcov, ccov),
-            "diagnostics": {
-                "cond_c": ccov.cond, "cond_k": kcov.cond, "prefactor_c": prefactor(ccov),
-            },
+    config = {"c": matrix_to_json(ccov.matrix), "k": matrix_to_json(kcov.matrix)}
+    return config, {
+        "q_factor": q_factor(ccov, kcov),
+        "hs_distance": hs_norm(ccov.matrix - kcov.matrix),
+        "bound": gaussian_pair_bound(kcov, ccov),
+        "diagnostics": {
+            "cond_c": ccov.cond, "cond_k": kcov.cond, "prefactor_c": prefactor(ccov),
         },
     }
 
@@ -327,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         if quad:
             p.add_argument("--quad-unodes", type=int, default=64)
             p.add_argument("--quad-gh-order", type=int, default=None)
-            p.add_argument("--mc-inner", type=int, default=None)
 
     p = sub.add_parser("bound", help="Wasserstein bound for one discretization level")
     common(p, bm=True, matrices=True)
@@ -354,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stein-check", help="Stein equation residual and Hessian bound")
     common(p, matrices=True, seed=True, quad=True)
+    p.add_argument("--mc-inner", type=int, default=None)
     p.add_argument("--d", type=int, default=None,
                    help="dimension of the identity target without --C (default 2)")
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")
@@ -381,7 +349,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        config, results = args.func(args)
     except GaussApproxError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
         return 3
@@ -391,7 +359,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
         return 2
-    _emit(report, args.out)
+    config["threads"] = args.threads
+    _emit({"subcommand": args.subcommand, "config": config, "results": results}, args.out)
     return 0
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +69,10 @@ DEFAULT_GH_ORDER = 8
 #: FD slack multiplier accepted in the Hessian bound check.
 HESSIAN_FD_SLACK = 1e-2
 
-#: Quadrature nodes whose gradients and Hessians ``u0_derivatives`` holds at
-#: once: 512 KiB of Hessians at d = 2, 2 MiB at d = 4.
-DERIVATIVE_NODES = 2**14
+#: Nodes u x + sqrt(1 - u^2) z of the OU path whose oracle values one loop
+#: holds at once: Hessians in ``u0_derivatives`` (512 KiB at d = 2, 2 MiB at
+#: d = 4), Jacobians or phi' values in ``chatterjee.t_ab_matrix``.
+OU_NODES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +130,14 @@ class QuadratureSpec:
         return (self.u_nodes, self.gh_order, self.mc_size, self.mc_seed)
 
 
-def default_quadrature(d: int, u_nodes: int = 64, mc_size: int = 4000,
-                       mc_seed: int = 0) -> QuadratureSpec:
-    """QuadratureSpec's default tensor Gauss-Hermite for d <= 4, Monte Carlo beyond.
+def default_quadrature(d: int, u_nodes: int = 64, mc_seed: int = 0) -> QuadratureSpec:
+    """QuadratureSpec's default tensor Gauss-Hermite for d <= 4, 4000 Monte Carlo points beyond.
 
     A tensor rule has order^d points, so it explodes in d.
     """
     if d <= GH_MAX_DIM:
         return QuadratureSpec(u_nodes=u_nodes)
-    return QuadratureSpec(u_nodes=u_nodes, gh_order=None, mc_size=max(mc_size, 1000), mc_seed=mc_seed)
+    return QuadratureSpec(u_nodes=u_nodes, gh_order=None, mc_size=4000, mc_seed=mc_seed)
 
 
 @functools.lru_cache(maxsize=64)
@@ -187,19 +186,10 @@ def _gaussian_rule(matrix_bytes: bytes, d: int, quad_key: tuple) -> tuple[np.nda
     return z @ ell.T, np.full(mc_size, 1.0 / mc_size)
 
 
-# keyed on the live TestFunction so entries die with it (no id reuse)
-_mean_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def mean_under_target(g: TestFunction, cov, quad: QuadratureSpec) -> float:
-    """E[g(Z)] under the configured Gaussian rule, cached per (g, C, quad)."""
-    cov = as_covariance(cov)
-    per_fn = _mean_cache.setdefault(g, {})
-    key = (cov.matrix.tobytes(), quad.key())
-    if key not in per_fn:
-        pts, wts = gaussian_rule(cov, quad)
-        per_fn[key] = float(np.dot(g(pts), wts))
-    return per_fn[key]
+    """E[g(Z)] under the configured Gaussian rule."""
+    pts, wts = gaussian_rule(cov, quad)
+    return float(np.dot(g(pts), wts))
 
 
 def ou_points(cov: CovarianceMatrix, x: np.ndarray,
@@ -278,7 +268,7 @@ def u0_derivatives(g: TestFunction, cov, points,
     since the 1/u_i of the time integral cancels against d n_iz / dx = u_i.
     ``g`` must carry gradient and Hessian oracles.  ``points`` has shape
     (P, d) (or (d,) for one point); returns gradients (P, d) and Hessians
-    (P, d, d).  Oracle values are held for at most ``DERIVATIVE_NODES`` nodes
+    (P, d, d).  Oracle values are held for at most ``OU_NODES`` nodes
     at a time, in blocks of points or, when one point has more nodes, of
     u-nodes.  Each point's sums run in the same order whatever the other
     points, so a point gets the same bits alone as in a batch.
@@ -296,8 +286,8 @@ def u0_derivatives(g: TestFunction, cov, points,
     wts = gaussian_rule(cov, quad)[1]
     w_grad = np.outer(wu, wts)  # weight of grad g(n_iz)
     w_hess = np.outer(wu * u, wts)  # weight of Hess g(n_iz)
-    u_step = max(1, min(u.size, DERIVATIVE_NODES // wts.size))
-    p_step = max(1, DERIVATIVE_NODES // w_grad.size)
+    u_step = max(1, min(u.size, OU_NODES // wts.size))
+    p_step = max(1, OU_NODES // w_grad.size)
     grads = np.zeros((len(pts), d))
     hessians = np.zeros((len(pts), d * d))
     for lo in range(0, len(pts), p_step):
@@ -342,13 +332,13 @@ def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None,
     else:
         grad = u0_gradient(g, cov, x, quad, step=grad_step)
         hess = u0_hessian(g, cov, x, quad, step=hess_step)
-    return _residual(g, cov, x, quad, grad, hess)
+    return _residual(g, cov, x, mean_under_target(g, cov, quad), grad, hess)
 
 
-def _residual(g: TestFunction, cov: CovarianceMatrix, x: np.ndarray, quad: QuadratureSpec,
+def _residual(g: TestFunction, cov: CovarianceMatrix, x: np.ndarray, mean_gz: float,
               grad: np.ndarray, hess: np.ndarray) -> float:
-    """The Stein residual at x from the derivatives of U0g there."""
-    lhs = float(g(x)) - mean_under_target(g, cov, quad)
+    """The Stein residual at x from E g(Z) and the derivatives of U0g there."""
+    lhs = float(g(x)) - mean_gz
     rhs = float(np.dot(x, grad)) - hs_inner(cov.matrix, hess)
     return abs(lhs - rhs)
 
@@ -415,7 +405,8 @@ def stein_report(g: TestFunction, cov, points, quad: QuadratureSpec | None = Non
         quad = default_quadrature(cov.dim)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     grads, hessians = _derivatives(g, cov, pts, quad)
-    residuals = [_residual(g, cov, x, quad, grad, hess) for x, grad, hess in zip(pts, grads, hessians)]
+    mean_gz = mean_under_target(g, cov, quad)
+    residuals = [_residual(g, cov, x, mean_gz, grad, hess) for x, grad, hess in zip(pts, grads, hessians)]
     check = _bound_check(g, cov, [hs_norm(h) for h in hessians])
     return {
         "function": g.name,

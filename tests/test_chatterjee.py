@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussapprox import chatterjee
 from gaussapprox.chatterjee import (
     SmoothVectorFunction,
     chatterjee_bound,
@@ -355,6 +356,23 @@ def test_t_ab_batch_equals_single_point_calls(case):
     assert batch.shape == (OUTER.shape[0], fam.dim, fam.dim)
     # equal up to the last bits a BLAS product of another shape may change
     np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["tanh", "quadratic", "fd-fallback"])
+def test_t_ab_tensor_rule_chunked_over_u_nodes(case, monkeypatch):
+    # a node budget below one point's 16 x 6^3 nodes splits its sum over u-nodes
+    fam = _tensor(REFERENCE_CASES[case][0])
+    whole = t_ab_matrix(fam, K3, OUTER, QUAD_SMALL)
+    sizes = []
+
+    def recording(pts):
+        sizes.append(math.prod(pts.shape[:-1]))
+        return fam.jacobian_at(pts)
+
+    monkeypatch.setattr(chatterjee, "OU_NODES", 3 * 6**3)
+    split = t_ab_matrix(dataclasses.replace(fam, jacobian=recording), K3, OUTER, QUAD_SMALL)
+    assert max(sizes) == 3 * 6**3
+    np.testing.assert_array_equal(split, whole)
 
 
 def test_t_ab_rejects_misshapen_points():

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -65,10 +66,11 @@ def test_unknown_flag_exits_2():
     ["simulate", "--H", "0.5", "--q", "2", "--n", "10", "--C", "[[1.0]]"],
     ["simulate", "--H", "0.5", "--q", "2", "--n", "10", "--matrix-file", "m.json"],
     ["malliavin", "--H", "0.5", "--q", "2", "--n", "10", "--mc-inner", "4"],
+    ["chatterjee", "--K", "[[1.0]]", "--mc-inner", "1000"],
     ["gaussian-pair", "--C", "[[1.0]]", "--K", "[[1.0]]", "--quad-gh-order", "4"],
     ["gaussian-pair", "--C", "[[1.0]]", "--K", "[[1.0]]", "--seed", "1"],
 ], ids=["bound-seed", "rates-quad", "simulate-C", "simulate-matrix-file", "malliavin-mc-inner",
-        "gaussian-pair-quad", "gaussian-pair-seed"])
+        "chatterjee-mc-inner", "gaussian-pair-quad", "gaussian-pair-seed"])
 def test_flag_not_read_by_subcommand_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -166,6 +168,21 @@ def test_parser_covers_declared_subcommands():
 
     sub = build_parser()._subparsers._group_actions[0]
     assert set(sub.choices) == set(SUBCOMMANDS)
+
+
+def test_readme_flag_table_matches_parser():
+    from gaussapprox.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    common = re.search(r"Every subcommand takes `(--[\w-]+)` and `(--[\w-]+)`", readme).groups()
+    # a row is "| `name` | `--flags ...` (note) |"; the note may quote flags too
+    rows = re.findall(r"^\| `([\w-]+)` \| `(--[^`]+)`", readme, re.M)
+    table = {name: set(flags.split()) for name, flags in rows}
+    assert len(rows) == len(table) and set(table) == set(SUBCOMMANDS)
+    sub = build_parser()._subparsers._group_actions[0]
+    for name, parser in sub.choices.items():
+        registered = {opt for action in parser._actions for opt in action.option_strings}
+        assert registered - {"-h", "--help"} == table[name] | set(common), name
 
 
 def test_rates_subcommand():
@@ -273,17 +290,28 @@ def test_gaussian_pair_report_carries_conditioning():
 ])
 def test_chatterjee_report_carries_inner_rule_error(functions, rule):
     argv = ["chatterjee", "--K", "[[1.0, 0.3], [0.3, 1.0]]", "--m", "20", "--functions", functions]
-    reports = [json.loads(run_cli(argv + extra)[1]) for extra in ([], ["--mc-inner", "1000"])]
+    reports = [json.loads(run_cli(argv + extra)[1]) for extra in ([], ["--quad-gh-order", "8"])]
     for report in reports:
         diag = report["results"]["diagnostics"]
         assert set(diag) == {"inner_rule", "orders", "t_error_max", "bound_error"}
         assert diag["inner_rule"] == rule and diag["orders"] == [8, 16]
         assert 0.0 <= diag["t_error_max"] < 1e-2 and 0.0 <= diag["bound_error"] < 1e-2
-    # the 1-d rule reads no Monte Carlo nodes, so both specs give one result
+    # order 8 is the default, so both runs give one result
     assert reports[0]["results"] == reports[1]["results"]
 
 
-@pytest.mark.parametrize("subcommand", ["stein-check", "chatterjee"])
+def test_chatterjee_above_dim_four_echoes_the_rule_that_ran():
+    k5 = [[1.0 if i == j else 0.2 for j in range(5)] for i in range(5)]
+    functions = json.dumps({"type": "componentwise", "kind": "tanh", "n": 5})
+    code, out = run_cli(["chatterjee", "--K", json.dumps(k5), "--m", "20", "--functions", functions])
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["quadrature"] == {"u_nodes": 64, "gh_order": 8, "mc_size": None,
+                                              "mc_seed": 0}
+    assert report["results"]["diagnostics"]["orders"] == [8, 16]
+
+
+@pytest.mark.parametrize("subcommand", ["stein-check"])
 def test_conflicting_inner_rule_flags_exit_2(subcommand):
     code, out = run_cli([subcommand, *MINIMAL_ARGV[subcommand],
                          "--mc-inner", "1000", "--quad-gh-order", "6"])

@@ -260,7 +260,7 @@ def test_u0_derivatives_chunked_over_u_nodes(monkeypatch):
     g = lipschitz_test_functions(2)[3]
     pts = grid_points(-2.0, 2.0, 3)
     whole = u0_derivatives(g, C_CORR, pts, QUAD)
-    monkeypatch.setattr(stein, "DERIVATIVE_NODES", 3 * 64)
+    monkeypatch.setattr(stein, "OU_NODES", 3 * 64)
     chunked = u0_derivatives(g, C_CORR, pts, QUAD)
     for a, b in zip(whole, chunked):
         assert np.allclose(a, b, rtol=0, atol=1e-15)
@@ -370,8 +370,7 @@ def test_stein_discrepancy_requires_oracles():
 def test_monte_carlo_inner_rule_above_dim_four():
     d = 5
     cov = CovarianceMatrix.from_matrix(np.eye(d))
-    quad = default_quadrature(d, mc_size=20_000, mc_seed=5)
-    assert quad.mc_size == 20_000
+    quad = QuadratureSpec(u_nodes=64, gh_order=None, mc_size=20_000, mc_seed=5)
     g = TestFunction("lin5", lambda x: x.sum(axis=-1))
     x = np.full(d, 0.3)
     # U0 g = g for linear g; the MC rule only adds sampling noise through
@@ -380,7 +379,7 @@ def test_monte_carlo_inner_rule_above_dim_four():
     assert u0_apply(g, cov, x, quad) == pytest.approx(float(g(x)), abs=band)
 
 
-def test_mean_under_target_cached():
+def test_mean_under_target_repeatable():
     g = TestFunction("sq", lambda x: x[..., 0] ** 2)
     a = mean_under_target(g, C_CORR, QUAD)
     b = mean_under_target(g, C_CORR, QUAD)
