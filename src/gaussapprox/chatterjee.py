@@ -15,8 +15,8 @@ that knows it in closed form or by a 1-d rule carries ``mean_jacobian``: the
 linear map (Jbar = A), the quadratic forms (J is linear and E[Y] = 0, so
 Jbar = J / 2) and the componentwise maps (Jbar is diagonal, each entry a 1-d
 average, :func:`gaussapprox.stein.ou_rule_1d`).  Any other family averages J
-over the tensor nodes of the Stein solution U0, built by
-:func:`gaussapprox.stein.ou_points`; that path is also the tests' oracle.
+over the tensor nodes of the Stein solution U0, summed by
+:func:`gaussapprox.stein.ou_sums`; that path is also the tests' oracle.
 
 The outer expectation over Y and the inner expectation inside T_ab run on
 independent seeded streams.  Specializing to the identity map gives the
@@ -34,8 +34,8 @@ import numpy as np
 from .diff import fd_gradient
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
-from .stein import (DEFAULT_GH_ORDER, OU_NODES, QuadratureSpec, default_quadrature, gaussian_rule,
-                    ou_points, ou_rule_1d)
+from .stein import (DEFAULT_GH_ORDER, OU_NODES, QuadratureSpec, _legendre_01, default_quadrature,
+                    ou_rule_1d, ou_sums)
 
 __all__ = [
     "SmoothVectorFunction",
@@ -105,10 +105,11 @@ def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = Non
 
     Jbar comes from ``F.mean_jacobian`` at the Gauss-Hermite order of ``quad``
     (:data:`~gaussapprox.stein.DEFAULT_GH_ORDER` for a Monte Carlo spec), or,
-    without it, from the Jacobian averaged over the nodes of :func:`ou_points`.
-    Either holds at most :data:`~gaussapprox.stein.OU_NODES` evaluations at a
-    time, in blocks of points; the tensor rule splits one point's sum over
-    u-nodes when that point has more.  Returns shape (d, d) or (m, d, d).
+    without it, from the Jacobian averaged over the tensor nodes by
+    :func:`~gaussapprox.stein.ou_sums`.  Either holds at most
+    :data:`~gaussapprox.stein.OU_NODES` evaluations at a time, in blocks of
+    points; the tensor rule splits one point's sum over u-nodes when that
+    point has more.  Returns shape (d, d) or (m, d, d).
     """
     k = as_covariance(k)
     y = np.asarray(y, dtype=np.float64)
@@ -127,35 +128,16 @@ def _inner_order(quad: QuadratureSpec) -> int:
 def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
               order: int) -> np.ndarray:
     """T at each row of ys, shape (m, d, d), with Jbar's Gauss-Hermite order ``order``."""
+    mean_jac = np.empty((len(ys), F.dim, k.dim))
     if F.mean_jacobian is None:
-        mean_jac = _tensor_mean_jacobian(F, k, ys, quad)
+        wu = _legendre_01(quad.u_nodes)[1]
+        for block, (s_jac,) in ou_sums((F.jacobian_at,), k, ys, quad):
+            mean_jac[block] = (wu @ s_jac).reshape(-1, F.dim, k.dim)
     else:
-        mean_jac = np.empty((len(ys), F.dim, k.dim))
         step = max(1, OU_NODES // (quad.u_nodes * order * k.dim))
         for lo in range(0, len(ys), step):
             mean_jac[lo:lo + step] = F.mean_jacobian(ys[lo:lo + step], k, quad.u_nodes, order)
     return F.jacobian_at(ys) @ k.matrix @ np.swapaxes(mean_jac, -1, -2)
-
-
-def _tensor_mean_jacobian(F: SmoothVectorFunction, k, ys: np.ndarray,
-                          quad: QuadratureSpec) -> np.ndarray:
-    """Jbar at each row of ys, shape (m, d, n), over the tensor nodes of :func:`ou_points`.
-
-    The Gaussian-rule sum of each (point, u-node) is kept apart, so splitting
-    a point's u-nodes over blocks leaves its bits unchanged.
-    """
-    u_nodes, points = quad.u_nodes, gaussian_rule(k, quad)[1].size
-    u_step = max(1, min(u_nodes, OU_NODES // points))
-    p_step = max(1, OU_NODES // (u_nodes * points))
-    mean_jac = np.empty((len(ys), F.dim, k.dim))
-    for lo in range(0, len(ys), p_step):
-        _, wu, shifted, wts = ou_points(k, ys[lo:lo + p_step], quad)
-        inner = np.empty((len(shifted), u_nodes, F.dim * k.dim))
-        for a in range(0, u_nodes, u_step):
-            nodes = F.jacobian_at(shifted[:, a:a + u_step])  # (block, u_step, points, d, n)
-            inner[:, a:a + u_step] = wts @ nodes.reshape(nodes.shape[:3] + (-1,))
-        mean_jac[lo:lo + p_step] = (wu @ inner).reshape(-1, F.dim, k.dim)
-    return mean_jac
 
 
 @dataclass(frozen=True)

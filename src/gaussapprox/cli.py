@@ -190,9 +190,10 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
     fam = kernel_family(args.H, args.q, args.n, times)
     if cov.dim != fam.dim:
         raise ValueError(f"C has dim {cov.dim}, expected {fam.dim}")
+    # the bound refuses an oversize family before any path is drawn
+    lemma = wasserstein_bound(fam, cov).lemma_entries
     grams, min_ratio = malliavin_grams(fam, args.m, args.seed)
     dev_sq = (cov.matrix[None, :, :] - grams) ** 2
-    lemma = wasserstein_bound(fam, cov).lemma_entries
     config = {
         "h": args.H, "q": args.q, "n": args.n, "times": list(times),
         "m": args.m, "seed": args.seed, "c": matrix_to_json(cov.matrix),

@@ -18,11 +18,12 @@ whitening (d <= 4) or seeded Monte Carlo (d > 4).
 
 Derivatives: when g carries ``gradient`` and ``hessian`` oracles,
 :func:`u0_derivatives` differentiates that quadrature sum exactly, term by
-term, for a whole batch of points.  ``stein_residual``,
-``hessian_bound_check`` and ``stein_report`` use it then; for a g without
-oracles, or an explicit finite-difference step, they fall back to central
-differences of ``u0_apply`` (``u0_gradient`` and ``u0_hessian``, which also
-serve the tests as the reference).
+term, for a whole batch of points, on the OU node loop :func:`ou_sums` that
+also averages the Jacobian of ``chatterjee.t_ab_matrix``.
+``stein_residual``, ``hessian_bound_check`` and ``stein_report`` use it
+then; for a g without oracles, or an explicit finite-difference step, they
+fall back to central differences of ``u0_apply`` (``u0_gradient`` and
+``u0_hessian``, which also serve the tests as the reference).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "TestFunction",
     "QuadratureSpec",
     "default_quadrature",
-    "ou_points",
+    "ou_sums",
     "ou_rule_1d",
     "u0_apply",
     "mean_under_target",
@@ -69,9 +70,9 @@ DEFAULT_GH_ORDER = 8
 #: FD slack multiplier accepted in the Hessian bound check.
 HESSIAN_FD_SLACK = 1e-2
 
-#: Nodes u x + sqrt(1 - u^2) z of the OU path whose oracle values one loop
-#: holds at once: Hessians in ``u0_derivatives`` (512 KiB at d = 2, 2 MiB at
-#: d = 4), Jacobians or phi' values in ``chatterjee.t_ab_matrix``.
+#: Nodes u x + sqrt(1 - u^2) z of the OU path built and evaluated at once, by
+#: ``ou_sums`` (a single u-node of a larger Gaussian rule is held whole) and in
+#: the phi' values of a ``mean_jacobian``.
 OU_NODES = 2**14
 
 
@@ -173,7 +174,8 @@ def _gaussian_rule(matrix_bytes: bytes, d: int, quad_key: tuple) -> tuple[np.nda
     ell = cholesky_lower(np.frombuffer(matrix_bytes).reshape(d, d))
     if gh_order is not None:
         if gh_order**d > 10**7:
-            raise ValueError("tensor Gauss-Hermite rule too large; use mc_size")
+            raise ValueError(f"tensor Gauss-Hermite rule too large ({gh_order}^{d} = {gh_order**d} "
+                             "points, cap 10^7); use --mc-inner (mc_size in QuadratureSpec)")
         x, w = _hermite_std(gh_order)
         grids = np.meshgrid(*([x] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -192,19 +194,37 @@ def mean_under_target(g: TestFunction, cov, quad: QuadratureSpec) -> float:
     return float(np.dot(g(pts), wts))
 
 
-def ou_points(cov: CovarianceMatrix, x: np.ndarray,
-              quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Interpolation nodes u x + sqrt(1 - u^2) Z of the time integral, Z ~ N(0, C).
+def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec):
+    """Gaussian-rule sums of oracles over the OU nodes u x + sqrt(1 - u^2) Z, Z ~ N(0, C).
 
-    Returns ``(u, wu, shifted, wts)``: the Gauss-Legendre nodes and weights on
-    [0, 1], ``shifted[..., i, z, :] = u_i x + sqrt(1 - u_i^2) z`` over the
-    points z of the configured Gaussian rule, and that rule's weights.  ``x``
-    has shape (d,) or a batch shape (..., d); the caller validates it.
+    Yields ``(block, sums)`` for consecutive slices ``block`` of the (P, d)
+    ``points``: ``sums[k][p, i] = sum_z wts_z fns[k](u_i x_p + sqrt(1 - u_i^2) z)``
+    over the points z and weights wts of the configured Gaussian rule, with
+    the oracle's values flattened, shape (p, u_nodes, -1).  The u_i are the
+    Gauss-Legendre nodes on [0, 1].  Nodes are built per block of points and
+    of u-nodes, at most ``OU_NODES`` of them at a time (one u-node of a
+    larger rule is held whole), and each (point, u-node) sum runs on its
+    own, so its bits do not depend on the blocking.  A block's oracle values
+    are released once the next block's exist.  The caller validates ``points``.
     """
-    u, wu = _legendre_01(quad.u_nodes)
-    pts, wts = gaussian_rule(cov, quad)
-    shifted = u[:, None, None] * x[..., None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts
-    return u, wu, shifted, wts
+    u = _legendre_01(quad.u_nodes)[0][:, None, None]
+    rule, wts = gaussian_rule(cov, quad)
+    u_step = max(1, min(len(u), OU_NODES // wts.size))
+    p_step = max(1, OU_NODES // (len(u) * wts.size))
+    for lo in range(0, len(points), p_step):
+        x = points[lo:lo + p_step, None, None, :]
+        sums = [[] for _ in fns]
+        for a in range(0, len(u), u_step):
+            ui = u[a:a + u_step]
+            nodes = ui * x + np.sqrt(1.0 - ui**2) * rule
+            # Oracles see (p, u * R, d): their small products run once per point.
+            # All run before any sum, and the last block's values stay held: else
+            # malloc trims and re-faults each call's temporaries (+20 % stein-lab)
+            values = [fn(nodes.reshape(len(x), -1, nodes.shape[-1])) for fn in fns]
+            for v, parts in zip(values, sums):
+                # (R,) @ (p, u, R, m): one R-long weighted sum per (point, u-node)
+                parts.append(wts @ v.reshape(nodes.shape[:3] + (-1,)))
+        yield slice(lo, lo + p_step), [np.concatenate(parts, axis=1) for parts in sums]
 
 
 @functools.lru_cache(maxsize=64)
@@ -233,7 +253,9 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
         raise ValueError(f"point has shape {x.shape}, expected ({cov.dim},)")
     if quad is None:
         quad = default_quadrature(cov.dim)
-    u, wu, shifted, wts = ou_points(cov, x, quad)
+    u, wu = _legendre_01(quad.u_nodes)
+    pts, wts = gaussian_rule(cov, quad)
+    shifted = u[:, None, None] * x + np.sqrt(1.0 - u**2)[:, None, None] * pts
     mean_gz = mean_under_target(g, cov, quad)
     inner = g(shifted) @ wts
     return float(np.dot(wu, (inner - mean_gz) / u))
@@ -260,7 +282,7 @@ def u0_derivatives(g: TestFunction, cov, points,
     """Exact gradients and Hessians of the quadrature U0g at a batch of points.
 
     Differentiating the sum that ``u0_apply`` evaluates, term by term, over
-    the nodes n_iz = u_i x + sqrt(1 - u_i^2) z of ``ou_points`` gives
+    the nodes n_iz = u_i x + sqrt(1 - u_i^2) z gives
 
         grad U0g(x) = sum_i wu_i sum_z wts_z grad g(n_iz),
         Hess U0g(x) = sum_i wu_i u_i sum_z wts_z Hess g(n_iz),
@@ -268,10 +290,9 @@ def u0_derivatives(g: TestFunction, cov, points,
     since the 1/u_i of the time integral cancels against d n_iz / dx = u_i.
     ``g`` must carry gradient and Hessian oracles.  ``points`` has shape
     (P, d) (or (d,) for one point); returns gradients (P, d) and Hessians
-    (P, d, d).  Oracle values are held for at most ``OU_NODES`` nodes
-    at a time, in blocks of points or, when one point has more nodes, of
-    u-nodes.  Each point's sums run in the same order whatever the other
-    points, so a point gets the same bits alone as in a batch.
+    (P, d, d).  The inner sums over z come from :func:`ou_sums`, the sums
+    over u from one weighted sum per point, so a point gets the same bits
+    alone as in a batch, whatever the node blocking.
     """
     if not g.has_oracles:
         raise ValueError(f"test function {g.name!r} lacks gradient/Hessian oracles")
@@ -283,23 +304,16 @@ def u0_derivatives(g: TestFunction, cov, points,
     if quad is None:
         quad = default_quadrature(d)
     u, wu = _legendre_01(quad.u_nodes)
-    wts = gaussian_rule(cov, quad)[1]
-    w_grad = np.outer(wu, wts)  # weight of grad g(n_iz)
-    w_hess = np.outer(wu * u, wts)  # weight of Hess g(n_iz)
-    u_step = max(1, min(u.size, OU_NODES // wts.size))
-    p_step = max(1, OU_NODES // w_grad.size)
-    grads = np.zeros((len(pts), d))
-    hessians = np.zeros((len(pts), d * d))
-    for lo in range(0, len(pts), p_step):
-        block = slice(lo, lo + p_step)
-        shifted = ou_points(cov, pts[block], quad)[2]
-        for a in range(0, u.size, u_step):
-            rows = slice(a, a + u_step)
-            nodes = shifted[:, rows].reshape(len(shifted), -1, d)
-            # (K,) @ (p, K, m): one K-long weighted sum per point and entry
-            grads[block] += w_grad[rows].ravel() @ g.gradient(nodes)
-            hess = np.broadcast_to(g.hessian(nodes), nodes.shape + (d,))
-            hessians[block] += w_hess[rows].ravel() @ hess.reshape(len(nodes), -1, d * d)
+
+    def hessian(nodes):
+        return np.broadcast_to(g.hessian(nodes), nodes.shape + (d,))
+
+    grads = np.empty((len(pts), d))
+    hessians = np.empty((len(pts), d * d))
+    # Hessians first: the larger oracle runs before the gradients are held
+    for block, (s_hess, s_grad) in ou_sums((hessian, g.gradient), cov, pts, quad):
+        grads[block] = wu @ s_grad
+        hessians[block] = (wu * u) @ s_hess
     return grads, hessians.reshape(len(pts), d, d)
 
 
@@ -479,7 +493,8 @@ def lipschitz_test_functions(d: int) -> list[TestFunction]:
         return np.repeat(c[..., None], math.prod(shape), axis=-1).reshape(np.shape(c) + shape)
 
     def outer(a, b):
-        return ((a @ rows) * (b @ cols)).reshape(a.shape + (d,))
+        out = a @ rows
+        return np.multiply(out, b @ cols, out=out).reshape(a.shape + (d,))
 
     def diag(a):
         return (a @ (rows * cols)).reshape(a.shape + (d,))
@@ -530,7 +545,8 @@ def lipschitz_test_functions(d: int) -> list[TestFunction]:
 
     def logsumexp_hess(x):
         p = softmax(x)
-        return diag(p) - outer(p, p)
+        hess = diag(p)
+        return np.subtract(hess, outer(p, p), out=hess)
 
     def logcosh_sum(x):
         ax = np.abs(x)

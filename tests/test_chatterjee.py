@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussapprox import chatterjee
+from gaussapprox import stein
 from gaussapprox.chatterjee import (
     SmoothVectorFunction,
     chatterjee_bound,
@@ -369,7 +369,7 @@ def test_t_ab_tensor_rule_chunked_over_u_nodes(case, monkeypatch):
         sizes.append(math.prod(pts.shape[:-1]))
         return fam.jacobian_at(pts)
 
-    monkeypatch.setattr(chatterjee, "OU_NODES", 3 * 6**3)
+    monkeypatch.setattr(stein, "OU_NODES", 3 * 6**3)
     split = t_ab_matrix(dataclasses.replace(fam, jacobian=recording), K3, OUTER, QUAD_SMALL)
     assert max(sizes) == 3 * 6**3
     np.testing.assert_array_equal(split, whole)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from gaussapprox import cli
 from gaussapprox.cli import SUBCOMMANDS, main
 
 
@@ -430,6 +431,19 @@ def test_oversize_bound_refused_with_work_estimate():
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
     assert err["message"].startswith("contraction work at n=10: block size 1e+301, q=3 needs an estimated ")
+
+
+def test_oversize_malliavin_refused_before_any_path(monkeypatch):
+    def no_paths(*args):
+        raise AssertionError("malliavin_grams ran for an oversize family")
+
+    monkeypatch.setattr(cli, "malliavin_grams", no_paths)
+    code, out = run_cli(["malliavin", "--H", "0.6", "--q", "2", "--times", "0,1",
+                         "--n", "1048576", "--m", "2"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "past the budget" in err["message"]
 
 
 def test_bound_and_rates_report_contraction_error():

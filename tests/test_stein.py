@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gaussapprox import stein
+from gaussapprox.chatterjee import componentwise_family, t_ab_matrix
 from gaussapprox.linalg import CovarianceMatrix, sample_gaussian
 from gaussapprox.stein import (
     QuadratureSpec,
@@ -266,6 +269,28 @@ def test_u0_derivatives_chunked_over_u_nodes(monkeypatch):
         assert np.allclose(a, b, rtol=0, atol=1e-15)
     single = [u0_derivatives(g, C_CORR, x, QUAD) for x in pts]
     assert all(np.array_equal(s[1][0], h) for s, h in zip(single, chunked[1]))
+
+
+def _peak_mib(fn):
+    """Peak traced allocation of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_ou_node_loops_stay_within_the_node_budget():
+    # one point's 64 x 12^4 (tensor T_ab) or 64 x 8^4 (U0g) nodes are built a
+    # block of u-nodes at a time, not all at once (81 MiB and 20 MiB)
+    x = np.array([0.3, -0.5, 1.0, 0.2])
+    tanh = dataclasses.replace(componentwise_family("tanh", 4), mean_jacobian=None)
+    k = CovarianceMatrix.from_matrix(0.8 * np.eye(4) + 0.2)
+    assert _peak_mib(lambda: t_ab_matrix(tanh, k, x, QuadratureSpec(64, 12))) < 16
+    g = lipschitz_test_functions(4)[3]
+    cov = CovarianceMatrix.from_matrix(np.eye(4))
+    assert _peak_mib(lambda: u0_derivatives(g, cov, x, QuadratureSpec(64, 8))) < 16
 
 
 def test_u0_derivatives_requires_oracles_and_matching_points():
