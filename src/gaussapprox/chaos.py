@@ -652,9 +652,7 @@ def rate_exponent(h: float, q: int) -> float:
     by :func:`sharp_rate_exponent`.
     """
     h = check_hurst(h)
-    q = _check_rank(q)
-    if q < 2:
-        raise ValueError("rate regimes require rank q >= 2")
+    q = _check_rank(q, minimum=2)
     check_breuer_major_hypothesis(h, q)
     if h <= 0.5:
         return -0.5

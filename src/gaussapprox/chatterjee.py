@@ -82,8 +82,7 @@ class SmoothVectorFunction:
         flat = pts.reshape(-1, self.input_dim)
         out = np.empty((flat.shape[0], self.dim, self.input_dim))
         for row, y in enumerate(flat):
-            h = 1e-4 * (1.0 + float(np.linalg.norm(y)))
-            out[row] = fd_gradient(self.fn, y, h)
+            out[row] = fd_gradient(self.fn, y)
         return out.reshape(pts.shape[:-1] + (self.dim, self.input_dim))
 
     @property

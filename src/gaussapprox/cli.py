@@ -214,8 +214,13 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     if args.d is not None and cov.dim != args.d:
         raise ValueError(f"--d {args.d} disagrees with C of dim {cov.dim}")
     quad = _stein_quadrature(args, cov.dim)
+    lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
-        pts = grid_points(args.grid_lo, args.grid_hi, args.grid_steps, d=2)
+        lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi
+        pts = grid_points(lo, hi, args.grid_steps, d=2)
+    elif lo is not None or hi is not None:
+        raise ValueError(f"--grid-lo and --grid-hi set the d = 2 grid; at d = {cov.dim} "
+                         "the points are a seeded scatter")
     else:
         # regular grids explode beyond d = 2; use a seeded scatter instead
         pts = 1.5 * standard_normals(hash64(args.seed, "stein-grid"), (args.grid_steps**2, cov.dim))
@@ -226,7 +231,7 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     config = {
         "c": matrix_to_json(cov.matrix), "seed": args.seed,
         "functions": [g.name for g in chosen],
-        "grid": {"lo": args.grid_lo, "hi": args.grid_hi, "steps": args.grid_steps},
+        "grid": {"lo": lo, "hi": hi, "steps": args.grid_steps},
         "quadrature": dataclasses.asdict(quad),
     }
     return config, {"checks": reports}
@@ -326,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None,
                    help="dimension of the identity target without --C (default 2)")
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")
-    p.add_argument("--grid-lo", type=_finite_float, default=-3.0)
-    p.add_argument("--grid-hi", type=_finite_float, default=3.0)
+    p.add_argument("--grid-lo", type=_finite_float, default=None, help="d = 2 only (default -3)")
+    p.add_argument("--grid-hi", type=_finite_float, default=None, help="d = 2 only (default 3)")
     p.add_argument("--grid-steps", type=_positive_int, default=21)
     p.set_defaults(func=_cmd_stein_check)
 

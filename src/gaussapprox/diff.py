@@ -1,4 +1,8 @@
-"""Central finite differences used by the Stein and Chatterjee modules."""
+"""Central finite differences used by the Stein and Chatterjee modules.
+
+Without an explicit step ``h`` the step scales with the point x: 1e-4 (1 + ||x||)
+for a gradient, 1e-3 (1 + ||x||) for a Hessian, whose differences cancel more.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +11,17 @@ import numpy as np
 __all__ = ["fd_gradient", "fd_hessian"]
 
 
-def fd_gradient(f, x, h: float) -> np.ndarray:
+def fd_gradient(f, x, h: float | None = None) -> np.ndarray:
     """Central-difference derivative of f at x, one step per axis.
 
     A scalar f gives its gradient, shape (n,); an f with values of shape (d,)
     gives its Jacobian, shape (d, n).
     """
+    x = np.asarray(x, dtype=np.float64)
+    if h is None:
+        h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
     if h <= 0:
         raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=np.float64)
     columns = []
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
@@ -24,11 +30,13 @@ def fd_gradient(f, x, h: float) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def fd_hessian(f, x, h: float) -> np.ndarray:
+def fd_hessian(f, x, h: float | None = None) -> np.ndarray:
     """Central-difference Hessian (symmetric 4-point stencil off-diagonal)."""
+    x = np.asarray(x, dtype=np.float64)
+    if h is None:
+        h = 1e-3 * (1.0 + float(np.linalg.norm(x)))
     if h <= 0:
         raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     hess = np.empty((d, d))
     f0 = f(x)

@@ -25,8 +25,8 @@ from scipy.special import ndtr, ndtri
 
 from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
-from .fgn import FgnPath, _circulant_factors, _draw, rho
-from .hermite import hermite_eval
+from .fgn import FgnPath, _circulant_factors, _draw, check_hurst, rho
+from .hermite import _check_rank, hermite_eval
 from .rng import hash64, standard_normals
 
 __all__ = [
@@ -99,10 +99,17 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
     The embedding spectrum of that length is factored once for all m paths
     (``replicate``); each path then costs only its normals and one FFT.
     ``family`` skips the rebuild when a matching kernel family (same h, q,
-    n, times) is already at hand.  The batch's ``diagnostics`` carry
-    ``embedding_min_ratio``.
+    n, times) is already at hand; a family that does not match raises
+    ValueError.  The batch's ``diagnostics`` carry ``embedding_min_ratio``.
     """
-    fam = family if family is not None else kernel_family(h, q, n, times)
+    if family is None:
+        fam = kernel_family(h, q, n, times)
+    else:
+        fam = family
+        have = (fam.hurst, fam.rank, fam.level, fam.times)
+        given = (check_hurst(h), _check_rank(q), int(n), tuple(float(t) for t in times))
+        if have != given:
+            raise ValueError(f"family has (H, q, n, times) = {have}, the arguments give {given}")
 
     def block_sums(increments: np.ndarray) -> list[float]:
         hq = hermite_eval(fam.rank, increments)

@@ -25,7 +25,7 @@ from scipy.linalg import toeplitz
 from scipy.special import binom, zeta
 
 from .errors import HypothesisViolation
-from .hermite import MAX_RANK
+from .hermite import _check_rank
 from .rng import standard_normals
 
 __all__ = [
@@ -237,9 +237,7 @@ def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
     reach the series cutoff (16).
     """
     h = check_hurst(h)
-    q = int(q)
-    if not 2 <= q <= MAX_RANK:
-        raise ValueError(f"rank must be in [2, {MAX_RANK}], got {q}")
+    q = _check_rank(q, minimum=2)
     check_breuer_major_hypothesis(h, q)
     max_lag = int(max_lag)
     if max_lag < _SERIES_CUTOFF:

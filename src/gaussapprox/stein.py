@@ -19,11 +19,12 @@ whitening (d <= 4) or seeded Monte Carlo (d > 4).
 Derivatives: when g carries ``gradient`` and ``hessian`` oracles,
 :func:`u0_derivatives` differentiates that quadrature sum exactly, term by
 term, for a whole batch of points, on the OU node loop :func:`ou_sums` that
-also averages the Jacobian of ``chatterjee.t_ab_matrix``.
-``stein_residual``, ``hessian_bound_check`` and ``stein_report`` use it
-then; for a g without oracles, or an explicit finite-difference step, they
-fall back to central differences of ``u0_apply`` (``u0_gradient`` and
-``u0_hessian``, which also serve the tests as the reference).
+also averages the Jacobian of ``chatterjee.t_ab_matrix``.  Without oracles,
+``u0_gradient`` and ``u0_hessian`` take central differences of ``u0_apply``
+at the point-scaled steps of :mod:`gaussapprox.diff`; they also serve the
+tests as the reference.  ``stein_residual``, ``hessian_bound_check`` and
+``stein_report`` all read one pass over the points, which makes that choice
+once and returns each point's equation residual and Hessian HS norm.
 """
 
 from __future__ import annotations
@@ -261,20 +262,14 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
     return float(np.dot(wu, (inner - mean_gz) / u))
 
 
-def u0_gradient(g: TestFunction, cov, x, quad: QuadratureSpec | None = None,
-                step: float | None = None) -> np.ndarray:
-    """Central-difference gradient of U0g; default step 1e-4 (1 + ||x||)."""
-    x = np.asarray(x, dtype=np.float64)
-    h = step if step is not None else 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    return fd_gradient(lambda p: u0_apply(g, cov, p, quad), x, h)
+def u0_gradient(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Central-difference gradient of U0g at the default step of ``fd_gradient``."""
+    return fd_gradient(lambda p: u0_apply(g, cov, p, quad), x)
 
 
-def u0_hessian(g: TestFunction, cov, x, quad: QuadratureSpec | None = None,
-               step: float | None = None) -> np.ndarray:
-    """Central-difference Hessian of U0g; default step 1e-3 (1 + ||x||)."""
-    x = np.asarray(x, dtype=np.float64)
-    h = step if step is not None else 1e-3 * (1.0 + float(np.linalg.norm(x)))
-    return fd_hessian(lambda p: u0_apply(g, cov, p, quad), x, h)
+def u0_hessian(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Central-difference Hessian of U0g at the default step of ``fd_hessian``."""
+    return fd_hessian(lambda p: u0_apply(g, cov, p, quad), x)
 
 
 def u0_derivatives(g: TestFunction, cov, points,
@@ -317,44 +312,38 @@ def u0_derivatives(g: TestFunction, cov, points,
     return grads, hessians.reshape(len(pts), d, d)
 
 
-def _derivatives(g: TestFunction, cov: CovarianceMatrix, pts: np.ndarray,
-                 quad: QuadratureSpec) -> tuple:
-    """Gradients and Hessians of U0g at each point.
+def _stein_pass(g: TestFunction, cov, points,
+                quad: QuadratureSpec | None) -> tuple[list[float], list[float]]:
+    """The Stein residual and the HS norm of Hess U0g at each point.
 
-    Exact by ``u0_derivatives`` when g has oracles; otherwise the default-step
-    central differences of ``u0_gradient`` and ``u0_hessian``.
-    """
-    if g.has_oracles:
-        return u0_derivatives(g, cov, pts, quad)
-    return ([u0_gradient(g, cov, x, quad) for x in pts],
-            [u0_hessian(g, cov, x, quad) for x in pts])
-
-
-def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None,
-                   grad_step: float | None = None, hess_step: float | None = None) -> float:
-    """|g(x) - E g(Z) - (<x, grad U0g(x)> - <C, Hess U0g(x)>_HS)|.
-
-    The derivatives are exact (``u0_derivatives``) when g has oracles and no
-    step is given; otherwise central differences with the given steps.
+    The residual is |g(x) - E g(Z) - (<x, grad U0g(x)> - <C, Hess U0g(x)>_HS)|.
+    The derivatives are exact by ``u0_derivatives`` when g has oracles, and
+    default-step central differences of ``u0_gradient`` and ``u0_hessian``
+    otherwise; a point gets the same bits alone as in a batch.
     """
     cov = as_covariance(cov)
-    x = np.asarray(x, dtype=np.float64)
     if quad is None:
         quad = default_quadrature(cov.dim)
-    if grad_step is None and hess_step is None:
-        (grad,), (hess,) = _derivatives(g, cov, x[None], quad)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if g.has_oracles:
+        grads, hessians = u0_derivatives(g, cov, pts, quad)
     else:
-        grad = u0_gradient(g, cov, x, quad, step=grad_step)
-        hess = u0_hessian(g, cov, x, quad, step=hess_step)
-    return _residual(g, cov, x, mean_under_target(g, cov, quad), grad, hess)
+        grads = [u0_gradient(g, cov, x, quad) for x in pts]
+        hessians = [u0_hessian(g, cov, x, quad) for x in pts]
+    mean_gz = mean_under_target(g, cov, quad)
+    residuals = [
+        abs(float(g(x)) - mean_gz - (float(np.dot(x, grad)) - hs_inner(cov.matrix, hess)))
+        for x, grad, hess in zip(pts, grads, hessians)
+    ]
+    return residuals, [hs_norm(h) for h in hessians]
 
 
-def _residual(g: TestFunction, cov: CovarianceMatrix, x: np.ndarray, mean_gz: float,
-              grad: np.ndarray, hess: np.ndarray) -> float:
-    """The Stein residual at x from E g(Z) and the derivatives of U0g there."""
-    lhs = float(g(x)) - mean_gz
-    rhs = float(np.dot(x, grad)) - hs_inner(cov.matrix, hess)
-    return abs(lhs - rhs)
+def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> float:
+    """|g(x) - E g(Z) - (<x, grad U0g(x)> - <C, Hess U0g(x)>_HS)| at one point x.
+
+    The derivatives are exact when g has oracles, central differences otherwise.
+    """
+    return _stein_pass(g, cov, np.asarray(x, dtype=np.float64)[None], quad)[0][0]
 
 
 @dataclass(frozen=True)
@@ -374,15 +363,7 @@ def hessian_bound_check(g: TestFunction, cov, points, quad: QuadratureSpec | Non
     oracles, central differences otherwise.
     """
     _require_lipschitz(g)
-    cov = as_covariance(cov)
-    if quad is None:
-        quad = default_quadrature(cov.dim)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if g.has_oracles:
-        hessians = u0_derivatives(g, cov, pts, quad)[1]
-    else:
-        hessians = [u0_hessian(g, cov, x, quad) for x in pts]
-    return _bound_check(g, cov, [hs_norm(h) for h in hessians])
+    return _bound_check(g, cov, _stein_pass(g, cov, points, quad)[1])
 
 
 def _require_lipschitz(g: TestFunction) -> None:
@@ -390,7 +371,7 @@ def _require_lipschitz(g: TestFunction) -> None:
         raise ValueError(f"test function {g.name!r} has no Lipschitz constant")
 
 
-def _bound_check(g: TestFunction, cov: CovarianceMatrix, norms: list[float]) -> HessianBoundCheck:
+def _bound_check(g: TestFunction, cov, norms: list[float]) -> HessianBoundCheck:
     """The Hessian bound verdict from the HS norms at each point.
 
     A non-finite norm fails the check and propagates into the maximum.
@@ -409,19 +390,12 @@ def _bound_check(g: TestFunction, cov: CovarianceMatrix, norms: list[float]) -> 
 def stein_report(g: TestFunction, cov, points, quad: QuadratureSpec | None = None) -> dict:
     """Combined diagnostic: residual max and Hessian check over the points.
 
-    Gives the values of ``stein_residual`` and ``hessian_bound_check`` with
-    one gradient and one Hessian of U0g per point shared by both: exact for
-    a g with oracles, default-step central differences otherwise.
+    Gives the values of ``stein_residual`` and ``hessian_bound_check`` from
+    one pass, so one gradient and one Hessian of U0g per point serve both.
     """
     _require_lipschitz(g)
-    cov = as_covariance(cov)
-    if quad is None:
-        quad = default_quadrature(cov.dim)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    grads, hessians = _derivatives(g, cov, pts, quad)
-    mean_gz = mean_under_target(g, cov, quad)
-    residuals = [_residual(g, cov, x, mean_gz, grad, hess) for x, grad, hess in zip(pts, grads, hessians)]
-    check = _bound_check(g, cov, [hs_norm(h) for h in hessians])
+    residuals, norms = _stein_pass(g, cov, points, quad)
+    check = _bound_check(g, cov, norms)
     return {
         "function": g.name,
         "points": check.points,

@@ -338,6 +338,23 @@ def test_stein_check_dimension_flag():
     assert json.loads(default)["config"]["c"]["rows"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
+@pytest.mark.parametrize("flag", ["--grid-lo", "--grid-hi"])
+def test_grid_bounds_beyond_d2_exit_2(flag):
+    small = ["--d", "3", "--grid-steps", "2", "--functions", "first_coordinate"]
+    code, out = run_cli(["stein-check", *small, flag, "100"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == ("--grid-lo and --grid-hi set the d = 2 grid; at d = 3 "
+                              "the points are a seeded scatter")
+    # without them the scatter runs and echoes no bounds; at d = 2 the defaults are echoed
+    code, out = run_cli(["stein-check", *small])
+    assert code == 0
+    assert json.loads(out)["config"]["grid"] == {"lo": None, "hi": None, "steps": 2}
+    _, out = run_cli(["stein-check", *small[2:]])
+    assert json.loads(out)["config"]["grid"] == {"lo": -3.0, "hi": 3.0, "steps": 2}
+
+
 def test_matrix_file_input(tmp_path):
     mf = tmp_path / "mats.json"
     mf.write_text(json.dumps({"C": {"dim": 1, "rows": [[4.0]]}, "K": {"dim": 1, "rows": [[1.0]]}}))
@@ -369,8 +386,10 @@ def _argv_from_config(sub: str, config: dict) -> list[str]:
     if "functions" in config and isinstance(config["functions"], list):
         argv += ["--functions", ",".join(config["functions"])]
     if "grid" in config:
-        argv += ["--grid-lo", str(config["grid"]["lo"]), "--grid-hi", str(config["grid"]["hi"]),
-                 "--grid-steps", str(config["grid"]["steps"])]
+        for key in ("lo", "hi"):
+            if config["grid"][key] is not None:
+                argv += [f"--grid-{key}", str(config["grid"][key])]
+        argv += ["--grid-steps", str(config["grid"]["steps"])]
     if "quadrature" in config:
         quad = config["quadrature"]
         argv += ["--quad-unodes", str(quad["u_nodes"])]
@@ -388,13 +407,15 @@ REPRO_CASES = [
     ["malliavin", "--H", "0.5", "--q", "2", "--times", "0,1", "--n", "32", "--m", "10", "--seed", "8"],
     ["stein-check", "--C", "[[1.0, 0.25], [0.25, 1.0]]", "--grid-steps", "3",
      "--functions", "first_coordinate", "--quad-unodes", "16", "--quad-gh-order", "4"],
+    ["stein-check", "--d", "3", "--grid-steps", "2",
+     "--functions", "first_coordinate", "--quad-unodes", "16", "--quad-gh-order", "4"],
     ["chatterjee", "--K", "[[1.0]]", "--C", "[[1.0]]", "--m", "10", "--seed", "5",
      "--functions", '{"type": "componentwise", "kind": "identity", "n": 1}'],
     ["gaussian-pair", "--C", "[[2.0]]", "--K", "[[1.0]]"],
 ]
 
 
-@pytest.mark.parametrize("argv", REPRO_CASES, ids=[c[0] for c in REPRO_CASES])
+@pytest.mark.parametrize("argv", REPRO_CASES, ids=[c[0] + ("-d3" if "--d" in c else "") for c in REPRO_CASES])
 def test_report_reproducible_from_embedded_config(argv):
     code, out = run_cli(argv)
     assert code == 0

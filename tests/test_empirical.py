@@ -267,6 +267,17 @@ def test_replicate_rejects_empty_batch():
         malliavin_grams(fam, 0, seed=1)
 
 
+def test_simulate_rejects_a_family_that_does_not_match_the_arguments():
+    fam = kernel_family(0.7, 3, 64, (0, 1))
+    for h, q, n, times in ((0.6, 2, 32, (0, 1, 2)), (0.6, 3, 64, (0, 1)), (0.7, 2, 64, (0, 1)),
+                           (0.7, 3, 32, (0, 1)), (0.7, 3, 64, (0, 2))):
+        with pytest.raises(ValueError, match="the arguments give"):
+            simulate_bm_vector(h, q, n, times, 5, seed=1, family=fam)
+    # equal values of other types match: ints for floats, a list for a tuple
+    batch = simulate_bm_vector(0.7, 3.0, 64.0, [0, 1], 5, seed=1, family=fam)
+    assert batch.values.shape == (5, 1)
+
+
 def test_pathwise_malliavin_symmetry_and_isometry():
     h, q, n = 0.5, 2, 256
     fam = kernel_family(h, q, n, (0.0, 1.0, 2.0))

@@ -7,7 +7,8 @@ import pytest
 
 from gaussapprox import stein
 from gaussapprox.chatterjee import componentwise_family, t_ab_matrix
-from gaussapprox.linalg import CovarianceMatrix, sample_gaussian
+from gaussapprox.diff import fd_gradient, fd_hessian
+from gaussapprox.linalg import CovarianceMatrix, hs_inner, sample_gaussian
 from gaussapprox.stein import (
     QuadratureSpec,
     TestFunction,
@@ -127,8 +128,15 @@ def test_stein_residual_second_order_in_fd_step():
     g = TestFunction("sin", lambda x: np.sin(x[..., 0] + x[..., 1]))
     x = np.array([0.9, -0.6])
     steps = [0.08, 0.04, 0.02]
+
+    def u0(p):
+        return u0_apply(g, C_CORR, p, QUAD)
+
+    lhs = float(g(x)) - mean_under_target(g, C_CORR, QUAD)
     res = [
-        stein_residual(g, C_CORR, x, QUAD, grad_step=h, hess_step=h) for h in steps
+        abs(lhs - (float(np.dot(x, fd_gradient(u0, x, h)))
+                   - hs_inner(C_CORR.matrix, fd_hessian(u0, x, h))))
+        for h in steps
     ]
     order = np.polyfit(np.log(steps), np.log(res), 1)[0]
     assert 1.7 < order < 2.3
@@ -412,7 +420,7 @@ def test_mean_under_target_repeatable():
 
 
 def _u0_inline(g, cov, x, quad):
-    """U0g(x) with the node tensor built inline, the reference for ``ou_points``."""
+    """U0g(x) with the node tensor built inline, the reference ``u0_apply`` matches bit for bit."""
     u, wu = np.polynomial.legendre.leggauss(quad.u_nodes)
     u, wu = 0.5 * (u + 1.0), 0.5 * wu
     pts, wts = gaussian_rule(cov, quad)
