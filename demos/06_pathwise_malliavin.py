@@ -17,7 +17,7 @@ TIMES = (0.0, 1.0, 2.0)
 
 fam = kernel_family(H, Q, N, TIMES)
 # pathwise_malliavin_inner of M paths, the sampling factors built once
-grams, embedding_min_ratio = malliavin_grams(fam, M, seed=99)
+grams, diagnostics = malliavin_grams(fam, M, seed=99)
 
 target = np.eye(2)
 dev_sq = (target[None] - grams) ** 2
@@ -25,7 +25,7 @@ mean_dev = dev_sq.mean(axis=0)
 se_dev = dev_sq.std(axis=0, ddof=1) / math.sqrt(M)
 entries = wasserstein_bound(fam, target).lemma_entries
 
-print(f"H={H}, q={Q}, n={N}, {M} paths, embedding min/max eigenvalue {embedding_min_ratio:.4f}")
+print(f"H={H}, q={Q}, n={N}, {M} paths, embedding min/max eigenvalue {diagnostics['embedding_min_ratio']:.4f}")
 print("MC mean of (C(i,j) - gram_ij)^2:")
 print(np.array_str(mean_dev, precision=5))
 print("pair-estimate entries (upper bounds):")

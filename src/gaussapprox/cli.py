@@ -114,6 +114,13 @@ def _stein_quadrature(args, d: int) -> QuadratureSpec:
     return default_quadrature(d, u_nodes=args.quad_unodes, mc_seed=hash64(args.seed, "inner"))
 
 
+def _check_seed(args) -> None:
+    """A master seed keys 64-bit streams; refuse one that ``hash64`` would fold onto another."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise ValueError(f"--seed must lie in [0, 2**64), got {seed}")
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True) + "\n"
     if out_path:
@@ -192,7 +199,7 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
         raise ValueError(f"C has dim {cov.dim}, expected {fam.dim}")
     # the bound refuses an oversize family before any path is drawn
     lemma = wasserstein_bound(fam, cov).lemma_entries
-    grams, min_ratio = malliavin_grams(fam, args.m, args.seed)
+    grams, diagnostics = malliavin_grams(fam, args.m, args.seed)
     dev_sq = (cov.matrix[None, :, :] - grams) ** 2
     config = {
         "h": args.H, "q": args.q, "n": args.n, "times": list(times),
@@ -204,7 +211,7 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
         "dev_sq_mean": dev_sq.mean(axis=0).tolist(),
         "dev_sq_se": (dev_sq.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
         "lemma_entries": lemma.tolist(),
-        "diagnostics": {"embedding_min_ratio": min_ratio},
+        "diagnostics": diagnostics,
     }
 
 
@@ -355,6 +362,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seed(args)
         config, results = args.func(args)
     except GaussApproxError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)

@@ -6,11 +6,14 @@ sums from exact fGn paths, realizes the Malliavin Gram matrix
 Wasserstein distances of the resulting samples (1-d quantile estimator, exact
 min-cost matching for small batches, normalized sliced estimator beyond).
 
-Replication r of any experiment draws its seed as hash64(master, tag, r), so
-a batch depends only on the master seed.  ``replicate`` is the one
-replication loop, a plain serial loop: it builds the fGn sampling factors of
-a family once and draws every path from them, for ``simulate_bm_vector`` and
-``malliavin_grams`` alike.
+A Monte Carlo job reads one Philox stream keyed by hash64(master, tag), and
+replication r reads the fixed window [r W, (r + 1) W) of its raw draws, W
+the ``normals_per_path`` of the path length, so a batch depends only on the
+master seed.  ``replicate`` is the one replication loop, a plain serial loop
+over blocks of paths: it builds the fGn sampling factors of a family once,
+draws at most ``DRAW_NORMALS`` normals per block, and applies the statistic
+to the whole (block, n) array, for ``simulate_bm_vector`` and
+``malliavin_grams`` alike.  No value depends on the block size.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
 from .fgn import FgnPath, _circulant_factors, _draw, check_hurst, rho
 from .hermite import _check_rank, hermite_eval
-from .rng import hash64, standard_normals
+from .rng import hash64, philox_bits, standard_normals
 
 __all__ = [
     "WassersteinEstimate",
@@ -41,9 +44,13 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "fit_rate",
+    "DRAW_NORMALS",
     "MATCHING_CAP",
     "SLICED_DIRECTIONS",
 ]
+
+#: Most normals one block of paths draws at once (at least one path per block).
+DRAW_NORMALS = 1 << 15
 
 #: Largest batch size routed to the exact O(m^3) assignment solver.
 MATCHING_CAP = 512
@@ -73,34 +80,42 @@ class RateFit:
 
 
 def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
-              statistic) -> tuple[np.ndarray, float | None]:
-    """m replications of a per-path statistic of fGn paths of the family's length.
+              statistic) -> tuple[np.ndarray, dict]:
+    """m replications of a statistic of fGn paths of the family's length.
 
     The sampling factors of (H, length) are built once (one embedding
-    spectrum and guard check per call) and replication r draws its path
-    from them with seed hash64(seed, tag, r), so every path is the one
-    ``sample_fgn`` gives for that seed.  Row r of the returned array is
-    ``statistic`` of path r.  Also returns min(lam) / max(lam) of the
-    embedding spectrum before clipping, the margin of the guard.
+    spectrum and guard check per call).  Path r reads window r of the Philox
+    stream keyed by hash64(seed, tag): raw draws [r W, (r + 1) W), W =
+    ``normals_per_path``, so path 0 is ``sample_fgn`` with that key.  Paths
+    are drawn in blocks of at most ``DRAW_NORMALS`` normals, and
+    ``statistic`` maps a (block, length) array of paths to one row per path.
+    Also returns the diagnostics ``embedding_min_ratio``, min(lam) / max(lam)
+    of the embedding spectrum before clipping (the margin of the guard), and
+    ``normals_per_path`` W.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
-    values = np.array([statistic(_draw(factors, hash64(seed, tag, r))) for r in range(m)])
-    return values, factors.min_ratio
+    bits = philox_bits(hash64(seed, tag))
+    block = max(1, DRAW_NORMALS // factors.normals_per_path)
+    values = np.concatenate([statistic(_draw(factors, bits, min(block, m - r)))
+                             for r in range(0, m, block)])
+    return values, {"embedding_min_ratio": factors.min_ratio,
+                    "normals_per_path": factors.normals_per_path}
 
 
 def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
                        family: KernelFamily | None = None) -> SampleBatch:
     """m replications of the normalized d-dimensional increment vector.
 
-    Each replication r simulates one fGn path of length floor(n t_d) with seed
-    hash64(seed, "bm-vector", r) and block-sums H_q over each kernel block.
-    The embedding spectrum of that length is factored once for all m paths
-    (``replicate``); each path then costs only its normals and one FFT.
-    ``family`` skips the rebuild when a matching kernel family (same h, q,
-    n, times) is already at hand; a family that does not match raises
-    ValueError.  The batch's ``diagnostics`` carry ``embedding_min_ratio``.
+    Replication r simulates the fGn path of length floor(n t_d) in window r
+    of the stream hash64(seed, "bm-vector") and block-sums H_q over each
+    kernel block.  The embedding spectrum of that length is factored once
+    for all m paths, and paths, H_q and block sums run a block of paths at a
+    time (``replicate``).  ``family`` skips the rebuild when a matching
+    kernel family (same h, q, n, times) is already at hand; a family that
+    does not match raises ValueError.  The batch's ``diagnostics`` carry
+    ``embedding_min_ratio`` and ``normals_per_path``.
     """
     if family is None:
         fam = kernel_family(h, q, n, times)
@@ -111,13 +126,13 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
         if have != given:
             raise ValueError(f"family has (H, q, n, times) = {have}, the arguments give {given}")
 
-    def block_sums(increments: np.ndarray) -> list[float]:
-        hq = hermite_eval(fam.rank, increments)
-        return [ker.scale * float(np.sum(hq[ker.block[0]:ker.block[1]])) for ker in fam.kernels]
+    def block_sums(paths: np.ndarray) -> np.ndarray:
+        hq = hermite_eval(fam.rank, paths)
+        return np.stack([ker.scale * np.sum(hq[:, ker.block[0]:ker.block[1]], axis=1)
+                         for ker in fam.kernels], axis=1)
 
-    values, min_ratio = replicate(fam, m, seed, "bm-vector", block_sums)
-    return SampleBatch(values=values, seed=seed, provenance="bm-vector",
-                       diagnostics={"embedding_min_ratio": min_ratio})
+    values, diagnostics = replicate(fam, m, seed, "bm-vector", block_sums)
+    return SampleBatch(values=values, seed=seed, provenance="bm-vector", diagnostics=diagnostics)
 
 
 def _shifts(nv: int, nw: int) -> np.ndarray:
@@ -148,9 +163,8 @@ def _gram_pairs(fam: KernelFamily) -> list[tuple]:
     return pairs
 
 
-def _malliavin_gram(fam: KernelFamily, pairs: list[tuple], increments: np.ndarray) -> np.ndarray:
-    """Gram matrix of one path from the family's ``_gram_pairs``."""
-    hq1 = hermite_eval(fam.rank - 1, increments[: fam.kernels[-1].block[1]])
+def _malliavin_gram(fam: KernelFamily, pairs: list[tuple], hq1: np.ndarray) -> np.ndarray:
+    """Gram matrix of one path from its H_{q-1} values and the family's ``_gram_pairs``."""
     out = np.empty((fam.dim, fam.dim))
     for i, j, coef, weights in pairs:
         a0, a1 = fam.kernels[i].block
@@ -173,18 +187,25 @@ def pathwise_malliavin_inner(fam: KernelFamily, path: FgnPath) -> np.ndarray:
     length = fam.kernels[-1].block[1]
     if path.n < length:
         raise ValueError(f"path length {path.n} shorter than required {length}")
-    return _malliavin_gram(fam, _gram_pairs(fam), path.increments)
+    hq1 = hermite_eval(fam.rank - 1, path.increments[:length])
+    return _malliavin_gram(fam, _gram_pairs(fam), hq1)
 
 
-def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, float | None]:
-    """(m, d, d) pathwise Gram matrices, path r seeded by hash64(seed, "malliavin", r).
+def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, dict]:
+    """(m, d, d) pathwise Gram matrices of the paths of stream hash64(seed, "malliavin").
 
-    Entry r equals ``pathwise_malliavin_inner`` of that path; the rho weights
-    of each block pair and the sampling factors are built once for all m.
-    Also returns the embedding margin of ``replicate``.
+    Entry r equals ``pathwise_malliavin_inner`` of path r (window r of the
+    stream, ``replicate``); the rho weights of each block pair and the
+    sampling factors are built once for all m, and H_{q-1} once per block of
+    paths.  Also returns the diagnostics of ``replicate``.
     """
     pairs = _gram_pairs(fam)
-    return replicate(fam, m, seed, "malliavin", lambda x: _malliavin_gram(fam, pairs, x))
+
+    def grams(paths: np.ndarray) -> np.ndarray:
+        return np.stack([_malliavin_gram(fam, pairs, row)
+                         for row in hermite_eval(fam.rank - 1, paths)])
+
+    return replicate(fam, m, seed, "malliavin", grams)
 
 
 def normal_cdf(x):

@@ -5,7 +5,10 @@ Hurst index H in (0, 1): the autocovariance ``rho``, the fBm covariance
 kernel, exact sampling by circulant embedding (Cholesky fallback), and the
 limiting standard deviation ``sigma_bm`` that normalizes the Hermite-functional
 partial sums.  Sampling is split into factors that depend on (H, n) only and
-a draw per seed, so many paths of one length share one embedding spectrum.
+a draw that reads the next window of ``normals_per_path`` raw draws of a
+Philox stream per path, so many paths of one length share one embedding
+spectrum and are drawn a block at a time; a path's bits do not depend on
+the block size.  ``sample_fgn(h, n, seed)`` is window 0 of stream ``seed``.
 
 ``rho(x) = (|x+1|^{2H} + |x-1|^{2H} - 2|x|^{2H}) / 2`` is a second difference
 of ``|x|^{2H}`` and cancels catastrophically for large ``|x|`` in the direct
@@ -26,7 +29,7 @@ from scipy.special import binom, zeta
 
 from .errors import HypothesisViolation
 from .hermite import _check_rank
-from .rng import standard_normals
+from .rng import box_muller, philox_bits
 
 __all__ = [
     "check_hurst",
@@ -119,16 +122,23 @@ class _Factors:
     """Sampling factors of fGn paths of one (H, n), shared by every seed.
 
     ``method`` "circulant": ``factor`` holds the per-frequency scales of the
-    clipped embedding spectrum (sqrt(lam) at frequencies 0 and size/2,
-    sqrt(lam/2) in between).  ``method`` "cholesky": ``factor`` is the lower
-    Cholesky factor of the n x n Toeplitz covariance.  ``min_ratio`` is
-    min(lam) / max(lam) before clipping, or None when no spectrum was built.
+    clipped embedding spectrum of size s, normalized by sqrt(s)
+    (sqrt(lam / s) at frequencies 0 and s/2, sqrt(lam / (2 s)) in between).
+    ``method`` "cholesky": ``factor`` is the lower Cholesky factor of the
+    n x n Toeplitz covariance.  ``min_ratio`` is min(lam) / max(lam) before
+    clipping, or None when no spectrum was built.
     """
 
     n: int
     method: str
     factor: np.ndarray
     min_ratio: float | None
+
+    @property
+    def normals_per_path(self) -> int:
+        """Raw draws one path reads: the embedding size, or n rounded up to even."""
+        width = self.factor.shape[0]
+        return width + (width & 1)
 
 
 def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
@@ -150,7 +160,7 @@ def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
         if method == "circulant" and not embeddable:
             raise ValueError("circulant embedding is not nonnegative definite")
         if embeddable:
-            lam = np.clip(lam, 0.0, None)
+            lam = np.clip(lam, 0.0, None) / lam.size
             half = lam.size // 2
             scales = np.sqrt(lam)
             scales[1:half] = np.sqrt(lam[1:half] / 2.0)
@@ -159,31 +169,41 @@ def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
     return _Factors(n, "cholesky", ell, min_ratio)
 
 
-def _draw(factors: _Factors, seed: int) -> np.ndarray:
-    """The n increments of the path with this seed, from precomputed factors."""
+def _draw(factors: _Factors, bits: np.random.Philox, paths: int = 1) -> np.ndarray:
+    """(paths, n) increments of the next ``paths`` paths of the stream ``bits``.
+
+    Each path reads the next ``normals_per_path`` raw draws and turns them
+    into normals with one Box-Muller pairing per row.  On the circulant path
+    normals 0 and 1 scale frequencies 0 and s/2, and normals 2..s/2 and
+    s/2+1..s-1 the real and imaginary parts of frequencies 1..s/2-1; the
+    half spectrum ``scales * (re - i im)`` goes through one inverse real FFT,
+    which equals the forward FFT of the full Hermitian spectrum.  The
+    Cholesky path multiplies each row on its own, so no bit depends on
+    ``paths``.
+    """
+    z = box_muller(bits.random_raw(paths * factors.normals_per_path).reshape(paths, -1))
     if factors.method == "cholesky":
-        return factors.factor @ standard_normals(seed, factors.n)
+        return np.stack([factors.factor @ row[: factors.n] for row in z])
     scales = factors.factor
     size = scales.size
     half = size // 2
-    z = standard_normals(seed, size)
-    spectrum = np.zeros(size, dtype=np.complex128)
-    spectrum[0] = scales[0] * z[0]
-    spectrum[half] = scales[half] * z[1]
-    re = z[2 : half + 1]
-    im = z[half + 1 : size]
-    spectrum[1:half] = scales[1:half] * (re + 1j * im)
-    spectrum[half + 1 :] = np.conj(spectrum[1:half][::-1])
-    return (np.fft.fft(spectrum)[: factors.n] / np.sqrt(size)).real
+    spectrum = np.empty((paths, half + 1), dtype=np.complex128)
+    spectrum[:, 0] = scales[0] * z[:, 0]
+    spectrum[:, half] = scales[half] * z[:, 1]
+    spectrum.real[:, 1:half] = scales[1:half] * z[:, 2 : half + 1]
+    spectrum.imag[:, 1:half] = scales[1:half] * -z[:, half + 1 :]
+    return np.fft.irfft(spectrum, n=size, axis=1, norm="forward")[:, : factors.n]
 
 
 def sample_fgn(h: float, n: int, seed: int, method: str | None = None) -> FgnPath:
     """Exact fGn sample of length n, reproducible for fixed (H, n, seed).
 
     Two steps: ``_circulant_factors`` builds the sampling factors of (H, n)
-    and ``_draw`` turns the seed into increments.  Code that draws many paths
-    of one (H, n) builds the factors once and draws each seed from them
-    (``empirical.replicate``); the increments are the same bits either way.
+    and ``_draw`` turns raw draws into increments.  The path is window 0 of
+    the Philox stream ``seed``: the first ``normals_per_path`` raw draws.
+    Code that draws many paths of one (H, n) builds the factors once and
+    reads window r of one stream for path r (``empirical.replicate``), so
+    path 0 of a job with stream key k is ``sample_fgn(h, n, k)`` bit for bit.
 
     Primary method is circulant embedding; if the embedding spectrum dips
     below -1e-9 relative to its maximum (never expected for fGn, kept as a
@@ -195,7 +215,8 @@ def sample_fgn(h: float, n: int, seed: int, method: str | None = None) -> FgnPat
     if n < 1:
         raise ValueError("path length must be >= 1")
     factors = _circulant_factors(h, n, method)
-    return FgnPath(hurst=h, increments=_draw(factors, seed), seed=seed, method=factors.method)
+    increments = _draw(factors, philox_bits(seed))[0]
+    return FgnPath(hurst=h, increments=increments, seed=seed, method=factors.method)
 
 
 @dataclass(frozen=True)

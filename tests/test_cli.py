@@ -240,8 +240,33 @@ def test_monte_carlo_reports_carry_embedding_margin():
         assert blobs[0]["results"] == blobs[1]["results"]
         reports[sub] = blobs[0]["results"]["diagnostics"]
     assert reports["simulate"] == reports["malliavin"]
-    assert set(reports["simulate"]) == {"embedding_min_ratio"}
+    assert set(reports["simulate"]) == {"embedding_min_ratio", "normals_per_path"}
     assert 0.0 < reports["simulate"]["embedding_min_ratio"] < 1.0
+    # path length 64 embeds in 128 points, one raw draw per normal
+    assert reports["simulate"]["normals_per_path"] == 128
+
+
+SEEDED_ARGVS = {
+    "simulate": ["simulate", "--H", "0.6", "--q", "2", "--n", "16", "--m", "4"],
+    "malliavin": ["malliavin", "--H", "0.6", "--q", "2", "--n", "16", "--m", "4"],
+    "stein-check": ["stein-check", "--grid-steps", "2", "--quad-unodes", "8", "--quad-gh-order", "4",
+                    "--functions", "first_coordinate"],
+    "chatterjee": ["chatterjee", "--K", "[[1.0]]", "--m", "4"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(SEEDED_ARGVS))
+def test_seed_outside_64_bits_is_rejected(sub):
+    # hash64 reduces a seed modulo 2^64, so -1 and 2^64 - 1 (or 0 and 2^64)
+    # would draw the same sample while echoing different seeds
+    for seed in (-1, 2**64, -(2**64), 2**70):
+        code, out = run_cli([*SEEDED_ARGVS[sub], "--seed", str(seed)])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and "--seed" in err["message"]
+    for seed in (0, 2**64 - 1):
+        code, out = run_cli([*SEEDED_ARGVS[sub], "--seed", str(seed)])
+        assert code == 0 and json.loads(out)["config"]["seed"] == seed
 
 
 def test_stein_check_subcommand():

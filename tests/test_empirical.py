@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaussapprox import fgn
+from gaussapprox import empirical, fgn
 from gaussapprox.batch import SampleBatch
 from gaussapprox.chaos import (
     KernelFamily,
@@ -22,11 +23,12 @@ from gaussapprox.empirical import (
     normal_cdf,
     normal_quantile,
     pathwise_malliavin_inner,
+    replicate,
     simulate_bm_vector,
 )
-from gaussapprox.fgn import SigmaEstimate, rho, sample_fgn
+from gaussapprox.fgn import FgnPath, SigmaEstimate, rho, sample_fgn
 from gaussapprox.hermite import hermite_eval
-from gaussapprox.rng import hash64, standard_normals
+from gaussapprox.rng import hash64, philox_bits, standard_normals
 
 
 def series_normal_cdf(x: float) -> float:
@@ -174,13 +176,21 @@ def test_simulate_bm_vector_statistics():
     assert np.max(np.abs(emp_cov - np.eye(2))) < 0.1
 
 
+def _path(h, length, key, r, method=None):
+    """Path r of the stream ``key``: one draw after r windows of raw draws are skipped."""
+    factors = fgn._circulant_factors(h, length, method)
+    bits = philox_bits(key)
+    bits.random_raw(r * factors.normals_per_path)
+    return fgn._draw(factors, bits)[0]
+
+
 def _per_path_vectors(fam, m, seed, method=None):
-    """Reference for the replication engine: one sample_fgn call per path."""
+    """Reference for the replication engine: one path and one H_q block sum at a time."""
     length = fam.kernels[-1].block[1]
+    key = hash64(seed, "bm-vector")
     out = np.empty((m, fam.dim))
     for r in range(m):
-        x = sample_fgn(fam.hurst, length, hash64(seed, "bm-vector", r), method=method).increments
-        hq = hermite_eval(fam.rank, x)
+        hq = hermite_eval(fam.rank, _path(fam.hurst, length, key, r, method))
         for i, ker in enumerate(fam.kernels):
             out[r, i] = ker.scale * float(np.sum(hq[ker.block[0]:ker.block[1]]))
     return out
@@ -208,22 +218,97 @@ def test_engine_matches_per_path_sample_fgn(h):
     fam = kernel_family(h, 3, 40, times)
     batch = simulate_bm_vector(h, 3, 40, times, 25, seed=123)
     assert np.array_equal(batch.values, _per_path_vectors(fam, 25, 123))
-    ratio = batch.diagnostics["embedding_min_ratio"]
-    assert ratio == fgn._circulant_factors(h, fam.kernels[-1].block[1]).min_ratio
-    assert 0.0 < ratio <= 1.0  # a flat spectrum at H = 1/2
+    length = fam.kernels[-1].block[1]
+    factors = fgn._circulant_factors(h, length)
+    assert batch.diagnostics == {"embedding_min_ratio": factors.min_ratio, "normals_per_path": 256}
+    assert 0.0 < batch.diagnostics["embedding_min_ratio"] <= 1.0  # a flat spectrum at H = 1/2
 
 
 def test_malliavin_grams_match_per_path_loop():
     for h, q in ((0.5, 2), (0.65, 2), (0.8, 3)):
         fam = kernel_family(h, q, 48, (0.0, 1.0, 2.0, 3.5))
         length = fam.kernels[-1].block[1]
-        grams, ratio = malliavin_grams(fam, 12, seed=31)
+        key = hash64(31, "malliavin")
+        grams, diagnostics = malliavin_grams(fam, 12, seed=31)
         assert grams.shape == (12, 3, 3)
         for r in range(12):
-            path = sample_fgn(h, length, hash64(31, "malliavin", r))
+            path = FgnPath(hurst=h, increments=_path(h, length, key, r), seed=key, method="circulant")
             assert np.array_equal(grams[r], _per_path_gram(fam, path))
             assert np.array_equal(grams[r], pathwise_malliavin_inner(fam, path))
-        assert ratio == fgn._circulant_factors(h, length).min_ratio
+        assert np.array_equal(grams[0], pathwise_malliavin_inner(fam, sample_fgn(h, length, key)))
+        factors = fgn._circulant_factors(h, length)
+        assert diagnostics == {"embedding_min_ratio": factors.min_ratio,
+                               "normals_per_path": factors.normals_per_path}
+
+
+def _dip_spectrum(monkeypatch):
+    """Make every embedding spectrum fail the guard, so the engine falls back to Cholesky."""
+    real = fgn._embedding_eigenvalues
+
+    def dipped(h, n):
+        lam = real(h, n).copy()
+        lam[-1] = -1e-3 * float(np.max(lam))
+        return lam
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
+
+
+def test_job_paths_are_windows_of_one_stream(monkeypatch):
+    # path 0 of a job is sample_fgn with the job's key; path r is the draw
+    # after r windows of the stream are skipped
+    fam = kernel_family(0.7, 2, 30, (0.0, 1.0, 2.5))
+    length = fam.kernels[-1].block[1]
+    key = hash64(17, "paths")
+    for method, width in ((None, 256), ("cholesky", length + 1)):
+        if method == "cholesky":
+            _dip_spectrum(monkeypatch)
+        paths, diagnostics = replicate(fam, 9, 17, "paths", lambda x: x)
+        assert paths.shape == (9, length) and diagnostics["normals_per_path"] == width
+        assert np.array_equal(paths[0], sample_fgn(0.7, length, key, method=method).increments)
+        for r in range(9):
+            assert np.array_equal(paths[r], _path(0.7, length, key, r, method))
+
+
+def test_paths_do_not_depend_on_the_block_size(monkeypatch):
+    times = (0.0, 1.0, 2.5)
+    fam = kernel_family(0.65, 2, 36, times)
+    jobs = {
+        "simulate": lambda: simulate_bm_vector(0.65, 2, 36, times, 40, seed=3, family=fam).values,
+        "malliavin": lambda: malliavin_grams(fam, 40, seed=3)[0],
+    }
+    width = fgn._circulant_factors(0.65, 90).normals_per_path
+    results = {}
+    for label, job in jobs.items():
+        for paths in (1, 7, 16):
+            monkeypatch.setattr(empirical, "DRAW_NORMALS", paths * width)
+            results.setdefault(label, []).append(job())
+    _dip_spectrum(monkeypatch)
+    width = fgn._circulant_factors(0.65, 90).normals_per_path
+    assert width == 90
+    for paths in (1, 7, 16):
+        monkeypatch.setattr(empirical, "DRAW_NORMALS", paths * width)
+        results.setdefault("cholesky", []).append(jobs["simulate"]())
+    for label, (one, *others) in results.items():
+        assert all(np.array_equal(one, other) for other in others), label
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_replication_engine_stays_within_the_block_budget():
+    # a block holds at most DRAW_NORMALS = 2^15 normals, so each of its arrays
+    # is 256 KiB whatever m and n are (all paths at once would take 32 MiB of
+    # raw draws at --n 512 --m 2000)
+    long_path = lambda: simulate_bm_vector(0.6, 2, 16384, (0.0, 1.0), 100, seed=1)
+    many_paths = lambda: simulate_bm_vector(0.6, 2, 512, (0.0, 1.0, 2.0), 2000, seed=1)
+    assert _peak_mib(long_path) < 4
+    assert _peak_mib(many_paths) < 4
 
 
 def test_engine_builds_the_spectrum_once_per_call(monkeypatch):
@@ -244,19 +329,13 @@ def test_engine_builds_the_spectrum_once_per_call(monkeypatch):
 
 
 def test_engine_negative_spectrum_uses_cholesky_bits(monkeypatch):
-    real = fgn._embedding_eigenvalues
-
-    def dipped(h, n):
-        lam = real(h, n).copy()
-        lam[-1] = -1e-3 * float(np.max(lam))
-        return lam
-
-    monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
+    _dip_spectrum(monkeypatch)
     times = (0.0, 1.0, 2.0)
     fam = kernel_family(0.7, 2, 32, times)
     batch = simulate_bm_vector(0.7, 2, 32, times, 10, seed=8, family=fam)
     assert np.array_equal(batch.values, _per_path_vectors(fam, 10, 8, method="cholesky"))
     assert batch.diagnostics["embedding_min_ratio"] == pytest.approx(-1e-3, rel=1e-12)
+    assert batch.diagnostics["normals_per_path"] == 64
 
 
 def test_replicate_rejects_empty_batch():

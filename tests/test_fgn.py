@@ -17,7 +17,7 @@ from gaussapprox.fgn import (
     sample_fgn,
     sigma_bm,
 )
-from gaussapprox.rng import standard_normals
+from gaussapprox.rng import philox_bits, standard_normals
 
 
 def rho_mpmath(h, x):
@@ -144,14 +144,32 @@ def test_sample_fgn_deterministic():
     assert not np.array_equal(a.increments, sample_fgn(0.7, 128, seed=6).increments)
 
 
-def _one_step_sample(h, n, seed):
-    """The single-pass sampler the factors/draw split replaced, as a bit-level reference."""
+def _embedding_spectrum(h, n):
+    """Size and eigenvalues of the circulant extension of rho(0..n-1)."""
     size = 1 << max(1, 2 * n - 1).bit_length()
+    head = rho(h, np.arange(size // 2 + 1))
+    return size, np.fft.fft(np.concatenate([head, head[-2:0:-1]])).real
+
+
+def _one_step_sample(h, n, seed):
+    """The single-pass half-spectrum sampler the factors/draw split replaced, as a bit-level reference."""
+    size, lam = _embedding_spectrum(h, n)
     half = size // 2
-    head = rho(h, np.arange(half + 1))
-    lam = np.fft.fft(np.concatenate([head, head[-2:0:-1]])).real
     if float(np.min(lam)) < -fgn.EMBEDDING_RTOL * float(np.max(lam)):
         return np.linalg.cholesky(toeplitz(rho(h, np.arange(n)))) @ standard_normals(seed, n)
+    lam = np.clip(lam, 0.0, None) / size
+    z = standard_normals(seed, size)
+    spectrum = np.zeros(half + 1, dtype=np.complex128)
+    spectrum[0] = np.sqrt(lam[0]) * z[0]
+    spectrum[half] = np.sqrt(lam[half]) * z[1]
+    spectrum[1:half] = np.sqrt(lam[1:half] / 2.0) * (z[2 : half + 1] - 1j * z[half + 1 : size])
+    return np.fft.irfft(spectrum, n=size, norm="forward")[:n]
+
+
+def _full_fft_sample(h, n, seed):
+    """The earlier sampler: forward complex FFT of the full Hermitian spectrum, then / sqrt(size)."""
+    size, lam = _embedding_spectrum(h, n)
+    half = size // 2
     lam = np.clip(lam, 0.0, None)
     z = standard_normals(seed, size)
     spectrum = np.zeros(size, dtype=np.complex128)
@@ -171,14 +189,30 @@ def test_sample_fgn_bit_identical_to_one_step_sampler(h):
             assert np.array_equal(path.increments, _one_step_sample(h, n, seed))
 
 
+def test_sample_fgn_agrees_with_full_complex_fft_sampler():
+    # the half-spectrum inverse real FFT reads the same normals as the
+    # earlier full-spectrum complex FFT and moves the path by rounding only
+    for h in (0.2, 0.5, 0.8, 0.95):
+        for n in (1, 3, 64, 1000, 1024):
+            for seed in (0, 7, 2**63 + 5):
+                got = sample_fgn(h, n, seed).increments
+                assert np.max(np.abs(got - _full_fft_sample(h, n, seed))) <= 1e-14
+
+
 def test_factors_draw_every_seed_like_sample_fgn():
     factors = fgn._circulant_factors(0.7, 100)
     assert factors.method == "circulant" and 0.0 < factors.min_ratio < 1.0
+    assert factors.normals_per_path == 256
     for seed in range(5):
-        assert np.array_equal(fgn._draw(factors, seed), sample_fgn(0.7, 100, seed).increments)
-    forced = fgn._circulant_factors(0.7, 100, method="cholesky")
-    assert forced.method == "cholesky" and forced.min_ratio is None
-    assert np.array_equal(fgn._draw(forced, 3), sample_fgn(0.7, 100, 3, method="cholesky").increments)
+        drawn = fgn._draw(factors, philox_bits(seed))
+        assert drawn.shape == (1, 100)
+        assert np.array_equal(drawn[0], sample_fgn(0.7, 100, seed).increments)
+    for n in (100, 101):
+        forced = fgn._circulant_factors(0.7, n, method="cholesky")
+        assert forced.method == "cholesky" and forced.min_ratio is None
+        assert forced.normals_per_path == 2 * ((n + 1) // 2)
+        assert np.array_equal(fgn._draw(forced, philox_bits(3))[0],
+                              sample_fgn(0.7, n, 3, method="cholesky").increments)
 
 
 def test_negative_spectrum_falls_back_to_cholesky(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 
-from gaussapprox.rng import hash64, philox_stream, standard_normals
+from gaussapprox import rng
+from gaussapprox.rng import box_muller, hash64, philox_bits, philox_stream, standard_normals
 
 
 def test_hash64_is_deterministic_and_sensitive():
@@ -32,3 +33,23 @@ def test_standard_normals_moments():
     assert abs(z.std() - 1.0) < 4 / np.sqrt(z.size)
     assert abs(np.mean(z**3)) < 4 * np.sqrt(15 / z.size)
     assert abs(np.mean(z**4) - 3.0) < 4 * np.sqrt(96 / z.size)
+
+
+def test_raw_draws_convert_to_the_nearest_double():
+    raw = philox_bits(5).random_raw(100_000)
+    # ties and near-ties of the rounding to 53 bits, at the top and bottom of the range
+    edges = np.array([0, 1, 2**32 - 1, 2**32, 2**53 + 1, 2**54 + 2, 2**63 - 1, 2**63,
+                      2**63 + 2**10, 2**63 + 3 * 2**10, 2**64 - 2**10, 2**64 - 1], dtype=np.uint64)
+    for draws in (raw, edges, (raw >> np.uint64(1)) | np.uint64(2**10)):
+        assert np.array_equal(rng._as_float(draws), draws.astype(np.float64))
+    assert [float(x) for x in rng._as_float(edges)] == [float(int(k)) for k in edges]
+
+
+def test_box_muller_pairs_each_row_on_its_own():
+    raw = philox_bits(9).random_raw(6 * 10).reshape(6, 10)
+    block = box_muller(raw)
+    assert block.shape == (6, 10)
+    for r in range(6):
+        assert np.array_equal(block[r], box_muller(raw[r]))
+    assert np.array_equal(block[0], standard_normals(9, 10))
+    assert np.array_equal(block[0, :9], standard_normals(9, 9))
