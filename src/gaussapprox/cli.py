@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -277,7 +278,9 @@ def _cmd_gaussian_pair(args) -> tuple[dict, dict]:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="gaussapprox",
         description="Wasserstein bounds for multivariate Gaussian approximation, with simulation checks.",

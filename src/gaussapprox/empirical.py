@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 from scipy.special import ndtr, ndtri
 
 from .batch import SampleBatch
@@ -277,6 +275,11 @@ def empirical_w1_multid(a: SampleBatch, b: SampleBatch, method: str | None = Non
             raise ValueError("matching method requires equal sample sizes")
         if a.m > MATCHING_CAP:
             raise ValueError(f"matching method capped at m = {MATCHING_CAP}")
+        # imported here: no subcommand matches batches, and both modules
+        # would add to the start-up time of every command-line run
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
         cost = cdist(a.values, b.values)
         rows, cols = linear_sum_assignment(cost)
         return WassersteinEstimate(

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,51 @@ def test_quad_sum_equals_gather_loop_bit_for_bit():
                 a = rho_tab[:m] ** r
                 b_ext = rho_tab ** (q - r)
                 assert chaos._quad_sum(a, b_ext, m) == _gather_quad_sum(a, b_ext, m)
+
+
+def _blocked_pass_sizes():
+    """m = 1, 2, 3; both sides of a change of G near m = 100, 300 and 560;
+    the first m from there on with m mod G = 0, 1 and G - 1; the same
+    residues where G sits at its floor."""
+    gaps = chaos._gaps_per_step
+    sizes = {1, 2, 3}
+    floor = chaos._GAP_BLOCK // chaos._MIN_GAPS
+    for start in (100, 300, 560, floor):
+        if start < floor:
+            m = next(m for m in range(start, 2 * start) if gaps(m) != gaps(m - 1))
+            sizes.update({m - 1, m})
+        for rest in (0, 1, -1):
+            sizes.add(next(m for m in range(start, 2 * start) if m % gaps(m) == rest % gaps(m)))
+    return sorted(sizes)
+
+
+def test_blocked_lattice_pass_keeps_every_bit():
+    # H = 0.3 has negative lags, H = 0.5 one-point support
+    sizes = _blocked_pass_sizes()
+    assert {1, 2, 3} < set(sizes) and max(sizes) > chaos._GAP_BLOCK // chaos._MIN_GAPS
+    for m in sizes:
+        cases = [(0.3, 2, 1), (0.5, 3, 1), (0.7, 4, 2)] if m < 1024 else [(0.3, 4, 2)]
+        for h, q, r in cases:
+            rho_tab = rho(h, np.arange(2 * m - 1))
+            a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
+            assert chaos._quad_sum(a, b_ext, m) == _gather_quad_sum(a, b_ext, m), (h, q, r, m)
+
+
+def test_blocked_lattice_pass_memory_is_bounded_by_the_block():
+    # six (gaps x lags) arrays of at most max(_GAP_BLOCK, _MIN_GAPS m)
+    # elements, plus numpy's iterator buffers and the O(m) lag tables; the
+    # whole (m x m) matrix would be 2.4 MiB at m = 564 and 128 MiB at 4096
+    for m in (564, 4096):
+        rho_tab = rho(0.7, np.arange(2 * m - 1))
+        a, b_ext = rho_tab[:m], rho_tab**2
+        tracemalloc.start()
+        try:
+            chaos._quad_sum(a, b_ext, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = max(chaos._GAP_BLOCK, chaos._MIN_GAPS * m)
+        assert peak < 12 * 8 * block, (m, peak)
 
 
 def test_brownian_contraction_is_the_block_size():

@@ -171,6 +171,12 @@ def test_parser_covers_declared_subcommands():
     assert set(sub.choices) == set(SUBCOMMANDS)
 
 
+def test_parser_is_built_once_per_process():
+    from gaussapprox.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
 def test_readme_flag_table_matches_parser():
     from gaussapprox.cli import build_parser
 
@@ -523,3 +529,14 @@ def test_rates_report_independent_of_blas_threads():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["results"]["diagnostics"]["contraction_error_max"] > 0.0
+
+
+def test_cli_import_leaves_out_the_matching_modules():
+    # only empirical_w1_multid's matching path needs them, and no subcommand calls it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, gaussapprox.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
