@@ -85,7 +85,7 @@ from .fgn import (
 )
 from .hermite import _check_rank
 from .linalg import as_covariance, prefactor
-from .rng import hash64, philox_stream
+from .rng import hash64, philox_bits
 
 __all__ = [
     "StepKernel",
@@ -333,7 +333,7 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
 def _signs(seed: int, rows: int, m: int) -> np.ndarray:
     """rows x m Rademacher probes, one raw Philox bit each."""
     n = rows * m
-    raw = philox_stream(seed).bit_generator.random_raw(-(-n // 64))
+    raw = philox_bits(seed).random_raw(-(-n // 64))
     bits = np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")[:n]
     out = bits.reshape(rows, m).astype(np.float64)
     out *= -2.0

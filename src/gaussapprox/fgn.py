@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import binom, zeta
 
 from .errors import HypothesisViolation
@@ -165,7 +164,8 @@ def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
             scales = np.sqrt(lam)
             scales[1:half] = np.sqrt(lam[1:half] / 2.0)
             return _Factors(n, "circulant", scales, min_ratio)
-    ell = np.linalg.cholesky(toeplitz(rho(h, np.arange(n))))
+    idx = np.arange(n)  # rho is even in the lag: the Toeplitz matrix of rho(0..n-1)
+    ell = np.linalg.cholesky(rho(h, np.subtract.outer(idx, idx)))
     return _Factors(n, "cholesky", ell, min_ratio)
 
 

@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["hash64", "philox_bits", "philox_stream", "box_muller", "standard_normals"]
+__all__ = ["hash64", "philox_bits", "box_muller", "standard_normals"]
 
 _MASK64 = (1 << 64) - 1
 _INV_TWO64 = 2.0**-64
@@ -55,11 +55,6 @@ def hash64(*parts: int | str | bytes) -> int:
 def philox_bits(seed: int) -> np.random.Philox:
     """Philox4x64 bit generator for the given 64-bit seed; ``random_raw`` reads its stream."""
     return np.random.Philox(key=seed & _MASK64)
-
-
-def philox_stream(seed: int) -> np.random.Generator:
-    """Counter-based generator for the given 64-bit seed."""
-    return np.random.Generator(philox_bits(seed))
 
 
 def _as_float(raw: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ whitening (d <= 4) or seeded Monte Carlo (d > 4).
 Derivatives: when g carries ``gradient`` and ``hessian`` oracles,
 :func:`u0_derivatives` differentiates that quadrature sum exactly, term by
 term, for a whole batch of points, on the OU node loop :func:`ou_sums` that
-also averages the Jacobian of ``chatterjee.t_ab_matrix``.  Without oracles,
+also averages the Jacobian of ``chatterjee.t_ab_matrix``.  That loop builds
+its nodes coordinate-major and hands the oracles a (..., d) view of them, so
+plain numpy over the last axis runs on long contiguous rows.  Without oracles,
 ``u0_gradient`` and ``u0_hessian`` take central differences of ``u0_apply``
 at the point-scaled steps of :mod:`gaussapprox.diff`; they also serve the
 tests as the reference.  ``stein_residual``, ``hessian_bound_check`` and
@@ -207,24 +209,33 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
     larger rule is held whole), and each (point, u-node) sum runs on its
     own, so its bits do not depend on the blocking.  A block's oracle values
     are released once the next block's exist.  The caller validates ``points``.
+
+    Layout: a block's nodes are built coordinate-major, shape (d, p, u, R),
+    and every oracle sees them as the view (p, u * R, d), so each elementwise
+    step runs over long contiguous rows.  An oracle that adds an axis puts it
+    before the coordinate axis (``t[..., None, :] * eye``,
+    ``g[..., None, :] * g[..., :, None]``); its output then stays
+    coordinate-major too, and flattening it per (point, u-node) is a view.
     """
-    u = _legendre_01(quad.u_nodes)[0][:, None, None]
+    u = _legendre_01(quad.u_nodes)[0][:, None]
     rule, wts = gaussian_rule(cov, quad)
+    rule_t = rule.T[:, None, None, :]
+    d = rule.shape[1]
     u_step = max(1, min(len(u), OU_NODES // wts.size))
     p_step = max(1, OU_NODES // (len(u) * wts.size))
     for lo in range(0, len(points), p_step):
-        x = points[lo:lo + p_step, None, None, :]
+        x = points[lo:lo + p_step].T[:, :, None, None]
         sums = [[] for _ in fns]
         for a in range(0, len(u), u_step):
             ui = u[a:a + u_step]
-            nodes = ui * x + np.sqrt(1.0 - ui**2) * rule
-            # Oracles see (p, u * R, d): their small products run once per point.
-            # All run before any sum, and the last block's values stay held: else
-            # malloc trims and re-faults each call's temporaries (+20 % stein-lab)
-            values = [fn(nodes.reshape(len(x), -1, nodes.shape[-1])) for fn in fns]
+            nodes = ui * x + np.sqrt(1.0 - ui**2) * rule_t
+            view = np.moveaxis(nodes, 0, -1).reshape(nodes.shape[1], -1, d)
+            # All oracles run before any sum, and the last block's values stay held:
+            # else malloc trims and re-faults each call's temporaries (+20 % stein-lab)
+            values = [fn(view) for fn in fns]
             for v, parts in zip(values, sums):
                 # (R,) @ (p, u, R, m): one R-long weighted sum per (point, u-node)
-                parts.append(wts @ v.reshape(nodes.shape[:3] + (-1,)))
+                parts.append(wts @ v.reshape(nodes.shape[1:] + (-1,)))
         yield slice(lo, lo + p_step), [np.concatenate(parts, axis=1) for parts in sums]
 
 
@@ -450,31 +461,12 @@ def stein_discrepancy(sample: SampleBatch, functions, cov) -> list[DiscrepancyRe
 def lipschitz_test_functions(d: int) -> list[TestFunction]:
     """The registered Lipschitz test functions on R^d with exact constants.
 
-    Each carries closed-form gradient and Hessian oracles.  The oracles sum
-    and pair entries along the last axis by small matrix products and repeat
-    values with ``np.repeat``: numpy reductions and broadcasts over an axis of
-    length d are several times slower on the node batches of
-    ``u0_derivatives``.
+    Each carries closed-form gradient and Hessian oracles, which work over
+    the last axis of any layout; a new Hessian axis goes before the
+    coordinate axis, as :func:`ou_sums` asks.
     """
     sqrt_d = math.sqrt(d)
     eye = np.eye(d)
-    ones = np.ones(d)
-    # a @ rows and a @ cols hold a_i and a_j at entry (i, j) of a flat d x d matrix
-    rows, cols = np.kron(eye, ones), np.kron(ones, eye)
-
-    def spread(c, *shape):
-        """The value c of each point repeated over new trailing axes."""
-        return np.repeat(c[..., None], math.prod(shape), axis=-1).reshape(np.shape(c) + shape)
-
-    def outer(a, b):
-        out = a @ rows
-        return np.multiply(out, b @ cols, out=out).reshape(a.shape + (d,))
-
-    def diag(a):
-        return (a @ (rows * cols)).reshape(a.shape + (d,))
-
-    def row_max(x):
-        return functools.reduce(np.maximum, np.moveaxis(x, -1, 0))
 
     def first_coord(x):
         return x[..., 0]
@@ -489,45 +481,41 @@ def lipschitz_test_functions(d: int) -> list[TestFunction]:
         return np.sin(np.sum(x, axis=-1))
 
     def sin_sum_grad(x):
-        return spread(np.cos(x @ ones), d)
+        return np.broadcast_to(np.cos(np.sum(x, axis=-1))[..., None], x.shape)
 
     def sin_sum_hess(x):
-        return spread(-np.sin(x @ ones), d, d)
+        return np.broadcast_to(-np.sin(np.sum(x, axis=-1))[..., None, None], x.shape + (d,))
 
     def sqrt_norm(x):
         return np.sqrt(1.0 + np.sum(x * x, axis=-1))
 
-    def inv_radius(x):
-        return 1.0 / np.sqrt(1.0 + (x * x) @ ones)
-
     def sqrt_norm_grad(x):
-        return x * spread(inv_radius(x), d)
+        return x / sqrt_norm(x)[..., None]
 
     def sqrt_norm_hess(x):
         # (I - grad grad^T) / r with r = sqrt(1 + |x|^2), grad = x / r
-        inv_r = inv_radius(x)
-        grad = x * spread(inv_r, d)
-        return (eye - outer(grad, grad)) * spread(inv_r, d, d)
+        r = sqrt_norm(x)[..., None]
+        grad = x / r
+        return (eye - grad[..., None, :] * grad[..., :, None]) / r[..., None]
 
     def logsumexp(x):
         m = np.max(x, axis=-1)
         return m + np.log(np.sum(np.exp(x - m[..., None]), axis=-1))
 
     def softmax(x):
-        e = np.exp(x - spread(row_max(x), d))
-        return e * spread(1.0 / (e @ ones), d)
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
 
     def logsumexp_hess(x):
         p = softmax(x)
-        hess = diag(p)
-        return np.subtract(hess, outer(p, p), out=hess)
+        return p[..., None, :] * eye - p[..., None, :] * p[..., :, None]
 
     def logcosh_sum(x):
         ax = np.abs(x)
         return np.sum(ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0), axis=-1)
 
     def logcosh_sum_hess(x):
-        return diag(1.0 - np.tanh(x) ** 2)
+        return (1.0 - np.tanh(x) ** 2)[..., None, :] * eye
 
     return [
         TestFunction("first_coordinate", first_coord, lipschitz=1.0,

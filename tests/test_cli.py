@@ -532,11 +532,12 @@ def test_rates_report_independent_of_blas_threads():
 
 
 def test_cli_import_leaves_out_the_matching_modules():
-    # only empirical_w1_multid's matching path needs them, and no subcommand calls it
+    # only empirical_w1_multid's matching path needs the first two, and no subcommand
+    # calls it; the package needs nothing from scipy.linalg
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = ("import sys, gaussapprox.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial', 'scipy.linalg') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"

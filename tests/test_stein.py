@@ -238,6 +238,18 @@ def test_registered_oracles_match_central_differences(d):
         assert np.allclose(g.hessian(x[1, 2]), hess[1, 2], rtol=0, atol=1e-15), g.name
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_registered_oracles_do_not_depend_on_memory_layout(d):
+    # ou_sums hands the oracles a coordinate-major view of its nodes
+    cm = np.random.default_rng(d).uniform(-3.0, 3.0, size=(d, 2, 5, 7))
+    view = np.moveaxis(cm, 0, -1)
+    copy = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous
+    for g in lipschitz_test_functions(d):
+        for oracle in (g.fn, g.gradient, g.hessian):
+            assert np.array_equal(oracle(view), oracle(copy)), g.name
+
+
 @pytest.mark.parametrize("cov", [
     C_CORR,
     CovarianceMatrix.from_matrix([[1.0, 0.4, -0.2], [0.4, 1.5, 0.3], [-0.2, 0.3, 0.8]]),
