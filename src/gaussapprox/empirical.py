@@ -10,10 +10,11 @@ A Monte Carlo job reads one Philox stream keyed by hash64(master, tag), and
 replication r reads the fixed window [r W, (r + 1) W) of its raw draws, W
 the ``normals_per_path`` of the path length, so a batch depends only on the
 master seed.  ``replicate`` is the one replication loop, a plain serial loop
-over blocks of paths: it builds the fGn sampling factors of a family once,
-draws at most ``DRAW_NORMALS`` normals per block, and applies the statistic
-to the whole (block, n) array, for ``simulate_bm_vector`` and
-``malliavin_grams`` alike.  No value depends on the block size.
+over blocks of paths: it builds the fGn sampling factors of a family and
+the buffers of one block once, draws at most ``DRAW_NORMALS`` normals per
+block into those buffers, and applies the statistic to the whole (block, n)
+array, for ``simulate_bm_vector`` and ``malliavin_grams`` alike.  No value
+depends on the block size.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from scipy.special import ndtr, ndtri
 
 from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
-from .fgn import FgnPath, _circulant_factors, _draw, check_hurst, rho
+from .fgn import FgnPath, _circulant_factors, _draw, _workspace, check_hurst, rho
 from .hermite import _check_rank, hermite_eval
 from .rng import hash64, philox_bits, standard_normals
 
@@ -85,8 +86,12 @@ def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
     spectrum and guard check per call).  Path r reads window r of the Philox
     stream keyed by hash64(seed, tag): raw draws [r W, (r + 1) W), W =
     ``normals_per_path``, so path 0 is ``sample_fgn`` with that key.  Paths
-    are drawn in blocks of at most ``DRAW_NORMALS`` normals, and
-    ``statistic`` maps a (block, length) array of paths to one row per path.
+    are drawn in blocks of at most ``DRAW_NORMALS`` normals, all through one
+    ``fgn._workspace`` allocated here: after the first block a block
+    allocates only its raw draws, and the draw buffers (256 KiB each at
+    most) are neither mapped nor faulted in again.  ``statistic`` maps a
+    (block, length) array of paths, a view of the workspace that the next
+    block overwrites, to new rows, one per path.
     Also returns the diagnostics ``embedding_min_ratio``, min(lam) / max(lam)
     of the embedding spectrum before clipping (the margin of the guard), and
     ``normals_per_path`` W.
@@ -95,8 +100,9 @@ def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
         raise ValueError("m must be >= 1")
     factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
     bits = philox_bits(hash64(seed, tag))
-    block = max(1, DRAW_NORMALS // factors.normals_per_path)
-    values = np.concatenate([statistic(_draw(factors, bits, min(block, m - r)))
+    block = min(m, max(1, DRAW_NORMALS // factors.normals_per_path))
+    work = _workspace(factors, block)
+    values = np.concatenate([statistic(_draw(factors, bits, min(block, m - r), work))
                              for r in range(0, m, block)])
     return values, {"embedding_min_ratio": factors.min_ratio,
                     "normals_per_path": factors.normals_per_path}

@@ -122,7 +122,10 @@ class _Factors:
 
     ``method`` "circulant": ``factor`` holds the per-frequency scales of the
     clipped embedding spectrum of size s, normalized by sqrt(s)
-    (sqrt(lam / s) at frequencies 0 and s/2, sqrt(lam / (2 s)) in between).
+    (sqrt(lam / s) at frequencies 0 and s/2, sqrt(lam / (2 s)) in between),
+    laid out like the float view of the half spectrum: the scale of the real
+    part and the negated scale of the imaginary part of each frequency
+    0..s/2 in turn, 0 for the imaginary parts of frequencies 0 and s/2.
     ``method`` "cholesky": ``factor`` is the lower Cholesky factor of the
     n x n Toeplitz covariance.  ``min_ratio`` is min(lam) / max(lam) before
     clipping, or None when no spectrum was built.
@@ -136,8 +139,9 @@ class _Factors:
     @property
     def normals_per_path(self) -> int:
         """Raw draws one path reads: the embedding size, or n rounded up to even."""
-        width = self.factor.shape[0]
-        return width + (width & 1)
+        if self.method == "circulant":
+            return self.factor.size - 2
+        return self.n + (self.n & 1)
 
 
 def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
@@ -161,15 +165,45 @@ def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
         if embeddable:
             lam = np.clip(lam, 0.0, None) / lam.size
             half = lam.size // 2
-            scales = np.sqrt(lam)
+            scales = np.sqrt(lam[: half + 1])
             scales[1:half] = np.sqrt(lam[1:half] / 2.0)
-            return _Factors(n, "circulant", scales, min_ratio)
+            factor = np.zeros(lam.size + 2)
+            factor[0::2] = scales
+            factor[3 : lam.size : 2] = -scales[1:half]
+            return _Factors(n, "circulant", factor, min_ratio)
     idx = np.arange(n)  # rho is even in the lag: the Toeplitz matrix of rho(0..n-1)
     ell = np.linalg.cholesky(rho(h, np.subtract.outer(idx, idx)))
     return _Factors(n, "cholesky", ell, min_ratio)
 
 
-def _draw(factors: _Factors, bits: np.random.Philox, paths: int = 1) -> np.ndarray:
+@dataclass(frozen=True)
+class _Workspace:
+    """Buffers for blocks of up to ``paths`` paths of one ``_Factors``.
+
+    ``uniforms`` and ``normals`` are the (paths, W) buffers of
+    ``box_muller``, W = ``normals_per_path``, and ``out`` the (paths, W)
+    buffer the increments land in.  ``spectrum`` is the (paths, s/2 + 1)
+    complex half spectrum on the circulant path and None on the Cholesky
+    path.  Every ``_draw`` overwrites all of them.
+    """
+
+    uniforms: np.ndarray
+    normals: np.ndarray
+    out: np.ndarray
+    spectrum: np.ndarray | None = None
+
+
+def _workspace(factors: _Factors, paths: int) -> _Workspace:
+    """Allocate the buffers of blocks of up to ``paths`` paths."""
+    shape = (paths, factors.normals_per_path)
+    spectrum = None
+    if factors.method == "circulant":
+        spectrum = np.zeros((paths, factors.normals_per_path // 2 + 1), dtype=np.complex128)
+    return _Workspace(np.empty(shape), np.empty(shape), np.empty(shape), spectrum)
+
+
+def _draw(factors: _Factors, bits: np.random.Philox, paths: int = 1,
+          work: _Workspace | None = None) -> np.ndarray:
     """(paths, n) increments of the next ``paths`` paths of the stream ``bits``.
 
     Each path reads the next ``normals_per_path`` raw draws and turns them
@@ -180,19 +214,34 @@ def _draw(factors: _Factors, bits: np.random.Philox, paths: int = 1) -> np.ndarr
     which equals the forward FFT of the full Hermitian spectrum.  The
     Cholesky path multiplies each row on its own, so no bit depends on
     ``paths``.
+
+    Every step writes into ``work`` (a ``_workspace`` of at least ``paths``
+    paths; a one-shot one when not given): the normals are copied into
+    their places in the float view of the spectrum and scaled there in one
+    pass, and the inverse FFT writes into ``work.out``.  So a caller that
+    passes the same workspace for every block allocates nothing per block
+    but the raw draws.  The result is a view of ``work.out`` that the next
+    draw into the same workspace overwrites.
     """
-    z = box_muller(bits.random_raw(paths * factors.normals_per_path).reshape(paths, -1))
+    if work is None:
+        work = _workspace(factors, paths)
+    raw = bits.random_raw(paths * factors.normals_per_path).reshape(paths, -1)
+    z = box_muller(raw, work.normals[:paths], work.uniforms[:paths])
+    out = work.out[:paths]
     if factors.method == "cholesky":
-        return np.stack([factors.factor @ row[: factors.n] for row in z])
-    scales = factors.factor
-    size = scales.size
+        for row, path in zip(z, out):
+            np.matmul(factors.factor, row[: factors.n], out=path[: factors.n])
+        return out[:, : factors.n]
+    size = factors.normals_per_path
     half = size // 2
-    spectrum = np.empty((paths, half + 1), dtype=np.complex128)
-    spectrum[:, 0] = scales[0] * z[:, 0]
-    spectrum[:, half] = scales[half] * z[:, 1]
-    spectrum.real[:, 1:half] = scales[1:half] * z[:, 2 : half + 1]
-    spectrum.imag[:, 1:half] = scales[1:half] * -z[:, half + 1 :]
-    return np.fft.irfft(spectrum, n=size, axis=1, norm="forward")[:, : factors.n]
+    spectrum = work.spectrum[:paths]
+    flat = spectrum.view(np.float64)
+    flat[:, 0] = z[:, 0]
+    flat[:, size] = z[:, 1]
+    flat[:, 2:size:2] = z[:, 2 : half + 1]
+    flat[:, 3:size:2] = z[:, half + 1 :]
+    flat *= factors.factor
+    return np.fft.irfft(spectrum, n=size, axis=1, norm="forward", out=out)[:, : factors.n]
 
 
 def sample_fgn(h: float, n: int, seed: int, method: str | None = None) -> FgnPath:

@@ -31,10 +31,13 @@ def hermite_eval(q: int, x):
     """Evaluate H_q at x (scalar or array) by the three-term recurrence."""
     q = _check_rank(q, minimum=0)
     x = np.asarray(x, dtype=np.float64)
-    h_prev = np.ones_like(x)
     if q == 0:
-        return h_prev if x.ndim else float(h_prev)
-    h = x.copy()
+        return np.ones_like(x) if x.ndim else 1.0
+    if q == 1:
+        return x.copy() if x.ndim else float(x)
+    # H_0 = 1 enters the first step as the scalar 1.0: x * x - 1 * 1.0 has
+    # the bits of the step with an array of ones, without building one
+    h_prev, h = 1.0, x
     for k in range(1, q):
         h, h_prev = x * h - k * h_prev, h
     return h if x.ndim else float(h)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -213,6 +214,24 @@ def test_factors_draw_every_seed_like_sample_fgn():
         assert forced.normals_per_path == 2 * ((n + 1) // 2)
         assert np.array_equal(fgn._draw(forced, philox_bits(3))[0],
                               sample_fgn(0.7, n, 3, method="cholesky").increments)
+
+
+def test_a_block_drawn_into_its_workspace_allocates_only_its_raw_draws():
+    # 16 paths at n = 1024 read 2^15 raw draws (256 KiB); every other array
+    # of the block lives in the workspace, reused from block to block
+    factors = fgn._circulant_factors(0.7, 1024)
+    assert factors.normals_per_path == 2048
+    work = fgn._workspace(factors, 16)
+    bits = philox_bits(2)
+    tracemalloc.start()
+    try:
+        drawn = fgn._draw(factors, bits, 16, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (256 + 64) * 1024
+    assert np.shares_memory(drawn, work.out)
+    assert np.array_equal(drawn[0], sample_fgn(0.7, 1024, 2).increments)
 
 
 def test_negative_spectrum_falls_back_to_cholesky(monkeypatch):

@@ -59,3 +59,22 @@ def test_cross_moment_monte_carlo(q, rho):
     prod = hermite_eval(q, x) * hermite_eval(q, y)
     se = np.std(prod, ddof=1) / math.sqrt(m)
     assert abs(np.mean(prod) - hermite_cross_moment(q, q, rho)) < 5 * se + 1e-12
+
+
+def _ones_recurrence(q, x):
+    """The recurrence with H_0 held as an array of ones, as a bit-level reference."""
+    h_prev = np.ones_like(x)
+    if q == 0:
+        return h_prev
+    h = x.copy()
+    for k in range(1, q):
+        h, h_prev = x * h - k * h_prev, h
+    return h
+
+
+def test_scalar_first_step_keeps_the_bits_of_the_array_recurrence():
+    x = 3.0 * standard_normals(hash64("hermite-bits"), (16, 1024))
+    for q in range(7):
+        got = hermite_eval(q, x)
+        assert got.shape == x.shape and not np.shares_memory(got, x)
+        assert np.array_equal(got, _ones_recurrence(q, x))

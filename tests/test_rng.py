@@ -1,4 +1,6 @@
+import mpmath
 import numpy as np
+import pytest
 
 from gaussapprox import rng
 from gaussapprox.rng import box_muller, hash64, philox_bits, standard_normals
@@ -53,3 +55,40 @@ def test_box_muller_pairs_each_row_on_its_own():
         assert np.array_equal(block[r], box_muller(raw[r]))
     assert np.array_equal(block[0], standard_normals(9, 10))
     assert np.array_equal(block[0, :9], standard_normals(9, 9))
+
+
+def test_box_muller_writes_into_given_buffers():
+    raw = philox_bits(9).random_raw(6 * 10).reshape(6, 10)
+    out, work = np.empty((6, 10)), np.empty((6, 10))
+    assert box_muller(raw, out, work) is out
+    assert np.array_equal(out, box_muller(raw))
+    for bad in (np.empty((10, 6)).T, np.empty((6, 12))[:, :10], np.empty((6, 10), np.float32)):
+        with pytest.raises(ValueError):
+            box_muller(raw, bad, work)
+
+
+def _angle_draws():
+    """Raw angle draws: the edges 0, 2**64 - 1, the multiples of 2**61 and
+    their +-1 and +-2**10 neighbours, then 10**4 Philox draws."""
+    edges = {0, 2**64 - 1}
+    for j in range(9):
+        for d in (0, 1, -1, 2**10, -(2**10)):
+            if 0 <= j * 2**61 + d < 2**64:
+                edges.add(j * 2**61 + d)
+    return np.concatenate([np.array(sorted(edges), dtype=np.uint64), philox_bits(13).random_raw(10_000)])
+
+
+def test_box_muller_angle_pair_matches_mpmath():
+    angle = _angle_draws()
+    p = angle.size
+    radius = philox_bits(14).random_raw(p)
+    z = box_muller(np.concatenate([radius, angle]))
+    r = np.sqrt(-2.0 * np.log((rng._as_float(radius) + 0.5) * 2.0**-64))
+    t = (rng._as_float(angle) + 0.5) * 2.0**-64
+    cos, sin = z[:p] / r, z[p:] / r
+    with mpmath.workprec(113):
+        two_t = [2 * mpmath.mpf(float(x)) for x in t]
+        cos_err = max(abs(mpmath.mpf(float(c)) - mpmath.cospi(a)) for c, a in zip(cos, two_t))
+        sin_err = max(abs(mpmath.mpf(float(s)) - mpmath.sinpi(a)) for s, a in zip(sin, two_t))
+    assert cos_err <= 1e-15 and sin_err <= 1e-15
+    assert np.max(np.abs(cos**2 + sin**2 - 1.0)) <= 2e-15
