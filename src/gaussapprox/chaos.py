@@ -38,10 +38,10 @@ Hankel matrices, the corner the block cuts off the convolution.
   fast (numerical rank about 30), so a randomized range finder
   (Halko-Martinsson-Tropp) with ``LOWRANK_PROBES`` seeded sign probes and
   one power iteration gives E_up ~ Q B^T, and the other three traces cost
-  O(k m log m) through circular FFTs of length next_fast_len(2m - 1).  The
-  probes are seeded from (H, q, r, m), and every m-long reduction is an
-  einsum loop or a BLAS dot short enough to run on one thread, so the bits
-  do not depend on the run or on the BLAS thread count.
+  O(k m log m) through circular FFTs of the first 5-smooth length at least
+  2m - 1.  The probes are seeded from (H, q, r, m), and every m-long
+  reduction is an einsum loop or a BLAS dot short enough to run on one
+  thread, so the bits do not depend on the run or on the BLAS thread count.
 
 Sums of blocks of at least ``LOWRANK_CROSSOVER`` run on the low-rank
 evaluator; smaller ones keep the lattice pass.  The evaluator also estimates
@@ -69,12 +69,13 @@ checks every level before any of them runs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .fgn import (
     SigmaEstimate,
@@ -137,6 +138,10 @@ _DOT_CHUNK = 8192
 #: 2^15 were slower: their arrays pass glibc's mmap threshold, so each sum
 #: maps them afresh and takes about 370 more page faults at m = 256..564.
 _GAP_BLOCK = 2**13
+
+#: Elements of the one buffer of the lattice pass's arrays: G (6 m + 2 G - 4)
+#: elements in all, at most 8 ``_GAP_BLOCK`` while G m <= ``_GAP_BLOCK`` and G <= m.
+_PASS_BUFFER = 8 * _GAP_BLOCK
 
 #: Fewest gaps per step of the lattice pass; near m = ``_GAP_BLOCK`` a step of
 #: one or two gaps spends more on its calls than the blocking saves.
@@ -272,6 +277,24 @@ def _gaps_per_step(m: int) -> int:
     return min(m, max(_MIN_GAPS, _GAP_BLOCK // m))
 
 
+def _pass_buffers(*shapes) -> list[np.ndarray]:
+    """Arrays of the given shapes, laid end to end in one buffer of at least
+    ``_PASS_BUFFER`` elements.
+
+    Every lattice pass of a block up to ``_GAP_BLOCK // _MIN_GAPS`` points
+    fits that size, so each sum asks malloc for the same buffer whatever its
+    m, and gets back the memory the last sum freed.  Sized by m, the buffers
+    of successive sums differ, and glibc trims the heap top between them:
+    the ``bound-grid`` job list then took 42,000 minor page faults instead of
+    about 100.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = np.empty(max(_PASS_BUFFER, sum(sizes)))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [buf[start:start + size].reshape(shape)
+            for shape, size, start in zip(shapes, sizes, starts)]
+
+
 def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
     """sum_{k,l,k',l' in [0,m)} a(k-l) a(k'-l') b(k-k') b(l-l').
 
@@ -301,11 +324,10 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
     win_p = sliding_window_view(b_sym, m - 1)
     win_q = sliding_window_view(b_ext, m - 1)
     gaps = _gaps_per_step(m)
-    prod = np.empty((2, gaps, m - 1))
-    # columns m.. pad the skewed reads of the last gap of a block
-    sums = np.zeros((2, gaps, m + gaps - 1))
-    term1 = np.empty((gaps, m))
-    term2 = np.empty((gaps, m))
+    # columns m.. of sums pad the skewed reads of the last gap of a block
+    prod, sums, term1, term2 = _pass_buffers(
+        (2, gaps, m - 1), (2, gaps, m + gaps - 1), (gaps, m), (gaps, m))
+    sums.fill(0.0)
     up, vp = sums
     row, col = up.strides
     for g0 in range(0, m, gaps):
@@ -380,6 +402,19 @@ def _toeplitz_part(a, b_ext, a_hat, b_hat, m: int, n: int) -> tuple[float, np.nd
     return tf_sq, rfft(np.concatenate((f, np.zeros(n - 2 * m + 1), f[:0:-1])))
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest 2^i 3^j 5^k >= target, the real-FFT size of ``scipy.fft.next_fast_len``."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[float, float]:
     """Tr((T_a T_b)^2) from M = T_F - E, with its estimated relative error.
 
@@ -389,9 +424,10 @@ def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[f
     B = E_up^T Q.  The terms that use Q B^T in place of E_up err by at most
     |R| (4 |T_F| + 8 |B| + 4 |R|) in Frobenius norms, R = E_up - Q B^T, and
     |R| is estimated from ``_RESIDUAL_PROBES`` more sign probes w, since
-    E |R w|^2 = |R|^2.
+    E |R w|^2 = |R|^2.  The transforms are ``numpy.fft``'s, of length
+    ``_next_fast_len(2m - 1)``.
     """
-    n = next_fast_len(2 * m - 1, real=True)
+    n = _next_fast_len(2 * m - 1)
     a_hat, b_hat = rfft(a, n), rfft(b_ext, n)
     tf_sq, f_hat = _toeplitz_part(a, b_ext, a_hat, b_hat, m, n)
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
@@ -90,8 +89,10 @@ def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
     ``fgn._workspace`` allocated here: after the first block a block
     allocates only its raw draws, and the draw buffers (256 KiB each at
     most) are neither mapped nor faulted in again.  ``statistic`` maps a
-    (block, length) array of paths, a view of the workspace that the next
-    block overwrites, to new rows, one per path.
+    (block, length) array of paths to new rows, one per path: the
+    workspace's contiguous ``increments`` buffer, which the next block
+    overwrites.  The copy into it costs less than running the statistic's
+    ufuncs over the strided view of the inverse-FFT output.
     Also returns the diagnostics ``embedding_min_ratio``, min(lam) / max(lam)
     of the embedding spectrum before clipping (the margin of the guard), and
     ``normals_per_path`` W.
@@ -102,8 +103,13 @@ def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
     bits = philox_bits(hash64(seed, tag))
     block = min(m, max(1, DRAW_NORMALS // factors.normals_per_path))
     work = _workspace(factors, block)
-    values = np.concatenate([statistic(_draw(factors, bits, min(block, m - r), work))
-                             for r in range(0, m, block)])
+
+    def draw(count: int) -> np.ndarray:
+        paths = work.increments[:count]
+        np.copyto(paths, _draw(factors, bits, count, work))
+        return paths
+
+    values = np.concatenate([statistic(draw(min(block, m - r))) for r in range(0, m, block)])
     return values, {"embedding_min_ratio": factors.min_ratio,
                     "normals_per_path": factors.normals_per_path}
 
@@ -213,13 +219,23 @@ def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, d
 
 
 def normal_cdf(x):
-    """Standard normal CDF, ``scipy.special.ndtr``."""
+    """Standard normal CDF, ``scipy.special.ndtr``, imported on the first call.
+
+    No subcommand calls it, so importing the package loads no scipy module.
+    """
+    from scipy.special import ndtr
+
     out = ndtr(np.asarray(x, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 
 def normal_quantile(p):
-    """Inverse standard normal CDF, ``scipy.special.ndtri``, on p strictly inside (0, 1)."""
+    """Inverse standard normal CDF, ``scipy.special.ndtri``, on p strictly inside (0, 1).
+
+    Imported on the first call, like ``normal_cdf``; ``empirical_w1_1d`` uses it.
+    """
+    from scipy.special import ndtri
+
     p_arr = np.asarray(p, dtype=np.float64)
     if not np.all(np.isfinite(p_arr)) or np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
         raise ValueError("probabilities must be finite and lie strictly inside (0, 1)")

@@ -20,11 +20,11 @@ The same series, raised to the q-th power, gives the lag sum inside
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom, zeta
 
 from .errors import HypothesisViolation
 from .hermite import _check_rank
@@ -54,9 +54,78 @@ def check_hurst(h: float) -> float:
     return h
 
 
+def _binom(n: float, k: int) -> float:
+    """C(n, k) for real n > 0 and integer k >= 0 by the multiplication formula.
+
+    The loop of ``scipy.special.binom``: num *= i + n - k, den *= i, in that
+    order, so the bits equal scipy's for k < 20 and n > 1e-8.  scipy takes a
+    beta-function formula from k = 20 on and for n <= 1e-8.  At k = 20 the
+    loop agrees with it to about 1e-13 relative away from n = 0, 1, 2; at
+    n <= 1e-8 the sum i + n would round n away, so the factors are taken as
+    n - (k - i), exact in k - i.
+    """
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= i + n - k if n > 1e-8 else n - (k - i)
+        den *= i
+    return num / den
+
+
+@functools.lru_cache(maxsize=256)
 def _series_coefficients(h: float) -> np.ndarray:
-    """C(2H, 2j) for j = 1.._SERIES_TERMS, so rho(x) = sum_j c_j |x|^{2H-2j} beyond the cutoff."""
-    return binom(2.0 * h, 2.0 * np.arange(1, _SERIES_TERMS + 1))
+    """C(2H, 2j) for j = 1.._SERIES_TERMS, so rho(x) = sum_j c_j |x|^{2H-2j} beyond the cutoff.
+
+    Built once per H and returned read-only: ``rho`` asks for them on every call.
+    """
+    c = np.array([_binom(2.0 * h, 2 * j) for j in range(1, _SERIES_TERMS + 1)])
+    c.flags.writeable = False
+    return c
+
+
+#: Cephes' Euler-Maclaurin coefficients (2k)! / B_2k of the Hurwitz zeta tail.
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum_{k>=0} (k + q)^{-x} for x > 1 and q > 0.
+
+    A port of Cephes' ``zeta(x, q)`` (Moshier 1989), the code behind
+    ``scipy.special.zeta``: the terms k = 0..9 directly (more while k + q
+    <= 9, fewer once a term is below ``_MACHEP`` of the sum), then the
+    Euler-Maclaurin remainder with up to 12 ``_ZETA_A`` corrections.  Same
+    operations in the same order, and ``math.pow`` is libm's pow, so the
+    bits equal scipy's.
+    """
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * math.pow(q, 1.0 - x)
+    s = math.pow(q, -x)
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for c in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / c
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 def rho(h: float, x) -> np.ndarray | float:
@@ -184,12 +253,16 @@ class _Workspace:
     ``box_muller``, W = ``normals_per_path``, and ``out`` the (paths, W)
     buffer the increments land in.  ``spectrum`` is the (paths, s/2 + 1)
     complex half spectrum on the circulant path and None on the Cholesky
-    path.  Every ``_draw`` overwrites all of them.
+    path.  Every ``_draw`` overwrites all of them.  ``increments`` is a
+    contiguous (paths, n) buffer that ``empirical.replicate`` copies the
+    draws into: the (paths, n) view of ``out`` is strided whenever n < W,
+    and numpy buffers every ufunc that runs over such a view.
     """
 
     uniforms: np.ndarray
     normals: np.ndarray
     out: np.ndarray
+    increments: np.ndarray
     spectrum: np.ndarray | None = None
 
 
@@ -199,7 +272,8 @@ def _workspace(factors: _Factors, paths: int) -> _Workspace:
     spectrum = None
     if factors.method == "circulant":
         spectrum = np.zeros((paths, factors.normals_per_path // 2 + 1), dtype=np.complex128)
-    return _Workspace(np.empty(shape), np.empty(shape), np.empty(shape), spectrum)
+    return _Workspace(np.empty(shape), np.empty(shape), np.empty(shape),
+                      np.empty((paths, factors.n)), spectrum)
 
 
 def _draw(factors: _Factors, bits: np.random.Philox, paths: int = 1,
@@ -303,8 +377,8 @@ def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
     ``rho(x)^q = sum_k e_k x^{q(2H-2)-2k}``, where the e_k are the
     coefficients of the q-th power of the binomial series of ``rho``, so the
     rest of the sum is ``2 sum_k e_k zeta(q(2-2H)+2k, max_lag+1)`` with the
-    Hurwitz zeta function, exact to machine precision.  ``max_lag`` must
-    reach the series cutoff (16).
+    Hurwitz zeta function (``_hurwitz_zeta``, a port of Cephes'), exact to
+    machine precision.  ``max_lag`` must reach the series cutoff (16).
     """
     h = check_hurst(h)
     q = _check_rank(q, minimum=2)
@@ -317,7 +391,8 @@ def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
     # The k-th coefficient of the power uses series terms 0..k only, so these are exact.
     e = np.polynomial.polynomial.polypow(_series_coefficients(h), q)[:_SERIES_TERMS]
     s = q * (2.0 - 2.0 * h) + 2.0 * np.arange(_SERIES_TERMS)
-    tail = 2.0 * float(np.sum(e * zeta(s, max_lag + 1)))
+    zeta = np.array([_hurwitz_zeta(x, max_lag + 1.0) for x in s.tolist()])
+    tail = 2.0 * float(np.sum(e * zeta))
     total = head + tail
     if total <= 0.0:
         raise ValueError("nonpositive variance sum; inadmissible configuration")

@@ -214,6 +214,16 @@ def test_blocked_lattice_pass_memory_is_bounded_by_the_block():
         assert peak < 12 * 8 * block, (m, peak)
 
 
+def test_lattice_pass_asks_for_one_buffer_size_whatever_the_block():
+    # equal requests let malloc hand each sum the memory the last one freed
+    for m in (2, 3, 90, 564, 1023, 2048):
+        g = chaos._gaps_per_step(m)
+        views = chaos._pass_buffers((2, g, m - 1), (2, g, m + g - 1), (g, m), (g, m))
+        assert {v.base.size for v in views} == {chaos._PASS_BUFFER}, m
+        assert sum(v.size for v in views) <= chaos._PASS_BUFFER
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(views) for b in views[i + 1:])
+
+
 def test_brownian_contraction_is_the_block_size():
     # At H = 1/2 rho vanishes off lag 0, so T_a = T_b = I and Tr(I^2) = m.
     for q, r in ((2, 1), (3, 1), (4, 2)):
@@ -395,6 +405,13 @@ def test_kernel_family_rejects_times_out_of_range():
 
 LOWRANK_CASES = [(h, q, r) for h in (0.3, 0.6, 0.7, 0.8) for q in (2, 3, 4)
                  if h < 1.0 - 1.0 / (2 * q) for r in range(1, q // 2 + 1)]
+
+
+def test_next_fast_len_is_the_real_fft_size_of_scipy():
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 2**17 + 1)
+    assert [chaos._next_fast_len(t) for t in targets] == [next_fast_len(t, real=True) for t in targets]
 
 
 def test_lowrank_sum_matches_lattice_pass():

@@ -531,13 +531,51 @@ def test_rates_report_independent_of_blas_threads():
     assert json.loads(outs[0])["results"]["diagnostics"]["contraction_error_max"] > 0.0
 
 
+def _python(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter that runs ``code`` on the source tree."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, stdout=subprocess.PIPE,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.strip()
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_leaves_out_the_matching_modules():
     # only empirical_w1_multid's matching path needs the first two, and no subcommand
     # calls it; the package needs nothing from scipy.linalg
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = ("import sys, gaussapprox.cli; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial', 'scipy.linalg') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _python(code) == "[]"
+    # nor any other scipy module: normal_cdf and normal_quantile import theirs on use
+    for module in ("gaussapprox.cli", "gaussapprox"):
+        assert _python(f"import sys, {module}; print({_SCIPY_LOADED})") == "[]", module
+
+
+def test_cli_jobs_load_no_scipy_module():
+    # one report of every subcommand, the rates curve reaching the low-rank
+    # evaluator (block 1024) and the bound the lattice pass
+    jobs = [
+        ["bound", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "512"],
+        ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "256,512,1024"],
+        ["simulate", "--H", "0.7", "--q", "2", "--times", "0,1,2", "--n", "64", "--m", "50",
+         "--seed", "1"],
+        ["malliavin", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "64", "--m", "20",
+         "--seed", "1"],
+        ["stein-check", "--C", "[[1.0, 0.2], [0.2, 1.0]]", "--grid-steps", "3"],
+        ["chatterjee", "--K", "[[1.0, 0.3], [0.3, 1.0]]", "--m", "20", "--seed", "1",
+         "--functions", json.dumps({"type": "componentwise", "kind": "tanh", "n": 2})],
+        ["gaussian-pair", "--C", "[[1.0, 0.2], [0.2, 1.0]]", "--K", "[[1.0, 0.0], [0.0, 1.0]]"],
+    ]
+    assert {argv[0] for argv in jobs} == set(SUBCOMMANDS)
+    code = ("import io, json, sys; from contextlib import redirect_stdout; import gaussapprox.cli as cli\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            f"print(json.dumps([codes, {_SCIPY_LOADED}]))")
+    codes, loaded = json.loads(_python(code, json.dumps(jobs)))
+    assert codes == [0] * len(jobs)
+    assert loaded == []

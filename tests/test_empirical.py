@@ -269,6 +269,24 @@ def test_job_paths_are_windows_of_one_stream(monkeypatch):
             assert np.array_equal(paths[r], _path(0.7, length, key, r, method))
 
 
+def test_statistic_gets_one_contiguous_buffer_for_every_block(monkeypatch):
+    # the (block, n) view of the inverse-FFT output is strided; the paths
+    # are copied into the workspace's contiguous buffer, the same every block
+    fam = kernel_family(0.7, 2, 100, (0.0, 1.0))
+    monkeypatch.setattr(empirical, "DRAW_NORMALS", 3 * 256)
+    seen = []
+
+    def first_steps(paths):
+        seen.append((paths.flags.c_contiguous, paths.ctypes.data))
+        return paths[:, :2].copy()
+
+    values, _ = replicate(fam, 10, 4, "contiguous", first_steps)
+    assert len(seen) == 4
+    assert all(contiguous for contiguous, _ in seen)
+    assert len({address for _, address in seen}) == 1
+    assert np.array_equal(values[0], sample_fgn(0.7, 100, hash64(4, "contiguous")).increments[:2])
+
+
 def test_paths_do_not_depend_on_the_block_size(monkeypatch):
     times = (0.0, 1.0, 2.5)
     fam = kernel_family(0.65, 2, 36, times)

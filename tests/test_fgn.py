@@ -125,6 +125,51 @@ def test_sigma_matches_high_precision_oracle(h, q):
     assert sigma_bm(h, q).value == pytest.approx(sigma_mpmath(h, q), rel=1e-14)
 
 
+def test_hurwitz_zeta_port_keeps_the_bits_of_scipy():
+    # sigma_bm's tail takes zeta(q(2 - 2H) + 2k, 65).  For s in about
+    # [20.6, 34.3] at a = 65 Cephes' Euler-Maclaurin sum, and so scipy's, is
+    # up to 2.8e-11 off; there the port is held to scipy's bits and that
+    # error.  Those terms weigh at most 65^-20 against a sum near 1.
+    from scipy.special import zeta
+
+    for s in np.linspace(1.0, 40.0, 391)[1:].tolist():
+        port = fgn._hurwitz_zeta(s, 65.0)
+        assert port == zeta(s, 65.0), s
+        with mpmath.workdps(50):  # mpmath's zeta at a = 65 needs the digits
+            exact = float(mpmath.zeta(s, 65))
+        tol = 3e-11 if 20.6 <= s <= 34.3 else 1e-13
+        assert abs(port - exact) <= tol * exact, s
+
+
+def test_binomial_keeps_the_bits_of_scipy_below_k_20():
+    from scipy.special import binom
+
+    ns = (2.0 * np.linspace(0.0, 1.0, 401)[1:-1]).tolist()  # n = 2H
+    for n in ns:
+        for k in range(19):
+            assert fgn._binom(n, k) == binom(n, k), (n, k)
+    # From k = 20 on scipy takes a beta-function formula.  The loop forms
+    # the factor n - j, j in {0, 1, 2}, as (i + n) - k, so its relative error
+    # grows like eps / |n - j| near those points, as scipy's does: the bound
+    # is 1e-13 at distance 0.04 from them.  C(1, k) = 0 exactly.
+    for n in ns:
+        if n != 1.0:
+            exact = float(mpmath.binomial(n, 20))
+            dist = min(abs(n - j) for j in (0.0, 1.0, 2.0))
+            assert abs(fgn._binom(n, 20) - exact) <= 4e-15 / dist * abs(exact), n
+    # at n <= 1e-8 the factors are n - (k - i), exact in k - i
+    for n in (1e-12, 1e-9, 1e-8):
+        for k in (2, 10, 20):
+            exact = float(mpmath.binomial(n, k))
+            assert abs(fgn._binom(n, k) - exact) <= 1e-13 * abs(exact), (n, k)
+
+
+def test_series_coefficients_are_built_once_per_hurst_index():
+    first = fgn._series_coefficients(0.7)
+    assert fgn._series_coefficients(0.7) is first
+    assert not first.flags.writeable
+
+
 def test_sigma_independent_of_head_length():
     for h, q in ((0.6, 2), (0.74, 2), (0.3, 3)):
         short, long = sigma_bm(h, q, max_lag=64), sigma_bm(h, q, max_lag=10**5)
