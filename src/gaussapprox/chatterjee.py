@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff import fd_gradient
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
 from .stein import (DEFAULT_GH_ORDER, OU_NODES, QuadratureSpec, _legendre_01, default_quadrature,
@@ -53,11 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SmoothVectorFunction:
-    """An absolutely continuous map F: R^n -> R^d with optional Jacobian oracles.
+    """An absolutely continuous map F: R^n -> R^d with its Jacobian.
 
-    ``fn`` maps arrays of shape (..., n) to shape (..., d) and ``jacobian``
-    maps them to shape (..., d, n).  Without a Jacobian oracle, central
-    differences are used.  ``mean_jacobian(ys, k, u_nodes, order)`` maps a
+    ``fn`` maps arrays of shape (..., n) to shape (..., d) and ``jacobian``,
+    which is required, maps them to shape (..., d, n).
+    ``mean_jacobian(ys, k, u_nodes, order)`` maps a
     batch ys of shape (m, n) and the CovarianceMatrix k of Y to Jbar at each
     point, shape (m, d, n), using
     ``u_nodes`` Gauss-Legendre nodes in u and, where it needs one, a
@@ -71,19 +70,12 @@ class SmoothVectorFunction:
     input_dim: int
     dim: int
     fn: object
-    jacobian: object = None
+    jacobian: object
     mean_jacobian: object = None
 
     def jacobian_at(self, pts) -> np.ndarray:
         """Jacobian of F at each point of pts, shape (..., d, n)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(pts), dtype=np.float64)
-        flat = pts.reshape(-1, self.input_dim)
-        out = np.empty((flat.shape[0], self.dim, self.input_dim))
-        for row, y in enumerate(flat):
-            out[row] = fd_gradient(self.fn, y)
-        return out.reshape(pts.shape[:-1] + (self.dim, self.input_dim))
+        return np.asarray(self.jacobian(np.asarray(pts, dtype=np.float64)), dtype=np.float64)
 
     @property
     def inner_rule(self) -> str:

@@ -10,11 +10,13 @@ A Monte Carlo job reads one Philox stream keyed by hash64(master, tag), and
 replication r reads the fixed window [r W, (r + 1) W) of its raw draws, W
 the ``normals_per_path`` of the path length, so a batch depends only on the
 master seed.  ``replicate`` is the one replication loop, a plain serial loop
-over blocks of paths: it builds the fGn sampling factors of a family and
-the buffers of one block once, draws at most ``DRAW_NORMALS`` normals per
-block into those buffers, and applies the statistic to the whole (block, n)
-array, for ``simulate_bm_vector`` and ``malliavin_grams`` alike.  No value
-depends on the block size.
+over blocks of paths: it builds the fGn sampling factors of a family once
+(the circulant embedding, fGn's one sampler; a spectrum that fails its guard
+raises ``NotPositiveDefinite`` instead of switching samplers), takes blocks
+of at most ``DRAW_NORMALS`` normals from the block loop of ``fgn``, and
+applies the statistic to the whole (block, n) array, for
+``simulate_bm_vector`` and ``malliavin_grams`` alike.  No value depends on
+the block size.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
-from .fgn import FgnPath, _circulant_factors, _draw, _workspace, check_hurst, rho
+from .fgn import FgnPath, _circulant_factors, _paths, check_hurst, rho
 from .hermite import _check_rank, hermite_eval
 from .rng import hash64, philox_bits, standard_normals
 
@@ -82,17 +84,16 @@ def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
     """m replications of a statistic of fGn paths of the family's length.
 
     The sampling factors of (H, length) are built once (one embedding
-    spectrum and guard check per call).  Path r reads window r of the Philox
-    stream keyed by hash64(seed, tag): raw draws [r W, (r + 1) W), W =
+    spectrum and guard check per call; a failing guard raises
+    ``NotPositiveDefinite``).  Path r reads window r of the Philox stream
+    keyed by hash64(seed, tag): raw draws [r W, (r + 1) W), W =
     ``normals_per_path``, so path 0 is ``sample_fgn`` with that key.  Paths
-    are drawn in blocks of at most ``DRAW_NORMALS`` normals, all through one
-    ``fgn._workspace`` allocated here: after the first block a block
+    come from ``fgn._paths`` in blocks of at most ``DRAW_NORMALS`` normals,
+    into buffers allocated once per call: after the first block a block
     allocates only its raw draws, and the draw buffers (256 KiB each at
     most) are neither mapped nor faulted in again.  ``statistic`` maps a
-    (block, length) array of paths to new rows, one per path: the
-    workspace's contiguous ``increments`` buffer, which the next block
-    overwrites.  The copy into it costs less than running the statistic's
-    ufuncs over the strided view of the inverse-FFT output.
+    contiguous (block, length) array of paths, which the next block
+    overwrites, to new rows, one per path.
     Also returns the diagnostics ``embedding_min_ratio``, min(lam) / max(lam)
     of the embedding spectrum before clipping (the margin of the guard), and
     ``normals_per_path`` W.
@@ -100,16 +101,9 @@ def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
     if m < 1:
         raise ValueError("m must be >= 1")
     factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
-    bits = philox_bits(hash64(seed, tag))
     block = min(m, max(1, DRAW_NORMALS // factors.normals_per_path))
-    work = _workspace(factors, block)
-
-    def draw(count: int) -> np.ndarray:
-        paths = work.increments[:count]
-        np.copyto(paths, _draw(factors, bits, count, work))
-        return paths
-
-    values = np.concatenate([statistic(draw(min(block, m - r))) for r in range(0, m, block)])
+    paths = _paths(factors, philox_bits(hash64(seed, tag)), m, block)
+    values = np.concatenate([statistic(p) for p in paths])
     return values, {"embedding_min_ratio": factors.min_ratio,
                     "normals_per_path": factors.normals_per_path}
 

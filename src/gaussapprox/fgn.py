@@ -2,13 +2,20 @@
 
 Covers the stationary unit-step increments of fractional Brownian motion with
 Hurst index H in (0, 1): the autocovariance ``rho``, the fBm covariance
-kernel, exact sampling by circulant embedding (Cholesky fallback), and the
-limiting standard deviation ``sigma_bm`` that normalizes the Hermite-functional
-partial sums.  Sampling is split into factors that depend on (H, n) only and
-a draw that reads the next window of ``normals_per_path`` raw draws of a
-Philox stream per path, so many paths of one length share one embedding
-spectrum and are drawn a block at a time; a path's bits do not depend on
-the block size.  ``sample_fgn(h, n, seed)`` is window 0 of stream ``seed``.
+kernel, exact sampling by circulant embedding, and the limiting standard
+deviation ``sigma_bm`` that normalizes the Hermite-functional partial sums.
+
+Sampling has one method.  The circulant embedding of fGn is nonnegative
+definite for every H in (0, 1) (Craigmile 2003, J. Time Ser. Anal. 24, for
+H <= 1/2; Perrin, Harba, Jennane and Iribarren 2002, IEEE Signal Process.
+Lett. 9, for all H), so no second sampler is kept: the embedding guard
+stays, and a spectrum that fails it raises ``NotPositiveDefinite`` (exit
+code 3 on the command line).  Sampling is split into factors that depend on
+(H, n) only and a block loop that reads the next window of
+``normals_per_path`` raw draws of a Philox stream per path, so many paths of
+one length share one embedding spectrum and are drawn a block at a time; a
+path's bits do not depend on the block size.  ``sample_fgn(h, n, seed)`` is
+window 0 of stream ``seed``.
 
 ``rho(x) = (|x+1|^{2H} + |x-1|^{2H} - 2|x|^{2H}) / 2`` is a second difference
 of ``|x|^{2H}`` and cancels catastrophically for large ``|x|`` in the direct
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, NotPositiveDefinite
 from .hermite import _check_rank
 from .rng import box_muller, philox_bits
 
@@ -166,7 +173,7 @@ class FgnPath:
     hurst: float
     increments: np.ndarray
     seed: int
-    method: str  # "circulant" or "cholesky"
+    method: str  # always "circulant", the one sampler
 
     @property
     def n(self) -> int:
@@ -189,157 +196,106 @@ def _embedding_eigenvalues(h: float, n: int) -> np.ndarray:
 class _Factors:
     """Sampling factors of fGn paths of one (H, n), shared by every seed.
 
-    ``method`` "circulant": ``factor`` holds the per-frequency scales of the
-    clipped embedding spectrum of size s, normalized by sqrt(s)
-    (sqrt(lam / s) at frequencies 0 and s/2, sqrt(lam / (2 s)) in between),
-    laid out like the float view of the half spectrum: the scale of the real
-    part and the negated scale of the imaginary part of each frequency
-    0..s/2 in turn, 0 for the imaginary parts of frequencies 0 and s/2.
-    ``method`` "cholesky": ``factor`` is the lower Cholesky factor of the
-    n x n Toeplitz covariance.  ``min_ratio`` is min(lam) / max(lam) before
-    clipping, or None when no spectrum was built.
+    ``factor`` holds the per-frequency scales of the clipped embedding
+    spectrum of size s, normalized by sqrt(s) (sqrt(lam / s) at frequencies
+    0 and s/2, sqrt(lam / (2 s)) in between), laid out like the float view of
+    the half spectrum: the scale of the real part and the negated scale of
+    the imaginary part of each frequency 0..s/2 in turn, 0 for the imaginary
+    parts of frequencies 0 and s/2.  ``min_ratio`` is min(lam) / max(lam)
+    before clipping, the margin of the embedding guard.
     """
 
     n: int
-    method: str
     factor: np.ndarray
-    min_ratio: float | None
+    min_ratio: float
 
     @property
     def normals_per_path(self) -> int:
-        """Raw draws one path reads: the embedding size, or n rounded up to even."""
-        if self.method == "circulant":
-            return self.factor.size - 2
-        return self.n + (self.n & 1)
+        """Raw draws one path reads: the embedding size."""
+        return self.factor.size - 2
 
 
-def _circulant_factors(h: float, n: int, method: str | None = None) -> _Factors:
+def _circulant_factors(h: float, n: int) -> _Factors:
     """Run the embedding guard once and build the factors every draw reuses.
 
-    The circulant spectrum is used unless it dips below ``-EMBEDDING_RTOL``
-    relative to its maximum (never expected for fGn, kept as a guard), in
-    which case the Toeplitz Cholesky factor is returned instead.  ``method``
-    forces "circulant" (an error if the guard fires) or "cholesky".
+    Raises ``NotPositiveDefinite`` if the spectrum dips below
+    ``-EMBEDDING_RTOL`` relative to its maximum, which the nonnegativity of
+    the fGn embedding rules out up to rounding (see the module docstring).
     """
-    if method not in (None, "circulant", "cholesky"):
-        raise ValueError(f"unknown method {method!r}")
-    min_ratio = None
-    if method != "cholesky":
-        lam = _embedding_eigenvalues(h, n)
-        lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
-        min_ratio = lam_min / lam_max
-        embeddable = lam_min >= -EMBEDDING_RTOL * lam_max
-        if method == "circulant" and not embeddable:
-            raise ValueError("circulant embedding is not nonnegative definite")
-        if embeddable:
-            lam = np.clip(lam, 0.0, None) / lam.size
-            half = lam.size // 2
-            scales = np.sqrt(lam[: half + 1])
-            scales[1:half] = np.sqrt(lam[1:half] / 2.0)
-            factor = np.zeros(lam.size + 2)
-            factor[0::2] = scales
-            factor[3 : lam.size : 2] = -scales[1:half]
-            return _Factors(n, "circulant", factor, min_ratio)
-    idx = np.arange(n)  # rho is even in the lag: the Toeplitz matrix of rho(0..n-1)
-    ell = np.linalg.cholesky(rho(h, np.subtract.outer(idx, idx)))
-    return _Factors(n, "cholesky", ell, min_ratio)
+    lam = _embedding_eigenvalues(h, n)
+    lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
+    if not lam_min >= -EMBEDDING_RTOL * lam_max:
+        raise NotPositiveDefinite(
+            f"circulant embedding of fGn (H={h}, n={n}) is not nonnegative definite: "
+            f"min/max eigenvalue {lam_min / lam_max:.3e} < -{EMBEDDING_RTOL:g}"
+        )
+    lam = np.clip(lam, 0.0, None) / lam.size
+    half = lam.size // 2
+    scales = np.sqrt(lam[: half + 1])
+    scales[1:half] = np.sqrt(lam[1:half] / 2.0)
+    factor = np.zeros(lam.size + 2)
+    factor[0::2] = scales
+    factor[3 : lam.size : 2] = -scales[1:half]
+    return _Factors(n, factor, lam_min / lam_max)
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """Buffers for blocks of up to ``paths`` paths of one ``_Factors``.
+def _paths(factors: _Factors, bits: np.random.Philox, m: int, block: int):
+    """Paths 0..m-1 of the stream ``bits``, yielded ``block`` at a time as (count, n) arrays.
 
-    ``uniforms`` and ``normals`` are the (paths, W) buffers of
-    ``box_muller``, W = ``normals_per_path``, and ``out`` the (paths, W)
-    buffer the increments land in.  ``spectrum`` is the (paths, s/2 + 1)
-    complex half spectrum on the circulant path and None on the Cholesky
-    path.  Every ``_draw`` overwrites all of them.  ``increments`` is a
-    contiguous (paths, n) buffer that ``empirical.replicate`` copies the
-    draws into: the (paths, n) view of ``out`` is strided whenever n < W,
-    and numpy buffers every ufunc that runs over such a view.
-    """
-
-    uniforms: np.ndarray
-    normals: np.ndarray
-    out: np.ndarray
-    increments: np.ndarray
-    spectrum: np.ndarray | None = None
-
-
-def _workspace(factors: _Factors, paths: int) -> _Workspace:
-    """Allocate the buffers of blocks of up to ``paths`` paths."""
-    shape = (paths, factors.normals_per_path)
-    spectrum = None
-    if factors.method == "circulant":
-        spectrum = np.zeros((paths, factors.normals_per_path // 2 + 1), dtype=np.complex128)
-    return _Workspace(np.empty(shape), np.empty(shape), np.empty(shape),
-                      np.empty((paths, factors.n)), spectrum)
-
-
-def _draw(factors: _Factors, bits: np.random.Philox, paths: int = 1,
-          work: _Workspace | None = None) -> np.ndarray:
-    """(paths, n) increments of the next ``paths`` paths of the stream ``bits``.
-
-    Each path reads the next ``normals_per_path`` raw draws and turns them
-    into normals with one Box-Muller pairing per row.  On the circulant path
-    normals 0 and 1 scale frequencies 0 and s/2, and normals 2..s/2 and
+    Path r reads the raw draws [r W, (r + 1) W), W = ``normals_per_path``,
+    and turns them into normals with one Box-Muller pairing per row.
+    Normals 0 and 1 scale frequencies 0 and s/2, and normals 2..s/2 and
     s/2+1..s-1 the real and imaginary parts of frequencies 1..s/2-1; the
-    half spectrum ``scales * (re - i im)`` goes through one inverse real FFT,
-    which equals the forward FFT of the full Hermitian spectrum.  The
-    Cholesky path multiplies each row on its own, so no bit depends on
-    ``paths``.
+    half spectrum ``scales * (re - i im)`` goes through one inverse real
+    FFT, which equals the forward FFT of the full Hermitian spectrum.  Every
+    step is per row, so no bit depends on ``block``.
 
-    Every step writes into ``work`` (a ``_workspace`` of at least ``paths``
-    paths; a one-shot one when not given): the normals are copied into
-    their places in the float view of the spectrum and scaled there in one
-    pass, and the inverse FFT writes into ``work.out``.  So a caller that
-    passes the same workspace for every block allocates nothing per block
-    but the raw draws.  The result is a view of ``work.out`` that the next
-    draw into the same workspace overwrites.
+    The buffers are allocated once, before the first draw: the half
+    spectrum, the uniforms and normals of ``box_muller``, the inverse FFT's
+    output and a contiguous (block, n) buffer of paths, so a block allocates
+    nothing but its raw draws.  The normals are scaled in place in the float
+    view of the spectrum, and the first n steps of the FFT output are copied
+    into the paths buffer: their view is strided whenever n < W, and numpy
+    buffers every ufunc that runs over such a view.  Every block is a view
+    of the same paths buffer, which the next block overwrites.
     """
-    if work is None:
-        work = _workspace(factors, paths)
-    raw = bits.random_raw(paths * factors.normals_per_path).reshape(paths, -1)
-    z = box_muller(raw, work.normals[:paths], work.uniforms[:paths])
-    out = work.out[:paths]
-    if factors.method == "cholesky":
-        for row, path in zip(z, out):
-            np.matmul(factors.factor, row[: factors.n], out=path[: factors.n])
-        return out[:, : factors.n]
     size = factors.normals_per_path
     half = size // 2
-    spectrum = work.spectrum[:paths]
-    flat = spectrum.view(np.float64)
-    flat[:, 0] = z[:, 0]
-    flat[:, size] = z[:, 1]
-    flat[:, 2:size:2] = z[:, 2 : half + 1]
-    flat[:, 3:size:2] = z[:, half + 1 :]
-    flat *= factors.factor
-    return np.fft.irfft(spectrum, n=size, axis=1, norm="forward", out=out)[:, : factors.n]
+    spectrum = np.zeros((block, half + 1), dtype=np.complex128)
+    uniforms, normals, out = np.empty((block, size)), np.empty((block, size)), np.empty((block, size))
+    paths = np.empty((block, factors.n))
+    for lo in range(0, m, block):
+        count = min(block, m - lo)
+        raw = bits.random_raw(count * size).reshape(count, -1)
+        z = box_muller(raw, normals[:count], uniforms[:count])
+        flat = spectrum[:count].view(np.float64)
+        flat[:, 0] = z[:, 0]
+        flat[:, size] = z[:, 1]
+        flat[:, 2:size:2] = z[:, 2 : half + 1]
+        flat[:, 3:size:2] = z[:, half + 1 :]
+        flat *= factors.factor
+        np.fft.irfft(spectrum[:count], n=size, axis=1, norm="forward", out=out[:count])
+        np.copyto(paths[:count], out[:count, : factors.n])
+        yield paths[:count]
 
 
-def sample_fgn(h: float, n: int, seed: int, method: str | None = None) -> FgnPath:
-    """Exact fGn sample of length n, reproducible for fixed (H, n, seed).
+def sample_fgn(h: float, n: int, seed: int) -> FgnPath:
+    """Exact fGn sample of length n by circulant embedding, reproducible for fixed (H, n, seed).
 
     Two steps: ``_circulant_factors`` builds the sampling factors of (H, n)
-    and ``_draw`` turns raw draws into increments.  The path is window 0 of
+    (raising ``NotPositiveDefinite`` if the embedding guard fails) and
+    ``_paths`` turns raw draws into increments.  The path is window 0 of
     the Philox stream ``seed``: the first ``normals_per_path`` raw draws.
     Code that draws many paths of one (H, n) builds the factors once and
     reads window r of one stream for path r (``empirical.replicate``), so
     path 0 of a job with stream key k is ``sample_fgn(h, n, k)`` bit for bit.
-
-    Primary method is circulant embedding; if the embedding spectrum dips
-    below -1e-9 relative to its maximum (never expected for fGn, kept as a
-    guard) the sampler falls back to Cholesky of the n x n Toeplitz covariance.
-    ``method`` forces "circulant" or "cholesky" explicitly.
     """
     h = check_hurst(h)
     n = int(n)
     if n < 1:
         raise ValueError("path length must be >= 1")
-    factors = _circulant_factors(h, n, method)
-    increments = _draw(factors, philox_bits(seed))[0]
-    return FgnPath(hurst=h, increments=increments, seed=seed, method=factors.method)
+    increments = next(_paths(_circulant_factors(h, n), philox_bits(seed), 1, 1))[0]
+    return FgnPath(hurst=h, increments=increments, seed=seed, method="circulant")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,13 @@ the order or schedule the tasks run in.
 
 A Monte Carlo job reads one stream, keyed by ``hash64(seed, tag)``, and
 path r of the job reads the fixed window of raw draws [r W, (r + 1) W) of
-it, W the path's ``normals_per_path``; :func:`box_muller` turns a block of
-such windows, one per row, into normals, in place in two buffers the job
-reuses for every block.  A path therefore depends only on the job's seed
-and its index, never on how many paths are drawn at once.
+it, W the embedding size of the path's length: fGn has one sampler, the
+circulant embedding, and a spectrum that fails its guard raises
+``NotPositiveDefinite`` (exit code 3 on the command line) instead of
+switching to a sampler that reads another window.  :func:`box_muller`
+turns a block of such windows, one per row, into normals, in place in two
+buffers the job reuses for every block.  A path therefore depends only on
+the job's seed and its index, never on how many paths are drawn at once.
 Nothing in the package runs threads; the replication loop is serial.
 """
 

@@ -74,8 +74,8 @@ DEFAULT_GH_ORDER = 8
 HESSIAN_FD_SLACK = 1e-2
 
 #: Nodes u x + sqrt(1 - u^2) z of the OU path built and evaluated at once, by
-#: ``ou_sums`` (a single u-node of a larger Gaussian rule is held whole) and in
-#: the phi' values of a ``mean_jacobian``.
+#: ``ou_sums`` and ``u0_apply`` (a single u-node of a larger Gaussian rule is
+#: held whole) and in the phi' values of a ``mean_jacobian``.
 OU_NODES = 2**14
 
 
@@ -258,7 +258,13 @@ def ou_rule_1d(u_nodes: int, order: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> float:
-    """Evaluate U0g(x) by quadrature after the substitution t = u^2."""
+    """Evaluate U0g(x) by quadrature after the substitution t = u^2.
+
+    The nodes u_i x + sqrt(1 - u_i^2) z are built a block of u-nodes at a
+    time, at most ``OU_NODES`` of them (one u-node of a larger rule is held
+    whole), and each block's Gaussian-rule sums are one matrix-vector
+    product.
+    """
     cov = as_covariance(cov)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cov.dim,):
@@ -267,9 +273,12 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
         quad = default_quadrature(cov.dim)
     u, wu = _legendre_01(quad.u_nodes)
     pts, wts = gaussian_rule(cov, quad)
-    shifted = u[:, None, None] * x + np.sqrt(1.0 - u**2)[:, None, None] * pts
     mean_gz = mean_under_target(g, cov, quad)
-    inner = g(shifted) @ wts
+    step = max(1, OU_NODES // wts.size)
+    inner = np.empty(len(u))
+    for a in range(0, len(u), step):
+        ui = u[a:a + step, None, None]
+        inner[a:a + step] = g(ui * x + np.sqrt(1.0 - ui**2) * pts) @ wts
     return float(np.dot(wu, (inner - mean_gz) / u))
 
 

@@ -81,12 +81,6 @@ def test_t_ab_univariate_mixed_rank():
         assert t_ab_matrix(fam, k1, np.array([yv]), QUAD)[0, 1] == pytest.approx(yv, rel=1e-12)
 
 
-def test_t_ab_fd_fallback():
-    fam = SmoothVectorFunction(name="no-oracles", input_dim=2, dim=2, fn=lambda y: y)
-    val = t_ab_matrix(fam, K2, np.array([0.3, 0.4]), QUAD)[0, 1]
-    assert val == pytest.approx(K2.matrix[0, 1], abs=1e-7)
-
-
 def test_chatterjee_linear_exactness():
     a = np.array([[1.0, 0.3], [0.2, 0.8]])
     k = CovarianceMatrix.from_matrix(np.eye(2))
@@ -222,7 +216,24 @@ DPHI = {
 A23 = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.45]])
 QS = [np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 0.3]]),
       np.array([[0.0, 0.5, -0.4], [0.1, 0.2, 0.0], [0.3, 0.0, 1.0]])]
-FD_COMPONENTS = (lambda y: np.sin(y[..., 0] + y[..., 1]), lambda y: y[..., 0] * y[..., 2] ** 2)
+# A map with no structure a family rule could use: sin(y0 + y1) and y0 y2^2.
+def _plain_fn(y):
+    return np.stack([np.sin(y[..., 0] + y[..., 1]), y[..., 0] * y[..., 2] ** 2], axis=-1)
+
+
+def _plain_gradients():
+    def sin_row(p):
+        c = np.cos(p[..., 0] + p[..., 1])
+        return np.stack([c, c, np.zeros_like(c)], axis=-1)
+
+    def cubic_row(p):
+        return np.stack([p[..., 2] ** 2, np.zeros_like(p[..., 0]), 2.0 * p[..., 0] * p[..., 2]], axis=-1)
+
+    return [sin_row, cubic_row]
+
+
+def _plain_jacobian(p):
+    return np.stack([g(p) for g in _plain_gradients()], axis=-2)
 
 
 def _componentwise_gradients(kind, n):
@@ -234,25 +245,15 @@ def _componentwise_gradients(kind, n):
     return [lambda pts, j=j: grad(pts, j) for j in range(n)]
 
 
-def _fd_gradients(components):
-    def grad(pts, f):
-        out = np.empty_like(pts)
-        for row, y in enumerate(pts):
-            out[row] = fd_gradient(f, y, 1e-4 * (1.0 + float(np.linalg.norm(y))))
-        return out
-
-    return [lambda pts, f=f: grad(pts, f) for f in components]
-
-
 REFERENCE_CASES = {
     **{kind: (componentwise_family(kind, 3), _componentwise_gradients(kind, 3)) for kind in DPHI},
     "linear": (linear_map_family(A23),
                [lambda p, row=row: np.broadcast_to(row, p.shape).copy() for row in A23]),
     "quadratic": (quadratic_form_family(QS, k=K3), [lambda p, q=q: p @ (q + q.T) for q in QS]),
-    "fd-fallback": (
-        SmoothVectorFunction(name="fd", input_dim=3, dim=2,
-                             fn=lambda y: np.stack([f(y) for f in FD_COMPONENTS], axis=-1)),
-        _fd_gradients(FD_COMPONENTS),
+    "no-structure": (
+        SmoothVectorFunction(name="no-structure", input_dim=3, dim=2, fn=_plain_fn,
+                             jacobian=_plain_jacobian),
+        _plain_gradients(),
     ),
 }
 
@@ -285,7 +286,7 @@ def test_t_ab_matrix_matches_per_component_loop(case):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("case", sorted(set(REFERENCE_CASES) - {"fd-fallback"}))
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_family_jacobian_matches_fd_of_fn(case):
     fam, _ = REFERENCE_CASES[case]
     pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(2, 3, fam.input_dim))
@@ -358,7 +359,7 @@ def test_t_ab_batch_equals_single_point_calls(case):
     np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("case", ["tanh", "quadratic", "fd-fallback"])
+@pytest.mark.parametrize("case", ["tanh", "quadratic", "no-structure"])
 def test_t_ab_tensor_rule_chunked_over_u_nodes(case, monkeypatch):
     # a node budget below one point's 16 x 6^3 nodes splits its sum over u-nodes
     fam = _tensor(REFERENCE_CASES[case][0])

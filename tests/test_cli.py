@@ -9,6 +9,7 @@ import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussapprox import cli
@@ -53,6 +54,25 @@ def test_non_pd_matrix_exit_code():
     ])
     assert code == 3
     assert json.loads(out)["error"]["type"] == "NotPositiveDefinite"
+
+
+def test_simulate_with_a_failing_embedding_guard_exits_3(monkeypatch):
+    from gaussapprox import fgn
+
+    real = fgn._embedding_eigenvalues
+
+    def dipped(h, n):
+        lam = real(h, n).copy()
+        lam[-1] = -1e-3 * float(np.max(lam))
+        return lam
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
+    code, out = run_cli(["simulate", "--H", "0.6", "--q", "2", "--times", "0,1", "--n", "32",
+                         "--m", "10"])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "NotPositiveDefinite"
+    assert "not nonnegative definite" in err["message"]
 
 
 def test_unknown_flag_exits_2():

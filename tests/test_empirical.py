@@ -26,6 +26,7 @@ from gaussapprox.empirical import (
     replicate,
     simulate_bm_vector,
 )
+from gaussapprox.errors import NotPositiveDefinite
 from gaussapprox.fgn import FgnPath, SigmaEstimate, rho, sample_fgn
 from gaussapprox.hermite import hermite_eval
 from gaussapprox.rng import hash64, philox_bits, standard_normals
@@ -176,21 +177,21 @@ def test_simulate_bm_vector_statistics():
     assert np.max(np.abs(emp_cov - np.eye(2))) < 0.1
 
 
-def _path(h, length, key, r, method=None):
+def _path(h, length, key, r):
     """Path r of the stream ``key``: one draw after r windows of raw draws are skipped."""
-    factors = fgn._circulant_factors(h, length, method)
+    factors = fgn._circulant_factors(h, length)
     bits = philox_bits(key)
     bits.random_raw(r * factors.normals_per_path)
-    return fgn._draw(factors, bits)[0]
+    return next(fgn._paths(factors, bits, 1, 1))[0]
 
 
-def _per_path_vectors(fam, m, seed, method=None):
+def _per_path_vectors(fam, m, seed):
     """Reference for the replication engine: one path and one H_q block sum at a time."""
     length = fam.kernels[-1].block[1]
     key = hash64(seed, "bm-vector")
     out = np.empty((m, fam.dim))
     for r in range(m):
-        hq = hermite_eval(fam.rank, _path(fam.hurst, length, key, r, method))
+        hq = hermite_eval(fam.rank, _path(fam.hurst, length, key, r))
         for i, ker in enumerate(fam.kernels):
             out[r, i] = ker.scale * float(np.sum(hq[ker.block[0]:ker.block[1]]))
     return out
@@ -242,7 +243,7 @@ def test_malliavin_grams_match_per_path_loop():
 
 
 def _dip_spectrum(monkeypatch):
-    """Make every embedding spectrum fail the guard, so the engine falls back to Cholesky."""
+    """Make every embedding spectrum fail the guard."""
     real = fgn._embedding_eigenvalues
 
     def dipped(h, n):
@@ -253,25 +254,22 @@ def _dip_spectrum(monkeypatch):
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
 
 
-def test_job_paths_are_windows_of_one_stream(monkeypatch):
+def test_job_paths_are_windows_of_one_stream():
     # path 0 of a job is sample_fgn with the job's key; path r is the draw
     # after r windows of the stream are skipped
     fam = kernel_family(0.7, 2, 30, (0.0, 1.0, 2.5))
     length = fam.kernels[-1].block[1]
     key = hash64(17, "paths")
-    for method, width in ((None, 256), ("cholesky", length + 1)):
-        if method == "cholesky":
-            _dip_spectrum(monkeypatch)
-        paths, diagnostics = replicate(fam, 9, 17, "paths", lambda x: x)
-        assert paths.shape == (9, length) and diagnostics["normals_per_path"] == width
-        assert np.array_equal(paths[0], sample_fgn(0.7, length, key, method=method).increments)
-        for r in range(9):
-            assert np.array_equal(paths[r], _path(0.7, length, key, r, method))
+    paths, diagnostics = replicate(fam, 9, 17, "paths", lambda x: x)
+    assert paths.shape == (9, length) and diagnostics["normals_per_path"] == 256
+    assert np.array_equal(paths[0], sample_fgn(0.7, length, key).increments)
+    for r in range(9):
+        assert np.array_equal(paths[r], _path(0.7, length, key, r))
 
 
 def test_statistic_gets_one_contiguous_buffer_for_every_block(monkeypatch):
-    # the (block, n) view of the inverse-FFT output is strided; the paths
-    # are copied into the workspace's contiguous buffer, the same every block
+    # the (block, n) view of the inverse-FFT output is strided; the block
+    # loop copies the paths into its contiguous buffer, the same every block
     fam = kernel_family(0.7, 2, 100, (0.0, 1.0))
     monkeypatch.setattr(empirical, "DRAW_NORMALS", 3 * 256)
     seen = []
@@ -300,12 +298,6 @@ def test_paths_do_not_depend_on_the_block_size(monkeypatch):
         for paths in (1, 7, 16):
             monkeypatch.setattr(empirical, "DRAW_NORMALS", paths * width)
             results.setdefault(label, []).append(job())
-    _dip_spectrum(monkeypatch)
-    width = fgn._circulant_factors(0.65, 90).normals_per_path
-    assert width == 90
-    for paths in (1, 7, 16):
-        monkeypatch.setattr(empirical, "DRAW_NORMALS", paths * width)
-        results.setdefault("cholesky", []).append(jobs["simulate"]())
     for label, (one, *others) in results.items():
         assert all(np.array_equal(one, other) for other in others), label
 
@@ -346,14 +338,14 @@ def test_engine_builds_the_spectrum_once_per_call(monkeypatch):
     assert calls == [(0.6, 128)]
 
 
-def test_engine_negative_spectrum_uses_cholesky_bits(monkeypatch):
+def test_engine_negative_spectrum_raises(monkeypatch):
     _dip_spectrum(monkeypatch)
     times = (0.0, 1.0, 2.0)
     fam = kernel_family(0.7, 2, 32, times)
-    batch = simulate_bm_vector(0.7, 2, 32, times, 10, seed=8, family=fam)
-    assert np.array_equal(batch.values, _per_path_vectors(fam, 10, 8, method="cholesky"))
-    assert batch.diagnostics["embedding_min_ratio"] == pytest.approx(-1e-3, rel=1e-12)
-    assert batch.diagnostics["normals_per_path"] == 64
+    with pytest.raises(NotPositiveDefinite, match="not nonnegative definite"):
+        simulate_bm_vector(0.7, 2, 32, times, 10, seed=8, family=fam)
+    with pytest.raises(NotPositiveDefinite):
+        malliavin_grams(fam, 10, seed=8)
 
 
 def test_replicate_rejects_empty_batch():

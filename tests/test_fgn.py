@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg import toeplitz
-
 from gaussapprox import fgn
-from gaussapprox.errors import HypothesisViolation
+from gaussapprox.errors import HypothesisViolation, NotPositiveDefinite
 from gaussapprox.fgn import (
     FgnPath,
     fbm_covariance,
@@ -201,8 +199,6 @@ def _one_step_sample(h, n, seed):
     """The single-pass half-spectrum sampler the factors/draw split replaced, as a bit-level reference."""
     size, lam = _embedding_spectrum(h, n)
     half = size // 2
-    if float(np.min(lam)) < -fgn.EMBEDDING_RTOL * float(np.max(lam)):
-        return np.linalg.cholesky(toeplitz(rho(h, np.arange(n)))) @ standard_normals(seed, n)
     lam = np.clip(lam, 0.0, None) / size
     z = standard_normals(seed, size)
     spectrum = np.zeros(half + 1, dtype=np.complex128)
@@ -247,62 +243,75 @@ def test_sample_fgn_agrees_with_full_complex_fft_sampler():
 
 def test_factors_draw_every_seed_like_sample_fgn():
     factors = fgn._circulant_factors(0.7, 100)
-    assert factors.method == "circulant" and 0.0 < factors.min_ratio < 1.0
+    assert 0.0 < factors.min_ratio < 1.0
     assert factors.normals_per_path == 256
     for seed in range(5):
-        drawn = fgn._draw(factors, philox_bits(seed))
+        (drawn,) = fgn._paths(factors, philox_bits(seed), 1, 1)
         assert drawn.shape == (1, 100)
         assert np.array_equal(drawn[0], sample_fgn(0.7, 100, seed).increments)
-    for n in (100, 101):
-        forced = fgn._circulant_factors(0.7, n, method="cholesky")
-        assert forced.method == "cholesky" and forced.min_ratio is None
-        assert forced.normals_per_path == 2 * ((n + 1) // 2)
-        assert np.array_equal(fgn._draw(forced, philox_bits(3))[0],
-                              sample_fgn(0.7, n, 3, method="cholesky").increments)
 
 
 def test_a_block_drawn_into_its_workspace_allocates_only_its_raw_draws():
     # 16 paths at n = 1024 read 2^15 raw draws (256 KiB); every other array
-    # of the block lives in the workspace, reused from block to block
+    # of a block lives in the buffers the block loop allocated before its
+    # first block, reused from block to block
     factors = fgn._circulant_factors(0.7, 1024)
     assert factors.normals_per_path == 2048
-    work = fgn._workspace(factors, 16)
-    bits = philox_bits(2)
+    blocks = fgn._paths(factors, philox_bits(2), 48, 16)
+    first = next(blocks)
+    first_rows = first.copy()
     tracemalloc.start()
     try:
-        drawn = fgn._draw(factors, bits, 16, work)
+        second = next(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= (256 + 64) * 1024
-    assert np.shares_memory(drawn, work.out)
-    assert np.array_equal(drawn[0], sample_fgn(0.7, 1024, 2).increments)
+    assert second.shape == (16, 1024) and second.flags.c_contiguous
+    assert np.shares_memory(first, second)
+    assert np.array_equal(first_rows[0], sample_fgn(0.7, 1024, 2).increments)
+    bits = philox_bits(2)
+    bits.random_raw(16 * 2048)
+    assert np.array_equal(second[0], next(fgn._paths(factors, bits, 1, 1))[0])
 
 
-def test_negative_spectrum_falls_back_to_cholesky(monkeypatch):
+def _dip(lam, ratio):
+    """Copy of a spectrum with one eigenvalue set to ``ratio`` times its maximum."""
+    lam = lam.copy()
+    lam[3] = ratio * float(np.max(lam))
+    return lam
+
+
+def test_negative_spectrum_raises_not_positive_definite(monkeypatch):
     real = fgn._embedding_eigenvalues
-
-    def dipped(h, n):
-        lam = real(h, n).copy()
-        lam[3] = -1e-6 * float(np.max(lam))
-        return lam
-
-    monkeypatch.setattr(fgn, "_embedding_eigenvalues", dipped)
-    factors = fgn._circulant_factors(0.6, 50)
-    assert factors.method == "cholesky"
-    assert factors.min_ratio == pytest.approx(-1e-6, rel=1e-12)
-    for seed in (1, 2):
-        path = sample_fgn(0.6, 50, seed)
-        assert path.method == "cholesky"
-        assert np.array_equal(path.increments, sample_fgn(0.6, 50, seed, method="cholesky").increments)
-    with pytest.raises(ValueError, match="nonnegative definite"):
-        sample_fgn(0.6, 50, 1, method="circulant")
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", lambda h, n: _dip(real(h, n), -1e-6))
+    with pytest.raises(NotPositiveDefinite, match="not nonnegative definite"):
+        fgn._circulant_factors(0.6, 50)
+    with pytest.raises(NotPositiveDefinite):
+        sample_fgn(0.6, 50, 1)
 
 
-def _sample_autocov(h, n, m, lags, seed, method=None):
+def test_embedding_guard_passes_a_dip_inside_its_tolerance(monkeypatch):
+    # the guard clips eigenvalues down to -EMBEDDING_RTOL of the maximum to 0
+    real = fgn._embedding_eigenvalues
+    ratio = -0.5 * fgn.EMBEDDING_RTOL
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", lambda h, n: _dip(real(h, n), ratio))
+    assert fgn._circulant_factors(0.6, 50).min_ratio == pytest.approx(ratio, rel=1e-12)
+    assert sample_fgn(0.6, 50, 1).n == 50
+
+
+def test_embedding_spectrum_is_nonnegative_for_every_h_and_n():
+    # the fGn embedding is nonnegative definite for all H (Perrin et al. 2002);
+    # the smallest ratio, about 1.3e-8, is at H = 0.999
+    for h in (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        for n in (1, 2, 3, 7, 100, 1000, 4097, 2**16):
+            assert fgn._circulant_factors(h, n).min_ratio > 0.0, (h, n)
+
+
+def _sample_autocov(h, n, m, lags, seed):
     acc = np.zeros(len(lags))
     for r in range(m):
-        x = sample_fgn(h, n, seed + r, method=method).increments
+        x = sample_fgn(h, n, seed + r).increments
         for i, lag in enumerate(lags):
             acc[i] += np.dot(x[: n - lag], x[lag:]) / (n - lag)
     return acc / m
@@ -327,20 +336,13 @@ def test_fgn_autocovariance_longrange_case():
 
 @pytest.mark.parametrize("h", [0.3, 0.7])
 def test_circulant_and_cholesky_same_law(h):
+    # the law a Cholesky factor of the Toeplitz covariance samples exactly:
+    # the circulant paths' autocovariance against rho itself
     n, m = 128, 2000
     lags = list(range(6))
-    a = _sample_autocov(h, n, m, lags, seed=10_000, method="circulant")
-    b = _sample_autocov(h, n, m, lags, seed=20_000, method="cholesky")
+    acov = _sample_autocov(h, n, m, lags, seed=10_000)
     band = 4.0 * (1.0 + np.arange(6)) / math.sqrt(m * n)
-    assert np.all(np.abs(a - b) < 2.0 * band + 0.02)
-
-
-def test_forced_cholesky_method_tag():
-    p = sample_fgn(0.6, 32, seed=1, method="cholesky")
-    assert p.method == "cholesky"
-    assert p.n == 32
-    with pytest.raises(ValueError):
-        sample_fgn(0.6, 32, seed=1, method="hosking")
+    assert np.all(np.abs(acov - rho(h, np.array(lags))) < 2.0 * band + 0.02)
 
 
 def test_path_validation():

@@ -450,3 +450,20 @@ def test_u0_apply_equals_inline_quadrature_bit_for_bit(quad):
         for x in ([0.0, 0.0], [0.7, -1.2], [2.5, 1.5]):
             x = np.array(x)
             assert u0_apply(g, C_CORR, x, quad) == _u0_inline(g, C_CORR, x, quad), (g.name, x)
+
+
+def test_u0_apply_builds_its_nodes_within_the_node_budget():
+    # the 64 x 8^5 nodes of d = 5 take 84 MB at once; blocks of at most
+    # OU_NODES nodes (one u-node of this 8^5-point rule) keep the first call,
+    # Gaussian rule included, to a few MiB
+    d = 5
+    cov = CovarianceMatrix.from_matrix(np.eye(d) * 0.7 + 0.3)
+    g = lipschitz_test_functions(d)[2]
+    tracemalloc.start()
+    try:
+        value = u0_apply(g, cov, np.full(d, 0.3), QuadratureSpec(u_nodes=64, gh_order=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert math.isfinite(value)
