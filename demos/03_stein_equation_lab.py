@@ -16,7 +16,7 @@ from gaussapprox.linalg import CovarianceMatrix
 from gaussapprox.stein import grid_points, hessian_bound_check, lipschitz_test_functions
 
 C = CovarianceMatrix.from_matrix([[1.0, 0.5], [0.5, 1.0]])
-QUAD = QuadratureSpec(u_nodes=64, gh_order=8)
+QUAD = QuadratureSpec()  # the default time rule and Gauss-Hermite order
 
 print("closed forms:")
 g_lin = TestFunction("linear", lambda x: 2.0 * x[..., 0] - x[..., 1])

@@ -10,8 +10,9 @@ where, after the substitution t = u^2 and with J the Jacobian of F,
     T(y) = J(y) K Jbar(y)^T,   Jbar(y) = int_0^1 E[J(u y + sqrt(1-u^2) Y)] du,
 
 that is T_ab(y) = int_0^1 sum_ij K(i,j) d_i f_a(y) E[d_j f_b(u y + sqrt(1-u^2) Y)] du.
-Jbar is the Ornstein-Uhlenbeck (Mehler) semigroup applied to J.  A family
-that knows it in closed form or by a 1-d rule carries ``mean_jacobian``: the
+Jbar is the Ornstein-Uhlenbeck (Mehler) semigroup applied to J; its
+u-integral runs on :func:`gaussapprox.stein.ou_time_rule`.  A family that
+knows it in closed form or by a 1-d rule carries ``mean_jacobian``: the
 linear map (Jbar = A), the quadratic forms (J is linear and E[Y] = 0, so
 Jbar = J / 2) and the componentwise maps (Jbar is diagonal, each entry a 1-d
 average, :func:`gaussapprox.stein.ou_rule_1d`).  Any other family averages J
@@ -33,8 +34,8 @@ import numpy as np
 
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
-from .stein import (DEFAULT_GH_ORDER, OU_NODES, QuadratureSpec, _legendre_01, default_quadrature,
-                    ou_rule_1d, ou_sums)
+from .stein import (DEFAULT_GH_ORDER, OU_NODES, QuadratureSpec, default_quadrature, ou_rule_1d,
+                    ou_sums)
 
 __all__ = [
     "SmoothVectorFunction",
@@ -121,7 +122,7 @@ def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
     """T at each row of ys, shape (m, d, d), with Jbar's Gauss-Hermite order ``order``."""
     mean_jac = np.empty((len(ys), F.dim, k.dim))
     if F.mean_jacobian is None:
-        wu = _legendre_01(quad.u_nodes)[1]
+        wu = quad.time_rule()[2]
         for block, (s_jac,) in ou_sums((F.jacobian_at,), k, ys, quad):
             mean_jac[block] = (wu @ s_jac).reshape(-1, F.dim, k.dim)
     else:

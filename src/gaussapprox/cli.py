@@ -35,6 +35,7 @@ from .linalg import as_covariance, hs_norm, matrix_from_json, matrix_to_json, pr
 from .rng import hash64, standard_normals
 from .stein import (
     DEFAULT_GH_ORDER,
+    DEFAULT_U_NODES,
     QuadratureSpec,
     default_quadrature,
     grid_points,
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=int, required=True)
             p.add_argument("--times", type=str, default="1")
         if quad:
-            p.add_argument("--quad-unodes", type=int, default=64)
+            p.add_argument("--quad-unodes", type=int, default=DEFAULT_U_NODES)
             p.add_argument("--quad-gh-order", type=int, default=None)
 
     p = sub.add_parser("bound", help="Wasserstein bound for one discretization level")

@@ -11,10 +11,13 @@ sup-bound ``prefactor(C) * ||g||_Lip``, and computes Stein discrepancies of
 sampled vectors.
 
 Quadrature: the substitution t = u^2 turns the time integral into
-``int_0^1 (1/u) E[g(u x + sqrt(1-u^2) Z) - g(Z)] du`` whose integrand is
-bounded near u = 0 for Lipschitz g; Gauss-Legendre handles u, and the inner
-Gaussian expectation uses a tensor Gauss-Hermite rule after Cholesky
-whitening (d <= 4) or seeded Monte Carlo (d > 4).
+``int_0^1 (1/u) E[g(u x + sqrt(1 - u^2) Z) - g(Z)] du``, whose integrand is
+bounded near u = 0 for Lipschitz g.  The inner Gaussian expectation uses a
+tensor Gauss-Hermite rule after Cholesky whitening (d <= 4) or seeded Monte
+Carlo (d > 4).  The u-integral runs on Gauss-Legendre (:func:`ou_time_rule`):
+in u under Gauss-Hermite, whose nodes are symmetric in z, and in phi with
+u = sin phi under Monte Carlo, whose sums carry a sqrt(1 - u) singularity at
+u = 1 that the substitution removes.
 
 Derivatives: when g carries ``gradient`` and ``hessian`` oracles,
 :func:`u0_derivatives` differentiates that quadrature sum exactly, term by
@@ -39,13 +42,14 @@ import numpy as np
 
 from .batch import SampleBatch
 from .diff import fd_gradient, fd_hessian
-from .linalg import CovarianceMatrix, as_covariance, cholesky_lower, hs_inner, hs_norm, prefactor
+from .linalg import CovarianceMatrix, as_covariance, cholesky_lower, hs_inner, prefactor
 from .rng import hash64, standard_normals
 
 __all__ = [
     "TestFunction",
     "QuadratureSpec",
     "default_quadrature",
+    "ou_time_rule",
     "ou_sums",
     "ou_rule_1d",
     "u0_apply",
@@ -69,6 +73,9 @@ GH_MAX_DIM = 4
 
 #: Gauss-Hermite order of ``QuadratureSpec`` unless configured.
 DEFAULT_GH_ORDER = 8
+
+#: Nodes of the OU time rule (:func:`ou_time_rule`) unless configured.
+DEFAULT_U_NODES = 48
 
 #: FD slack multiplier accepted in the Hessian bound check.
 HESSIAN_FD_SLACK = 1e-2
@@ -115,7 +122,7 @@ class QuadratureSpec:
     ``mc_size`` (seeded Monte Carlo) selects the Gaussian rule.
     """
 
-    u_nodes: int = 64
+    u_nodes: int = DEFAULT_U_NODES
     gh_order: int | None = DEFAULT_GH_ORDER
     mc_size: int | None = None
     mc_seed: int = 0
@@ -133,8 +140,12 @@ class QuadratureSpec:
     def key(self) -> tuple:
         return (self.u_nodes, self.gh_order, self.mc_size, self.mc_seed)
 
+    def time_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`ou_time_rule` of ``u_nodes``: in u for Gauss-Hermite, in phi for Monte Carlo."""
+        return ou_time_rule(self.u_nodes, in_phi=self.mc_size is not None)
 
-def default_quadrature(d: int, u_nodes: int = 64, mc_seed: int = 0) -> QuadratureSpec:
+
+def default_quadrature(d: int, u_nodes: int = DEFAULT_U_NODES, mc_seed: int = 0) -> QuadratureSpec:
     """QuadratureSpec's default tensor Gauss-Hermite for d <= 4, 4000 Monte Carlo points beyond.
 
     A tensor rule has order^d points, so it explodes in d.
@@ -145,9 +156,31 @@ def default_quadrature(d: int, u_nodes: int = 64, mc_seed: int = 0) -> Quadratur
 
 
 @functools.lru_cache(maxsize=64)
-def _legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+def ou_time_rule(n: int, in_phi: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule for int_0^1 h(u) du, in u or in phi with u = sin phi.
+
+    Returns ``(u, c, w)``: the nodes u_i, the factors c_i = sqrt(1 - u_i^2)
+    of the OU nodes u_i x + c_i z, and the weights w_i.  In u, u_i lies on
+    [0, 1] and w_i = w^GL_i / 2; in phi on [0, pi/2], u_i = sin phi_i,
+    c_i = cos phi_i and w_i = (pi/4) w^GL_i cos phi_i.  Under a Gaussian rule
+    symmetric in z the OU sums are even in c, hence analytic in u, and the
+    rule in u converges faster per node; under one that is not (Monte Carlo)
+    they carry a sqrt(1 - u) singularity at u = 1, which the rule in phi
+    removes.  Either way a point x converges more slowly the farther out it
+    lies, as g's nearest complex singularity along the OU path is about
+    1/|x| away.  Cached, so the arrays are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    if in_phi:
+        phi = 0.25 * math.pi * (x + 1.0)
+        c = np.cos(phi)
+        rule = (np.sin(phi), c, 0.25 * math.pi * w * c)
+    else:
+        u = 0.5 * (x + 1.0)
+        rule = (u, np.sqrt(1.0 - u**2), 0.5 * w)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 @functools.lru_cache(maxsize=64)
@@ -203,12 +236,13 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
     Yields ``(block, sums)`` for consecutive slices ``block`` of the (P, d)
     ``points``: ``sums[k][p, i] = sum_z wts_z fns[k](u_i x_p + sqrt(1 - u_i^2) z)``
     over the points z and weights wts of the configured Gaussian rule, with
-    the oracle's values flattened, shape (p, u_nodes, -1).  The u_i are the
-    Gauss-Legendre nodes on [0, 1].  Nodes are built per block of points and
-    of u-nodes, at most ``OU_NODES`` of them at a time (one u-node of a
-    larger rule is held whole), and each (point, u-node) sum runs on its
-    own, so its bits do not depend on the blocking.  A block's oracle values
-    are released once the next block's exist.  The caller validates ``points``.
+    the oracle's values flattened, shape (p, u_nodes, -1).  The u_i and
+    sqrt(1 - u_i^2) come from ``quad.time_rule()``.  Nodes are built per
+    block of points and of u-nodes, at most ``OU_NODES`` of them at a time
+    (one u-node of a larger rule is held whole), and each (point, u-node) sum
+    runs on its own, so its bits do not depend on the blocking.  A block's
+    oracle values are released once the next block's exist.  The caller
+    validates ``points``.
 
     Layout: a block's nodes are built coordinate-major, shape (d, p, u, R),
     and every oracle sees them as the view (p, u * R, d), so each elementwise
@@ -217,18 +251,21 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
     ``g[..., None, :] * g[..., :, None]``); its output then stays
     coordinate-major too, and flattening it per (point, u-node) is a view.
     """
-    u = _legendre_01(quad.u_nodes)[0][:, None]
+    u, c, _ = quad.time_rule()
+    u, c = u[:, None], c[:, None]
     rule, wts = gaussian_rule(cov, quad)
     rule_t = rule.T[:, None, None, :]
     d = rule.shape[1]
-    u_step = max(1, min(len(u), OU_NODES // wts.size))
+    # u-blocks of equal size, so each block's temporaries reuse the last block's
+    # pages (48 u-nodes of 512 in blocks of 32 and 16 took 57 % more faults)
+    u_blocks = math.ceil(len(u) / max(1, OU_NODES // wts.size))
+    u_step = math.ceil(len(u) / u_blocks)
     p_step = max(1, OU_NODES // (len(u) * wts.size))
     for lo in range(0, len(points), p_step):
         x = points[lo:lo + p_step].T[:, :, None, None]
         sums = [[] for _ in fns]
         for a in range(0, len(u), u_step):
-            ui = u[a:a + u_step]
-            nodes = ui * x + np.sqrt(1.0 - ui**2) * rule_t
+            nodes = u[a:a + u_step] * x + c[a:a + u_step] * rule_t
             view = np.moveaxis(nodes, 0, -1).reshape(nodes.shape[1], -1, d)
             # All oracles run before any sum, and the last block's values stay held:
             # else malloc trims and re-faults each call's temporaries (+20 % stein-lab)
@@ -244,14 +281,14 @@ def ou_rule_1d(u_nodes: int, order: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Product rule of a 1-d OU average int_0^1 E[h(u x + sqrt(1 - u^2) xi)] du, xi ~ N(0, 1).
 
     Returns ``(u, s, w)``, each of length ``u_nodes * order``: the average is
-    ``sum_p w[p] h(u[p] x + s[p])``, with Gauss-Legendre in u and Gauss-Hermite
-    of the given order in xi; for xi ~ N(0, v), scale ``s`` by sqrt(v).
-    Cached, so the arrays are read-only.
+    ``sum_p w[p] h(u[p] x + s[p])``, with :func:`ou_time_rule` in u (the
+    Gauss-Hermite rule is symmetric in xi) and Gauss-Hermite of the given
+    order in xi; for xi ~ N(0, v), scale ``s`` by sqrt(v).  Cached, so the
+    arrays are read-only.
     """
-    u, wu = _legendre_01(u_nodes)
+    u, c, wu = ou_time_rule(u_nodes, in_phi=False)
     xi, wxi = _hermite_std(order)
-    rule = (np.repeat(u, order), (np.sqrt(1.0 - u**2)[:, None] * xi).ravel(),
-            np.outer(wu, wxi).ravel())
+    rule = (np.repeat(u, order), (c[:, None] * xi).ravel(), np.outer(wu, wxi).ravel())
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -260,10 +297,11 @@ def ou_rule_1d(u_nodes: int, order: int) -> tuple[np.ndarray, np.ndarray, np.nda
 def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> float:
     """Evaluate U0g(x) by quadrature after the substitution t = u^2.
 
-    The nodes u_i x + sqrt(1 - u_i^2) z are built a block of u-nodes at a
-    time, at most ``OU_NODES`` of them (one u-node of a larger rule is held
-    whole), and each block's Gaussian-rule sums are one matrix-vector
-    product.
+    The time integral int_0^1 (1/u) E[g(u x + sqrt(1 - u^2) Z) - g(Z)] du
+    runs on ``quad.time_rule()``.  The nodes u_i x + sqrt(1 - u_i^2) z are
+    built a block of u-nodes at a time, at most ``OU_NODES`` of them (one
+    u-node of a larger rule is held whole), and each block's Gaussian-rule
+    sums are one matrix-vector product.
     """
     cov = as_covariance(cov)
     x = np.asarray(x, dtype=np.float64)
@@ -271,14 +309,14 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
         raise ValueError(f"point has shape {x.shape}, expected ({cov.dim},)")
     if quad is None:
         quad = default_quadrature(cov.dim)
-    u, wu = _legendre_01(quad.u_nodes)
+    u, c, wu = quad.time_rule()
     pts, wts = gaussian_rule(cov, quad)
     mean_gz = mean_under_target(g, cov, quad)
     step = max(1, OU_NODES // wts.size)
     inner = np.empty(len(u))
     for a in range(0, len(u), step):
-        ui = u[a:a + step, None, None]
-        inner[a:a + step] = g(ui * x + np.sqrt(1.0 - ui**2) * pts) @ wts
+        b = slice(a, a + step)
+        inner[b] = g(u[b, None, None] * x + c[b, None, None] * pts) @ wts
     return float(np.dot(wu, (inner - mean_gz) / u))
 
 
@@ -318,7 +356,7 @@ def u0_derivatives(g: TestFunction, cov, points,
         raise ValueError(f"points have shape {pts.shape}, expected (P, {d})")
     if quad is None:
         quad = default_quadrature(d)
-    u, wu = _legendre_01(quad.u_nodes)
+    u, _, wu = quad.time_rule()
 
     def hessian(nodes):
         return np.broadcast_to(g.hessian(nodes), nodes.shape + (d,))
@@ -333,13 +371,14 @@ def u0_derivatives(g: TestFunction, cov, points,
 
 
 def _stein_pass(g: TestFunction, cov, points,
-                quad: QuadratureSpec | None) -> tuple[list[float], list[float]]:
+                quad: QuadratureSpec | None) -> tuple[np.ndarray, np.ndarray]:
     """The Stein residual and the HS norm of Hess U0g at each point.
 
     The residual is |g(x) - E g(Z) - (<x, grad U0g(x)> - <C, Hess U0g(x)>_HS)|.
     The derivatives are exact by ``u0_derivatives`` when g has oracles, and
     default-step central differences of ``u0_gradient`` and ``u0_hessian``
-    otherwise; a point gets the same bits alone as in a batch.
+    otherwise.  Residuals and norms are taken row by row over the batch, so
+    a point gets the same bits alone as in a batch.
     """
     cov = as_covariance(cov)
     if quad is None:
@@ -348,14 +387,12 @@ def _stein_pass(g: TestFunction, cov, points,
     if g.has_oracles:
         grads, hessians = u0_derivatives(g, cov, pts, quad)
     else:
-        grads = [u0_gradient(g, cov, x, quad) for x in pts]
-        hessians = [u0_hessian(g, cov, x, quad) for x in pts]
-    mean_gz = mean_under_target(g, cov, quad)
-    residuals = [
-        abs(float(g(x)) - mean_gz - (float(np.dot(x, grad)) - hs_inner(cov.matrix, hess)))
-        for x, grad, hess in zip(pts, grads, hessians)
-    ]
-    return residuals, [hs_norm(h) for h in hessians]
+        grads = np.array([u0_gradient(g, cov, x, quad) for x in pts])
+        hessians = np.array([u0_hessian(g, cov, x, quad) for x in pts])
+    drift = np.sum(pts * grads, axis=-1)
+    diffusion = np.sum(cov.matrix * hessians, axis=(-2, -1))
+    residuals = np.abs(g(pts) - mean_under_target(g, cov, quad) - (drift - diffusion))
+    return residuals, np.sqrt(np.sum(hessians * hessians, axis=(-2, -1)))
 
 
 def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> float:
@@ -363,7 +400,7 @@ def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) 
 
     The derivatives are exact when g has oracles, central differences otherwise.
     """
-    return _stein_pass(g, cov, np.asarray(x, dtype=np.float64)[None], quad)[0][0]
+    return float(_stein_pass(g, cov, np.asarray(x, dtype=np.float64)[None], quad)[0][0])
 
 
 @dataclass(frozen=True)
@@ -391,7 +428,7 @@ def _require_lipschitz(g: TestFunction) -> None:
         raise ValueError(f"test function {g.name!r} has no Lipschitz constant")
 
 
-def _bound_check(g: TestFunction, cov, norms: list[float]) -> HessianBoundCheck:
+def _bound_check(g: TestFunction, cov, norms: np.ndarray) -> HessianBoundCheck:
     """The Hessian bound verdict from the HS norms at each point.
 
     A non-finite norm fails the check and propagates into the maximum.

@@ -358,7 +358,7 @@ def test_chatterjee_above_dim_four_echoes_the_rule_that_ran():
     code, out = run_cli(["chatterjee", "--K", json.dumps(k5), "--m", "20", "--functions", functions])
     assert code == 0
     report = json.loads(out)
-    assert report["config"]["quadrature"] == {"u_nodes": 64, "gh_order": 8, "mc_size": None,
+    assert report["config"]["quadrature"] == {"u_nodes": 48, "gh_order": 8, "mc_size": None,
                                               "mc_seed": 0}
     assert report["results"]["diagnostics"]["orders"] == [8, 16]
 

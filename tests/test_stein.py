@@ -107,6 +107,48 @@ def test_u0_stable_under_doubling_u_nodes():
     assert abs(v64 - v128) < 1e-8
 
 
+@pytest.mark.parametrize("in_phi", [False, True], ids=["u", "phi"])
+def test_ou_time_rule_moments_and_read_only(in_phi):
+    # at 32 nodes; at 48, numpy's leggauss weights are themselves 1.8e-15 off
+    u, c, w = stein.ou_time_rule(32, in_phi=in_phi)
+    for k in range(21):
+        assert abs(np.dot(w, u**k) - 1.0 / (k + 1)) <= 1e-15, k
+    assert np.allclose(u**2 + c**2, 1.0, rtol=0, atol=4e-16)
+    assert not any(arr.flags.writeable for arr in (u, c, w))
+
+
+def test_quadrature_spec_picks_the_time_rule_by_inner_rule():
+    n = stein.DEFAULT_U_NODES
+    assert default_quadrature(2).time_rule() is stein.ou_time_rule(n, in_phi=False)
+    assert default_quadrature(5).time_rule() is stein.ou_time_rule(n, in_phi=True)
+
+
+#: The targets of the benchmark's stein-lab grids.
+STEIN_LAB_COVS = [
+    [[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.3], [0.3, 1.0]], [[1.5, 0.4], [0.4, 1.0]],
+    [[1.0, -0.3], [-0.3, 1.0]], [[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.2], [0.2, 1.2]],
+    [[1.2, -0.5], [-0.5, 1.0]], [[1.0, 0.6], [0.6, 1.5]],
+]
+
+
+@pytest.mark.parametrize("d, covs, pts", [
+    # the stein-check grid, Gauss-Hermite inner rule (time rule in u)
+    (2, STEIN_LAB_COVS, grid_points(-3.0, 3.0, 11)),
+    # the Monte Carlo inner rule (time rule in phi)
+    (5, [np.eye(5) * 0.7 + 0.3], 1.5 * np.random.default_rng(0).standard_normal((4, 5))),
+], ids=["d2", "d5"])
+def test_default_u_nodes_converge_under_doubling(d, covs, pts):
+    # The error grows with |x|: a complex singularity of g along the OU path
+    # lies about 1/|x| from the real axis.  Measured at the default of 48
+    # nodes: 3.4e-14 at [-3, -3] (sqrt_one_plus_norm_sq), 5.4e-15 at d = 5.
+    n = stein.DEFAULT_U_NODES
+    for cov in covs:
+        for g in lipschitz_test_functions(d):
+            quads = [default_quadrature(d, u_nodes=n), default_quadrature(d, u_nodes=2 * n)]
+            for a, b in zip(*(u0_derivatives(g, cov, pts, q) for q in quads)):
+                assert np.allclose(a, b, rtol=0, atol=1e-13), g.name
+
+
 def test_stein_residual_examples():
     g_sq = TestFunction("sq", lambda x: x[..., 0] ** 2)
     assert stein_residual(g_sq, C_EYE, np.array([2.0, 0.0]), QUAD) < 1e-6
@@ -432,11 +474,20 @@ def test_mean_under_target_repeatable():
 
 
 def _u0_inline(g, cov, x, quad):
-    """U0g(x) with the node tensor built inline, the reference ``u0_apply`` matches bit for bit."""
-    u, wu = np.polynomial.legendre.leggauss(quad.u_nodes)
-    u, wu = 0.5 * (u + 1.0), 0.5 * wu
+    """U0g(x) with the time rule and node tensor built inline, the reference ``u0_apply`` matches bit for bit.
+
+    Gauss-Legendre in u under a Gauss-Hermite rule, in phi (u = sin phi) under Monte Carlo.
+    """
+    t, w = np.polynomial.legendre.leggauss(quad.u_nodes)
+    if quad.mc_size is None:
+        u, wu = 0.5 * (t + 1.0), 0.5 * w
+        c = np.sqrt(1.0 - u**2)
+    else:
+        phi = 0.25 * math.pi * (t + 1.0)
+        u, c = np.sin(phi), np.cos(phi)
+        wu = 0.25 * math.pi * w * c
     pts, wts = gaussian_rule(cov, quad)
-    shifted = u[:, None, None] * x[None, None, :] + np.sqrt(1.0 - u**2)[:, None, None] * pts[None, :, :]
+    shifted = u[:, None, None] * x[None, None, :] + c[:, None, None] * pts[None, :, :]
     inner = g(shifted) @ wts
     return float(np.dot(wu, (inner - mean_under_target(g, cov, quad)) / u))
 
