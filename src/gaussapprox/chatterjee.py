@@ -16,12 +16,13 @@ knows it in closed form or by a 1-d rule carries ``mean_jacobian``: the
 linear map (Jbar = A), the quadratic forms (J is linear and E[Y] = 0, so
 Jbar = J / 2) and the componentwise maps (Jbar is diagonal, each entry a 1-d
 average, :func:`gaussapprox.stein.ou_rule_1d`).  Any other family averages J
-over the tensor nodes of the Stein solution U0, summed by
-:func:`gaussapprox.stein.ou_sums`; that path is also the tests' oracle.
+over the nodes of the Stein solution U0's Gaussian rule (tensor for n <= 4,
+sparse above), summed by :func:`gaussapprox.stein.ou_sums`; that path is
+also the tests' oracle.
 
-The outer expectation over Y and the inner expectation inside T_ab run on
-independent seeded streams.  Specializing to the identity map gives the
-Gaussian-vs-Gaussian bound ``Q(C, K) * ||C - K||_HS``.
+The outer expectation over Y runs on a seeded stream; the inner expectation
+inside T_ab is a deterministic rule.  Specializing to the identity map gives
+the Gaussian-vs-Gaussian bound ``Q(C, K) * ||C - K||_HS``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
 from .rng import hash64
-from .stein import (DEFAULT_GH_ORDER, OU_NODES, QuadratureSpec, default_quadrature, ou_rule_1d,
-                    ou_sums)
+from .stein import OU_NODES, QuadratureSpec, ou_rule_1d, ou_sums, ou_time_rule
 
 __all__ = [
     "SmoothVectorFunction",
@@ -63,7 +63,8 @@ class SmoothVectorFunction:
     ``u_nodes`` Gauss-Legendre nodes in u and, where it needs one, a
     Gauss-Hermite rule of that ``order``; its ``inner_rule`` attribute names
     the rule for the report (``"exact"`` or ``"gauss-hermite-1d"``).  Without
-    it, Jbar comes from the tensor rule (``"tensor"``).  Sub-exponential
+    it, Jbar comes from :func:`~gaussapprox.stein.gaussian_rule` (``"tensor"``,
+    the sparse rule above n = 4).  Sub-exponential
     growth of F is the caller's responsibility.
     """
 
@@ -96,25 +97,21 @@ def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = Non
     """All T_ab(y) at once: J(y) K Jbar(y)^T, for one point (n,) or a batch (m, n).
 
     Jbar comes from ``F.mean_jacobian`` at the Gauss-Hermite order of ``quad``
-    (:data:`~gaussapprox.stein.DEFAULT_GH_ORDER` for a Monte Carlo spec), or,
-    without it, from the Jacobian averaged over the tensor nodes by
+    (default ``QuadratureSpec()``), or, without it, from the Jacobian
+    averaged over the nodes of :func:`~gaussapprox.stein.gaussian_rule` by
     :func:`~gaussapprox.stein.ou_sums`.  Either holds at most
     :data:`~gaussapprox.stein.OU_NODES` evaluations at a time, in blocks of
-    points; the tensor rule splits one point's sum over u-nodes when that
-    point has more.  Returns shape (d, d) or (m, d, d).
+    points; the path without it splits one point's sum over u-nodes when
+    that point has more.  Returns shape (d, d) or (m, d, d).
     """
     k = as_covariance(k)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != k.dim:
         raise ValueError(f"points have shape {y.shape}, expected ({k.dim},) or (m, {k.dim})")
     if quad is None:
-        quad = default_quadrature(k.dim)
-    t = _t_values(F, k, y.reshape(-1, k.dim), quad, _inner_order(quad))
+        quad = QuadratureSpec()
+    t = _t_values(F, k, y.reshape(-1, k.dim), quad, quad.gh_order)
     return t.reshape(y.shape[:-1] + (F.dim, F.dim))
-
-
-def _inner_order(quad: QuadratureSpec) -> int:
-    return quad.gh_order if quad.gh_order is not None else DEFAULT_GH_ORDER
 
 
 def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
@@ -122,7 +119,7 @@ def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
     """T at each row of ys, shape (m, d, d), with Jbar's Gauss-Hermite order ``order``."""
     mean_jac = np.empty((len(ys), F.dim, k.dim))
     if F.mean_jacobian is None:
-        wu = quad.time_rule()[2]
+        wu = ou_time_rule(quad.u_nodes)[2]
         for block, (s_jac,) in ou_sums((F.jacobian_at,), k, ys, quad):
             mean_jac[block] = (wu @ s_jac).reshape(-1, F.dim, k.dim)
     else:
@@ -191,7 +188,7 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
     if mc_size < 2:
         raise ValueError("mc_size must be >= 2")
     if quad is None:
-        quad = default_quadrature(k.dim, mc_seed=hash64(seed, "chatterjee-inner"))
+        quad = QuadratureSpec()
 
     outer = sample_gaussian(k, mc_size, hash64(seed, "chatterjee-outer")).values
     d = F.dim
@@ -215,14 +212,14 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
     diagnostics = {"inner_rule": F.inner_rule, "orders": [],
                    "t_error_max": None, "bound_error": None}
     if F.mean_jacobian is not None:
-        order = _inner_order(quad)
+        order = quad.gh_order
         t_check = _t_values(F, k, outer, quad, 2 * order)
         diagnostics.update(
             orders=[order, 2 * order],
             t_error_max=float(np.max(np.abs(t_check - t_values))),
             bound_error=abs(_bound_terms(c, t_check, pref)[2] - bound),
         )
-    elif quad.gh_order is not None:
+    else:
         diagnostics["orders"].append(quad.gh_order)
     return ChatterjeeReport(
         dim=d,

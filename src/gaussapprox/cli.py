@@ -40,8 +40,13 @@ from .stein import (
     default_quadrature,
     grid_points,
     lipschitz_test_functions,
+    rule_size,
     stein_report,
 )
+
+#: Most oracle nodes a ``stein-check`` job may evaluate: points x u-nodes x
+#: Gaussian-rule nodes x functions, estimated before any point or node exists.
+STEIN_CHECK_MAX_WORK = 10**9
 
 SUBCOMMANDS = ("bound", "rates", "simulate", "malliavin", "stein-check", "chatterjee", "gaussian-pair")
 
@@ -103,17 +108,10 @@ def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int 
 
 
 def _stein_quadrature(args, d: int) -> QuadratureSpec:
-    """The inner rule of ``stein-check``: Monte Carlo, a tensor rule, or the default for d."""
-    if args.mc_inner is not None and args.quad_gh_order is not None:
-        raise ValueError("--mc-inner and --quad-gh-order select different inner rules; give one")
-    if args.mc_inner is not None:
-        return QuadratureSpec(
-            u_nodes=args.quad_unodes, gh_order=None,
-            mc_size=args.mc_inner, mc_seed=hash64(args.seed, "inner"),
-        )
+    """The inner rule of ``stein-check``: ``--quad-gh-order`` if given, else the default for d."""
     if args.quad_gh_order is not None:
         return QuadratureSpec(u_nodes=args.quad_unodes, gh_order=args.quad_gh_order)
-    return default_quadrature(d, u_nodes=args.quad_unodes, mc_seed=hash64(args.seed, "inner"))
+    return default_quadrature(d, u_nodes=args.quad_unodes)
 
 
 def _check_seed(args) -> None:
@@ -223,6 +221,14 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     if args.d is not None and cov.dim != args.d:
         raise ValueError(f"--d {args.d} disagrees with C of dim {cov.dim}")
     quad = _stein_quadrature(args, cov.dim)
+    names = args.functions.split(",") if args.functions else None
+    registry = {f.name: f for f in lipschitz_test_functions(cov.dim)}
+    chosen = [registry[n] for n in names] if names else list(registry.values())
+    work = args.grid_steps**2 * quad.u_nodes * rule_size(cov.dim, quad.gh_order) * len(chosen)
+    if work > STEIN_CHECK_MAX_WORK:
+        raise ValueError(f"stein-check would evaluate about {work:.2e} oracle nodes (points x "
+                         f"u-nodes x rule nodes x functions), over the cap {STEIN_CHECK_MAX_WORK:.0e}; "
+                         "lower --grid-steps, --quad-unodes, --quad-gh-order or --functions")
     lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
         lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi
@@ -233,9 +239,6 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     else:
         # regular grids explode beyond d = 2; use a seeded scatter instead
         pts = 1.5 * standard_normals(hash64(args.seed, "stein-grid"), (args.grid_steps**2, cov.dim))
-    names = args.functions.split(",") if args.functions else None
-    registry = {f.name: f for f in lipschitz_test_functions(cov.dim)}
-    chosen = [registry[n] for n in names] if names else list(registry.values())
     reports = [stein_report(g, cov, pts, quad) for g in chosen]
     config = {
         "c": matrix_to_json(cov.matrix), "seed": args.seed,
@@ -338,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stein-check", help="Stein equation residual and Hessian bound")
     common(p, matrices=True, seed=True, quad=True)
-    p.add_argument("--mc-inner", type=int, default=None)
     p.add_argument("--d", type=int, default=None,
                    help="dimension of the identity target without --C (default 2)")
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")

@@ -215,6 +215,7 @@ def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, d
 def normal_cdf(x):
     """Standard normal CDF, ``scipy.special.ndtr``, imported on the first call.
 
+    scipy is the optional ``matching`` extra (``pip install gaussapprox[matching]``).
     No subcommand calls it, so importing the package loads no scipy module.
     """
     from scipy.special import ndtr
@@ -226,7 +227,8 @@ def normal_cdf(x):
 def normal_quantile(p):
     """Inverse standard normal CDF, ``scipy.special.ndtri``, on p strictly inside (0, 1).
 
-    Imported on the first call, like ``normal_cdf``; ``empirical_w1_1d`` uses it.
+    Imported on the first call from the ``matching`` extra, like
+    ``normal_cdf``; ``empirical_w1_1d`` uses it.
     """
     from scipy.special import ndtri
 
@@ -279,7 +281,9 @@ def empirical_w1_multid(a: SampleBatch, b: SampleBatch, method: str | None = Non
     Exact min-cost perfect matching with Euclidean costs for equal sizes up to
     512; otherwise the sliced estimate: the average 1-d distance over
     ``SLICED_DIRECTIONS`` seeded random directions, divided by
-    E|<theta, e_1>| so a rigid translation is estimated consistently.
+    E|<theta, e_1>| so a rigid translation is estimated consistently.  The
+    matching runs on scipy, the optional ``matching`` extra
+    (``pip install gaussapprox[matching]``).
     """
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")

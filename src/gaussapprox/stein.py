@@ -13,11 +13,10 @@ sampled vectors.
 Quadrature: the substitution t = u^2 turns the time integral into
 ``int_0^1 (1/u) E[g(u x + sqrt(1 - u^2) Z) - g(Z)] du``, whose integrand is
 bounded near u = 0 for Lipschitz g.  The inner Gaussian expectation uses a
-tensor Gauss-Hermite rule after Cholesky whitening (d <= 4) or seeded Monte
-Carlo (d > 4).  The u-integral runs on Gauss-Legendre (:func:`ou_time_rule`):
-in u under Gauss-Hermite, whose nodes are symmetric in z, and in phi with
-u = sin phi under Monte Carlo, whose sums carry a sqrt(1 - u) singularity at
-u = 1 that the substitution removes.
+deterministic Gauss-Hermite rule after Cholesky whitening: the tensor rule
+(d <= 4) or the Smolyak sparse rule (d > 4).  Both are symmetric in z, so
+the OU sums are analytic in u, and the u-integral runs on Gauss-Legendre in
+u (:func:`ou_time_rule`).
 
 Derivatives: when g carries ``gradient`` and ``hessian`` oracles,
 :func:`u0_derivatives` differentiates that quadrature sum exactly, term by
@@ -35,6 +34,7 @@ once and returns each point's equation residual and Hessian HS norm.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,12 +43,12 @@ import numpy as np
 from .batch import SampleBatch
 from .diff import fd_gradient, fd_hessian
 from .linalg import CovarianceMatrix, as_covariance, cholesky_lower, hs_inner, prefactor
-from .rng import hash64, standard_normals
 
 __all__ = [
     "TestFunction",
     "QuadratureSpec",
     "default_quadrature",
+    "rule_size",
     "ou_time_rule",
     "ou_sums",
     "ou_rule_1d",
@@ -68,11 +68,17 @@ __all__ = [
     "grid_points",
 ]
 
-#: Dimension above which the inner Gaussian rule defaults to Monte Carlo.
+#: Largest dimension of the tensor Gauss-Hermite rule; above it the rule is sparse.
 GH_MAX_DIM = 4
 
 #: Gauss-Hermite order of ``QuadratureSpec`` unless configured.
 DEFAULT_GH_ORDER = 8
+
+#: Level of the sparse rule that :func:`default_quadrature` picks above ``GH_MAX_DIM``.
+DEFAULT_SPARSE_LEVEL = 5
+
+#: Most points of a Gaussian rule; its size is counted before any node is built.
+RULE_MAX_NODES = 10**7
 
 #: Nodes of the OU time rule (:func:`ou_time_rule`) unless configured.
 DEFAULT_U_NODES = 48
@@ -118,66 +124,49 @@ class TestFunction:
 class QuadratureSpec:
     """Node/weight configuration for the time integral and the inner expectation.
 
-    Exactly one of ``gh_order`` (tensor Gauss-Hermite per axis) and
-    ``mc_size`` (seeded Monte Carlo) selects the Gaussian rule.
+    ``u_nodes`` is the size of :func:`ou_time_rule`.  ``gh_order`` is the
+    Gauss-Hermite order per axis of the tensor rule at d <= ``GH_MAX_DIM``
+    and the level of the sparse rule above it (:func:`gaussian_rule`).
     """
 
     u_nodes: int = DEFAULT_U_NODES
-    gh_order: int | None = DEFAULT_GH_ORDER
-    mc_size: int | None = None
-    mc_seed: int = 0
+    gh_order: int = DEFAULT_GH_ORDER
 
     def __post_init__(self):
         if self.u_nodes < 8:
             raise ValueError("u_nodes must be >= 8")
-        if (self.gh_order is None) == (self.mc_size is None):
-            raise ValueError("exactly one of gh_order and mc_size must be set")
-        if self.gh_order is not None and self.gh_order < 4:
+        if self.gh_order < 4:
             raise ValueError("Gauss-Hermite order must be >= 4")
-        if self.mc_size is not None and self.mc_size < 1000:
-            raise ValueError("Monte Carlo size must be >= 1000")
 
     def key(self) -> tuple:
-        return (self.u_nodes, self.gh_order, self.mc_size, self.mc_seed)
-
-    def time_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`ou_time_rule` of ``u_nodes``: in u for Gauss-Hermite, in phi for Monte Carlo."""
-        return ou_time_rule(self.u_nodes, in_phi=self.mc_size is not None)
+        return (self.u_nodes, self.gh_order)
 
 
-def default_quadrature(d: int, u_nodes: int = DEFAULT_U_NODES, mc_seed: int = 0) -> QuadratureSpec:
-    """QuadratureSpec's default tensor Gauss-Hermite for d <= 4, 4000 Monte Carlo points beyond.
+def default_quadrature(d: int, u_nodes: int = DEFAULT_U_NODES) -> QuadratureSpec:
+    """Tensor Gauss-Hermite of order 8 for d <= 4, the sparse rule of level 5 beyond.
 
     A tensor rule has order^d points, so it explodes in d.
     """
     if d <= GH_MAX_DIM:
         return QuadratureSpec(u_nodes=u_nodes)
-    return QuadratureSpec(u_nodes=u_nodes, gh_order=None, mc_size=4000, mc_seed=mc_seed)
+    return QuadratureSpec(u_nodes=u_nodes, gh_order=DEFAULT_SPARSE_LEVEL)
 
 
 @functools.lru_cache(maxsize=64)
-def ou_time_rule(n: int, in_phi: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule for int_0^1 h(u) du, in u or in phi with u = sin phi.
+def ou_time_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule for int_0^1 h(u) du.
 
-    Returns ``(u, c, w)``: the nodes u_i, the factors c_i = sqrt(1 - u_i^2)
-    of the OU nodes u_i x + c_i z, and the weights w_i.  In u, u_i lies on
-    [0, 1] and w_i = w^GL_i / 2; in phi on [0, pi/2], u_i = sin phi_i,
-    c_i = cos phi_i and w_i = (pi/4) w^GL_i cos phi_i.  Under a Gaussian rule
-    symmetric in z the OU sums are even in c, hence analytic in u, and the
-    rule in u converges faster per node; under one that is not (Monte Carlo)
-    they carry a sqrt(1 - u) singularity at u = 1, which the rule in phi
-    removes.  Either way a point x converges more slowly the farther out it
-    lies, as g's nearest complex singularity along the OU path is about
-    1/|x| away.  Cached, so the arrays are read-only.
+    Returns ``(u, c, w)``: the nodes u_i on [0, 1], the factors
+    c_i = sqrt(1 - u_i^2) of the OU nodes u_i x + c_i z, and the weights
+    w_i = w^GL_i / 2.  Every Gaussian rule of :func:`gaussian_rule` is
+    symmetric in z, so the OU sums are even in c, hence analytic in u.  A
+    point x still converges more slowly the farther out it lies, as g's
+    nearest complex singularity along the OU path is about 1/|x| away.
+    Cached, so the arrays are read-only.
     """
     x, w = np.polynomial.legendre.leggauss(n)
-    if in_phi:
-        phi = 0.25 * math.pi * (x + 1.0)
-        c = np.cos(phi)
-        rule = (np.sin(phi), c, 0.25 * math.pi * w * c)
-    else:
-        u = 0.5 * (x + 1.0)
-        rule = (u, np.sqrt(1.0 - u**2), 0.5 * w)
+    u = 0.5 * (x + 1.0)
+    rule = (u, np.sqrt(1.0 - u**2), 0.5 * w)
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -190,38 +179,130 @@ def _hermite_std(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / math.sqrt(2.0 * math.pi)
 
 
-#: Gaussian rules kept in memory; a tensor rule has gh_order^d points.
+def _tensor_std(rules) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor product of 1-d rules ``(x, w)``, one per axis."""
+    pts = np.stack([g.ravel() for g in np.meshgrid(*(x for x, _ in rules), indexing="ij")], axis=-1)
+    wts = np.prod(
+        np.stack([g.ravel() for g in np.meshgrid(*(w for _, w in rules), indexing="ij")], axis=0),
+        axis=0,
+    )
+    return pts, wts
+
+
+def _compositions(m: int, top: int):
+    """Every k in {1, 2, ...}^m with k_1 + ... + k_m <= top."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(1, top - m + 2):
+        for rest in _compositions(m - 1, top - first):
+            yield (first,) + rest
+
+
+def _nonzero_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2 k nonzero nodes of the order-(2 k + 1) rule and their weights."""
+    x, w = _hermite_std(2 * k + 1)
+    return np.delete(x, k), np.delete(w, k)
+
+
+def _sparse_std(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smolyak's sparse Gauss-Hermite rule of ``level`` L for E[phi(xi)], xi ~ N(0, I_d).
+
+    The combination technique (Gerstner and Griebel 1998) sums the tensor
+    rules ``U_j1 x ... x U_jd``, U_j the Gauss-Hermite rule of order
+    2 j + 1, over the j in N^d with L - d <= |j| <= L - 1, each times
+    c(|j|) = (-1)^e C(d - 1, e), e = L - 1 - |j|.  It is exact for
+    polynomials of total degree up to 2L - 1.  Every U_j holds the node 0.0
+    and shares no other node with another order, so the rule's nodes merge
+    by exact value, and each is built once here: a node with nonzero
+    coordinates z_i of U_ki on a set S of m axes lies in every term with
+    j_i = k_i on S.  Its weight is prod_S w_ki(z_i) times
+    F(m, |k|) = sum_t c(|k| + t) [x^t] W(x)^(d - m), where
+    W(x) = sum_j w_j(0) x^j collects the weights of 0.0 on the other axes.
+    A node on all d axes needs |k| >= L - d to lie in any term.
+    """
+    from fractions import Fraction  # 3.6 ms of imports that no run at d <= 4 needs
+
+    top = level - 1
+    coef = [(-1) ** (top - s) * math.comb(d - 1, top - s) for s in range(level)]
+    zero = [Fraction(_hermite_std(2 * j + 1)[1][j]) for j in range(level)]
+    pts, wts = [], []
+    for m in range(min(d, top) + 1):
+        # [x^t] W(x)^(d - m) for t <= L - 1, in exact arithmetic: F is rounded
+        # once, which keeps the weights' sum within 1e-15 of 1 at d = 5
+        power = [Fraction(1)] + [Fraction(0)] * top
+        for _ in range(d - m):
+            power = [sum(power[a] * zero[t - a] for a in range(t + 1)) for t in range(level)]
+        axes = np.array(list(itertools.combinations(range(d), m)), dtype=np.intp)
+        axes = axes.reshape(len(axes), m)
+        for k in _compositions(m, top):
+            s = sum(k)
+            if m == d and s < level - d:
+                continue
+            factor = float(sum(coef[s + t] * power[t] for t in range(level - s)))
+            if m:
+                x, w = _tensor_std([_nonzero_hermite(ki) for ki in k])
+            else:  # the origin
+                x, w = np.zeros((1, 0)), np.ones(1)
+            block = np.zeros((len(axes), len(w), d))
+            np.put_along_axis(block, np.broadcast_to(axes[:, None, :], (len(axes), len(w), m)),
+                              x[None], axis=2)
+            pts.append(block.reshape(-1, d))
+            wts.append(np.tile(factor * w, len(axes)))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def rule_size(d: int, gh_order: int) -> int:
+    """Points of :func:`gaussian_rule` in d dimensions, counted without building a node.
+
+    The tensor rule has gh_order^d.  The sparse rule of level L has the
+    nodes of :func:`_sparse_std`: m nonzero coordinates, the i-th one of
+    the 2 k_i nonzero nodes of the order-(2 k_i + 1) rule, with k_i >= 1
+    and |k| <= L - 1 (and |k| >= L - d if m = d).  The k with |k| = n
+    carry 2^m C(n + m - 1, 2m - 1) such nodes, the coefficient of t^n in
+    (2t / (1 - t)^2)^m, and these sum over n <= L - 1 to 2^m C(L - 1 + m, 2m).
+    """
+    if d <= GH_MAX_DIM:
+        return gh_order**d
+    top = gh_order - 1
+    count = sum(math.comb(d, m) * 2**m * math.comb(top + m, 2 * m) for m in range(min(d, top) + 1))
+    return count - 2**d * math.comb(top, 2 * d)  # the nodes on all d axes with |k| < L - d
+
+
+#: Gaussian rules kept in memory, keyed by (C, d, gh_order).
 RULE_CACHE_SIZE = 64
 
 
 def gaussian_rule(cov: CovarianceMatrix, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights integrating E[phi(Z)], Z ~ N(0, C).
 
-    Cached per (C, quad) in a bounded LRU; callers must treat the returned
-    arrays as read-only.
+    The tensor Gauss-Hermite rule of order ``quad.gh_order`` per axis at
+    d <= ``GH_MAX_DIM``, the sparse rule of that level (:func:`_sparse_std`)
+    above it, both symmetric under z -> -z and whitened by the Cholesky
+    factor of C.  A rule of more than ``RULE_MAX_NODES`` points (by
+    :func:`rule_size`) raises ValueError before any node is built.  Cached
+    per (C, d, gh_order) in a bounded LRU, so specs that differ only in
+    ``u_nodes`` share one rule; callers must treat the returned arrays as
+    read-only.
     """
     cov = as_covariance(cov)
-    return _gaussian_rule(cov.matrix.tobytes(), cov.dim, quad.key())
+    return _gaussian_rule(cov.matrix.tobytes(), cov.dim, quad.gh_order)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def _gaussian_rule(matrix_bytes: bytes, d: int, quad_key: tuple) -> tuple[np.ndarray, np.ndarray]:
-    _, gh_order, mc_size, mc_seed = quad_key
+def _gaussian_rule(matrix_bytes: bytes, d: int, gh_order: int) -> tuple[np.ndarray, np.ndarray]:
+    size = rule_size(d, gh_order)
+    if size > RULE_MAX_NODES:
+        rule = (f"tensor Gauss-Hermite rule ({gh_order}^{d}" if d <= GH_MAX_DIM
+                else f"sparse Gauss-Hermite rule (level {gh_order} at d = {d}")
+        raise ValueError(f"{rule}: {size} points, cap {RULE_MAX_NODES}); "
+                         "lower gh_order (--quad-gh-order)")
     ell = cholesky_lower(np.frombuffer(matrix_bytes).reshape(d, d))
-    if gh_order is not None:
-        if gh_order**d > 10**7:
-            raise ValueError(f"tensor Gauss-Hermite rule too large ({gh_order}^{d} = {gh_order**d} "
-                             "points, cap 10^7); use --mc-inner (mc_size in QuadratureSpec)")
-        x, w = _hermite_std(gh_order)
-        grids = np.meshgrid(*([x] * d), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.prod(
-            np.stack([g.ravel() for g in np.meshgrid(*([w] * d), indexing="ij")], axis=0),
-            axis=0,
-        )
-        return pts @ ell.T, wts
-    z = standard_normals(hash64(mc_seed, "stein-inner"), (mc_size, d))
-    return z @ ell.T, np.full(mc_size, 1.0 / mc_size)
+    if d <= GH_MAX_DIM:
+        pts, wts = _tensor_std([_hermite_std(gh_order)] * d)
+    else:
+        pts, wts = _sparse_std(d, gh_order)
+    return pts @ ell.T, wts
 
 
 def mean_under_target(g: TestFunction, cov, quad: QuadratureSpec) -> float:
@@ -237,7 +318,7 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
     ``points``: ``sums[k][p, i] = sum_z wts_z fns[k](u_i x_p + sqrt(1 - u_i^2) z)``
     over the points z and weights wts of the configured Gaussian rule, with
     the oracle's values flattened, shape (p, u_nodes, -1).  The u_i and
-    sqrt(1 - u_i^2) come from ``quad.time_rule()``.  Nodes are built per
+    sqrt(1 - u_i^2) come from :func:`ou_time_rule`.  Nodes are built per
     block of points and of u-nodes, at most ``OU_NODES`` of them at a time
     (one u-node of a larger rule is held whole), and each (point, u-node) sum
     runs on its own, so its bits do not depend on the blocking.  A block's
@@ -251,7 +332,7 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
     ``g[..., None, :] * g[..., :, None]``); its output then stays
     coordinate-major too, and flattening it per (point, u-node) is a view.
     """
-    u, c, _ = quad.time_rule()
+    u, c, _ = ou_time_rule(quad.u_nodes)
     u, c = u[:, None], c[:, None]
     rule, wts = gaussian_rule(cov, quad)
     rule_t = rule.T[:, None, None, :]
@@ -281,12 +362,11 @@ def ou_rule_1d(u_nodes: int, order: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Product rule of a 1-d OU average int_0^1 E[h(u x + sqrt(1 - u^2) xi)] du, xi ~ N(0, 1).
 
     Returns ``(u, s, w)``, each of length ``u_nodes * order``: the average is
-    ``sum_p w[p] h(u[p] x + s[p])``, with :func:`ou_time_rule` in u (the
-    Gauss-Hermite rule is symmetric in xi) and Gauss-Hermite of the given
-    order in xi; for xi ~ N(0, v), scale ``s`` by sqrt(v).  Cached, so the
+    ``sum_p w[p] h(u[p] x + s[p])``, with :func:`ou_time_rule` in u and
+    Gauss-Hermite of the given order in xi; for xi ~ N(0, v), scale ``s`` by sqrt(v).  Cached, so the
     arrays are read-only.
     """
-    u, c, wu = ou_time_rule(u_nodes, in_phi=False)
+    u, c, wu = ou_time_rule(u_nodes)
     xi, wxi = _hermite_std(order)
     rule = (np.repeat(u, order), (c[:, None] * xi).ravel(), np.outer(wu, wxi).ravel())
     for arr in rule:
@@ -298,7 +378,7 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
     """Evaluate U0g(x) by quadrature after the substitution t = u^2.
 
     The time integral int_0^1 (1/u) E[g(u x + sqrt(1 - u^2) Z) - g(Z)] du
-    runs on ``quad.time_rule()``.  The nodes u_i x + sqrt(1 - u_i^2) z are
+    runs on :func:`ou_time_rule`.  The nodes u_i x + sqrt(1 - u_i^2) z are
     built a block of u-nodes at a time, at most ``OU_NODES`` of them (one
     u-node of a larger rule is held whole), and each block's Gaussian-rule
     sums are one matrix-vector product.
@@ -309,7 +389,7 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
         raise ValueError(f"point has shape {x.shape}, expected ({cov.dim},)")
     if quad is None:
         quad = default_quadrature(cov.dim)
-    u, c, wu = quad.time_rule()
+    u, c, wu = ou_time_rule(quad.u_nodes)
     pts, wts = gaussian_rule(cov, quad)
     mean_gz = mean_under_target(g, cov, quad)
     step = max(1, OU_NODES // wts.size)
@@ -356,7 +436,7 @@ def u0_derivatives(g: TestFunction, cov, points,
         raise ValueError(f"points have shape {pts.shape}, expected (P, {d})")
     if quad is None:
         quad = default_quadrature(d)
-    u, _, wu = quad.time_rule()
+    u, _, wu = ou_time_rule(quad.u_nodes)
 
     def hessian(nodes):
         return np.broadcast_to(g.hessian(nodes), nodes.shape + (d,))

@@ -392,8 +392,11 @@ def test_chatterjee_diagnostics_per_inner_rule():
     rep = chatterjee_bound(_tensor(lin), k, k, mc_size=10, seed=1, quad=QUAD)
     assert rep.diagnostics == {"inner_rule": "tensor", "orders": [8],
                                "t_error_max": None, "bound_error": None}
-    # a Monte Carlo spec runs the 1-d rule at the default Gauss-Hermite order
-    mc = QuadratureSpec(u_nodes=32, gh_order=None, mc_size=1000)
-    rep = chatterjee_bound(componentwise_family("tanh", 2), k, k, mc_size=10, seed=1, quad=mc)
+    # the library default is QuadratureSpec(), so the 1-d rule runs at order 8 at every n
+    k5 = CovarianceMatrix.from_matrix(np.eye(5))
+    tanh5 = componentwise_family("tanh", 5)
+    rep = chatterjee_bound(tanh5, k5, k5, mc_size=10, seed=1)
     assert rep.diagnostics["orders"] == [8, 16]
     assert 0.0 < rep.diagnostics["t_error_max"] < 1e-2
+    explicit = chatterjee_bound(tanh5, k5, k5, mc_size=10, seed=1, quad=QuadratureSpec())
+    assert rep.bound == explicit.bound

@@ -14,6 +14,7 @@ import pytest
 
 from gaussapprox import cli
 from gaussapprox.cli import SUBCOMMANDS, main
+from gaussapprox.stein import rule_size
 
 
 def run_cli(argv):
@@ -88,10 +89,11 @@ def test_unknown_flag_exits_2():
     ["simulate", "--H", "0.5", "--q", "2", "--n", "10", "--matrix-file", "m.json"],
     ["malliavin", "--H", "0.5", "--q", "2", "--n", "10", "--mc-inner", "4"],
     ["chatterjee", "--K", "[[1.0]]", "--mc-inner", "1000"],
+    ["stein-check", "--mc-inner", "1000"],
     ["gaussian-pair", "--C", "[[1.0]]", "--K", "[[1.0]]", "--quad-gh-order", "4"],
     ["gaussian-pair", "--C", "[[1.0]]", "--K", "[[1.0]]", "--seed", "1"],
 ], ids=["bound-seed", "rates-quad", "simulate-C", "simulate-matrix-file", "malliavin-mc-inner",
-        "chatterjee-mc-inner", "gaussian-pair-quad", "gaussian-pair-seed"])
+        "chatterjee-mc-inner", "stein-check-mc-inner", "gaussian-pair-quad", "gaussian-pair-seed"])
 def test_flag_not_read_by_subcommand_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -358,19 +360,36 @@ def test_chatterjee_above_dim_four_echoes_the_rule_that_ran():
     code, out = run_cli(["chatterjee", "--K", json.dumps(k5), "--m", "20", "--functions", functions])
     assert code == 0
     report = json.loads(out)
-    assert report["config"]["quadrature"] == {"u_nodes": 48, "gh_order": 8, "mc_size": None,
-                                              "mc_seed": 0}
+    assert report["config"]["quadrature"] == {"u_nodes": 48, "gh_order": 8}
     assert report["results"]["diagnostics"]["orders"] == [8, 16]
 
 
-@pytest.mark.parametrize("subcommand", ["stein-check"])
-def test_conflicting_inner_rule_flags_exit_2(subcommand):
-    code, out = run_cli([subcommand, *MINIMAL_ARGV[subcommand],
-                         "--mc-inner", "1000", "--quad-gh-order", "6"])
+@pytest.mark.parametrize("argv, work", [
+    # the sparse rule of level 5 at d = 80 has 30,097,441 nodes, over the 10^7 cap
+    (["--d", "80"], 21**2 * 48 * 30_097_441 * 5),
+    (["--d", "2", "--grid-steps", "5000"], 5000**2 * 48 * 8**2 * 5),
+    # the closed count takes microseconds at any level
+    (["--d", "5", "--quad-gh-order", "1000000"], 21**2 * 48 * rule_size(5, 10**6) * 5),
+], ids=["d80", "grid-steps-5000", "level-1e6"])
+def test_stein_check_refuses_oversize_work_before_building(argv, work):
+    start = time.perf_counter()
+    code, out = run_cli(["stein-check", *argv])
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
-    assert "--mc-inner" in err["message"] and "--quad-gh-order" in err["message"]
+    assert f"about {work:.2e} oracle nodes" in err["message"]
+
+
+def test_stein_check_above_dim_four_runs_the_sparse_rule():
+    code, out = run_cli(["stein-check", "--d", "5", "--grid-steps", "2", "--functions",
+                         "first_coordinate,log_sum_exp"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["quadrature"] == {"u_nodes": 48, "gh_order": 5}
+    first, lse = report["results"]["checks"]
+    assert first["residual_max"] <= 1e-12 and first["hessian_max"] == 0.0
+    assert lse["pass"]
 
 
 def test_stein_check_dimension_flag():
@@ -444,10 +463,7 @@ def _argv_from_config(sub: str, config: dict) -> list[str]:
     if "quadrature" in config:
         quad = config["quadrature"]
         argv += ["--quad-unodes", str(quad["u_nodes"])]
-        if quad["gh_order"] is not None:
-            argv += ["--quad-gh-order", str(quad["gh_order"])]
-        if quad["mc_size"] is not None:
-            argv += ["--mc-inner", str(quad["mc_size"])]
+        argv += ["--quad-gh-order", str(quad["gh_order"])]
     return argv
 
 

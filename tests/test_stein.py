@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from gaussapprox import stein
 from gaussapprox.chatterjee import componentwise_family, t_ab_matrix
 from gaussapprox.diff import fd_gradient, fd_hessian
 from gaussapprox.linalg import CovarianceMatrix, hs_inner, sample_gaussian
+from gaussapprox.rng import hash64, standard_normals
 from gaussapprox.stein import (
     QuadratureSpec,
     TestFunction,
@@ -38,12 +40,9 @@ def test_quadrature_spec_validation():
         QuadratureSpec(u_nodes=4)
     with pytest.raises(ValueError):
         QuadratureSpec(gh_order=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(gh_order=None, mc_size=10)
-    with pytest.raises(ValueError):
-        QuadratureSpec(gh_order=8, mc_size=2000)
-    assert default_quadrature(2).gh_order == 8
-    assert default_quadrature(6).mc_size >= 1000
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["u_nodes", "gh_order"]
+    assert default_quadrature(2) == QuadratureSpec(gh_order=8)
+    assert default_quadrature(6, u_nodes=32) == QuadratureSpec(u_nodes=32, gh_order=5)
 
 
 def test_gaussian_rule_moments():
@@ -66,6 +65,61 @@ def test_gaussian_rule_cache_is_bounded_and_keyed_by_value():
     assert (info.hits, info.misses) == (1, 1)
     other = gaussian_rule(C_CORR, QuadratureSpec(u_nodes=64, gh_order=6))
     assert other[0].shape == (36, 2)
+    # the rule does not depend on the time rule, so u_nodes is not part of the key
+    shared = gaussian_rule(C_CORR, QuadratureSpec(u_nodes=128, gh_order=8))
+    assert shared[0] is first[0] and shared[1] is first[1]
+    assert stein._gaussian_rule.cache_info().misses == 2
+
+
+def _gaussian_moment(powers) -> float:
+    """E[prod xi_i^a_i], xi ~ N(0, I): the product of (a_i - 1)!! over even a_i, else 0."""
+    return math.prod(0 if a % 2 else math.prod(range(a - 1, 0, -2)) for a in powers)
+
+
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_sparse_rule_is_exact_to_total_degree_2l_minus_1(d, level):
+    pts, wts = stein._sparse_std(d, level)
+    for degree in range(2 * level):
+        for axes in itertools.combinations_with_replacement(range(d), degree):
+            powers = np.bincount(np.array(axes, dtype=int), minlength=d)
+            exact = _gaussian_moment(powers)
+            value = float(wts @ np.prod(pts**powers, axis=1))
+            assert abs(value - exact) <= 1e-12 * max(1.0, exact), (axes, value, exact)
+    # and no further: x_1^2 ... x_L^2 has degree 2L and expectation 1
+    powers = np.array([2] * level + [0] * (d - level))
+    assert abs(float(wts @ np.prod(pts**powers, axis=1)) - 1.0) > 0.5
+
+
+@pytest.mark.parametrize("d, level, nodes", [
+    (5, 5, 1341), (6, 5, 2381), (5, 8, 37433),
+    # L > 2d: a node with all d coordinates nonzero and |k| < L - d lies in no term
+    (5, 11, 493_935),
+])
+def test_sparse_rule_node_count_is_the_closed_count(d, level, nodes):
+    assert stein.rule_size(d, level) == nodes
+    pts, wts = stein._sparse_std(d, level)
+    assert pts.shape == (nodes, d) and wts.shape == (nodes,)
+    # merged by exact value: no two nodes are equal
+    assert len(np.unique(pts, axis=0)) == nodes
+
+
+def test_sparse_rule_is_symmetric_in_z():
+    cov = CovarianceMatrix.from_matrix(np.eye(5) * 0.7 + 0.3)
+    pts, wts = gaussian_rule(cov, default_quadrature(5))
+    assert len(wts) == 1341
+    order = np.lexsort(pts.T)
+    flipped = np.lexsort((-pts).T)
+    assert np.array_equal(pts[order], -pts[flipped])
+    assert np.array_equal(wts[order], wts[flipped])
+
+
+def test_rule_over_the_cap_raises_before_building():
+    assert stein.rule_size(4, 60) == 60**4 and stein.rule_size(80, 5) == 30_097_441
+    with pytest.raises(ValueError, match="sparse Gauss-Hermite rule"):
+        gaussian_rule(np.eye(80), QuadratureSpec(gh_order=5))
+    with pytest.raises(ValueError, match="tensor Gauss-Hermite rule"):
+        gaussian_rule(np.eye(4), QuadratureSpec(gh_order=60))
 
 
 def test_u0_linear_reproduces_g():
@@ -107,20 +161,13 @@ def test_u0_stable_under_doubling_u_nodes():
     assert abs(v64 - v128) < 1e-8
 
 
-@pytest.mark.parametrize("in_phi", [False, True], ids=["u", "phi"])
-def test_ou_time_rule_moments_and_read_only(in_phi):
+def test_ou_time_rule_moments_and_read_only():
     # at 32 nodes; at 48, numpy's leggauss weights are themselves 1.8e-15 off
-    u, c, w = stein.ou_time_rule(32, in_phi=in_phi)
+    u, c, w = stein.ou_time_rule(32)
     for k in range(21):
         assert abs(np.dot(w, u**k) - 1.0 / (k + 1)) <= 1e-15, k
     assert np.allclose(u**2 + c**2, 1.0, rtol=0, atol=4e-16)
     assert not any(arr.flags.writeable for arr in (u, c, w))
-
-
-def test_quadrature_spec_picks_the_time_rule_by_inner_rule():
-    n = stein.DEFAULT_U_NODES
-    assert default_quadrature(2).time_rule() is stein.ou_time_rule(n, in_phi=False)
-    assert default_quadrature(5).time_rule() is stein.ou_time_rule(n, in_phi=True)
 
 
 #: The targets of the benchmark's stein-lab grids.
@@ -132,15 +179,15 @@ STEIN_LAB_COVS = [
 
 
 @pytest.mark.parametrize("d, covs, pts", [
-    # the stein-check grid, Gauss-Hermite inner rule (time rule in u)
+    # the stein-check grid, tensor inner rule
     (2, STEIN_LAB_COVS, grid_points(-3.0, 3.0, 11)),
-    # the Monte Carlo inner rule (time rule in phi)
+    # the sparse inner rule
     (5, [np.eye(5) * 0.7 + 0.3], 1.5 * np.random.default_rng(0).standard_normal((4, 5))),
 ], ids=["d2", "d5"])
 def test_default_u_nodes_converge_under_doubling(d, covs, pts):
     # The error grows with |x|: a complex singularity of g along the OU path
     # lies about 1/|x| from the real axis.  Measured at the default of 48
-    # nodes: 3.4e-14 at [-3, -3] (sqrt_one_plus_norm_sq), 5.4e-15 at d = 5.
+    # nodes: 3.4e-14 at [-3, -3] (sqrt_one_plus_norm_sq), 2.9e-15 at d = 5.
     n = stein.DEFAULT_U_NODES
     for cov in covs:
         for g in lipschitz_test_functions(d):
@@ -454,16 +501,23 @@ def test_stein_discrepancy_requires_oracles():
         stein_discrepancy(batch, [TestFunction("plain", lambda x: x[..., 0])], C_EYE)
 
 
-def test_monte_carlo_inner_rule_above_dim_four():
+def test_u0_apply_of_linear_g_is_g_above_dim_four():
+    # U0 g = g for linear g; the sparse rule is exact for it
     d = 5
-    cov = CovarianceMatrix.from_matrix(np.eye(d))
-    quad = QuadratureSpec(u_nodes=64, gh_order=None, mc_size=20_000, mc_seed=5)
-    g = TestFunction("lin5", lambda x: x.sum(axis=-1))
-    x = np.full(d, 0.3)
-    # U0 g = g for linear g; the MC rule only adds sampling noise through
-    # its estimate of E g(Z), with Var g(Z) = d
-    band = 5.0 * math.sqrt(d / quad.mc_size)
-    assert u0_apply(g, cov, x, quad) == pytest.approx(float(g(x)), abs=band)
+    cov = CovarianceMatrix.from_matrix(np.eye(d) * 0.7 + 0.3)
+    g = TestFunction("lin5", lambda x: x @ np.array([1.0, -0.5, 2.0, 0.3, -1.2]))
+    for x in (np.full(d, 0.3), np.array([1.5, -2.0, 0.4, 2.5, -0.7])):
+        assert abs(u0_apply(g, cov, x) - float(g(x))) <= 1e-14, x
+
+
+def test_first_coordinate_residual_vanishes_above_dim_four():
+    # the stein-check --d 5 --grid-steps 5 job: U0 x_1 = x_1, so the residual
+    # is rounding alone (0.006 to 0.03 under the old Monte Carlo rule)
+    cov = CovarianceMatrix.from_matrix(np.eye(5))
+    pts = 1.5 * standard_normals(hash64(0, "stein-grid"), (25, 5))
+    rep = stein_report(lipschitz_test_functions(5)[0], cov, pts)
+    assert rep["function"] == "first_coordinate"
+    assert rep["residual_max"] <= 1e-12 and rep["hessian_max"] == 0.0
 
 
 def test_mean_under_target_repeatable():
@@ -474,39 +528,31 @@ def test_mean_under_target_repeatable():
 
 
 def _u0_inline(g, cov, x, quad):
-    """U0g(x) with the time rule and node tensor built inline, the reference ``u0_apply`` matches bit for bit.
-
-    Gauss-Legendre in u under a Gauss-Hermite rule, in phi (u = sin phi) under Monte Carlo.
-    """
+    """U0g(x) with the time rule and node tensor built inline: ``u0_apply`` matches it bit for bit."""
     t, w = np.polynomial.legendre.leggauss(quad.u_nodes)
-    if quad.mc_size is None:
-        u, wu = 0.5 * (t + 1.0), 0.5 * w
-        c = np.sqrt(1.0 - u**2)
-    else:
-        phi = 0.25 * math.pi * (t + 1.0)
-        u, c = np.sin(phi), np.cos(phi)
-        wu = 0.25 * math.pi * w * c
+    u, wu = 0.5 * (t + 1.0), 0.5 * w
+    c = np.sqrt(1.0 - u**2)
     pts, wts = gaussian_rule(cov, quad)
     shifted = u[:, None, None] * x[None, None, :] + c[:, None, None] * pts[None, :, :]
     inner = g(shifted) @ wts
     return float(np.dot(wu, (inner - mean_under_target(g, cov, quad)) / u))
 
 
-@pytest.mark.parametrize("quad", [
-    QuadratureSpec(u_nodes=16, gh_order=6),
-    QuadratureSpec(u_nodes=16, gh_order=None, mc_size=1000, mc_seed=3),
-], ids=["gh", "mc"])
-def test_u0_apply_equals_inline_quadrature_bit_for_bit(quad):
-    for g in lipschitz_test_functions(2):
-        for x in ([0.0, 0.0], [0.7, -1.2], [2.5, 1.5]):
-            x = np.array(x)
-            assert u0_apply(g, C_CORR, x, quad) == _u0_inline(g, C_CORR, x, quad), (g.name, x)
+@pytest.mark.parametrize("cov, quad", [
+    (C_CORR, QuadratureSpec(u_nodes=16, gh_order=6)),
+    (CovarianceMatrix.from_matrix(np.eye(5) * 0.7 + 0.3), QuadratureSpec(u_nodes=16, gh_order=4)),
+], ids=["gh", "sparse-d5"])
+def test_u0_apply_equals_inline_quadrature_bit_for_bit(cov, quad):
+    rng = np.random.default_rng(cov.dim)
+    for g in lipschitz_test_functions(cov.dim):
+        for x in (np.zeros(cov.dim), *rng.uniform(-3.0, 3.0, (2, cov.dim))):
+            assert u0_apply(g, cov, x, quad) == _u0_inline(g, cov, x, quad), (g.name, x)
 
 
 def test_u0_apply_builds_its_nodes_within_the_node_budget():
-    # the 64 x 8^5 nodes of d = 5 take 84 MB at once; blocks of at most
-    # OU_NODES nodes (one u-node of this 8^5-point rule) keep the first call,
-    # Gaussian rule included, to a few MiB
+    # the 64 x 37,433 nodes of the level-8 sparse rule at d = 5 take 96 MB at
+    # once; blocks of at most OU_NODES nodes (one u-node of this rule) keep
+    # the first call, Gaussian rule included, to a few MiB
     d = 5
     cov = CovarianceMatrix.from_matrix(np.eye(d) * 0.7 + 0.3)
     g = lipschitz_test_functions(d)[2]
