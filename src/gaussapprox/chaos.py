@@ -24,13 +24,14 @@ Hankel matrices, the corner the block cuts off the convolution.
   F(g) minus two suffix-sum corner corrections, O(m^2) in all, against the
   O(m^4) brute force kept as the oracle.  It takes the gaps g in blocks of
   G = max(``_MIN_GAPS``, ``_GAP_BLOCK`` // m): the products behind both
-  corrections are two (G, m-1) arrays built from sliding windows of the lag
-  tables (b(|g - tau|) is a window of the mirrored table
-  ``b_sym = concatenate((b_ext[:0:-1], b_ext))``), one ``cumsum`` takes
-  both suffix sums, and skewed strided views read each gap's terms along a
-  diagonal.  Every gap keeps its own dot product and every sum its order,
-  so the bits equal those of a loop over single gaps, and the pass holds a
-  few blocks of memory, never an m x m array.
+  corrections are two (G, m-1) arrays read through skewed views of the
+  mirrored lag table ``b_sym = concatenate((b_ext[:0:-1], b_ext))``, one
+  ``cumsum`` takes both suffix sums, and skewed strided views lay out each
+  gap's diagonal of M as a row.  A gap's term is its row times the same row
+  reversed, so one product and one pairwise sum reduce a whole block.  No
+  step calls BLAS, so the sum does not depend on the BLAS thread count; it
+  stays within 4.0e-15 of a long-double reference up to m = 2^13, and the
+  pass holds a few blocks of memory, never an m x m array.
 * The low-rank evaluator ``_lowrank_sum`` expands
   Tr(M^2) = Tr(T_F^2) - 4 Tr(T_F E_up) + 2 Tr(E_up^2) + 2 Tr(E_up J E_up J).
   Tr(T_F^2) = sum_g (m - |g|) F(g)^2 takes one FFT for F.  E_up is a product
@@ -47,8 +48,10 @@ Sums of blocks of at least ``LOWRANK_CROSSOVER`` run on the low-rank
 evaluator; smaller ones keep the lattice pass.  The evaluator also estimates
 its relative error from ``_RESIDUAL_PROBES`` more probes of |E_up - Q B^T|
 together with |T_F| and |B|.  Above ``LOWRANK_TOLERANCE`` the lattice pass
-runs instead, so every sum is exact to that tolerance; :func:`contraction_error` reads the largest
-estimate behind a kernel family (0.0 for lattice and closed-form sums).
+runs instead on blocks up to ``LATTICE_FALLBACK_MAX``, so every sum there is
+exact to that tolerance; a larger block keeps the low-rank value and its
+estimate.  :func:`contraction_error` reads the largest estimate behind a
+kernel family (0.0 for lattice and closed-form sums).
 
 The unscaled sum depends only on (H, q, r, m): shifting the block leaves it
 unchanged and the scale enters as c^4.  It is also unchanged by r <-> q-r,
@@ -75,7 +78,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .fgn import (
     SigmaEstimate,
@@ -118,8 +120,13 @@ LOWRANK_CROSSOVER = 1024
 LOWRANK_PROBES = 40
 
 #: Largest estimated relative error a low-rank sum may carry; above it the
-#: exact lattice pass runs instead.
+#: exact lattice pass runs instead, on blocks up to ``LATTICE_FALLBACK_MAX``.
 LOWRANK_TOLERANCE = 1e-13
+
+#: Largest block whose low-rank sum falls back to the lattice pass.  Past it
+#: the pass is O(m^2) work that :func:`contraction_work` does not count, so
+#: the low-rank value is kept with its estimate.
+LATTICE_FALLBACK_MAX = 2**13
 
 #: Extra probes that estimate the range finder's residual.
 _RESIDUAL_PROBES = 4
@@ -139,8 +146,9 @@ _DOT_CHUNK = 8192
 #: maps them afresh and takes about 370 more page faults at m = 256..564.
 _GAP_BLOCK = 2**13
 
-#: Elements of the one buffer of the lattice pass's arrays: G (6 m + 2 G - 4)
-#: elements in all, at most 8 ``_GAP_BLOCK`` while G m <= ``_GAP_BLOCK`` and G <= m.
+#: Elements of the one buffer of the lattice pass's arrays: G (5 m + 3 G - 3)
+#: elements in all (the products, the padded suffix sums and the padded
+#: diagonals), at most 8 ``_GAP_BLOCK`` while G m <= ``_GAP_BLOCK`` and G <= m.
 _PASS_BUFFER = 8 * _GAP_BLOCK
 
 #: Fewest gaps per step of the lattice pass; near m = ``_GAP_BLOCK`` a step of
@@ -295,6 +303,18 @@ def _pass_buffers(*shapes) -> list[np.ndarray]:
             for shape, size, start in zip(shapes, sizes, starts)]
 
 
+def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
+    """View of the contiguous array ``base`` from its flat element ``start``
+    on, with strides counted in elements.
+
+    One ndarray constructor call, about a seventh of the cost of
+    ``as_strided``, which the lattice pass would pay five times per block;
+    numpy refuses a view that reaches outside ``base``.
+    """
+    size = base.itemsize
+    return np.ndarray(shape, base.dtype, base, start * size, tuple(k * size for k in steps))
+
+
 def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
     """sum_{k,l,k',l' in [0,m)} a(k-l) a(k'-l') b(k-k') b(l-l').
 
@@ -306,49 +326,56 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
 
     The gaps run in blocks of G = ``_gaps_per_step(m)``, one row per gap in
     each of two (G, m - 1) arrays of products.  The rows are ``a[1:m]`` times
-    sliding windows: b(|g - tau|) for tau = 1..m-1 is the window of the
-    mirrored table ``b_sym`` at c + 1 - g (lag 0 at c = 2m-2), and b(g + tau)
-    the window of ``b_ext`` at g + 1.  One ``cumsum`` over the reversed rows
-    writes both suffix sums, reversed, into zero-padded buffers, so column j
-    holds up[m-1-j] (j = 0 is the empty sum).  The terms of gap g read
-    up[g + k] and vp[m-1-g-k] along a diagonal, through skewed strided views
-    whose rows step one column further per gap.  Every row sum, cumsum and
-    subtraction runs in the same order as in a loop over single gaps, and
-    each gap keeps its own ``_dot`` and its own ``total +=``, so the result
-    is the same to the last bit.
+    windows of the mirrored table ``b_sym`` (lag 0 at c = 2m-2): b(|g - tau|)
+    for tau = 1..m-1 starts at c + 1 - g, and b(g + tau) at c + 1 + g.  One
+    ``cumsum`` over the reversed rows writes both suffix sums, reversed, into
+    zero-padded buffers, so column j holds up[m-1-j]: j = 0 is the empty
+    sum, and j = m - 1 the full sum that F(g) adds to a(0) b(g).
+
+    Row i of ``diags`` (gap g = g0 + i) reads up[g + k] and vp[m-1-g-k]
+    through skewed views whose rows step one column further per gap.  Its
+    first L = m - g columns are the diagonal d_g[k] = M[k + g, k], and the
+    transpose's diagonal M[k, k + g] is d_g[L-1-k], since J M J = M for the
+    reversal J.  Gap g thus adds sum_k d_g[k] d_g[L-1-k], once for g = 0 and
+    twice for g > 0, as gaps g and -g add the same.  One more skewed view
+    reads each row reversed; past its live part it reads the zero padding at
+    the end of the row above, so one product and one pairwise sum take every
+    gap of a block.  No step calls BLAS.  Against a long-double gap-by-gap
+    loop with ``math.fsum`` over the gaps the sum is within 1.7e-15 relative
+    up to m = 2048.
     """
     total = 0.0
     a_tau = a[1:m]
     b_sym = np.concatenate((b_ext[:0:-1], b_ext))
     c = 2 * m - 2
-    win_p = sliding_window_view(b_sym, m - 1)
-    win_q = sliding_window_view(b_ext, m - 1)
     gaps = _gaps_per_step(m)
-    # columns m.. of sums pad the skewed reads of the last gap of a block
-    prod, sums, term1, term2 = _pass_buffers(
-        (2, gaps, m - 1), (2, gaps, m + gaps - 1), (gaps, m), (gaps, m))
+    # columns m.. of sums and diags stay zero: they pad the skewed reads
+    prod, sums, diags = _pass_buffers((2, gaps, m), (2, gaps, m + gaps - 1), (gaps, m + gaps - 1))
     sums.fill(0.0)
+    diags.fill(0.0)
     up, vp = sums
-    row, col = up.strides
+    row = m + gaps - 1  # the row length of up, vp and diags
     for g0 in range(0, m, gaps):
         n, span = min(gaps, m - g0), m - g0
-        p, qv = prod[:, :n]
-        np.multiply(a_tau, win_p[c + 2 - g0 - n : c + 2 - g0][::-1], out=p)
-        np.multiply(a_tau, win_q[g0 + 1 : g0 + n + 1], out=qv)
-        np.cumsum(prod[:, :n, ::-1], axis=2, out=sums[:, :n, 1:m])
-        f_g = (a[0] * b_ext[g0 : g0 + n] + p.sum(axis=1) + qv.sum(axis=1))[:, None]
+        pq = prod[:, :n, : m - 1]
+        p, qv = pq
+        # b(|g - tau|) = b_sym[c - g + tau] and b(g + tau) = b_sym[c + g + tau]
+        np.multiply(a_tau, _skewed(b_sym, c + 1 - g0, (n, m - 1), (-1, 1)), out=p)
+        np.multiply(a_tau, _skewed(b_sym, c + 1 + g0, (n, m - 1), (1, 1)), out=qv)
+        np.cumsum(pq[:, :, ::-1], axis=2, out=sums[:, :n, 1:m])
+        f_g = (a[0] * b_ext[g0 : g0 + n] + up[:n, m - 1] + vp[:n, m - 1])[:, None]
         # row i, column k: up[g + k] and vp[m-1-g-k] with g = g0 + i
-        up_diag = as_strided(up[0, m - 1 - g0:], (n, span), (row - col, -col))
-        vp_diag = as_strided(vp[0, g0:], (n, span), (row + col, col))
-        t1 = np.subtract(f_g, up_diag, out=term1[:n, :span])
-        t1 -= vp_diag
-        # t1[i, :span-i][::-1] in exact arithmetic, but it subtracts the
-        # corrections in the other order; computing it keeps the rounding.
-        t2 = np.subtract(f_g, vp[:n, g0:m][:, ::-1], out=term2[:n, :span])
-        t2 -= up[:n, :span]
-        for i in range(n):
-            contrib = _dot(t1[i, : span - i], t2[i, : span - i])
-            total += contrib if g0 + i == 0 else 2.0 * contrib
+        d = np.subtract(f_g, _skewed(up, m - 1 - g0, (n, span), (row - 1, -1)),
+                        out=diags[:n, :span])
+        d -= _skewed(vp, g0, (n, span), (row + 1, 1))
+        # row i, column k: d[i, span-1-i-k], the live part of row i reversed
+        # while k < span - i, and past it the zero padding of the row above
+        d_rev = _skewed(diags, span - 1, (n, span), (row - 1, -1))
+        # the products are spent; their first rows take the gaps' terms
+        terms = np.multiply(d, d_rev, out=prod[0, :n, :span])
+        if g0 == 0:
+            terms[0] *= 0.5  # gap 0 counts once, every other gap twice
+        total += 2.0 * float(terms.sum())
     return total
 
 
@@ -431,9 +458,11 @@ def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[f
     a_hat, b_hat = rfft(a, n), rfft(b_ext, n)
     tf_sq, f_hat = _toeplitz_part(a, b_ext, a_hat, b_hat, m, n)
 
-    def hankel(c_hat, x):
-        # z[u] = sum_v c(u + v) x[v] is a correlation: multiply by conj(x_hat)
-        x_hat = rfft(x, n)
+    def hankel(c_hat, x, x_hat=None):
+        # z[u] = sum_v c(u + v) x[v] is a correlation: multiply by conj(x_hat);
+        # a given x_hat is overwritten
+        if x_hat is None:
+            x_hat = rfft(x, n)
         np.conjugate(x_hat, out=x_hat)
         x_hat *= c_hat
         return irfft(x_hat, n)[:, :m]
@@ -443,8 +472,8 @@ def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[f
         y[:, 0] = 0.0
         return hankel(a_hat, y)
 
-    def e_up_t(x):
-        y = hankel(a_hat, x)
+    def e_up_t(x, x_hat=None):
+        y = hankel(a_hat, x, x_hat)
         y[:, 0] = 0.0
         return hankel(b_hat, y)
 
@@ -460,11 +489,11 @@ def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[f
     # terms() and residual_sq() run per chunk of rows, so each chunk's FFT
     # temporaries are freed before the next chunk allocates its own
     def terms(rows):
-        # rows of Q -> their share of Tr(T_F Q B^T) and |B|^2, rows of B^T Q and B^T J Q
-        b_rows = e_up_t(rows)
+        # rows of Q -> their share of Tr(T_F Q B^T) and |B|^2, rows of B^T Q and B^T J Q;
+        # one transform of the rows serves T_F and then, conjugated in place, E_up^T
         x_hat = rfft(rows, n)
-        x_hat *= f_hat
-        tf_rows = irfft(x_hat, n)[:, :m]
+        tf_rows = irfft(x_hat * f_hat, n)[:, :m]
+        b_rows = e_up_t(rows, x_hat)
         return (float(np.einsum("im,im->", b_rows, tf_rows)),
                 float(np.einsum("im,im->", b_rows, b_rows)),
                 np.einsum("im,jm->ij", b_rows, q),
@@ -517,7 +546,7 @@ def _unscaled_contraction(h: float, q: int, r: int, m: int) -> _Sum:
     a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
     if m >= LOWRANK_CROSSOVER:
         value, error = _lowrank_sum(a, b_ext, m, hash64("contraction", float(h).hex(), q, r, m))
-        if error < LOWRANK_TOLERANCE:
+        if error < LOWRANK_TOLERANCE or m > LATTICE_FALLBACK_MAX:
             return _Sum(value, error)
     return _Sum(_quad_sum(a, b_ext, m))
 

@@ -44,9 +44,10 @@ from .stein import (
     stein_report,
 )
 
-#: Most oracle nodes a ``stein-check`` job may evaluate: points x u-nodes x
-#: Gaussian-rule nodes x functions, estimated before any point or node exists.
-STEIN_CHECK_MAX_WORK = 10**9
+#: Most oracle values a ``stein-check`` job may evaluate: points x u-nodes x
+#: Gaussian-rule nodes x functions x (d + d^2), a gradient and a Hessian per
+#: node, estimated before any point or node exists.
+STEIN_CHECK_MAX_WORK = 10**10
 
 SUBCOMMANDS = ("bound", "rates", "simulate", "malliavin", "stein-check", "chatterjee", "gaussian-pair")
 
@@ -224,11 +225,13 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     names = args.functions.split(",") if args.functions else None
     registry = {f.name: f for f in lipschitz_test_functions(cov.dim)}
     chosen = [registry[n] for n in names] if names else list(registry.values())
-    work = args.grid_steps**2 * quad.u_nodes * rule_size(cov.dim, quad.gh_order) * len(chosen)
+    nodes = args.grid_steps**2 * quad.u_nodes * rule_size(cov.dim, quad.gh_order) * len(chosen)
+    work = nodes * cov.dim * (cov.dim + 1)
     if work > STEIN_CHECK_MAX_WORK:
-        raise ValueError(f"stein-check would evaluate about {work:.2e} oracle nodes (points x "
-                         f"u-nodes x rule nodes x functions), over the cap {STEIN_CHECK_MAX_WORK:.0e}; "
-                         "lower --grid-steps, --quad-unodes, --quad-gh-order or --functions")
+        raise ValueError(f"stein-check would evaluate about {work:.2e} oracle values (points x "
+                         f"u-nodes x rule nodes x functions x (d + d^2)), over the cap "
+                         f"{STEIN_CHECK_MAX_WORK:.0e}; lower --grid-steps, --quad-unodes, "
+                         "--quad-gh-order or --functions")
     lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
         lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi

@@ -139,34 +139,44 @@ def test_contraction_cache_is_bounded():
 
 
 def _gather_quad_sum(a, b_ext, m):
-    """Reference lattice sum that looks lags up through index arrays."""
-    total = 0.0
+    """Extended-precision reference: the gap-by-gap lattice sum in long
+    double, with lags looked up through index arrays and the per-gap
+    contributions added exactly by ``math.fsum``."""
+    a, b_ext = a.astype(np.longdouble), b_ext.astype(np.longdouble)
+    parts = []
     tau = np.arange(1, m)
     a_tau = a[1:m]
     for g in range(m):
         p = a_tau * b_ext[np.abs(g - tau)]
         qv = a_tau * b_ext[g + tau]
-        up = np.zeros(m)
-        vp = np.zeros(m)
+        up = np.zeros(m, dtype=np.longdouble)
+        vp = np.zeros(m, dtype=np.longdouble)
         if m > 1:
             up[: m - 1] = np.cumsum(p[::-1])[::-1]
             vp[: m - 1] = np.cumsum(qv[::-1])[::-1]
-        f_g = a[0] * b_ext[g] + float(np.sum(p)) + float(np.sum(qv))
+        f_g = a[0] * b_ext[g] + np.sum(p) + np.sum(qv)
         term1 = f_g - up[g:m] - vp[: m - g][::-1]
         term2 = f_g - vp[: m - g] - up[g:m][::-1]
-        contrib = float(np.dot(term1, term2))
-        total += contrib if g == 0 else 2.0 * contrib
-    return total
+        contrib = np.dot(term1, term2) * (1 if g == 0 else 2)
+        # the double nearest the contribution and what it leaves out
+        parts += [float(contrib), float(contrib - np.longdouble(float(contrib)))]
+    return math.fsum(parts)
 
 
-def test_quad_sum_equals_gather_loop_bit_for_bit():
+#: Relative distance the lattice pass keeps from the extended-precision
+#: reference; the contract of an exact sum is 1e-13.
+REFERENCE_RTOL = 1e-14
+
+
+def test_quad_sum_matches_extended_precision_gather_loop():
     for h in (0.5, 0.65, 0.8):
         for q, r in ((3, 1), (3, 2), (4, 2)):
             for m in (1, 2, 3, 257, 1024):
                 rho_tab = rho(h, np.arange(2 * m - 1))
                 a = rho_tab[:m] ** r
                 b_ext = rho_tab ** (q - r)
-                assert chaos._quad_sum(a, b_ext, m) == _gather_quad_sum(a, b_ext, m)
+                reference = _gather_quad_sum(a, b_ext, m)
+                assert abs(chaos._quad_sum(a, b_ext, m) - reference) <= REFERENCE_RTOL * reference
 
 
 def _blocked_pass_sizes():
@@ -185,7 +195,7 @@ def _blocked_pass_sizes():
     return sorted(sizes)
 
 
-def test_blocked_lattice_pass_keeps_every_bit():
+def test_blocked_lattice_pass_matches_extended_precision_reference():
     # H = 0.3 has negative lags, H = 0.5 one-point support
     sizes = _blocked_pass_sizes()
     assert {1, 2, 3} < set(sizes) and max(sizes) > chaos._GAP_BLOCK // chaos._MIN_GAPS
@@ -194,7 +204,8 @@ def test_blocked_lattice_pass_keeps_every_bit():
         for h, q, r in cases:
             rho_tab = rho(h, np.arange(2 * m - 1))
             a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
-            assert chaos._quad_sum(a, b_ext, m) == _gather_quad_sum(a, b_ext, m), (h, q, r, m)
+            reference = _gather_quad_sum(a, b_ext, m)
+            assert abs(chaos._quad_sum(a, b_ext, m) - reference) <= REFERENCE_RTOL * reference, (h, q, r, m)
 
 
 def test_blocked_lattice_pass_memory_is_bounded_by_the_block():
@@ -218,7 +229,7 @@ def test_lattice_pass_asks_for_one_buffer_size_whatever_the_block():
     # equal requests let malloc hand each sum the memory the last one freed
     for m in (2, 3, 90, 564, 1023, 2048):
         g = chaos._gaps_per_step(m)
-        views = chaos._pass_buffers((2, g, m - 1), (2, g, m + g - 1), (g, m), (g, m))
+        views = chaos._pass_buffers((2, g, m), (2, g, m + g - 1), (g, m + g - 1))
         assert {v.base.size for v in views} == {chaos._PASS_BUFFER}, m
         assert sum(v.size for v in views) <= chaos._PASS_BUFFER
         assert not any(np.shares_memory(a, b) for i, a in enumerate(views) for b in views[i + 1:])
@@ -466,6 +477,18 @@ def test_lowrank_fallback_returns_lattice_bits(monkeypatch):
     rho_tab = rho(0.6, np.arange(2 * m - 1))
     assert value == quad(rho_tab[:m], rho_tab**2, m)
     assert value.error == 0.0
+
+
+def test_no_lattice_fallback_above_its_largest_block(monkeypatch):
+    runs = _count_evaluators(monkeypatch)
+    monkeypatch.setattr(chaos, "LOWRANK_TOLERANCE", 0.0)
+    m = chaos.LATTICE_FALLBACK_MAX + 8
+    value = chaos._unscaled_contraction(0.6, 3, 1, m)
+    assert runs == {"lattice": [], "lowrank": [m]}
+    assert value.error > 0.0
+    # the estimate reaches the report through the cache, with no second sum
+    assert chaos.contraction_error(kernel_family(0.6, 3, m, (0, 1))) == value.error
+    assert runs == {"lattice": [], "lowrank": [m]}
 
 
 def test_bound_curve_refuses_oversize_level_before_any_sum(monkeypatch):

@@ -365,12 +365,15 @@ def test_chatterjee_above_dim_four_echoes_the_rule_that_ran():
 
 
 @pytest.mark.parametrize("argv, work", [
+    # each node costs a gradient and a Hessian, d + d^2 oracle values
     # the sparse rule of level 5 at d = 80 has 30,097,441 nodes, over the 10^7 cap
-    (["--d", "80"], 21**2 * 48 * 30_097_441 * 5),
-    (["--d", "2", "--grid-steps", "5000"], 5000**2 * 48 * 8**2 * 5),
+    (["--d", "80"], 21**2 * 48 * 30_097_441 * 5 * (80 + 80**2)),
+    (["--d", "2", "--grid-steps", "5000"], 5000**2 * 48 * 8**2 * 5 * (2 + 2**2)),
     # the closed count takes microseconds at any level
-    (["--d", "5", "--quad-gh-order", "1000000"], 21**2 * 48 * rule_size(5, 10**6) * 5),
-], ids=["d80", "grid-steps-5000", "level-1e6"])
+    (["--d", "5", "--quad-gh-order", "1000000"], 21**2 * 48 * rule_size(5, 10**6) * 5 * (5 + 5**2)),
+    # 3.3e8 nodes, and one Hessian block of its 153,161-node rule is 490 MB
+    (["--d", "20", "--grid-steps", "3"], 3**2 * 48 * 153_161 * 5 * (20 + 20**2)),
+], ids=["d80", "grid-steps-5000", "level-1e6", "d20"])
 def test_stein_check_refuses_oversize_work_before_building(argv, work):
     start = time.perf_counter()
     code, out = run_cli(["stein-check", *argv])
@@ -378,7 +381,21 @@ def test_stein_check_refuses_oversize_work_before_building(argv, work):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
-    assert f"about {work:.2e} oracle nodes" in err["message"]
+    assert f"about {work:.2e} oracle values" in err["message"]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_stein_check_admits_a_grid_of_eleven_steps(monkeypatch, d):
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    # stein_report runs only once the job has passed the work guard
+    monkeypatch.setattr(cli, "stein_report", admitted)
+    with pytest.raises(Admitted):
+        run_cli(["stein-check", "--d", str(d), "--grid-steps", "11"])
 
 
 def test_stein_check_above_dim_four_runs_the_sparse_rule():
@@ -565,6 +582,22 @@ def test_rates_report_independent_of_blas_threads():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["results"]["diagnostics"]["contraction_error_max"] > 0.0
+
+
+def test_bound_report_on_the_lattice_pass_independent_of_blas_threads():
+    # blocks of 376 and 564 points run the lattice pass, which reduces its
+    # gaps without BLAS; fresh interpreters, so no cached sum is read
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "gaussapprox.cli", "bound", "--H", "0.7", "--q", "4",
+            "--n", "376", "--times", "0,1,2.5"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["results"]["diagnostics"]["contraction_error_max"] == 0.0
 
 
 def _python(code: str, *args: str) -> str:
