@@ -41,8 +41,8 @@ Hankel matrices, the corner the block cuts off the convolution.
   one power iteration gives E_up ~ Q B^T, and the other three traces cost
   O(k m log m) through circular FFTs of the first 5-smooth length at least
   2m - 1.  The probes are seeded from (H, q, r, m), and every m-long
-  reduction is an einsum loop or a BLAS dot short enough to run on one
-  thread, so the bits do not depend on the run or on the BLAS thread count.
+  reduction is an einsum loop, so the bits do not depend on the run or on
+  the BLAS thread count.
 
 Sums of blocks of at least ``LOWRANK_CROSSOVER`` run on the low-rank
 evaluator; smaller ones keep the lattice pass.  The evaluator also estimates
@@ -134,11 +134,6 @@ _RESIDUAL_PROBES = 4
 #: Probe rows sent through one batched FFT.  Larger batches hold more
 #: transforms in memory at once and were not faster.
 _FFT_ROWS = 2
-
-#: Longest vector handed to one BLAS dot.  OpenBLAS splits a dot of more
-#: than 10,000 terms across its threads, which changes the rounding with
-#: OPENBLAS_NUM_THREADS; chunks of this length run on one thread.
-_DOT_CHUNK = 8192
 
 #: Elements of one (gaps x lags) array of the lattice pass, which takes
 #: ``_GAP_BLOCK // m`` gaps per step (at least ``_MIN_GAPS``).  Blocks of
@@ -237,18 +232,6 @@ def kernel_family(h: float, q: int, n: int, times, sigma: SigmaEstimate | None =
     )
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """x . y as BLAS dots of at most ``_DOT_CHUNK`` terms, added in order.
-
-    One chunk gives exactly ``np.dot``; longer vectors give the same bits at
-    every BLAS thread count.
-    """
-    if len(x) <= _DOT_CHUNK:
-        return float(np.dot(x, y))
-    return sum(float(np.dot(x[i:i + _DOT_CHUNK], y[i:i + _DOT_CHUNK]))
-               for i in range(0, len(x), _DOT_CHUNK))
-
-
 def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     """<f, g> in H^{(x q)}; E[I_q(f) I_q(g)] = q! <f, g>."""
     if f.rank != g.rank:
@@ -260,7 +243,7 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     counts = np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)
     counts = np.clip(counts, 0, None).astype(np.float64)
     vals = rho(h, t) ** f.rank
-    return f.scale * g.scale * _dot(counts, vals)
+    return f.scale * g.scale * float(np.sum(counts * vals))
 
 
 def contraction_norm_sq_brute(f: StepKernel, r: int, h: float) -> float:

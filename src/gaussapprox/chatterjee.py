@@ -121,7 +121,7 @@ def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
     if F.mean_jacobian is None:
         wu = ou_time_rule(quad.u_nodes)[2]
         for block, (s_jac,) in ou_sums((F.jacobian_at,), k, ys, quad):
-            mean_jac[block] = (wu @ s_jac).reshape(-1, F.dim, k.dim)
+            mean_jac[block] = np.einsum("u,pum->pm", wu, s_jac).reshape(-1, F.dim, k.dim)
     else:
         step = max(1, OU_NODES // (quad.u_nodes * order * k.dim))
         for lo in range(0, len(ys), step):
@@ -338,7 +338,7 @@ def componentwise_family(kind: str, n: int) -> SmoothVectorFunction:
         # Jbar(y)_jj = int_0^1 E phi'(u y_j + sqrt(1 - u^2) sqrt(K_jj) xi) du
         u, s, w = ou_rule_1d(u_nodes, order)
         scale = np.sqrt(np.diag(k.matrix))[:, None]
-        return diagonal(dphi(ys[..., None] * u + scale * s) @ w)
+        return diagonal(np.einsum("...k,k->...", dphi(ys[..., None] * u + scale * s), w))
 
     return SmoothVectorFunction(
         name=f"componentwise-{kind}", input_dim=n, dim=n, fn=phi,

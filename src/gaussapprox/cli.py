@@ -151,11 +151,14 @@ def _cmd_rates(args) -> tuple[dict, dict]:
     times = _parse_times(args.times)
     n_list = _parse_n_list(args.n)
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
+    sigma = sigma_bm(args.H, args.q)
+    fams = [kernel_family(args.H, args.q, n, times, sigma=sigma) for n in n_list]
+    # fit_rate's own check would run only after every bound
+    if len(fams) < 3:
+        raise ValueError("need at least three points to fit a rate")
     curve = bound_curve(args.H, args.q, times, n_list, c)
     fit = fit_rate(curve)
-    sigma = sigma_bm(args.H, args.q)
-    error = max((contraction_error(kernel_family(args.H, args.q, n, times, sigma=sigma))
-                 for n in n_list), default=0.0)
+    error = max(contraction_error(fam) for fam in fams)
     config = {"h": args.H, "q": args.q, "n_list": n_list, "times": list(times), "c": matrix_to_json(c)}
     return config, {
         "points": [[n, v] for n, v in curve],

@@ -174,7 +174,7 @@ def _malliavin_gram(fam: KernelFamily, pairs: list[tuple], hq1: np.ndarray) -> n
         a0, a1 = fam.kernels[i].block
         b0, b1 = fam.kernels[j].block
         _, sums = _cross_sums(hq1[a0:a1], hq1[b0:b1])
-        out[i, j] = out[j, i] = coef * float(np.dot(sums, weights))
+        out[i, j] = out[j, i] = coef * float(np.sum(sums * weights))
     return out
 
 

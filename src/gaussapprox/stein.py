@@ -308,7 +308,7 @@ def _gaussian_rule(matrix_bytes: bytes, d: int, gh_order: int) -> tuple[np.ndarr
 def mean_under_target(g: TestFunction, cov, quad: QuadratureSpec) -> float:
     """E[g(Z)] under the configured Gaussian rule."""
     pts, wts = gaussian_rule(cov, quad)
-    return float(np.dot(g(pts), wts))
+    return float(np.sum(g(pts) * wts))
 
 
 def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec):
@@ -352,8 +352,8 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
             # else malloc trims and re-faults each call's temporaries (+20 % stein-lab)
             values = [fn(view) for fn in fns]
             for v, parts in zip(values, sums):
-                # (R,) @ (p, u, R, m): one R-long weighted sum per (point, u-node)
-                parts.append(wts @ v.reshape(nodes.shape[1:] + (-1,)))
+                # one R-long weighted sum per (point, u-node, value)
+                parts.append(np.einsum("r,purm->pum", wts, v.reshape(nodes.shape[1:] + (-1,))))
         yield slice(lo, lo + p_step), [np.concatenate(parts, axis=1) for parts in sums]
 
 
@@ -381,7 +381,7 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
     runs on :func:`ou_time_rule`.  The nodes u_i x + sqrt(1 - u_i^2) z are
     built a block of u-nodes at a time, at most ``OU_NODES`` of them (one
     u-node of a larger rule is held whole), and each block's Gaussian-rule
-    sums are one matrix-vector product.
+    sums are one einsum loop.
     """
     cov = as_covariance(cov)
     x = np.asarray(x, dtype=np.float64)
@@ -396,8 +396,8 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
     inner = np.empty(len(u))
     for a in range(0, len(u), step):
         b = slice(a, a + step)
-        inner[b] = g(u[b, None, None] * x + c[b, None, None] * pts) @ wts
-    return float(np.dot(wu, (inner - mean_gz) / u))
+        inner[b] = np.einsum("ur,r->u", g(u[b, None, None] * x + c[b, None, None] * pts), wts)
+    return float(np.sum(wu * ((inner - mean_gz) / u)))
 
 
 def u0_gradient(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -445,8 +445,8 @@ def u0_derivatives(g: TestFunction, cov, points,
     hessians = np.empty((len(pts), d * d))
     # Hessians first: the larger oracle runs before the gradients are held
     for block, (s_hess, s_grad) in ou_sums((hessian, g.gradient), cov, pts, quad):
-        grads[block] = wu @ s_grad
-        hessians[block] = (wu * u) @ s_hess
+        grads[block] = np.einsum("u,pum->pm", wu, s_grad)
+        hessians[block] = np.einsum("u,pum->pm", wu * u, s_hess)
     return grads, hessians.reshape(len(pts), d, d)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussapprox import cli
+from gaussapprox import chaos, cli
 from gaussapprox.cli import SUBCOMMANDS, main
 from gaussapprox.stein import rule_size
 
@@ -144,6 +144,19 @@ def test_non_finite_matrix_exit_code(c):
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
     assert "non-finite" in err["message"]
+
+
+def test_rates_refuses_two_levels_before_any_sum(monkeypatch):
+    def no_sums(*args):
+        raise AssertionError("a contraction sum ran for a two-point curve")
+
+    monkeypatch.setattr(chaos, "_unscaled_contraction", no_sums)
+    code, out = run_cli(["rates", "--H", "0.7", "--q", "2", "--times", "0,1",
+                         "--n", "16384,32768"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "need at least three points" in err["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,44 +582,52 @@ def test_bound_and_rates_report_contraction_error():
     assert json.loads(out)["results"]["diagnostics"]["contraction_error_max"] == blobs["bound-lowrank"]
 
 
-def test_rates_report_independent_of_blas_threads():
-    # Fresh interpreters: an in-process rerun would read the contraction cache.
-    src = Path(__file__).resolve().parent.parent / "src"
-    argv = [sys.executable, "-m", "gaussapprox.cli", "rates", "--H", "0.7", "--q", "2",
-            "--times", "0,1", "--n", "1024,2048,4096,8192"]
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120, check=True)
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["results"]["diagnostics"]["contraction_error_max"] > 0.0
+def _python(code: str, *args: str, threads: int | None = None) -> str:
+    """stdout of a fresh interpreter that runs ``code`` on the source tree.
 
-
-def test_bound_report_on_the_lattice_pass_independent_of_blas_threads():
-    # blocks of 376 and 564 points run the lattice pass, which reduces its
-    # gaps without BLAS; fresh interpreters, so no cached sum is read
-    src = Path(__file__).resolve().parent.parent / "src"
-    argv = [sys.executable, "-m", "gaussapprox.cli", "bound", "--H", "0.7", "--q", "4",
-            "--n", "376", "--times", "0,1,2.5"]
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120, check=True)
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["results"]["diagnostics"]["contraction_error_max"] == 0.0
-
-
-def _python(code: str, *args: str) -> str:
-    """stdout of a fresh interpreter that runs ``code`` on the source tree."""
+    ``threads`` sets the thread count of every BLAS library numpy may load.
+    """
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    if threads is not None:
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 str(threads)))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, stdout=subprocess.PIPE,
                           text=True, timeout=120, check=True)
     return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    # blocks of 1024 to 8192 points run the low-rank evaluator
+    ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "1024,2048,4096,8192"],
+    # blocks of 376 and 564 points run the lattice pass
+    ["bound", "--H", "0.7", "--q", "4", "--n", "376", "--times", "0,1,2.5"],
+    # the Malliavin Gram sum runs over 11,999 lags
+    ["malliavin", "--H", "0.6", "--q", "2", "--times", "0,1", "--n", "6000", "--m", "2",
+     "--seed", "5"],
+    # E g(Z) runs over the 16^4 = 65,536 nodes of the Gauss-Hermite rule
+    ["stein-check", "--d", "4", "--quad-gh-order", "16", "--grid-steps", "1", "--quad-unodes", "8",
+     "--functions", "sqrt_one_plus_norm_sq"],
+], ids=lambda argv: argv[0])
+def test_report_independent_of_blas_threads(argv):
+    # fresh interpreters: an in-process rerun would read the contraction cache
+    code = "import sys, gaussapprox.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+    one, two = (_python(code, *argv, threads=threads) for threads in (1, 2))
+    assert one == two
+    results = json.loads(one)["results"]
+    if argv[0] == "rates":
+        assert results["diagnostics"]["contraction_error_max"] > 0.0
+    if argv[0] == "bound":
+        assert results["diagnostics"]["contraction_error_max"] == 0.0
+
+
+def test_u0_apply_independent_of_blas_threads():
+    # one u-node per block of the 16^4-node rule: 65,536-term sums over nodes
+    code = ("import numpy as np; from gaussapprox.stein import QuadratureSpec, "
+            "lipschitz_test_functions, u0_apply; "
+            "print(u0_apply(lipschitz_test_functions(4)[2], np.eye(4) * 0.7 + 0.3, "
+            "np.array([0.3, -1.2, 0.8, 2.0]), QuadratureSpec(u_nodes=8, gh_order=16)).hex())")
+    assert _python(code, threads=1) == _python(code, threads=2)
 
 
 _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

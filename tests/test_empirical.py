@@ -207,7 +207,7 @@ def _per_path_gram(fam, path):
             b0, b1 = fam.kernels[j].block
             shifts, sums = _cross_sums(hq1[a0:a1], hq1[b0:b1])
             val = fam.kernels[i].scale * fam.kernels[j].scale * fam.rank * float(
-                np.dot(sums, rho(fam.hurst, a0 - b0 - shifts))
+                np.sum(sums * rho(fam.hurst, a0 - b0 - shifts))
             )
             out[i, j] = out[j, i] = val
     return out
