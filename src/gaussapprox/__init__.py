@@ -15,7 +15,6 @@ from .chaos import (
     StepKernel,
     bound_curve,
     contraction_norm_sq,
-    contraction_norm_sq_brute,
     kernel_family,
     kernel_inner,
     lemma_pair_bound,
@@ -44,7 +43,7 @@ from .empirical import (
 )
 from .errors import GaussApproxError, HypothesisViolation, NotPositiveDefinite
 from .fgn import FgnPath, fbm_covariance, rho, sample_fgn, sigma_bm
-from .hermite import hermite_cross_moment, hermite_eval, hermite_variance
+from .hermite import hermite_eval
 from .linalg import (
     CovarianceMatrix,
     hs_inner,
@@ -72,7 +71,6 @@ __all__ = [
     "StepKernel",
     "bound_curve",
     "contraction_norm_sq",
-    "contraction_norm_sq_brute",
     "kernel_family",
     "kernel_inner",
     "lemma_pair_bound",
@@ -102,9 +100,7 @@ __all__ = [
     "rho",
     "sample_fgn",
     "sigma_bm",
-    "hermite_cross_moment",
     "hermite_eval",
-    "hermite_variance",
     "CovarianceMatrix",
     "hs_inner",
     "hs_norm",

@@ -9,30 +9,28 @@ autocovariance ``rho``:
   ||f (x)_r f||^2   = c^4 sum_{k,l,k',l'} rho(k-l)^r rho(k'-l')^r
                                           rho(k-k')^{q-r} rho(l-l')^{q-r}
 
-The quadruple sum equals Tr((T_a T_b)^2) for the symmetric Toeplitz matrices
-T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.  Both evaluators
-rest on one split, the finite form of Widom's identity
-T(a) T(b) = T(ab) - H(a) H(b~):
+The quadruple sum equals Tr(M^2), M = T_a T_b, for the symmetric Toeplitz
+matrices T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.
 
-  M = T_a T_b = T_F - E,   E = E_up + J E_up J,
-
-where F = a * b is the full convolution over lags |t| <= m-1, J reverses
-the index, and E_up[i, j] = sum_{s >= 1} a(i+s) b(j+s) is a product of two
-Hankel matrices, the corner the block cuts off the convolution.
-
-* The lattice pass ``_quad_sum`` (m = block size) forms every entry of M as
-  F(g) minus two suffix-sum corner corrections, O(m^2) in all, against the
-  O(m^4) brute force kept as the oracle.  It takes the gaps g in blocks of
-  G = max(``_MIN_GAPS``, ``_GAP_BLOCK`` // m): the products behind both
-  corrections are two (G, m-1) arrays read through skewed views of the
-  mirrored lag table ``b_sym = concatenate((b_ext[:0:-1], b_ext))``, one
-  ``cumsum`` takes both suffix sums, and skewed strided views lay out each
-  gap's diagonal of M as a row.  A gap's term is its row times the same row
-  reversed, so one product and one pairwise sum reduce a whole block.  No
-  step calls BLAS, so the sum does not depend on the BLAS thread count; it
-  stays within 4.0e-15 of a long-double reference up to m = 2^13, and the
-  pass holds a few blocks of memory, never an m x m array.
-* The low-rank evaluator ``_lowrank_sum`` expands
+* The lattice pass ``_quad_sum`` (m = block size) walks each diagonal of M
+  by its rank-2 update: M has displacement rank 2 (Kailath-Kung-Morf), so
+  one step down a diagonal adds one boundary product of the factors and
+  drops another, and one prefix sum per diagonal, about m^2 / 2 entries in
+  all, gives every entry from the first column.  J M J = M for the
+  reversal J pairs each diagonal with its transpose's, so the pass is
+  O(m^2), against the O(m^4) brute force the tests keep as the oracle.
+  It takes the gaps in steps of about ``_GAP_BLOCK`` entries read through
+  skewed views of the mirrored lag table: one ``cumsum``, one product and
+  one pairwise sum per step, in one buffer of ``_PASS_BUFFER`` elements,
+  never an m x m array.  No step calls BLAS, so the sum does not depend on
+  the BLAS thread count; it stays within 3.6e-15 of a long-double
+  reference up to m = 2^13.
+* The low-rank evaluator ``_lowrank_sum`` rests on the finite form of
+  Widom's identity T(a) T(b) = T(ab) - H(a) H(b~):
+  M = T_F - E, E = E_up + J E_up J, where F = a * b is the full
+  convolution over lags |t| <= m-1 and E_up[i, j] = sum_{s >= 1} a(i+s)
+  b(j+s), a product of two Hankel matrices, is the corner the block cuts
+  off the convolution.  It expands
   Tr(M^2) = Tr(T_F^2) - 4 Tr(T_F E_up) + 2 Tr(E_up^2) + 2 Tr(E_up J E_up J).
   Tr(T_F^2) = sum_g (m - |g|) F(g)^2 takes one FFT for F.  E_up is a product
   of Hankel matrices of power-law sequences, whose singular values fall
@@ -61,7 +59,9 @@ computed once and kept, with its error estimate, in a bounded LRU cache under
 the key (H, q, min(r, q-r), m), and a d-dimensional family of equal blocks
 costs one sum per distinct min(r, q-r).  At H = 1/2 the increments are
 independent, rho has one-point support and T_a = T_b = I, so the sum is the
-closed form m and no evaluator runs.
+closed form m and no evaluator runs.  While :func:`wasserstein_bound`
+assembles one bound it holds one table of rho over every lag its sums and
+inner products read, and the table goes with the report.
 
 Before its first sum, :func:`wasserstein_bound` estimates the contraction
 work of its largest block with :func:`contraction_work` and refuses a family
@@ -71,8 +71,8 @@ checks every level before any of them runs.
 
 from __future__ import annotations
 
+import contextvars
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,7 +96,6 @@ __all__ = [
     "kernel_family",
     "kernel_inner",
     "contraction_norm_sq",
-    "contraction_norm_sq_brute",
     "lemma_pair_bound",
     "BoundReport",
     "wasserstein_bound",
@@ -107,14 +106,12 @@ __all__ = [
     "contraction_work",
 ]
 
-_BRUTE_MAX_BLOCK = 64
-
 #: Distinct unscaled contraction sums kept in memory, one float and its
 #: error estimate each.
 CONTRACTION_CACHE_SIZE = 1024
 
 #: Smallest block size whose contraction sum runs on the low-rank evaluator.
-LOWRANK_CROSSOVER = 1024
+LOWRANK_CROSSOVER = 2048
 
 #: Probes of the randomized range finder, the largest rank it can return.
 LOWRANK_PROBES = 40
@@ -135,19 +132,19 @@ _RESIDUAL_PROBES = 4
 #: transforms in memory at once and were not faster.
 _FFT_ROWS = 2
 
-#: Elements of one (gaps x lags) array of the lattice pass, which takes
-#: ``_GAP_BLOCK // m`` gaps per step (at least ``_MIN_GAPS``).  Blocks of
-#: 2^15 were slower: their arrays pass glibc's mmap threshold, so each sum
-#: maps them afresh and takes about 370 more page faults at m = 256..564.
-_GAP_BLOCK = 2**13
+#: Entries of M one step of the lattice pass takes: ``_GAP_BLOCK // span``
+#: diagonals (at least ``_MIN_GAPS``) while the longest has span entries.
+#: Steps of 2^13 entries were about 10 % slower at m = 256..2048.
+_GAP_BLOCK = 2**14
 
-#: Elements of the one buffer of the lattice pass's arrays: G (5 m + 3 G - 3)
-#: elements in all (the products, the padded suffix sums and the padded
-#: diagonals), at most 8 ``_GAP_BLOCK`` while G m <= ``_GAP_BLOCK`` and G <= m.
-_PASS_BUFFER = 8 * _GAP_BLOCK
+#: Elements of the one buffer of the lattice pass.  A step of G gaps holds
+#: its increments, later its terms, in G span elements and its padded
+#: diagonals in G (span + G - 1), at most 3 ``_GAP_BLOCK`` while G span <=
+#: ``_GAP_BLOCK`` and G <= span, and a step of the first column at most ``_GAP_BLOCK``.
+_PASS_BUFFER = 4 * _GAP_BLOCK
 
-#: Fewest gaps per step of the lattice pass; near m = ``_GAP_BLOCK`` a step of
-#: one or two gaps spends more on its calls than the blocking saves.
+#: Fewest gaps per step of the lattice pass; past span = ``_GAP_BLOCK // 4`` a
+#: step of one or two gaps spends more on its calls than the blocking saves.
 _MIN_GAPS = 4
 
 #: Pre-flight budget of one bound: estimated operations of its contraction
@@ -232,6 +229,19 @@ def kernel_family(h: float, q: int, n: int, times, sigma: SigmaEstimate | None =
     )
 
 
+#: (H, rho(H, 0..L-1)) of the bound :func:`wasserstein_bound` is assembling.
+_REPORT_LAGS = contextvars.ContextVar("report_lags", default=None)
+
+
+def _rho_at(h: float, t: np.ndarray) -> np.ndarray:
+    """rho(h, t) at the integer lags t, from the held table when it covers them;
+    ``rho`` takes each |t| on its own, so the entries have the bits of a fresh call."""
+    held, lags = _REPORT_LAGS.get(), np.abs(t)
+    if held is not None and held[0] == h and lags.max() < held[1].size:
+        return held[1][lags]
+    return rho(h, t)
+
+
 def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     """<f, g> in H^{(x q)}; E[I_q(f) I_q(g)] = q! <f, g>."""
     if f.rank != g.rank:
@@ -242,48 +252,25 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     t = np.arange(a0 - b1 + 1, a1 - b0)
     counts = np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)
     counts = np.clip(counts, 0, None).astype(np.float64)
-    vals = rho(h, t) ** f.rank
+    vals = _rho_at(h, t) ** f.rank
     return f.scale * g.scale * float(np.sum(counts * vals))
 
 
-def contraction_norm_sq_brute(f: StepKernel, r: int, h: float) -> float:
-    """O(m^4) oracle for ||f (x)_r f||^2; refuses blocks larger than 64."""
-    q = f.rank
-    if not 1 <= r <= q - 1:
-        raise ValueError(f"contraction order must be in [1, {q - 1}], got {r}")
-    h = check_hurst(h)
-    m = f.size
-    if m > _BRUTE_MAX_BLOCK:
-        raise ValueError(f"brute-force evaluator capped at block size {_BRUTE_MAX_BLOCK}")
-    idx = np.arange(m)
-    gaps = idx[:, None] - idx[None, :]
-    r_a = rho(h, gaps) ** r
-    r_b = rho(h, gaps) ** (q - r)
-    total = np.einsum("kl,KL,kK,lL->", r_a, r_a, r_b, r_b)
-    return f.scale**4 * float(total)
+def _gaps_per_step(span: int) -> int:
+    """Gaps G that one step of the lattice pass takes when its longest diagonal has span entries."""
+    return min(span, max(_MIN_GAPS, _GAP_BLOCK // span))
 
 
-def _gaps_per_step(m: int) -> int:
-    """Gaps G that one step of the lattice pass takes on a block of m points."""
-    return min(m, max(_MIN_GAPS, _GAP_BLOCK // m))
+def _pass_buffer(m: int) -> np.ndarray:
+    """The one buffer of a lattice pass on m points.
 
-
-def _pass_buffers(*shapes) -> list[np.ndarray]:
-    """Arrays of the given shapes, laid end to end in one buffer of at least
-    ``_PASS_BUFFER`` elements.
-
-    Every lattice pass of a block up to ``_GAP_BLOCK // _MIN_GAPS`` points
-    fits that size, so each sum asks malloc for the same buffer whatever its
-    m, and gets back the memory the last sum freed.  Sized by m, the buffers
-    of successive sums differ, and glibc trims the heap top between them:
-    the ``bound-grid`` job list then took 42,000 minor page faults instead of
-    about 100.
+    Every step of a pass on up to 8190 points fits ``_PASS_BUFFER`` elements,
+    so each sum asks malloc for the same buffer whatever its m, and gets back
+    the memory the last sum freed.  Sized by m, the buffers of successive sums
+    differ, and glibc trims the heap top between them: the ``bound-grid`` job
+    list then took 42,000 minor page faults instead of about 100.
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    buf = np.empty(max(_PASS_BUFFER, sum(sizes)))
-    starts = itertools.accumulate(sizes, initial=0)
-    return [buf[start:start + size].reshape(shape)
-            for shape, size, start in zip(shapes, sizes, starts)]
+    return np.empty(max(_PASS_BUFFER, _MIN_GAPS * (2 * m + _MIN_GAPS)))
 
 
 def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
@@ -291,7 +278,7 @@ def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
     on, with strides counted in elements.
 
     One ndarray constructor call, about a seventh of the cost of
-    ``as_strided``, which the lattice pass would pay five times per block;
+    ``as_strided``, which the lattice pass would pay four times per step;
     numpy refuses a view that reaches outside ``base``.
     """
     size = base.itemsize
@@ -299,66 +286,69 @@ def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
 
 
 def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
-    """sum_{k,l,k',l' in [0,m)} a(k-l) a(k'-l') b(k-k') b(l-l').
+    """sum_{k,l,k',l' in [0,m)} a(k-l) a(k'-l') b(k-k') b(l-l') = Tr(M^2), M = T_a T_b.
 
-    ``a`` holds lags 0..m-1, ``b_ext`` lags 0..2m-2 (both even in the lag).
-    Writing M = T_a T_b, the sum is Tr(M^2) = sum_g sum_s M[s+g, s] M[s, s+g];
-    each entry is the full convolution F(g) minus two suffix-sum corner
-    corrections, up[i] = sum_{tau > i} a(tau) b(|g - tau|) and vp[i] likewise
-    with b(g + tau).
+    ``a`` holds lags 0..m-1, ``b_ext`` lags 0..2m-2 (both even in the lag);
+    the pass reads b on lags 0..m-1.  The diagonal d_g[k] = M[k + g, k],
+    k < L = m - g, follows from its first entry by the rank-2 update
 
-    The gaps run in blocks of G = ``_gaps_per_step(m)``, one row per gap in
-    each of two (G, m - 1) arrays of products.  The rows are ``a[1:m]`` times
-    windows of the mirrored table ``b_sym`` (lag 0 at c = 2m-2): b(|g - tau|)
-    for tau = 1..m-1 starts at c + 1 - g, and b(g + tau) at c + 1 + g.  One
-    ``cumsum`` over the reversed rows writes both suffix sums, reversed, into
-    zero-padded buffers, so column j holds up[m-1-j]: j = 0 is the empty
-    sum, and j = m - 1 the full sum that F(g) adds to a(0) b(g).
+      d_g[0]     = sum_l a(|g - l|) b(l),
+      d_g[k + 1] = d_g[k] + a(g + k + 1) b(k + 1) - a(m - 1 - g - k) b(m - 1 - k),
 
-    Row i of ``diags`` (gap g = g0 + i) reads up[g + k] and vp[m-1-g-k]
-    through skewed views whose rows step one column further per gap.  Its
-    first L = m - g columns are the diagonal d_g[k] = M[k + g, k], and the
-    transpose's diagonal M[k, k + g] is d_g[L-1-k], since J M J = M for the
-    reversal J.  Gap g thus adds sum_k d_g[k] d_g[L-1-k], once for g = 0 and
-    twice for g > 0, as gaps g and -g add the same.  One more skewed view
-    reads each row reversed; past its live part it reads the zero padding at
-    the end of the row above, so one product and one pairwise sum take every
-    gap of a block.  No step calls BLAS.  Against a long-double gap-by-gap
-    loop with ``math.fsum`` over the gaps the sum is within 1.7e-15 relative
-    up to m = 2048.
+    and M[k, k + g] = d_g[L-1-k] (J M J = M), so gap g adds
+    sum_k d_g[k] d_g[L-1-k], once for g = 0 and twice for g > 0.
+
+    The first column comes first, ``_GAP_BLOCK // m`` rows of products per
+    step, each row one pairwise sum.  The diagonals then run in steps of
+    ``_gaps_per_step(m - g0)`` gaps, which grow as the rows shorten.  Row i
+    of a step (gap g = g0 + i) holds the increments of d_g, products of
+    skewed views of ``a_sym`` (lag 0 at c = m - 1, zero past lag m - 1) with
+    b(k + 1) and the reversed b(m - 1 - k).  One ``cumsum`` takes their
+    prefix sums, and the first column is added after it: seeding the prefix
+    sum with it was less accurate.  Row i of ``diags`` then holds d_g in its
+    first L columns; a skewed view reads each row reversed, and past its
+    live part the zero padding at the end of the row above, so one product
+    and one pairwise sum take every gap of a step.
     """
-    total = 0.0
-    a_tau = a[1:m]
-    b_sym = np.concatenate((b_ext[:0:-1], b_ext))
-    c = 2 * m - 2
-    gaps = _gaps_per_step(m)
-    # columns m.. of sums and diags stay zero: they pad the skewed reads
-    prod, sums, diags = _pass_buffers((2, gaps, m), (2, gaps, m + gaps - 1), (gaps, m + gaps - 1))
-    sums.fill(0.0)
-    diags.fill(0.0)
-    up, vp = sums
-    row = m + gaps - 1  # the row length of up, vp and diags
-    for g0 in range(0, m, gaps):
-        n, span = min(gaps, m - g0), m - g0
-        pq = prod[:, :n, : m - 1]
-        p, qv = pq
-        # b(|g - tau|) = b_sym[c - g + tau] and b(g + tau) = b_sym[c + g + tau]
-        np.multiply(a_tau, _skewed(b_sym, c + 1 - g0, (n, m - 1), (-1, 1)), out=p)
-        np.multiply(a_tau, _skewed(b_sym, c + 1 + g0, (n, m - 1), (1, 1)), out=qv)
-        np.cumsum(pq[:, :, ::-1], axis=2, out=sums[:, :n, 1:m])
-        f_g = (a[0] * b_ext[g0 : g0 + n] + up[:n, m - 1] + vp[:n, m - 1])[:, None]
-        # row i, column k: up[g + k] and vp[m-1-g-k] with g = g0 + i
-        d = np.subtract(f_g, _skewed(up, m - 1 - g0, (n, span), (row - 1, -1)),
-                        out=diags[:n, :span])
-        d -= _skewed(vp, g0, (n, span), (row + 1, 1))
+    total, c, b = 0.0, m - 1, b_ext[:m]
+    b_rev = b[::-1].copy()
+    a_sym = np.concatenate((a[:0:-1], a, np.zeros(m)))
+    buf = _pass_buffer(m)
+    col = np.empty(m)  # d_g[0] = M[g, 0]
+    rows = max(1, min(m, _GAP_BLOCK // m))
+    for g0 in range(0, m, rows):
+        n = min(rows, m - g0)
+        # row i, column l: a(|g0 + i - l|) b(l)
+        p = np.multiply(_skewed(a_sym, c - g0, (n, m), (-1, 1)), b, out=buf[:n * m].reshape(n, m))
+        np.sum(p, axis=1, out=col[g0:g0 + n])
+    g0 = 0
+    while g0 < m:
+        span = m - g0
+        n = _gaps_per_step(span)
+        row = span + n - 1  # the row length of diags
+        lo, hi = buf[:n * span], buf[n * span:n * (span + row)]
+        # row i, column k: the increment d_g[k + 1] - d_g[k], g = g0 + i, with
+        # a(m - 1 - g - k) = a_sym[g + k]; the products it subtracts take the
+        # space of diags until the cumsum
+        inc = np.multiply(_skewed(a_sym, c + g0 + 1, (n, span - 1), (1, 1)), b[1:span],
+                          out=lo[:n * (span - 1)].reshape(n, span - 1))
+        inc -= np.multiply(_skewed(a_sym, g0, (n, span - 1), (1, 1)), b_rev[:span - 1],
+                           out=hi[:n * (span - 1)].reshape(n, span - 1))
+        diags = hi.reshape(n, row)
+        diags[:, span:] = 0.0
+        d = diags[:, :span]
+        np.cumsum(inc, axis=1, out=d[:, 1:])
+        first = col[g0:g0 + n, None]
+        d[:, 1:] += first
+        d[:, :1] = first
         # row i, column k: d[i, span-1-i-k], the live part of row i reversed
         # while k < span - i, and past it the zero padding of the row above
         d_rev = _skewed(diags, span - 1, (n, span), (row - 1, -1))
-        # the products are spent; their first rows take the gaps' terms
-        terms = np.multiply(d, d_rev, out=prod[0, :n, :span])
+        terms = np.multiply(d, d_rev, out=lo.reshape(n, span))
         if g0 == 0:
             terms[0] *= 0.5  # gap 0 counts once, every other gap twice
         total += 2.0 * float(terms.sum())
+        g0 += n
     return total
 
 
@@ -525,7 +515,7 @@ def _unscaled_contraction(h: float, q: int, r: int, m: int) -> _Sum:
     """
     if h == 0.5:
         return _Sum(m)  # rho has one-point support, so T_a = T_b = I
-    rho_tab = rho(h, np.arange(2 * m - 1))
+    rho_tab = _rho_at(h, np.arange(2 * m - 1))
     a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
     if m >= LOWRANK_CROSSOVER:
         value, error = _lowrank_sum(a, b_ext, m, hash64("contraction", float(h).hex(), q, r, m))
@@ -703,13 +693,20 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
     _check_work(fam)
     h, q = fam.hurst, fam.rank
 
-    contr = np.array(
-        [[contraction_norm_sq(f, r, h) for r in range(1, q)] for f in fam.kernels]
-    ).reshape(d, q - 1)
-    inner = np.empty((d, d))
-    for i, f in enumerate(fam.kernels):
-        for j, g in enumerate(fam.kernels[: i + 1]):
-            inner[i, j] = inner[j, i] = kernel_inner(f, g, h)
+    # one lag table serves the sums and the inner products, and goes with the report
+    span = fam.kernels[-1].block[1] - fam.kernels[0].block[0]
+    lags = max(2 * max(f.size for f in fam.kernels) - 1, span)
+    token = _REPORT_LAGS.set((h, rho(h, np.arange(lags))))
+    try:
+        contr = np.array(
+            [[contraction_norm_sq(f, r, h) for r in range(1, q)] for f in fam.kernels]
+        ).reshape(d, q - 1)
+        inner = np.empty((d, d))
+        for i, f in enumerate(fam.kernels):
+            for j, g in enumerate(fam.kernels[: i + 1]):
+                inner[i, j] = inner[j, i] = kernel_inner(f, g, h)
+    finally:
+        _REPORT_LAGS.reset(token)
 
     entries = np.empty((d, d))
     for i in range(d):

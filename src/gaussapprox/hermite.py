@@ -1,4 +1,4 @@
-"""Hermite polynomials (probabilists' convention) and Gaussian moment identities.
+"""Hermite polynomials (probabilists' convention).
 
 Only the probabilists' normalization H_0 = 1, H_1 = x, H_{q+1} = x H_q - q H_{q-1}
 is supported; the physicists' convention is deliberately unavailable to avoid
@@ -8,11 +8,9 @@ a coefficient expansion.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["MAX_RANK", "hermite_eval", "hermite_variance", "hermite_cross_moment"]
+__all__ = ["MAX_RANK", "hermite_eval"]
 
 #: Ranks above this overflow double-precision factorials; rejected explicitly.
 MAX_RANK = 20
@@ -41,22 +39,3 @@ def hermite_eval(q: int, x):
     for k in range(1, q):
         h, h_prev = x * h - k * h_prev, h
     return h if x.ndim else float(h)
-
-
-def hermite_variance(q: int) -> float:
-    """E[H_q(X)^2] = q! for X standard normal."""
-    return float(math.factorial(_check_rank(q)))
-
-
-def hermite_cross_moment(p: int, q: int, rho: float) -> float:
-    """E[H_p(X) H_q(Y)] for jointly standard (X, Y) with correlation rho.
-
-    Equals q! * rho^q when p == q and 0 otherwise.
-    """
-    p = _check_rank(p)
-    q = _check_rank(q)
-    if abs(rho) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    if p != q:
-        return 0.0
-    return float(math.factorial(q)) * float(rho) ** q

@@ -22,7 +22,6 @@ from gaussapprox.chaos import (
     StepKernel,
     bound_curve,
     contraction_norm_sq,
-    contraction_norm_sq_brute,
     kernel_family,
     kernel_inner,
     rate_exponent,
@@ -51,6 +50,7 @@ from gaussapprox.stein import (
     stein_residual,
     u0_apply,
 )
+from oracles import contraction_norm_sq_brute
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

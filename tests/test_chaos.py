@@ -10,7 +10,6 @@ from gaussapprox.chaos import (
     StepKernel,
     bound_curve,
     contraction_norm_sq,
-    contraction_norm_sq_brute,
     kernel_family,
     kernel_inner,
     lemma_pair_bound,
@@ -21,6 +20,7 @@ from gaussapprox.chaos import (
 from gaussapprox.empirical import fit_rate
 from gaussapprox.errors import HypothesisViolation
 from gaussapprox.fgn import rho, sigma_bm
+from oracles import contraction_norm_sq_brute
 
 
 def test_kernel_family_construction():
@@ -179,14 +179,26 @@ def test_quad_sum_matches_extended_precision_gather_loop():
                 assert abs(chaos._quad_sum(a, b_ext, m) - reference) <= REFERENCE_RTOL * reference
 
 
+def _pass_steps(m):
+    """(g0, G) of each step of the lattice pass's diagonal walk on m points."""
+    g0 = 0
+    while g0 < m:
+        g = chaos._gaps_per_step(m - g0)
+        yield g0, g
+        g0 += g
+
+
 def _blocked_pass_sizes():
-    """m = 1, 2, 3; both sides of a change of G near m = 100, 300 and 560;
-    the first m from there on with m mod G = 0, 1 and G - 1; the same
-    residues where G sits at its floor."""
+    """m = 1, 2, 3; the largest m the pass takes in one step and the next;
+    both sides of a change of the first step's G near m = 300 and 560; the
+    first m from there on with m mod G = 0, 1 and G - 1; the same residues
+    where G sits at its floor."""
     gaps = chaos._gaps_per_step
     sizes = {1, 2, 3}
+    one_step = max(m for m in range(1, 1024) if gaps(m) == m)
+    sizes.update({one_step, one_step + 1})
     floor = chaos._GAP_BLOCK // chaos._MIN_GAPS
-    for start in (100, 300, 560, floor):
+    for start in (300, 560, floor):
         if start < floor:
             m = next(m for m in range(start, 2 * start) if gaps(m) != gaps(m - 1))
             sizes.update({m - 1, m})
@@ -209,8 +221,8 @@ def test_blocked_lattice_pass_matches_extended_precision_reference():
 
 
 def test_blocked_lattice_pass_memory_is_bounded_by_the_block():
-    # six (gaps x lags) arrays of at most max(_GAP_BLOCK, _MIN_GAPS m)
-    # elements, plus numpy's iterator buffers and the O(m) lag tables; the
+    # the one pass buffer, plus numpy's iterator buffers and the O(m) lag
+    # tables, within twelve arrays of max(2^13, _MIN_GAPS m) elements; the
     # whole (m x m) matrix would be 2.4 MiB at m = 564 and 128 MiB at 4096
     for m in (564, 4096):
         rho_tab = rho(0.7, np.arange(2 * m - 1))
@@ -221,18 +233,54 @@ def test_blocked_lattice_pass_memory_is_bounded_by_the_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = max(chaos._GAP_BLOCK, chaos._MIN_GAPS * m)
+        block = max(2**13, chaos._MIN_GAPS * m)
         assert peak < 12 * 8 * block, (m, peak)
 
 
 def test_lattice_pass_asks_for_one_buffer_size_whatever_the_block():
     # equal requests let malloc hand each sum the memory the last one freed
     for m in (2, 3, 90, 564, 1023, 2048):
-        g = chaos._gaps_per_step(m)
-        views = chaos._pass_buffers((2, g, m), (2, g, m + g - 1), (g, m + g - 1))
-        assert {v.base.size for v in views} == {chaos._PASS_BUFFER}, m
-        assert sum(v.size for v in views) <= chaos._PASS_BUFFER
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(views) for b in views[i + 1:])
+        size = chaos._pass_buffer(m).size
+        assert size == chaos._PASS_BUFFER, m
+        # the first column's steps, then each step's terms and padded diagonals
+        assert max(1, min(m, chaos._GAP_BLOCK // m)) * m <= size
+        for g0, g in _pass_steps(m):
+            span = m - g0
+            assert g * span + g * (span + g - 1) <= size, (m, g0)
+
+
+def test_lag_table_entries_have_the_bits_of_fresh_rho_calls():
+    for h in (0.3, 0.5, 0.7, 0.8):
+        table = rho(h, np.arange(2000))
+        for n in (1, 17, 64, 751, 1127, 2000):
+            assert np.array_equal(table[:n], rho(h, np.arange(n))), (h, n)
+        t = np.arange(-751, 376)
+        assert np.array_equal(table[np.abs(t)], rho(h, t)), h
+
+
+def test_bound_builds_one_lag_table_that_ends_with_the_report(monkeypatch):
+    fam = kernel_family(0.7, 4, 376, (0, 1, 2.5))
+    calls = []
+    real = chaos.rho
+
+    def counting(h, x):
+        calls.append(np.size(x))
+        return real(h, x)
+
+    monkeypatch.setattr(chaos, "rho", counting)
+    chaos._unscaled_contraction.cache_clear()
+    rep = wasserstein_bound(fam, np.eye(2))
+    # lags 0..2 * 564 - 2 serve both blocks' sums and every inner product
+    assert calls == [1127]
+    assert chaos._REPORT_LAGS.get() is None
+    # outside the report each value takes its own rho call, and the bits agree
+    for i, f in enumerate(fam.kernels):
+        for j, g in enumerate(fam.kernels):
+            assert rep.inner_products[i, j] == kernel_inner(f, g, 0.7)
+        for r in range(1, 4):
+            fresh = chaos._unscaled_contraction.__wrapped__(0.7, 4, min(r, 4 - r), f.size)
+            assert rep.contraction_norms_sq[i, r - 1] == f.scale**4 * fresh
+    assert len(calls) == 1 + 2 * 2 + 2 * 3
 
 
 def test_brownian_contraction_is_the_block_size():
@@ -426,7 +474,7 @@ def test_next_fast_len_is_the_real_fft_size_of_scipy():
 
 
 def test_lowrank_sum_matches_lattice_pass():
-    for m in (1024, 2048, 4096):
+    for m in (chaos.LOWRANK_CROSSOVER, 2 * chaos.LOWRANK_CROSSOVER):
         for h, q, r in LOWRANK_CASES:
             rho_tab = rho(h, np.arange(2 * m - 1))
             exact = chaos._quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)

@@ -646,10 +646,10 @@ def test_cli_import_leaves_out_the_matching_modules():
 
 def test_cli_jobs_load_no_scipy_module():
     # one report of every subcommand, the rates curve reaching the low-rank
-    # evaluator (block 1024) and the bound the lattice pass
+    # evaluator (block 2048) and the bound the lattice pass
     jobs = [
         ["bound", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "512"],
-        ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "256,512,1024"],
+        ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "512,1024,2048"],
         ["simulate", "--H", "0.7", "--q", "2", "--times", "0,1,2", "--n", "64", "--m", "50",
          "--seed", "1"],
         ["malliavin", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "64", "--m", "20",

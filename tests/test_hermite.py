@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gaussapprox.hermite import MAX_RANK, hermite_cross_moment, hermite_eval, hermite_variance
+from gaussapprox.hermite import MAX_RANK, hermite_eval
 from gaussapprox.rng import hash64, standard_normals
+from oracles import hermite_cross_moment, hermite_variance
 
 
 def test_base_cases():
