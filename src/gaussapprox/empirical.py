@@ -2,7 +2,9 @@
 
 Simulates the normalized increment vector of the Hermite-functional partial
 sums from exact fGn paths, realizes the Malliavin Gram matrix
-``(1/q) <DF_i, DF_j>`` pathwise through the Hermite chain rule, and estimates
+``(1/q) <DF_i, DF_j>`` pathwise through the Hermite chain rule (one real FFT
+pair against the circulant embedding spectrum of the sampler gives each
+Toeplitz product exactly, so no sum goes through BLAS), and estimates
 Wasserstein distances of the resulting samples (1-d quantile estimator, exact
 min-cost matching for small batches, normalized sliced estimator beyond).
 
@@ -10,13 +12,13 @@ A Monte Carlo job reads one Philox stream keyed by hash64(master, tag), and
 replication r reads the fixed window [r W, (r + 1) W) of its raw draws, W
 the ``normals_per_path`` of the path length, so a batch depends only on the
 master seed.  ``replicate`` is the one replication loop, a plain serial loop
-over blocks of paths: it builds the fGn sampling factors of a family once
-(the circulant embedding, fGn's one sampler; a spectrum that fails its guard
-raises ``NotPositiveDefinite`` instead of switching samplers), takes blocks
-of at most ``DRAW_NORMALS`` normals from the block loop of ``fgn``, and
-applies the statistic to the whole (block, n) array, for
-``simulate_bm_vector`` and ``malliavin_grams`` alike.  No value depends on
-the block size.
+over blocks of paths: it draws with the fGn sampling factors its caller
+builds once per job (the circulant embedding, fGn's one sampler; a spectrum
+that fails its guard raises ``NotPositiveDefinite`` instead of switching
+samplers), takes blocks of at most ``DRAW_NORMALS`` normals from the block
+loop of ``fgn``, and applies the statistic to the whole (block, n) array,
+for ``simulate_bm_vector`` and ``malliavin_grams`` alike.  No value depends
+on the block size.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .batch import SampleBatch
 from .chaos import KernelFamily, kernel_family
-from .fgn import FgnPath, _circulant_factors, _paths, check_hurst, rho
+from .fgn import FgnPath, _circulant_factors, _Factors, _paths, check_hurst
 from .hermite import _check_rank, hermite_eval
 from .rng import hash64, philox_bits, standard_normals
 
@@ -79,19 +81,19 @@ class RateFit:
     n_range: tuple[int, int]
 
 
-def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
+def replicate(factors: _Factors, m: int, seed: int, tag: str,
               statistic) -> tuple[np.ndarray, dict]:
-    """m replications of a statistic of fGn paths of the family's length.
+    """m replications of a statistic of fGn paths drawn with the sampling factors.
 
-    The sampling factors of (H, length) are built once (one embedding
-    spectrum and guard check per call; a failing guard raises
-    ``NotPositiveDefinite``).  Path r reads window r of the Philox stream
-    keyed by hash64(seed, tag): raw draws [r W, (r + 1) W), W =
-    ``normals_per_path``, so path 0 is ``sample_fgn`` with that key.  Paths
-    come from ``fgn._paths`` in blocks of at most ``DRAW_NORMALS`` normals,
-    into buffers allocated once per call: after the first block a block
-    allocates only its raw draws, and the draw buffers (256 KiB each at
-    most) are neither mapped nor faulted in again.  ``statistic`` maps a
+    ``factors`` are the ``_circulant_factors`` of (H, length), which the
+    caller builds once per job (one embedding spectrum and guard check; a
+    failing guard raises ``NotPositiveDefinite``).  Path r reads window r of
+    the Philox stream keyed by hash64(seed, tag): raw draws [r W, (r + 1) W),
+    W = ``normals_per_path``, so path 0 is ``sample_fgn`` with that key.
+    Paths come from ``fgn._paths`` in blocks of at most ``DRAW_NORMALS``
+    normals, into buffers allocated once per call: after the first block a
+    block allocates only its raw draws, and the draw buffers (256 KiB each
+    at most) are neither mapped nor faulted in again.  ``statistic`` maps a
     contiguous (block, length) array of paths, which the next block
     overwrites, to new rows, one per path.
     Also returns the diagnostics ``embedding_min_ratio``, min(lam) / max(lam)
@@ -100,7 +102,6 @@ def replicate(fam: KernelFamily, m: int, seed: int, tag: str,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
     block = min(m, max(1, DRAW_NORMALS // factors.normals_per_path))
     paths = _paths(factors, philox_bits(hash64(seed, tag)), m, block)
     values = np.concatenate([statistic(p) for p in paths])
@@ -135,46 +136,32 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
         return np.stack([ker.scale * np.sum(hq[:, ker.block[0]:ker.block[1]], axis=1)
                          for ker in fam.kernels], axis=1)
 
-    values, diagnostics = replicate(fam, m, seed, "bm-vector", block_sums)
+    factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
+    values, diagnostics = replicate(factors, m, seed, "bm-vector", block_sums)
     return SampleBatch(values=values, seed=seed, provenance="bm-vector", diagnostics=diagnostics)
 
 
-def _shifts(nv: int, nw: int) -> np.ndarray:
-    """Offsets s = -(nv - 1)..nw - 1 of all shifted products of lengths nv and nw."""
-    return np.arange(-(nv - 1), nw)
+def _grams(fam: KernelFamily, spectrum: np.ndarray, hq1: np.ndarray) -> np.ndarray:
+    """(p, d, d) Gram matrices of p paths from their (p, length) H_{q-1} rows.
 
-
-def _cross_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All shifted products: sums[s] = sum_j v[j] w[j+s], s = -(len v - 1)..len w - 1."""
-    return _shifts(v.size, w.size), np.correlate(w, v, mode="full")
-
-
-def _gram_pairs(fam: KernelFamily) -> list[tuple]:
-    """Per block pair i >= j: (i, j, c_i c_j q, rho of every gap k - l), fixed per family.
-
-    The weight of shift s is rho(a0 - b0 - s), the lag between v index j + a0
-    and w index j + s + b0.
+    ``spectrum`` is the half spectrum lam[0..s/2] of the circulant embedding
+    of rho, s >= 2 length, so one real FFT pair of the rows h_Bj, moved to
+    offset 0 and zero-padded to s, gives the Toeplitz products T h_Bj
+    exactly at offsets k - b0: no lag of the path reaches the wrap-around.
+    Entry (i, j), i >= j, is
+    ``c_i c_j q sum_k h_Bi[k] (T h_Bj)[k]``, one pairwise sum per row,
+    mirrored to (j, i).  Every step is per row, so no bit depends on p.
     """
-    q = fam.rank
-    pairs = []
-    for i, ki in enumerate(fam.kernels):
-        a0, a1 = ki.block
-        for j in range(i + 1):
-            kj = fam.kernels[j]
-            b0, b1 = kj.block
-            gaps = a0 - b0 - _shifts(a1 - a0, b1 - b0)
-            pairs.append((i, j, ki.scale * kj.scale * q, rho(fam.hurst, gaps)))
-    return pairs
-
-
-def _malliavin_gram(fam: KernelFamily, pairs: list[tuple], hq1: np.ndarray) -> np.ndarray:
-    """Gram matrix of one path from its H_{q-1} values and the family's ``_gram_pairs``."""
-    out = np.empty((fam.dim, fam.dim))
-    for i, j, coef, weights in pairs:
-        a0, a1 = fam.kernels[i].block
-        b0, b1 = fam.kernels[j].block
-        _, sums = _cross_sums(hq1[a0:a1], hq1[b0:b1])
-        out[i, j] = out[j, i] = coef * float(np.sum(sums * weights))
+    size = 2 * (spectrum.size - 1)
+    out = np.empty((hq1.shape[0], fam.dim, fam.dim))
+    for j, kj in enumerate(fam.kernels):
+        b0, b1 = kj.block
+        products = np.fft.irfft(np.fft.rfft(hq1[:, b0:b1], n=size) * spectrum, n=size)
+        for i in range(j, fam.dim):
+            ki = fam.kernels[i]
+            a0, a1 = ki.block
+            out[:, i, j] = out[:, j, i] = ki.scale * kj.scale * fam.rank * np.sum(
+                hq1[:, a0:a1] * products[:, a0 - b0:a1 - b0], axis=1)
     return out
 
 
@@ -183,33 +170,37 @@ def pathwise_malliavin_inner(fam: KernelFamily, path: FgnPath) -> np.ndarray:
 
     By the chain rule the derivative of a block sum of H_q(x_k) pairs through
     rho, so entry (i, j) equals
-    ``c_i c_j q sum_{k in B_i, l in B_j} H_{q-1}(x_k) H_{q-1}(x_l) rho(k-l)``.
-    The H_{q-1} vector is computed once per path and the lattice sums run over
-    exact cross-correlations.  The result is symmetric exactly as computed.
-    ``malliavin_grams`` computes the rho weights once for a whole batch.
+    ``c_i c_j q sum_{k in B_i, l in B_j} H_{q-1}(x_k) H_{q-1}(x_l) rho(k-l)``,
+    the bilinear form h_Bi^T T h_Bj of the Toeplitz matrix T of rho.  Each
+    T h_Bj is one real FFT pair against the circulant embedding spectrum of
+    the family's length (``_grams``).  The result is symmetric exactly as
+    computed and equals row r of ``malliavin_grams`` bit for bit when the
+    path is path r of that job.  A path shorter than the family's length, or
+    of another Hurst index, raises ValueError; the spectrum comes from
+    ``fgn._circulant_factors``, whose guard raises ``NotPositiveDefinite``
+    as it would for sampling the path.
     """
     length = fam.kernels[-1].block[1]
     if path.n < length:
         raise ValueError(f"path length {path.n} shorter than required {length}")
-    hq1 = hermite_eval(fam.rank - 1, path.increments[:length])
-    return _malliavin_gram(fam, _gram_pairs(fam), hq1)
+    if path.hurst != fam.hurst:
+        raise ValueError(f"path has H = {path.hurst}, the family H = {fam.hurst}")
+    spectrum = _circulant_factors(fam.hurst, length).spectrum
+    return _grams(fam, spectrum, hermite_eval(fam.rank - 1, path.increments[None, :length]))[0]
 
 
 def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, dict]:
     """(m, d, d) pathwise Gram matrices of the paths of stream hash64(seed, "malliavin").
 
     Entry r equals ``pathwise_malliavin_inner`` of path r (window r of the
-    stream, ``replicate``); the rho weights of each block pair and the
-    sampling factors are built once for all m, and H_{q-1} once per block of
-    paths.  Also returns the diagnostics of ``replicate``.
+    stream, ``replicate``).  One embedding spectrum serves the sampling and
+    the Toeplitz products of all m paths, and H_{q-1} and the FFT pairs run
+    a block of paths at a time.  Also returns the diagnostics of
+    ``replicate``.
     """
-    pairs = _gram_pairs(fam)
-
-    def grams(paths: np.ndarray) -> np.ndarray:
-        return np.stack([_malliavin_gram(fam, pairs, row)
-                         for row in hermite_eval(fam.rank - 1, paths)])
-
-    return replicate(fam, m, seed, "malliavin", grams)
+    factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
+    return replicate(factors, m, seed, "malliavin",
+                     lambda paths: _grams(fam, factors.spectrum, hermite_eval(fam.rank - 1, paths)))
 
 
 def normal_cdf(x):

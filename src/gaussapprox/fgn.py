@@ -202,12 +202,15 @@ class _Factors:
     the half spectrum: the scale of the real part and the negated scale of
     the imaginary part of each frequency 0..s/2 in turn, 0 for the imaginary
     parts of frequencies 0 and s/2.  ``min_ratio`` is min(lam) / max(lam)
-    before clipping, the margin of the embedding guard.
+    before clipping, the margin of the embedding guard.  ``spectrum`` is the
+    half spectrum lam[0..s/2] before clipping: the eigenvalues of the
+    circulant whose top-left n x n block is the Toeplitz matrix of rho.
     """
 
     n: int
     factor: np.ndarray
     min_ratio: float
+    spectrum: np.ndarray
 
     @property
     def normals_per_path(self) -> int:
@@ -224,6 +227,7 @@ def _circulant_factors(h: float, n: int) -> _Factors:
     """
     lam = _embedding_eigenvalues(h, n)
     lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
+    spectrum = lam[: lam.size // 2 + 1].copy()
     if not lam_min >= -EMBEDDING_RTOL * lam_max:
         raise NotPositiveDefinite(
             f"circulant embedding of fGn (H={h}, n={n}) is not nonnegative definite: "
@@ -236,7 +240,7 @@ def _circulant_factors(h: float, n: int) -> _Factors:
     factor = np.zeros(lam.size + 2)
     factor[0::2] = scales
     factor[3 : lam.size : 2] = -scales[1:half]
-    return _Factors(n, factor, lam_min / lam_max)
+    return _Factors(n, factor, lam_min / lam_max, spectrum)
 
 
 def _paths(factors: _Factors, bits: np.random.Philox, m: int, block: int):

@@ -598,13 +598,16 @@ def _python(code: str, *args: str, threads: int | None = None) -> str:
 
 
 @pytest.mark.parametrize("argv", [
-    # blocks of 1024 to 8192 points run the low-rank evaluator
+    # blocks of 1024 points run the lattice pass, 2048 to 8192 the low-rank evaluator
     ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "1024,2048,4096,8192"],
     # blocks of 376 and 564 points run the lattice pass
     ["bound", "--H", "0.7", "--q", "4", "--n", "376", "--times", "0,1,2.5"],
-    # the Malliavin Gram sum runs over 11,999 lags
+    # Gram sums over blocks of 6000 and 20,000 points, the second past the 10,000 terms
+    # at which OpenBLAS splits a dot across its threads
     ["malliavin", "--H", "0.6", "--q", "2", "--times", "0,1", "--n", "6000", "--m", "2",
      "--seed", "5"],
+    pytest.param(["malliavin", "--H", "0.6", "--q", "2", "--times", "0,1", "--n", "20000", "--m", "2",
+                  "--seed", "5"], id="malliavin-20000"),
     # E g(Z) runs over the 16^4 = 65,536 nodes of the Gauss-Hermite rule
     ["stein-check", "--d", "4", "--quad-gh-order", "16", "--grid-steps", "1", "--quad-unodes", "8",
      "--functions", "sqrt_one_plus_norm_sq"],

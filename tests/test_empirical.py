@@ -15,7 +15,6 @@ from gaussapprox.chaos import (
     wasserstein_bound,
 )
 from gaussapprox.empirical import (
-    _cross_sums,
     empirical_w1_1d,
     empirical_w1_multid,
     fit_rate,
@@ -158,16 +157,6 @@ def test_empirical_w1_multid_large_or_uneven_falls_back_to_sliced():
     assert uneven.value < 0.3  # same law, sampling noise only
 
 
-def test_cross_sums_matches_double_loop():
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(7)
-    w = rng.standard_normal(5)
-    shifts, sums = _cross_sums(v, w)
-    for s, total in zip(shifts, sums):
-        direct = sum(v[j] * w[j + s] for j in range(v.size) if 0 <= j + s < w.size)
-        assert total == pytest.approx(direct, abs=1e-12)
-
-
 def test_simulate_bm_vector_statistics():
     h, q, n, m = 0.5, 2, 512, 2000
     batch = simulate_bm_vector(h, q, n, (0.0, 1.0, 2.0), m, seed=31)
@@ -197,19 +186,17 @@ def _per_path_vectors(fam, m, seed):
     return out
 
 
-def _per_path_gram(fam, path):
-    """Reference Gram matrix: rho of the gaps recomputed for every block pair of every path."""
-    hq1 = hermite_eval(fam.rank - 1, path.increments[: fam.kernels[-1].block[1]])
-    out = np.empty((fam.dim, fam.dim))
-    for i in range(fam.dim):
-        a0, a1 = fam.kernels[i].block
-        for j in range(i + 1):
-            b0, b1 = fam.kernels[j].block
-            shifts, sums = _cross_sums(hq1[a0:a1], hq1[b0:b1])
-            val = fam.kernels[i].scale * fam.kernels[j].scale * fam.rank * float(
-                np.sum(sums * rho(fam.hurst, a0 - b0 - shifts))
-            )
-            out[i, j] = out[j, i] = val
+def _dense_gram(fam, path):
+    """Reference Gram matrix: h_Bi^T T h_Bj with the dense Toeplitz block of rho in long double."""
+    hq1 = hermite_eval(fam.rank - 1, path.increments[: fam.kernels[-1].block[1]]).astype(np.longdouble)
+    out = np.empty((fam.dim, fam.dim), dtype=np.longdouble)
+    for i, ki in enumerate(fam.kernels):
+        a0, a1 = ki.block
+        for j, kj in enumerate(fam.kernels):
+            b0, b1 = kj.block
+            toeplitz = rho(fam.hurst, np.subtract.outer(np.arange(a0, a1), np.arange(b0, b1)))
+            out[i, j] = (np.longdouble(ki.scale) * np.longdouble(kj.scale) * fam.rank
+                         * (hq1[a0:a1] @ toeplitz.astype(np.longdouble) @ hq1[b0:b1]))
     return out
 
 
@@ -234,7 +221,9 @@ def test_malliavin_grams_match_per_path_loop():
         assert grams.shape == (12, 3, 3)
         for r in range(12):
             path = FgnPath(hurst=h, increments=_path(h, length, key, r), seed=key, method="circulant")
-            assert np.array_equal(grams[r], _per_path_gram(fam, path))
+            dense = _dense_gram(fam, path)
+            scale = np.sqrt(np.outer(np.diag(dense), np.diag(dense)))
+            assert np.all(np.abs(grams[r] - dense) <= 1e-14 * scale)
             assert np.array_equal(grams[r], pathwise_malliavin_inner(fam, path))
         assert np.array_equal(grams[0], pathwise_malliavin_inner(fam, sample_fgn(h, length, key)))
         factors = fgn._circulant_factors(h, length)
@@ -260,7 +249,7 @@ def test_job_paths_are_windows_of_one_stream():
     fam = kernel_family(0.7, 2, 30, (0.0, 1.0, 2.5))
     length = fam.kernels[-1].block[1]
     key = hash64(17, "paths")
-    paths, diagnostics = replicate(fam, 9, 17, "paths", lambda x: x)
+    paths, diagnostics = replicate(fgn._circulant_factors(0.7, length), 9, 17, "paths", lambda x: x)
     assert paths.shape == (9, length) and diagnostics["normals_per_path"] == 256
     assert np.array_equal(paths[0], sample_fgn(0.7, length, key).increments)
     for r in range(9):
@@ -270,7 +259,6 @@ def test_job_paths_are_windows_of_one_stream():
 def test_statistic_gets_one_contiguous_buffer_for_every_block(monkeypatch):
     # the (block, n) view of the inverse-FFT output is strided; the block
     # loop copies the paths into its contiguous buffer, the same every block
-    fam = kernel_family(0.7, 2, 100, (0.0, 1.0))
     monkeypatch.setattr(empirical, "DRAW_NORMALS", 3 * 256)
     seen = []
 
@@ -278,7 +266,7 @@ def test_statistic_gets_one_contiguous_buffer_for_every_block(monkeypatch):
         seen.append((paths.flags.c_contiguous, paths.ctypes.data))
         return paths[:, :2].copy()
 
-    values, _ = replicate(fam, 10, 4, "contiguous", first_steps)
+    values, _ = replicate(fgn._circulant_factors(0.7, 100), 10, 4, "contiguous", first_steps)
     assert len(seen) == 4
     assert all(contiguous for contiguous, _ in seen)
     assert len({address for _, address in seen}) == 1
@@ -385,6 +373,8 @@ def test_pathwise_malliavin_symmetry_and_isometry():
 
     with pytest.raises(ValueError):
         pathwise_malliavin_inner(fam, sample_fgn(h, length // 2, seed=1))
+    with pytest.raises(ValueError, match="path has H = 0.6"):
+        pathwise_malliavin_inner(fam, sample_fgn(0.6, length, seed=1))
 
 
 def test_lemma_bound_sharp_for_rank_two_diagonal():
