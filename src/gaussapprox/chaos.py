@@ -16,15 +16,15 @@ matrices T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.
   by its rank-2 update: M has displacement rank 2 (Kailath-Kung-Morf), so
   one step down a diagonal adds one boundary product of the factors and
   drops another, and one prefix sum per diagonal, about m^2 / 2 entries in
-  all, gives every entry from the first column.  J M J = M for the
-  reversal J pairs each diagonal with its transpose's, so the pass is
-  O(m^2), against the O(m^4) brute force the tests keep as the oracle.
-  It takes the gaps in steps of about ``_GAP_BLOCK`` entries read through
-  skewed views of the mirrored lag table: one ``cumsum``, one product and
-  one pairwise sum per step, in one buffer of ``_PASS_BUFFER`` elements,
-  never an m x m array.  No step calls BLAS, so the sum does not depend on
-  the BLAS thread count; it stays within 3.6e-15 of a long-double
-  reference up to m = 2^13.
+  all, gives every entry from the first column T_a b, one real FFT
+  Toeplitz product.  J M J = M for the reversal J pairs each diagonal with
+  its transpose's, so the pass is O(m^2), against the O(m^4) brute force
+  the tests keep as the oracle.  It takes the gaps in steps of about
+  ``_GAP_BLOCK`` entries read through skewed views of the mirrored lag
+  table: one ``cumsum``, one product and one pairwise sum per step, in one
+  buffer of ``_PASS_BUFFER`` elements, never an m x m array.  Neither the
+  FFT nor a step calls BLAS, so the sum does not depend on the BLAS thread
+  count; it stays within 3.6e-15 of a long-double reference up to m = 2^13.
 * The low-rank evaluator ``_lowrank_sum`` rests on the finite form of
   Widom's identity T(a) T(b) = T(ab) - H(a) H(b~):
   M = T_F - E, E = E_up + J E_up J, where F = a * b is the full
@@ -140,7 +140,8 @@ _GAP_BLOCK = 2**14
 #: Elements of the one buffer of the lattice pass.  A step of G gaps holds
 #: its increments, later its terms, in G span elements and its padded
 #: diagonals in G (span + G - 1), at most 3 ``_GAP_BLOCK`` while G span <=
-#: ``_GAP_BLOCK`` and G <= span, and a step of the first column at most ``_GAP_BLOCK``.
+#: ``_GAP_BLOCK`` and G <= span, and at most ``_MIN_GAPS`` (2m + ``_MIN_GAPS``)
+#: once G sits at its floor: 4 ``_GAP_BLOCK`` covers every step up to m = 8190.
 _PASS_BUFFER = 4 * _GAP_BLOCK
 
 #: Fewest gaps per step of the lattice pass; past span = ``_GAP_BLOCK // 4`` a
@@ -278,7 +279,7 @@ def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
     on, with strides counted in elements.
 
     One ndarray constructor call, about a seventh of the cost of
-    ``as_strided``, which the lattice pass would pay four times per step;
+    ``as_strided``, which the lattice pass would pay three times per step;
     numpy refuses a view that reaches outside ``base``.
     """
     size = base.itemsize
@@ -298,8 +299,8 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
     and M[k, k + g] = d_g[L-1-k] (J M J = M), so gap g adds
     sum_k d_g[k] d_g[L-1-k], once for g = 0 and twice for g > 0.
 
-    The first column comes first, ``_GAP_BLOCK // m`` rows of products per
-    step, each row one pairwise sum.  The diagonals then run in steps of
+    The first column is the Toeplitz product T_a b, one real FFT pair of
+    length ``_next_fast_len(2m - 1)``.  The diagonals then run in steps of
     ``_gaps_per_step(m - g0)`` gaps, which grow as the rows shorten.  Row i
     of a step (gap g = g0 + i) holds the increments of d_g, products of
     skewed views of ``a_sym`` (lag 0 at c = m - 1, zero past lag m - 1) with
@@ -311,16 +312,11 @@ def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
     and one pairwise sum take every gap of a step.
     """
     total, c, b = 0.0, m - 1, b_ext[:m]
+    size = _next_fast_len(2 * m - 1)
+    col = irfft(_circulant_hat(a, size) * rfft(b, size), size)[:m]  # d_g[0] = M[g, 0]
     b_rev = b[::-1].copy()
     a_sym = np.concatenate((a[:0:-1], a, np.zeros(m)))
     buf = _pass_buffer(m)
-    col = np.empty(m)  # d_g[0] = M[g, 0]
-    rows = max(1, min(m, _GAP_BLOCK // m))
-    for g0 in range(0, m, rows):
-        n = min(rows, m - g0)
-        # row i, column l: a(|g0 + i - l|) b(l)
-        p = np.multiply(_skewed(a_sym, c - g0, (n, m), (-1, 1)), b, out=buf[:n * m].reshape(n, m))
-        np.sum(p, axis=1, out=col[g0:g0 + n])
     g0 = 0
     while g0 < m:
         span = m - g0
@@ -387,6 +383,13 @@ def _orthonormalize(rows: np.ndarray) -> int:
     return rank
 
 
+def _circulant_hat(s: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum of the size-n circulant whose top-left m x m block is T_s,
+    s on lags 0..m-1 and n >= 2m - 1."""
+    m = s.size
+    return rfft(np.concatenate((s, np.zeros(n - 2 * m + 1), s[:0:-1])))
+
+
 def _toeplitz_part(a, b_ext, a_hat, b_hat, m: int, n: int) -> tuple[float, np.ndarray]:
     """Tr(T_F^2) and the length-n spectrum of T_F's circulant, F = a * b on lags |t| <= m-1.
 
@@ -394,12 +397,11 @@ def _toeplitz_part(a, b_ext, a_hat, b_hat, m: int, n: int) -> tuple[float, np.nd
     Toeplitz product with b on lags |l| <= m-1 plus a Hankel product with
     a(0) left out, which subtracts a(0) from every frequency of a_hat.
     """
-    b_sym_hat = rfft(np.concatenate((b_ext[:m], np.zeros(n - 2 * m + 1), b_ext[m - 1:0:-1])))
-    f = irfft(b_sym_hat * a_hat + b_hat * np.conj(a_hat - a[0]), n)[:m]
+    f = irfft(_circulant_hat(b_ext[:m], n) * a_hat + b_hat * np.conj(a_hat - a[0]), n)[:m]
     weights = 2.0 * (m - np.arange(m))
     weights[0] = m
     tf_sq = float(np.einsum("g,g,g->", weights, f, f))
-    return tf_sq, rfft(np.concatenate((f, np.zeros(n - 2 * m + 1), f[:0:-1])))
+    return tf_sq, _circulant_hat(f, n)
 
 
 def _next_fast_len(target: int) -> int:
@@ -495,33 +497,22 @@ def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[f
     return total, (bound / total if total > 0.0 else math.inf)
 
 
-class _Sum(float):
-    """An unscaled contraction sum with its estimated relative error."""
-
-    __slots__ = ("error",)
-
-    def __new__(cls, value: float, error: float = 0.0):
-        obj = super().__new__(cls, value)
-        obj.error = error
-        return obj
-
-
 @functools.lru_cache(maxsize=CONTRACTION_CACHE_SIZE)
-def _unscaled_contraction(h: float, q: int, r: int, m: int) -> _Sum:
-    """Tr((T_a T_b)^2) with a = rho^r, b = rho^{q-r} on a block of size m.
+def _unscaled_contraction(h: float, q: int, r: int, m: int) -> tuple[float, float]:
+    """(Tr((T_a T_b)^2), its error) with a = rho^r, b = rho^{q-r} on a block of size m.
 
-    The value carries ``.error``, the estimated relative error of a low-rank
-    sum and 0.0 for the exact lattice pass and the closed form.
+    The error is the estimated relative error of a low-rank sum and 0.0 for
+    the exact lattice pass and the closed form.
     """
     if h == 0.5:
-        return _Sum(m)  # rho has one-point support, so T_a = T_b = I
+        return float(m), 0.0  # rho has one-point support, so T_a = T_b = I
     rho_tab = _rho_at(h, np.arange(2 * m - 1))
     a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
     if m >= LOWRANK_CROSSOVER:
         value, error = _lowrank_sum(a, b_ext, m, hash64("contraction", float(h).hex(), q, r, m))
         if error < LOWRANK_TOLERANCE or m > LATTICE_FALLBACK_MAX:
-            return _Sum(value, error)
-    return _Sum(_quad_sum(a, b_ext, m))
+            return value, error
+    return _quad_sum(a, b_ext, m), 0.0
 
 
 def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
@@ -536,7 +527,7 @@ def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
     if not 1 <= r <= q - 1:
         raise ValueError(f"contraction order must be in [1, {q - 1}], got {r}")
     h = check_hurst(h)
-    total = _unscaled_contraction(h, q, min(r, q - r), f.size)
+    total, _ = _unscaled_contraction(h, q, min(r, q - r), f.size)
     return f.scale**4 * max(total, 0.0)
 
 
@@ -577,7 +568,7 @@ def contraction_error(fam: KernelFamily) -> float:
     the same family no sum runs again.
     """
     h, q = fam.hurst, fam.rank
-    return max((_unscaled_contraction(h, q, min(r, q - r), f.size).error
+    return max((_unscaled_contraction(h, q, min(r, q - r), f.size)[1]
                 for f in fam.kernels for r in range(1, q)), default=0.0)
 
 

@@ -3,9 +3,10 @@
 Every experiment is a subcommand that prints one JSON report (UTF-8,
 lower-snake-case keys) to stdout or ``--out``.  The report embeds the full
 resolved configuration and master seed, so any run can be reproduced
-bit-identically from its own output.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (non-PD target, hypothesis violation); failures
-carry a machine-readable error object.
+bit-identically from its own output.  Reports are strict JSON: a result
+that is not finite is a failure.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure (non-PD target, hypothesis violation, a NaN or
+infinite result); failures carry a machine-readable error object.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int 
     return np.asarray(obj, dtype=np.float64)
 
 
-def _stein_quadrature(args, d: int) -> QuadratureSpec:
-    """The inner rule of ``stein-check``: ``--quad-gh-order`` if given, else the default for d."""
-    if args.quad_gh_order is not None:
-        return QuadratureSpec(u_nodes=args.quad_unodes, gh_order=args.quad_gh_order)
-    return default_quadrature(d, u_nodes=args.quad_unodes)
-
-
 def _check_seed(args) -> None:
     """A master seed keys 64-bit streams; refuse one that ``hash64`` would fold onto another."""
     seed = getattr(args, "seed", None)
@@ -122,8 +116,34 @@ def _check_seed(args) -> None:
         raise ValueError(f"--seed must lie in [0, 2**64), got {seed}")
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True) + "\n"
+def _non_finite(obj, path: str = ""):
+    """(path, value) of the first non-finite float of a report in key order, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        children = ((f"{path}.{k}" if path else k, v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in children)), None)
+
+
+def _dumps(report: dict) -> str:
+    """The report as strict JSON; a NaN or infinity raises ``GaussApproxError`` naming its key."""
+    try:
+        return json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        path, value = _non_finite(report)
+        raise GaussApproxError(f"{path} = {value} is not finite; a report is strict JSON") from None
+
+
+def _error(exc: Exception) -> str:
+    """The machine-readable error object of a failed run."""
+    return _dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
+
+
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -224,17 +244,20 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     cov = as_covariance(c)
     if args.d is not None and cov.dim != args.d:
         raise ValueError(f"--d {args.d} disagrees with C of dim {cov.dim}")
-    quad = _stein_quadrature(args, cov.dim)
+    order = default_quadrature(cov.dim).gh_order if args.quad_gh_order is None else args.quad_gh_order
     names = args.functions.split(",") if args.functions else None
     registry = {f.name: f for f in lipschitz_test_functions(cov.dim)}
     chosen = [registry[n] for n in names] if names else list(registry.values())
-    nodes = args.grid_steps**2 * quad.u_nodes * rule_size(cov.dim, quad.gh_order) * len(chosen)
+    # counted in closed form before QuadratureSpec bounds the flags; an order
+    # below its floor counts one node
+    nodes = args.grid_steps**2 * args.quad_unodes * rule_size(cov.dim, max(order, 1)) * len(chosen)
     work = nodes * cov.dim * (cov.dim + 1)
     if work > STEIN_CHECK_MAX_WORK:
         raise ValueError(f"stein-check would evaluate about {work:.2e} oracle values (points x "
                          f"u-nodes x rule nodes x functions x (d + d^2)), over the cap "
                          f"{STEIN_CHECK_MAX_WORK:.0e}; lower --grid-steps, --quad-unodes, "
                          "--quad-gh-order or --functions")
+    quad = QuadratureSpec(u_nodes=args.quad_unodes, gh_order=order)
     lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
         lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi
@@ -376,17 +399,16 @@ def main(argv=None) -> int:
     try:
         _check_seed(args)
         config, results = args.func(args)
-    except GaussApproxError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
-        return 3
-    except np.linalg.LinAlgError as exc:
-        _emit({"error": {"type": "LinAlgError", "message": str(exc)}}, args.out)
+        config["threads"] = args.threads
+        # a non-finite value raises GaussApproxError here, a numerical failure
+        text = _dumps({"subcommand": args.subcommand, "config": config, "results": results})
+    except (GaussApproxError, np.linalg.LinAlgError) as exc:
+        _emit(_error(exc), args.out)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
+        _emit(_error(exc), args.out)
         return 2
-    config["threads"] = args.threads
-    _emit({"subcommand": args.subcommand, "config": config, "results": results}, args.out)
+    _emit(text, args.out)
     return 0
 
 

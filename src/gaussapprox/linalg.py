@@ -29,7 +29,6 @@ __all__ = [
     "q_factor",
     "cholesky_lower",
     "sample_gaussian",
-    "identity",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -124,10 +123,6 @@ def as_covariance(c) -> CovarianceMatrix:
     if isinstance(c, CovarianceMatrix):
         return c
     return CovarianceMatrix.from_matrix(c)
-
-
-def identity(d: int) -> CovarianceMatrix:
-    return CovarianceMatrix.from_matrix(np.eye(d))
 
 
 def prefactor(c) -> float:

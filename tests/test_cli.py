@@ -397,6 +397,53 @@ def test_stein_check_refuses_oversize_work_before_building(argv, work):
     assert f"about {work:.2e} oracle values" in err["message"]
 
 
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens strict parsers reject."""
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # numpy's Gauss-Hermite weights are NaN at order 400, and chatterjee checks
+    # T at twice --quad-gh-order; both orders are refused at the flag
+    (["stein-check", "--grid-steps", "1", "--quad-gh-order", "400", "--functions", "sin_of_sum"],
+     2, "Gauss-Hermite order must lie in [4, 128], got 400"),
+    (["chatterjee", "--K", "[[1.0,0.2],[0.2,1.0]]", "--m", "10", "--quad-gh-order", "186",
+      "--functions", '{"type":"componentwise","kind":"tanh","n":2}'],
+     2, "Gauss-Hermite order must lie in [4, 128], got 186"),
+    # the map overflows, so the bound is infinite and the report fails
+    (["chatterjee", "--K", "[[1.0,0.1],[0.1,1.0]]", "--m", "5",
+      "--functions", '{"type":"linear","matrix":[[1e308,1e308]]}'],
+     3, "results.bound = inf is not finite"),
+], ids=["stein-order-400", "chatterjee-order-186", "chatterjee-overflow"])
+def test_every_report_is_strict_json(argv, code, message):
+    with np.errstate(all="ignore"):
+        got, out = run_cli(argv)
+    assert got == code
+    assert message in _strict_json(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stein-check", "--grid-steps", "1", "--functions", "sin_of_sum"],
+    ["chatterjee", "--K", "[[1.0,0.2],[0.2,1.0]]", "--m", "10",
+     "--functions", '{"type":"componentwise","kind":"tanh","n":2}'],
+], ids=["stein-check", "chatterjee"])
+@pytest.mark.parametrize("flag, value", [
+    ("--quad-gh-order", 129), ("--quad-unodes", 1025), ("--quad-unodes", 10**6),
+])
+def test_quadrature_flags_past_their_bound_exit_2_before_any_rule(monkeypatch, argv, flag, value):
+    def no_rule(*args):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", no_rule)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    code, out = run_cli([*argv, flag, str(value)])
+    assert code == 2
+    err = _strict_json(out)["error"]
+    assert err["type"] == "ValueError" and f"got {value}" in err["message"]
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_stein_check_admits_a_grid_of_eleven_steps(monkeypatch, d):
     class Admitted(Exception):

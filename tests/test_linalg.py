@@ -13,7 +13,6 @@ from gaussapprox.linalg import (
     cholesky_lower,
     hs_inner,
     hs_norm,
-    identity,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -152,8 +151,3 @@ def test_matrix_json_roundtrip():
     assert matrix_to_json(c)["dim"] == 2
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 3, "rows": [[1.0]]})
-
-
-def test_identity_helper():
-    assert identity(3).dim == 3
-    assert np.array_equal(identity(3).matrix, np.eye(3))

@@ -45,6 +45,21 @@ def test_quadrature_spec_validation():
     assert default_quadrature(6, u_nodes=32) == QuadratureSpec(u_nodes=32, gh_order=5)
 
 
+def test_quadrature_spec_bounds_keep_every_rule_finite():
+    # chatterjee checks T at twice gh_order, a sparse level L takes the 1-d
+    # orders up to 2L - 1; past the bounds the spec refuses before any rule
+    for kwargs in ({"u_nodes": stein.U_MAX_NODES + 1}, {"gh_order": stein.GH_MAX_ORDER + 1}):
+        with pytest.raises(ValueError, match="must lie in"):
+            QuadratureSpec(**kwargs)
+    QuadratureSpec(u_nodes=stein.U_MAX_NODES, gh_order=stein.GH_MAX_ORDER)
+    x, w = np.polynomial.hermite_e.hermegauss(2 * stein.GH_MAX_ORDER)
+    w = w / math.sqrt(2.0 * math.pi)
+    assert np.isfinite(w).all()
+    assert abs(w.sum() - 1.0) < 1e-14 and abs(np.sum(w * x**2) - 1.0) < 1e-14
+    u, wu = np.polynomial.legendre.leggauss(stein.U_MAX_NODES)
+    assert abs(wu.sum() - 2.0) < 1e-13 and abs(np.sum(wu * u**2) - 2.0 / 3.0) < 1e-13
+
+
 def test_gaussian_rule_moments():
     pts, wts = gaussian_rule(C_CORR, QUAD)
     assert wts.sum() == pytest.approx(1.0, abs=1e-12)
