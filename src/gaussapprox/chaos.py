@@ -12,19 +12,26 @@ autocovariance ``rho``:
 The quadruple sum equals Tr(M^2), M = T_a T_b, for the symmetric Toeplitz
 matrices T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.
 
-* The lattice pass ``_quad_sum`` (m = block size) walks each diagonal of M
-  by its rank-2 update: M has displacement rank 2 (Kailath-Kung-Morf), so
-  one step down a diagonal adds one boundary product of the factors and
-  drops another, and one prefix sum per diagonal, about m^2 / 2 entries in
-  all, gives every entry from the first column T_a b, one real FFT
-  Toeplitz product.  J M J = M for the reversal J pairs each diagonal with
-  its transpose's, so the pass is O(m^2), against the O(m^4) brute force
-  the tests keep as the oracle.  It takes the gaps in steps of about
-  ``_GAP_BLOCK`` entries read through skewed views of the mirrored lag
-  table: one ``cumsum``, one product and one pairwise sum per step, in one
-  buffer of ``_PASS_BUFFER`` elements, never an m x m array.  Neither the
-  FFT nor a step calls BLAS, so the sum does not depend on the BLAS thread
-  count; it stays within 3.6e-15 of a long-double reference up to m = 2^13.
+* The lattice pass is a range table, one per (H, q, min(r, q-r)).  The
+  4-cycle weight is translation invariant and a configuration of range R
+  fits m - R times in a block of m points, so
+  S(m) = Tr(M^2) = sum_{R<m} (m - R) W(R), where W(R) weighs the
+  configurations with minimum 0 and maximum R.  With a, b on lags >= 0,
+  W(0) = a0^2 b0^2 and, for R >= 1 and e = a0 b_R + a_R b0,
+
+    W(R) = 4 c(R)^2 + 4 a_R G_bab(R) + 4 b_R G_aba(R) - 8 e c(R)
+           - 8 P(R) a_R b_R + 2 e^2 + 4 a0 b0 a_R b_R + 2 a_R^2 b_R^2,
+
+  c(R) = sum_{t<=R} a(t) b(R-t), P(R) = sum_{t<=R} a(t) b(t) and
+  G_xyx(R) = sum_{u,w in [0,R]} x(u) y(|u-w|) x(R-w): the 50 terms of
+  inclusion-exclusion over which points sit at 0 and at R, collapsed.  One
+  recurrence per G takes every R in O(m^2), over the triangle w <= R in
+  blocks of ``_TABLE_BLOCK`` rows on a fixed grid, never an m x m array.  A
+  table grows by whole blocks, so the bits of S(m) do not depend on the
+  sizes asked before, and every size it covers costs one O(m) read against
+  the O(m^4) brute force the tests keep as the oracle.  No step calls BLAS,
+  so the sum does not depend on the BLAS thread count; it stays within
+  6.5e-16 of a long-double reference up to m = 4099 and 4.4e-16 at 2^13.
 * The low-rank evaluator ``_lowrank_sum`` rests on the finite form of
   Widom's identity T(a) T(b) = T(ab) - H(a) H(b~):
   M = T_F - E, E = E_up + J E_up J, where F = a * b is the full
@@ -43,7 +50,7 @@ matrices T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.
   the BLAS thread count.
 
 Sums of blocks of at least ``LOWRANK_CROSSOVER`` run on the low-rank
-evaluator; smaller ones keep the lattice pass.  The evaluator also estimates
+evaluator; smaller ones read the range table.  The evaluator also estimates
 its relative error from ``_RESIDUAL_PROBES`` more probes of |E_up - Q B^T|
 together with |T_F| and |B|.  Above ``LOWRANK_TOLERANCE`` the lattice pass
 runs instead on blocks up to ``LATTICE_FALLBACK_MAX``, so every sum there is
@@ -57,9 +64,10 @@ the identity ||f (x)_r f|| = ||f (x)_{q-r} f|| for symmetric f, because the
 swap exchanges a and b and Tr((T_a T_b)^2) = Tr((T_b T_a)^2).  So each sum is
 computed once and kept, with its error estimate, in a bounded LRU cache under
 the key (H, q, min(r, q-r), m), and a d-dimensional family of equal blocks
-costs one sum per distinct min(r, q-r).  At H = 1/2 the increments are
-independent, rho has one-point support and T_a = T_b = I, so the sum is the
-closed form m and no evaluator runs.  While :func:`wasserstein_bound`
+costs one sum per distinct min(r, q-r).  The range tables sit in a store
+bounded by ``RANGE_TABLES`` and ``RANGE_TABLE_BYTES``.  At H = 1/2 the
+increments are independent, rho has one-point support and T_a = T_b = I, so
+the sum is the closed form m and no evaluator runs.  While :func:`wasserstein_bound`
 assembles one bound it holds one table of rho over every lag its sums and
 inner products read, and the table goes with the report.
 
@@ -132,26 +140,20 @@ _RESIDUAL_PROBES = 4
 #: transforms in memory at once and were not faster.
 _FFT_ROWS = 2
 
-#: Entries of M one step of the lattice pass takes: ``_GAP_BLOCK // span``
-#: diagonals (at least ``_MIN_GAPS``) while the longest has span entries.
-#: Steps of 2^13 entries were about 10 % slower at m = 256..2048.
-_GAP_BLOCK = 2**14
-
-#: Elements of the one buffer of the lattice pass.  A step of G gaps holds
-#: its increments, later its terms, in G span elements and its padded
-#: diagonals in G (span + G - 1), at most 3 ``_GAP_BLOCK`` while G span <=
-#: ``_GAP_BLOCK`` and G <= span, and at most ``_MIN_GAPS`` (2m + ``_MIN_GAPS``)
-#: once G sits at its floor: 4 ``_GAP_BLOCK`` covers every step up to m = 8190.
-_PASS_BUFFER = 4 * _GAP_BLOCK
-
-#: Fewest gaps per step of the lattice pass; past span = ``_GAP_BLOCK // 4`` a
-#: step of one or two gaps spends more on its calls than the blocking saves.
-_MIN_GAPS = 4
+#: Rows of one block of the range table's recurrences.  A table grows by
+#: whole blocks on this fixed grid, so the bits of every sum it gives do not
+#: depend on the sizes asked before.
+_TABLE_BLOCK = 64
 
 #: Pre-flight budget of one bound: estimated operations of its contraction
 #: sums, and bytes of the low-rank evaluator's probe buffer.
 WORK_BUDGET = 2**30
 MEMORY_BUDGET = 2**28
+
+#: Range tables kept, one per (H, q, min(r, q-r)), and the bytes they may
+#: hold together; the least recently used go first.
+RANGE_TABLES = 64
+RANGE_TABLE_BYTES = MEMORY_BUDGET // 16
 
 
 @dataclass(frozen=True)
@@ -257,95 +259,121 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     return f.scale * g.scale * float(np.sum(counts * vals))
 
 
-def _gaps_per_step(span: int) -> int:
-    """Gaps G that one step of the lattice pass takes when its longest diagonal has span entries."""
-    return min(span, max(_MIN_GAPS, _GAP_BLOCK // span))
-
-
-def _pass_buffer(m: int) -> np.ndarray:
-    """The one buffer of a lattice pass on m points.
-
-    Every step of a pass on up to 8190 points fits ``_PASS_BUFFER`` elements,
-    so each sum asks malloc for the same buffer whatever its m, and gets back
-    the memory the last sum freed.  Sized by m, the buffers of successive sums
-    differ, and glibc trims the heap top between them: the ``bound-grid`` job
-    list then took 42,000 minor page faults instead of about 100.
-    """
-    return np.empty(max(_PASS_BUFFER, _MIN_GAPS * (2 * m + _MIN_GAPS)))
-
-
 def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
     """View of the contiguous array ``base`` from its flat element ``start``
     on, with strides counted in elements.
 
     One ndarray constructor call, about a seventh of the cost of
-    ``as_strided``, which the lattice pass would pay three times per step;
-    numpy refuses a view that reaches outside ``base``.
+    ``as_strided``, which the range table would pay twice per block; numpy
+    refuses a view that reaches outside ``base``.
     """
     size = base.itemsize
     return np.ndarray(shape, base.dtype, base, start * size, tuple(k * size for k in steps))
 
 
-def _quad_sum(a: np.ndarray, b_ext: np.ndarray, m: int) -> float:
-    """sum_{k,l,k',l' in [0,m)} a(k-l) a(k'-l') b(k-k') b(l-l') = Tr(M^2), M = T_a T_b.
+class _RangeTable:
+    """S(m) = Tr((T_a T_b)^2) on m points for every m up to ``rows``, a = rho^r, b = rho^{q-r}.
 
-    ``a`` holds lags 0..m-1, ``b_ext`` lags 0..2m-2 (both even in the lag);
-    the pass reads b on lags 0..m-1.  The diagonal d_g[k] = M[k + g, k],
-    k < L = m - g, follows from its first entry by the rank-2 update
-
-      d_g[0]     = sum_l a(|g - l|) b(l),
-      d_g[k + 1] = d_g[k] + a(g + k + 1) b(k + 1) - a(m - 1 - g - k) b(m - 1 - k),
-
-    and M[k, k + g] = d_g[L-1-k] (J M J = M), so gap g adds
-    sum_k d_g[k] d_g[L-1-k], once for g = 0 and twice for g > 0.
-
-    The first column is the Toeplitz product T_a b, one real FFT pair of
-    length ``_next_fast_len(2m - 1)``.  The diagonals then run in steps of
-    ``_gaps_per_step(m - g0)`` gaps, which grow as the rows shorten.  Row i
-    of a step (gap g = g0 + i) holds the increments of d_g, products of
-    skewed views of ``a_sym`` (lag 0 at c = m - 1, zero past lag m - 1) with
-    b(k + 1) and the reversed b(m - 1 - k).  One ``cumsum`` takes their
-    prefix sums, and the first column is added after it: seeding the prefix
-    sum with it was less accurate.  Row i of ``diags`` then holds d_g in its
-    first L columns; a skewed view reads each row reversed, and past its
-    live part the zero padding at the end of the row above, so one product
-    and one pairwise sum take every gap of a step.
+    S(m) = sum_{R<m} (m - R) W(R), W as in the module docstring.  Each
+    G_xyx comes from the recurrence V_R[w] = V_{R-1}[w] + x(R) y(|R-w|) over
+    w <= R, with G(R) = sum_{w<=R} V_R[w] x(R-w), and c(R) = V_R[R] of the
+    aba one.  ``state`` holds the last row of both recurrences (aba first),
+    ``w`` holds W(0..rows-1) and ``p`` holds P(rows-1).
     """
-    total, c, b = 0.0, m - 1, b_ext[:m]
-    size = _next_fast_len(2 * m - 1)
-    col = irfft(_circulant_hat(a, size) * rfft(b, size), size)[:m]  # d_g[0] = M[g, 0]
-    b_rev = b[::-1].copy()
-    a_sym = np.concatenate((a[:0:-1], a, np.zeros(m)))
-    buf = _pass_buffer(m)
-    g0 = 0
-    while g0 < m:
-        span = m - g0
-        n = _gaps_per_step(span)
-        row = span + n - 1  # the row length of diags
-        lo, hi = buf[:n * span], buf[n * span:n * (span + row)]
-        # row i, column k: the increment d_g[k + 1] - d_g[k], g = g0 + i, with
-        # a(m - 1 - g - k) = a_sym[g + k]; the products it subtracts take the
-        # space of diags until the cumsum
-        inc = np.multiply(_skewed(a_sym, c + g0 + 1, (n, span - 1), (1, 1)), b[1:span],
-                          out=lo[:n * (span - 1)].reshape(n, span - 1))
-        inc -= np.multiply(_skewed(a_sym, g0, (n, span - 1), (1, 1)), b_rev[:span - 1],
-                           out=hi[:n * (span - 1)].reshape(n, span - 1))
-        diags = hi.reshape(n, row)
-        diags[:, span:] = 0.0
-        d = diags[:, :span]
-        np.cumsum(inc, axis=1, out=d[:, 1:])
-        first = col[g0:g0 + n, None]
-        d[:, 1:] += first
-        d[:, :1] = first
-        # row i, column k: d[i, span-1-i-k], the live part of row i reversed
-        # while k < span - i, and past it the zero padding of the row above
-        d_rev = _skewed(diags, span - 1, (n, span), (row - 1, -1))
-        terms = np.multiply(d, d_rev, out=lo.reshape(n, span))
-        if g0 == 0:
-            terms[0] *= 0.5  # gap 0 counts once, every other gap twice
-        total += 2.0 * float(terms.sum())
-        g0 += n
-    return total
+
+    def __init__(self):
+        self.rows, self.p = 0, 0.0
+        self.state, self.w = np.zeros((2, 0)), np.empty(0)
+
+    @property
+    def nbytes(self) -> int:
+        return self.state.nbytes + self.w.nbytes
+
+    def grow(self, h: float, q: int, r: int, m: int) -> None:
+        """Add whole blocks of ``_TABLE_BLOCK`` rows until the table covers m points.
+
+        Block [R0, R0 + B) works on the columns w < R0 + B.  A column w >= R0
+        enters it at sum_{u<R0} x(u) y(w-u), one real FFT pair of length
+        ``_next_fast_len(R0 + B)``.  One product of skewed views of the lag
+        table gives the increments x(R) y(|R-w|) of both recurrences, row
+        additions carry them down the block (sequential, as the recurrence
+        is, and about five times faster than ``cumsum`` along an axis), and
+        one product and one pairwise row sum give G; the zeros past lag 0 of
+        the reversed x cut every row at w = R.  The shapes of a block depend
+        on R0 and B alone and P is a sequential sum, so no bit of W depends on
+        the sizes earlier growths reached.  One buffer, of the last block's
+        size, serves every block; no call goes through BLAS.
+        """
+        b_rows = _TABLE_BLOCK
+        rows, done = -(-m // b_rows) * b_rows, self.rows
+        if rows <= done:
+            return
+        lags = _rho_at(h, np.arange(rows))
+        xs = np.stack((lags**r, lags ** (q - r)))  # x of the aba and bab recurrences
+        ys = xs[::-1]  # and their y
+        y_sym = np.concatenate((ys[:, :0:-1], ys), axis=1)  # lag 0 at column rows - 1
+        x_rev = np.concatenate((xs[:, ::-1], np.zeros((2, b_rows))), axis=1)  # x(rows-1-k)
+        state = np.zeros((2, rows))
+        state[:, :done] = self.state
+        c, g = np.empty(rows - done), np.empty((2, rows - done))
+        buf = np.empty(2 * b_rows * rows)
+        diag = np.arange(b_rows)
+        for r0 in range(done, rows, b_rows):
+            n, k = r0 + b_rows, r0 - done
+            if r0:
+                size = _next_fast_len(n)
+                head = irfft(rfft(xs[:, :r0], size) * rfft(ys[:, :n], size), size)
+                state[:, r0:n] = head[:, r0:n]
+            # v[i, j, w]: V_R[w] of recurrence j at R = r0 + i
+            v = buf[:2 * b_rows * n].reshape(b_rows, 2, n)
+            np.multiply(xs.T[r0:n, :, None],
+                        _skewed(y_sym, rows - 1 - r0, v.shape, (-1, y_sym.shape[1], 1)), out=v)
+            v[0] += state[:, :n]
+            for i in range(1, b_rows):
+                np.add(v[i - 1], v[i], out=v[i])
+            state[:, :n] = v[-1]
+            c[k:k + b_rows] = v[diag, 0, r0 + diag]
+            x_view = _skewed(x_rev, rows - 1 - r0, v.shape, (-1, x_rev.shape[1], 1))
+            g[:, k:k + b_rows] = np.multiply(v, x_view, out=v).sum(axis=2).T
+
+        (a0, b0), (a, b) = xs[:, 0], xs[:, done:]
+        ab = a * b
+        p = ab.copy()
+        p[0] += self.p
+        np.cumsum(p, out=p)
+        e = a0 * b + a * b0
+        w = (4.0 * (c * c + a * g[1] + b * g[0]) - 8.0 * (e * c + p * ab)
+             + 2.0 * (e * e + ab * ab) + 4.0 * (a0 * b0) * ab)
+        if done == 0:
+            w[0] = (a0 * b0) ** 2
+        self.rows, self.p = rows, float(p[-1])
+        self.state, self.w = state, np.concatenate((self.w, w))
+
+    def sum(self, m: int) -> float:
+        """S(m) for m <= rows: one pairwise sum of (m - R) W(R) over R < m."""
+        return float(np.sum(np.arange(m, 0, -1, dtype=np.float64) * self.w[:m]))
+
+
+#: (H, q, min(r, q-r)) -> its range table, least recently used first.
+_TABLES: dict[tuple[float, int, int], _RangeTable] = {}
+
+
+def _lattice_sum(h: float, q: int, r: int, m: int) -> float:
+    """Tr((T_a T_b)^2) on m points, a = rho^r, b = rho^{q-r}, from the key's range table.
+
+    A size the table covers costs one O(m) read; a larger one grows the
+    table, and the least recently used tables go while the store holds more
+    than ``RANGE_TABLES`` tables or ``RANGE_TABLE_BYTES`` bytes.
+    """
+    key = (h, q, r)
+    table = _TABLES.pop(key, None) or _RangeTable()
+    _TABLES[key] = table
+    if table.rows < m:
+        table.grow(h, q, r, m)
+        while len(_TABLES) > 1 and (len(_TABLES) > RANGE_TABLES or
+                                    sum(t.nbytes for t in _TABLES.values()) > RANGE_TABLE_BYTES):
+            del _TABLES[next(iter(_TABLES))]
+    return table.sum(m)
 
 
 def _signs(seed: int, rows: int, m: int) -> np.ndarray:
@@ -420,7 +448,8 @@ def _next_fast_len(target: int) -> int:
 def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[float, float]:
     """Tr((T_a T_b)^2) from M = T_F - E, with its estimated relative error.
 
-    Same inputs as :func:`_quad_sum`; the method is in the module docstring.
+    ``a`` holds lags 0..m-1 and ``b_ext`` lags 0..2m-2 (both even in the
+    lag); the method is in the module docstring.
     Q is an orthonormal basis of E_up (E_up^T E_up) Omega for
     ``LOWRANK_PROBES`` sign probes Omega drawn from ``seed``, and
     B = E_up^T Q.  The terms that use Q B^T in place of E_up err by at most
@@ -506,19 +535,19 @@ def _unscaled_contraction(h: float, q: int, r: int, m: int) -> tuple[float, floa
     """
     if h == 0.5:
         return float(m), 0.0  # rho has one-point support, so T_a = T_b = I
-    rho_tab = _rho_at(h, np.arange(2 * m - 1))
-    a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
     if m >= LOWRANK_CROSSOVER:
-        value, error = _lowrank_sum(a, b_ext, m, hash64("contraction", float(h).hex(), q, r, m))
+        rho_tab = _rho_at(h, np.arange(2 * m - 1))
+        value, error = _lowrank_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m,
+                                    hash64("contraction", float(h).hex(), q, r, m))
         if error < LOWRANK_TOLERANCE or m > LATTICE_FALLBACK_MAX:
             return value, error
-    return _quad_sum(a, b_ext, m), 0.0
+    return _lattice_sum(h, q, r, m), 0.0
 
 
 def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
     """||f (x)_r f||^2 in H^{(x 2(q-r))}.
 
-    Exact over the block: the lattice pass below ``LOWRANK_CROSSOVER``, the
+    Exact over the block: the range table below ``LOWRANK_CROSSOVER``, the
     low-rank evaluator (to ``LOWRANK_TOLERANCE``) from it on, and H = 1/2 in
     closed form (rho has one-point support there, so the lattice sum is the
     block size).  Orders r and q - r share one cached sum.
@@ -535,9 +564,10 @@ def contraction_work(m: int, q: int) -> tuple[float, float]:
     """Estimated (operations, bytes) of the contraction sums of one rank-q block of m points.
 
     Orders r and q - r share a sum, so there are q // 2 of them.  Below
-    ``LOWRANK_CROSSOVER`` each is the lattice pass, m^2 operations; from it on
-    the low-rank evaluator, k m log2(m) operations and a k x m probe buffer
-    of 8 k m bytes, k = ``LOWRANK_PROBES``.
+    ``LOWRANK_CROSSOVER`` each reads a range table: m^2 operations are the
+    cold cost of growing it to m, and a size the table covers costs O(m);
+    from the crossover on the low-rank evaluator takes k m log2(m)
+    operations and a k x m probe buffer of 8 k m bytes, k = ``LOWRANK_PROBES``.
     """
     sums = q // 2
     if m < LOWRANK_CROSSOVER:
@@ -770,7 +800,11 @@ def sharp_rate_exponent(h: float, q: int) -> float:
     H = (2q-3)/(2q-2) and are twice the envelope's third and middle regimes,
     hence the closed form above.  Where 2 * rate_exponent = -1/2, i.e.
     H = 1 - 3/(4q) for q = 2 and H = 3/4 for q >= 3, the two power laws tie
-    and the bound carries a log correction.
+    and the bound carries a log correction.  At q = 2, H = 5/8 the range
+    table gives it: R W(R) = 0.3822 from R = 64 to 2047, so
+    Tr((T_a T_b)^2) = 0.382 m log m + O(m) and the contraction part decays
+    like n^{-1/2} (log n)^{1/2}.  At q = 3, H = 3/4 the log power is not
+    derived yet.
     """
     return max(-0.5, 2.0 * rate_exponent(h, q))
 

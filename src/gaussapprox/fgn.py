@@ -330,6 +330,7 @@ def check_breuer_major_hypothesis(h: float, q: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=256)
 def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
     """Breuer-Major normalization sigma = sqrt(q! * sum_{r in Z} rho(r)^q).
 
@@ -339,6 +340,9 @@ def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
     rest of the sum is ``2 sum_k e_k zeta(q(2-2H)+2k, max_lag+1)`` with the
     Hurwitz zeta function (``_hurwitz_zeta``, a port of Cephes'), exact to
     machine precision.  ``max_lag`` must reach the series cutoff (16).
+
+    Kept per (H, q, max_lag): a sweep over levels asks the same estimate
+    once per report, and the estimate is frozen, so the callers share it.
     """
     h = check_hurst(h)
     q = _check_rank(q, minimum=2)

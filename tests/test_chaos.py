@@ -113,22 +113,29 @@ def test_contraction_orders_r_and_q_minus_r_agree():
                     assert fast == pytest.approx(brute, rel=1e-12, abs=1e-300)
 
 
-def test_contraction_cache_runs_one_lattice_sum_per_key(monkeypatch):
-    runs = []
-    real = chaos._quad_sum
+def _count_growths(monkeypatch):
+    """The (q, r, m) of every range-table growth, on an empty table store."""
+    growths = []
+    real = chaos._RangeTable.grow
 
-    def counting(*args, **kwargs):
-        runs.append(args[2])
-        return real(*args, **kwargs)
+    def counting(self, h, q, r, m):
+        growths.append((q, r, m))
+        return real(self, h, q, r, m)
 
-    monkeypatch.setattr(chaos, "_quad_sum", counting)
+    monkeypatch.setattr(chaos._RangeTable, "grow", counting)
+    monkeypatch.setattr(chaos, "_TABLES", {})
     chaos._unscaled_contraction.cache_clear()
+    return growths
+
+
+def test_contraction_cache_runs_one_lattice_sum_per_key(monkeypatch):
+    growths = _count_growths(monkeypatch)
     fam = kernel_family(0.7, 3, 512, (0, 1, 2, 3))
     first = wasserstein_bound(fam, np.eye(3))
-    # three equal blocks, orders 1 and 2: one distinct (H, q, min(r, q-r), m)
-    assert runs == [512]
+    # three equal blocks, orders 1 and 2: one distinct (H, q, min(r, q-r)), one growth
+    assert growths == [(3, 1, 512)]
     second = wasserstein_bound(fam, np.eye(3))
-    assert runs == [512]
+    assert growths == [(3, 1, 512)]
     assert second.bound == first.bound
     assert np.array_equal(second.contraction_norms_sq, first.contraction_norms_sq)
 
@@ -168,85 +175,144 @@ def _gather_quad_sum(a, b_ext, m):
 REFERENCE_RTOL = 1e-14
 
 
+def _reference(h, q, r, m):
+    rho_tab = rho(h, np.arange(2 * m - 1))
+    return _gather_quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)
+
+
 def test_quad_sum_matches_extended_precision_gather_loop():
     for h in (0.5, 0.65, 0.8):
         for q, r in ((3, 1), (3, 2), (4, 2)):
+            table = chaos._RangeTable()
             for m in (1, 2, 3, 257, 1024):
-                rho_tab = rho(h, np.arange(2 * m - 1))
-                a = rho_tab[:m] ** r
-                b_ext = rho_tab ** (q - r)
-                reference = _gather_quad_sum(a, b_ext, m)
-                assert abs(chaos._quad_sum(a, b_ext, m) - reference) <= REFERENCE_RTOL * reference
+                table.grow(h, q, r, m)
+                reference = _reference(h, q, r, m)
+                assert abs(table.sum(m) - reference) <= REFERENCE_RTOL * reference, (h, q, r, m)
 
 
-def _pass_steps(m):
-    """(g0, G) of each step of the lattice pass's diagonal walk on m points."""
-    g0 = 0
-    while g0 < m:
-        g = chaos._gaps_per_step(m - g0)
-        yield g0, g
-        g0 += g
-
-
-def _blocked_pass_sizes():
-    """m = 1, 2, 3; the largest m the pass takes in one step and the next;
-    both sides of a change of the first step's G near m = 300 and 560; the
-    first m from there on with m mod G = 0, 1 and G - 1; the same residues
-    where G sits at its floor."""
-    gaps = chaos._gaps_per_step
-    sizes = {1, 2, 3}
-    one_step = max(m for m in range(1, 1024) if gaps(m) == m)
-    sizes.update({one_step, one_step + 1})
-    floor = chaos._GAP_BLOCK // chaos._MIN_GAPS
-    for start in (300, 560, floor):
-        if start < floor:
-            m = next(m for m in range(start, 2 * start) if gaps(m) != gaps(m - 1))
-            sizes.update({m - 1, m})
-        for rest in (0, 1, -1):
-            sizes.add(next(m for m in range(start, 2 * start) if m % gaps(m) == rest % gaps(m)))
-    return sorted(sizes)
+def _table_grid_sizes():
+    """m = 1, 2, 3 and both sides of the first two block edges of the range
+    table's grid, then the sign-changing cases at m = 4096..4099."""
+    b = chaos._TABLE_BLOCK
+    return [1, 2, 3, b - 1, b, b + 1, 2 * b + 1], [4096, 4097, 4098, 4099]
 
 
 def test_blocked_lattice_pass_matches_extended_precision_reference():
     # H = 0.3 has negative lags, H = 0.5 one-point support; at H = 0.3 an odd
-    # r makes a = rho change sign, so the entries of the FFT's first column cancel
-    sizes = _blocked_pass_sizes()
-    assert {1, 2, 3} < set(sizes) and max(sizes) > chaos._GAP_BLOCK // chaos._MIN_GAPS
-    for m in sizes:
-        cases = [(0.3, 2, 1), (0.5, 3, 1), (0.7, 4, 2)] if m < 1024 else [(0.3, 4, 2), (0.3, 3, 1)]
+    # r makes a = rho change sign, so the entries of the FFT's heads cancel
+    small, large = _table_grid_sizes()
+    for sizes, cases in ((small, [(0.3, 2, 1), (0.5, 3, 1), (0.7, 4, 2)]),
+                         (large, [(0.3, 4, 2), (0.3, 3, 1)])):
         for h, q, r in cases:
-            rho_tab = rho(h, np.arange(2 * m - 1))
-            a, b_ext = rho_tab[:m] ** r, rho_tab ** (q - r)
-            reference = _gather_quad_sum(a, b_ext, m)
-            assert abs(chaos._quad_sum(a, b_ext, m) - reference) <= REFERENCE_RTOL * reference, (h, q, r, m)
+            for m in sizes:
+                reference = _reference(h, q, r, m)
+                value = chaos._lattice_sum(h, q, r, m)
+                assert abs(value - reference) <= REFERENCE_RTOL * reference, (h, q, r, m)
+
+
+def _growth_peak(table, h, q, r, m):
+    tracemalloc.start()
+    try:
+        table.grow(h, q, r, m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_blocked_lattice_pass_memory_is_bounded_by_the_block():
-    # the one pass buffer, plus numpy's iterator buffers and the O(m) lag
-    # tables, within twelve arrays of max(2^13, _MIN_GAPS m) elements; the
-    # whole (m x m) matrix would be 2.4 MiB at m = 564 and 128 MiB at 4096
+    # one block buffer of 2 B m elements, plus the lag, FFT and table arrays
+    # of O(m): within 2 B + 64 arrays of m elements; the whole (m x m)
+    # matrix would be 2.4 MiB at m = 564 and 128 MiB at 4096
     for m in (564, 4096):
-        rho_tab = rho(0.7, np.arange(2 * m - 1))
-        a, b_ext = rho_tab[:m], rho_tab**2
-        tracemalloc.start()
-        try:
-            chaos._quad_sum(a, b_ext, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block = max(2**13, chaos._MIN_GAPS * m)
-        assert peak < 12 * 8 * block, (m, peak)
+        peak = _growth_peak(chaos._RangeTable(), 0.7, 3, 1, m)
+        rows = -(-m // chaos._TABLE_BLOCK) * chaos._TABLE_BLOCK
+        assert peak < 8 * (2 * chaos._TABLE_BLOCK + 64) * rows, (m, peak)
 
 
 def test_lattice_pass_asks_for_one_buffer_size_whatever_the_block():
-    # equal requests let malloc hand each sum the memory the last one freed
-    for m in (2, 3, 90, 564, 1023, 2048):
-        size = chaos._pass_buffer(m).size
-        assert size == chaos._PASS_BUFFER, m
-        # each step's terms and padded diagonals
-        for g0, g in _pass_steps(m):
-            span = m - g0
-            assert g * span + g * (span + g - 1) <= size, (m, g0)
+    # one buffer, sized by the last block, serves every block of a growth:
+    # growing a table by one block or by all of them asks for the same
+    # memory, up to the O(m) arrays
+    b = chaos._TABLE_BLOCK
+    for rows in (2 * b, 9 * b, 32 * b):
+        whole = _growth_peak(chaos._RangeTable(), 0.6, 3, 1, rows)
+        table = chaos._RangeTable()
+        table.grow(0.6, 3, 1, rows - b)
+        last = _growth_peak(table, 0.6, 3, 1, rows)
+        assert 8 * 2 * b * rows <= min(whole, last), rows
+        assert abs(whole - last) < 8 * 24 * rows, (rows, whole, last)
+
+
+def _brute_sums(h, q, r, m_max):
+    """S(0..m_max), unscaled, from the O(m^4) brute force."""
+    return [0.0] + [contraction_norm_sq_brute(StepKernel(rank=q, scale=1.0, block=(0, m)), r, h)
+                    for m in range(1, m_max + 1)]
+
+
+def test_range_weight_is_the_second_difference_of_the_brute_force():
+    # S(m) = sum_{R<m} (m - R) W(R), so W(R) = S(R + 1) - 2 S(R) + S(R - 1)
+    # with S(m) = 0 for m <= 0; at H = 0.1 an odd r makes a = rho change sign
+    for h, q, r in ((0.1, 3, 1), (0.1, 2, 1), (0.3, 4, 2), (0.6, 2, 1), (0.7, 3, 1)):
+        s = _brute_sums(h, q, r, 21)
+        table = chaos._RangeTable()
+        table.grow(h, q, r, 21)
+        for big_r in range(21):
+            second = s[big_r + 1] - 2.0 * s[big_r] + (s[big_r - 1] if big_r else 0.0)
+            assert abs(table.w[big_r] - second) <= 1e-13 * s[big_r + 1], (h, q, r, big_r)
+
+
+def test_table_sums_match_the_brute_force_up_to_64_points():
+    for h in (0.1, 0.3, 0.7):
+        for q in (2, 3, 4):
+            for m in (1, 2, 17, 64):
+                f = StepKernel(rank=q, scale=0.9, block=(5, 5 + m))
+                for r in range(1, q):
+                    brute = contraction_norm_sq_brute(f, r, h)
+                    assert contraction_norm_sq(f, r, h) == pytest.approx(brute, rel=1e-12), (h, q, r, m)
+
+
+def test_table_sums_do_not_depend_on_the_order_of_sizes():
+    sizes = [1, 2, 63, 64, 65, 129, 200, 376, 564, 700]
+    orders = {"ascending": sorted(sizes), "descending": sorted(sizes, reverse=True),
+              "shuffled": [int(m) for m in np.random.default_rng(31).permutation(sizes)]}
+    for h, q, r in ((0.1, 3, 1), (0.7, 4, 2)):
+        fresh = {}
+        for m in sizes:
+            table = chaos._RangeTable()
+            table.grow(h, q, r, m)
+            fresh[m] = table.sum(m)
+        for name, order in orders.items():
+            table = chaos._RangeTable()
+            for m in order:
+                table.grow(h, q, r, m)
+                assert table.sum(m) == fresh[m], (name, h, q, r, m)
+
+
+def test_range_table_store_is_bounded(monkeypatch):
+    assert 0 < chaos.RANGE_TABLES and 0 < chaos.RANGE_TABLE_BYTES <= chaos.MEMORY_BUDGET
+    monkeypatch.setattr(chaos, "_TABLES", {})
+    monkeypatch.setattr(chaos, "RANGE_TABLES", 3)
+    keys = [(h, 2, 1) for h in (0.3, 0.4, 0.6, 0.7, 0.55)]
+    for key in keys:
+        chaos._lattice_sum(*key, 100)
+    assert list(chaos._TABLES) == keys[-3:]
+    # a hit moves its table to the back, so the least recently used goes first
+    chaos._lattice_sum(*keys[2], 50)
+    assert list(chaos._TABLES) == [keys[3], keys[4], keys[2]]
+    one = chaos._TABLES[keys[2]].nbytes
+    monkeypatch.setattr(chaos, "RANGE_TABLE_BYTES", 2 * one)
+    chaos._lattice_sum(0.65, 2, 1, 100)
+    assert list(chaos._TABLES) == [keys[2], (0.65, 2, 1)]
+
+
+def test_q2_tie_point_range_weight_decays_like_one_over_the_range():
+    # at (H, q, r) = (5/8, 2, 1), R W(R) -> 0.3822, so S(m) = 0.382 m log m + O(m)
+    table = chaos._RangeTable()
+    table.grow(0.625, 2, 1, 2048)
+    ref = 64 * table.w[64]
+    assert ref == pytest.approx(0.3822, abs=5e-5)
+    for big_r in (128, 256, 512, 1024, 2047):
+        assert abs(big_r * table.w[big_r] - ref) <= 5e-5, big_r
 
 
 def test_lag_table_entries_have_the_bits_of_fresh_rho_calls():
@@ -268,29 +334,36 @@ def test_bound_builds_one_lag_table_that_ends_with_the_report(monkeypatch):
         return real(h, x)
 
     monkeypatch.setattr(chaos, "rho", counting)
+    monkeypatch.setattr(chaos, "_TABLES", {})
     chaos._unscaled_contraction.cache_clear()
     rep = wasserstein_bound(fam, np.eye(2))
     # lags 0..2 * 564 - 2 serve both blocks' sums and every inner product
     assert calls == [1127]
     assert chaos._REPORT_LAGS.get() is None
-    # outside the report each value takes its own rho call, and the bits agree
+    # outside the report each value takes its own rho call, and each growth
+    # of a fresh range table one, and the bits agree
+    chaos._TABLES.clear()
     for i, f in enumerate(fam.kernels):
         for j, g in enumerate(fam.kernels):
             assert rep.inner_products[i, j] == kernel_inner(f, g, 0.7)
         for r in range(1, 4):
             fresh, _ = chaos._unscaled_contraction.__wrapped__(0.7, 4, min(r, 4 - r), f.size)
             assert rep.contraction_norms_sq[i, r - 1] == f.scale**4 * fresh
-    assert len(calls) == 1 + 2 * 2 + 2 * 3
+    # two inner products per block; tables (q, r) = (4, 1) and (4, 2) grow to 376, then to 564
+    assert len(calls) == 1 + 2 * 2 + 2 * 2
 
 
 def test_brownian_contraction_is_the_block_size():
-    # At H = 1/2 rho vanishes off lag 0, so T_a = T_b = I and Tr(I^2) = m.
+    # At H = 1/2 rho vanishes off lag 0, so T_a = T_b = I and Tr(I^2) = m:
+    # the range table holds W(0) = 1 and W(R) = 0 beyond, and S(m) = m exactly
     for q, r in ((2, 1), (3, 1), (4, 2)):
+        table = chaos._RangeTable()
+        table.grow(0.5, q, r, 1024)
+        assert table.w[0] == 1.0 and not np.any(table.w[1:])
         for m in (1, 2, 3, 257, 1024):
             closed, error = chaos._unscaled_contraction.__wrapped__(0.5, q, r, m)
-            rho_tab = rho(0.5, np.arange(2 * m - 1))
             assert closed == m and error == 0.0
-            assert closed == chaos._quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)
+            assert closed == table.sum(m) == chaos._lattice_sum(0.5, q, r, m)
             if m <= 64:
                 f = StepKernel(rank=q, scale=1.0, block=(0, m))
                 assert contraction_norm_sq_brute(f, r, 0.5) == pytest.approx(closed, rel=1e-14)
@@ -476,8 +549,7 @@ def test_next_fast_len_is_the_real_fft_size_of_scipy():
 def test_lowrank_sum_matches_lattice_pass():
     for m in (chaos.LOWRANK_CROSSOVER, 2 * chaos.LOWRANK_CROSSOVER):
         for h, q, r in LOWRANK_CASES:
-            rho_tab = rho(h, np.arange(2 * m - 1))
-            exact = chaos._quad_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m)
+            exact = chaos._lattice_sum(h, q, r, m)
             fast, error = chaos._unscaled_contraction.__wrapped__(h, q, r, m)
             assert 0.0 < error < chaos.LOWRANK_TOLERANCE, (h, q, r, m)
             assert abs(fast - exact) <= 1e-13 * exact, (h, q, r, m)
@@ -485,17 +557,17 @@ def test_lowrank_sum_matches_lattice_pass():
 
 def _count_evaluators(monkeypatch):
     runs = {"lattice": [], "lowrank": []}
-    quad, lowrank = chaos._quad_sum, chaos._lowrank_sum
+    lattice, lowrank = chaos._lattice_sum, chaos._lowrank_sum
 
-    def counting_quad(a, b_ext, m):
+    def counting_lattice(h, q, r, m):
         runs["lattice"].append(m)
-        return quad(a, b_ext, m)
+        return lattice(h, q, r, m)
 
     def counting_lowrank(a, b_ext, m, seed):
         runs["lowrank"].append(m)
         return lowrank(a, b_ext, m, seed)
 
-    monkeypatch.setattr(chaos, "_quad_sum", counting_quad)
+    monkeypatch.setattr(chaos, "_lattice_sum", counting_lattice)
     monkeypatch.setattr(chaos, "_lowrank_sum", counting_lowrank)
     chaos._unscaled_contraction.cache_clear()
     return runs
@@ -516,14 +588,15 @@ def test_contraction_dispatch_at_the_crossover(monkeypatch):
 
 
 def test_lowrank_fallback_returns_lattice_bits(monkeypatch):
-    quad = chaos._quad_sum
+    lattice = chaos._lattice_sum
     runs = _count_evaluators(monkeypatch)
     monkeypatch.setattr(chaos, "LOWRANK_TOLERANCE", 0.0)
     m = chaos.LOWRANK_CROSSOVER
     value, error = chaos._unscaled_contraction(0.6, 3, 1, m)
     assert runs == {"lattice": [m], "lowrank": [m]}
-    rho_tab = rho(0.6, np.arange(2 * m - 1))
-    assert value == quad(rho_tab[:m], rho_tab**2, m)
+    table = chaos._RangeTable()
+    table.grow(0.6, 3, 1, m)
+    assert value == lattice(0.6, 3, 1, m) == table.sum(m)
     assert error == 0.0
 
 

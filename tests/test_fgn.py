@@ -175,6 +175,13 @@ def test_sigma_independent_of_head_length():
         assert short.value == pytest.approx(long.value, rel=1e-13)
 
 
+def test_sigma_is_cached_per_hurst_rank_and_head():
+    first = sigma_bm(0.65, 3)
+    assert sigma_bm(0.65, 3) is first
+    assert sigma_bm(0.65, 3, max_lag=128) is not first
+    assert sigma_bm(0.65, 3, max_lag=128).value == pytest.approx(first.value, rel=1e-13)
+
+
 def test_sigma_head_must_reach_series_cutoff():
     with pytest.raises(ValueError):
         sigma_bm(0.6, 2, max_lag=8)
