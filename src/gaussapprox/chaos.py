@@ -24,50 +24,46 @@ matrices T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.
 
   c(R) = sum_{t<=R} a(t) b(R-t), P(R) = sum_{t<=R} a(t) b(t) and
   G_xyx(R) = sum_{u,w in [0,R]} x(u) y(|u-w|) x(R-w): the 50 terms of
-  inclusion-exclusion over which points sit at 0 and at R, collapsed.  One
-  recurrence per G takes every R in O(m^2), over the triangle w <= R in
-  blocks of ``_TABLE_BLOCK`` rows on a fixed grid, never an m x m array.  A
-  table grows by whole blocks, so the bits of S(m) do not depend on the
-  sizes asked before, and every size it covers costs one O(m) read against
-  the O(m^4) brute force the tests keep as the oracle.  No step calls BLAS,
-  so the sum does not depend on the BLAS thread count; it stays within
-  6.5e-16 of a long-double reference up to m = 4099 and 4.4e-16 at 2^13.
-* The low-rank evaluator ``_lowrank_sum`` rests on the finite form of
-  Widom's identity T(a) T(b) = T(ab) - H(a) H(b~):
-  M = T_F - E, E = E_up + J E_up J, where F = a * b is the full
-  convolution over lags |t| <= m-1 and E_up[i, j] = sum_{s >= 1} a(i+s)
-  b(j+s), a product of two Hankel matrices, is the corner the block cuts
-  off the convolution.  It expands
-  Tr(M^2) = Tr(T_F^2) - 4 Tr(T_F E_up) + 2 Tr(E_up^2) + 2 Tr(E_up J E_up J).
-  Tr(T_F^2) = sum_g (m - |g|) F(g)^2 takes one FFT for F.  E_up is a product
-  of Hankel matrices of power-law sequences, whose singular values fall
-  fast (numerical rank about 30), so a randomized range finder
-  (Halko-Martinsson-Tropp) with ``LOWRANK_PROBES`` seeded sign probes and
-  one power iteration gives E_up ~ Q B^T, and the other three traces cost
-  O(k m log m) through circular FFTs of the first 5-smooth length at least
-  2m - 1.  The probes are seeded from (H, q, r, m), and every m-long
-  reduction is an einsum loop, so the bits do not depend on the run or on
-  the BLAS thread count.
+  inclusion-exclusion over which points sit at 0 and at R, collapsed.
+* Below ``_HANDOVER`` rows one recurrence per G takes every R in O(m^2),
+  over the triangle w <= R in blocks of ``_TABLE_BLOCK`` rows on a fixed
+  grid, never an m x m array.
+* Past it the table grows by dyadic blocks [N, 2N), N = ``_HANDOVER`` 2^k,
+  each in O(N log^2 N).  With L = 2N and V(w) = sum_{u<L} x(u) y(|u-w|),
+  one FFT Toeplitz product,
 
-Sums of blocks of at least ``LOWRANK_CROSSOVER`` run on the low-rank
-evaluator; smaller ones read the range table.  The evaluator also estimates
-its relative error from ``_RESIDUAL_PROBES`` more probes of |E_up - Q B^T|
-together with |T_F| and |B|.  Above ``LOWRANK_TOLERANCE`` the lattice pass
-runs instead on blocks up to ``LATTICE_FALLBACK_MAX``, so every sum there is
-exact to that tolerance; a larger block keeps the low-rank value and its
-estimate.  :func:`contraction_error` reads the largest estimate behind a
-kernel family (0.0 for lattice and closed-form sums).
+    G(R) = (x * V)(R) - E(R),   E(R) = sum_{i<=R<k<L} x(i) x(k) y(i+k-R),
+
+  where E takes out the terms of x * V with u > R.  Rows i < N of E are two
+  FFT correlations: C(d) = sum_{i<N} x(i) y(i+d), then
+  sum_{d>=1} x(R+d) C(d).  Rows i >= N are a dominance sum inside the
+  block, taken by the divide and conquer of relaxed multiplication (van der
+  Hoeven 2002): at a node, the terms with i and R in its left half and k
+  in its right half are one causal convolution, those with i in the left
+  half and R < k in the right half one correlation, and the rest lie in one
+  half.  Every y index lies inside the
+  node, so transforms of the node's length suffice, and one array per level
+  holds all of its nodes.  c on the block is one FFT convolution.
+
+A table grows by whole blocks whose shapes depend on where they start
+alone, and P is a sequential sum, so the bits of S(m) do not depend on the
+sizes asked before, and every size a table covers costs one O(m) read
+against the O(m^4) brute force the tests keep as the oracle.  No step calls
+BLAS, so the sum does not depend on the BLAS thread count.  Every sum stays
+within 6.5e-16 of a long-double lattice reference up to m = 8192, and
+within 8.5e-16 of the table run in np.longdouble up to 2^16;
+``CONTRACTION_RTOL`` states the precision the tests hold them to.
 
 The unscaled sum depends only on (H, q, r, m): shifting the block leaves it
 unchanged and the scale enters as c^4.  It is also unchanged by r <-> q-r,
 the identity ||f (x)_r f|| = ||f (x)_{q-r} f|| for symmetric f, because the
 swap exchanges a and b and Tr((T_a T_b)^2) = Tr((T_b T_a)^2).  So each sum is
-computed once and kept, with its error estimate, in a bounded LRU cache under
-the key (H, q, min(r, q-r), m), and a d-dimensional family of equal blocks
-costs one sum per distinct min(r, q-r).  The range tables sit in a store
-bounded by ``RANGE_TABLES`` and ``RANGE_TABLE_BYTES``.  At H = 1/2 the
-increments are independent, rho has one-point support and T_a = T_b = I, so
-the sum is the closed form m and no evaluator runs.  While :func:`wasserstein_bound`
+computed once and kept in a bounded LRU cache under the key
+(H, q, min(r, q-r), m), and a d-dimensional family of equal blocks costs one
+sum per distinct min(r, q-r).  The range tables sit in a store bounded by
+``RANGE_TABLES`` and ``RANGE_TABLE_BYTES``.  At H = 1/2 the increments are
+independent, rho has one-point support and T_a = T_b = I, so the sum is the
+closed form m and no table grows.  While :func:`wasserstein_bound`
 assembles one bound it holds one table of rho over every lag its sums and
 inner products read, and the table goes with the report.
 
@@ -96,7 +92,6 @@ from .fgn import (
 )
 from .hermite import _check_rank
 from .linalg import as_covariance, prefactor
-from .rng import hash64, philox_bits
 
 __all__ = [
     "StepKernel",
@@ -110,43 +105,27 @@ __all__ = [
     "rate_exponent",
     "sharp_rate_exponent",
     "bound_curve",
-    "contraction_error",
     "contraction_work",
 ]
 
-#: Distinct unscaled contraction sums kept in memory, one float and its
-#: error estimate each.
+#: Distinct unscaled contraction sums kept in memory, one float each.
 CONTRACTION_CACHE_SIZE = 1024
 
-#: Smallest block size whose contraction sum runs on the low-rank evaluator.
-LOWRANK_CROSSOVER = 2048
-
-#: Probes of the randomized range finder, the largest rank it can return.
-LOWRANK_PROBES = 40
-
-#: Largest estimated relative error a low-rank sum may carry; above it the
-#: exact lattice pass runs instead, on blocks up to ``LATTICE_FALLBACK_MAX``.
-LOWRANK_TOLERANCE = 1e-13
-
-#: Largest block whose low-rank sum falls back to the lattice pass.  Past it
-#: the pass is O(m^2) work that :func:`contraction_work` does not count, so
-#: the low-rank value is kept with its estimate.
-LATTICE_FALLBACK_MAX = 2**13
-
-#: Extra probes that estimate the range finder's residual.
-_RESIDUAL_PROBES = 4
-
-#: Probe rows sent through one batched FFT.  Larger batches hold more
-#: transforms in memory at once and were not faster.
-_FFT_ROWS = 2
+#: Relative precision of every contraction sum: the distance from a
+#: long-double reference that the tests hold each evaluator to.
+CONTRACTION_RTOL = 1e-14
 
 #: Rows of one block of the range table's recurrences.  A table grows by
 #: whole blocks on this fixed grid, so the bits of every sum it gives do not
 #: depend on the sizes asked before.
 _TABLE_BLOCK = 64
 
+#: Rows the recurrences cover; past them the range table grows by the dyadic
+#: blocks [N, 2N), N = _HANDOVER 2^k, of :func:`_block_terms`.
+_HANDOVER = 1024
+
 #: Pre-flight budget of one bound: estimated operations of its contraction
-#: sums, and bytes of the low-rank evaluator's probe buffer.
+#: sums, and bytes of the temporaries of the range table's largest block.
 WORK_BUDGET = 2**30
 MEMORY_BUDGET = 2**28
 
@@ -271,26 +250,72 @@ def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
     return np.ndarray(shape, base.dtype, base, start * size, tuple(k * size for k in steps))
 
 
+def _table_rows(m: int) -> int:
+    """Rows of a range table that covers m points."""
+    if m <= _HANDOVER:
+        return -(-m // _TABLE_BLOCK) * _TABLE_BLOCK
+    return _HANDOVER << (-(-m // _HANDOVER) - 1).bit_length()
+
+
 class _RangeTable:
     """S(m) = Tr((T_a T_b)^2) on m points for every m up to ``rows``, a = rho^r, b = rho^{q-r}.
 
-    S(m) = sum_{R<m} (m - R) W(R), W as in the module docstring.  Each
-    G_xyx comes from the recurrence V_R[w] = V_{R-1}[w] + x(R) y(|R-w|) over
-    w <= R, with G(R) = sum_{w<=R} V_R[w] x(R-w), and c(R) = V_R[R] of the
-    aba one.  ``state`` holds the last row of both recurrences (aba first),
-    ``w`` holds W(0..rows-1) and ``p`` holds P(rows-1).
+    S(m) = sum_{R<m} (m - R) W(R), W as in the module docstring.  Below
+    ``_HANDOVER`` rows each G_xyx comes from the recurrence
+    V_R[w] = V_{R-1}[w] + x(R) y(|R-w|) over w <= R, with
+    G(R) = sum_{w<=R} V_R[w] x(R-w), and c(R) = V_R[R] of the aba one; past
+    it every dyadic block takes c and G from :func:`_block_terms`.
+    ``state`` holds the last row of both recurrences (aba first) until the
+    table reaches the hand-over, ``w`` holds W(0..rows-1) and ``p`` holds
+    P(rows-1), all in ``dtype``: float64 in the library, np.longdouble for
+    the tests' extended-precision twin.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
         self.rows, self.p = 0, 0.0
-        self.state, self.w = np.zeros((2, 0)), np.empty(0)
+        self.state, self.w = np.zeros((2, 0), dtype), np.empty(0, dtype)
 
     @property
     def nbytes(self) -> int:
         return self.state.nbytes + self.w.nbytes
 
     def grow(self, h: float, q: int, r: int, m: int) -> None:
-        """Add whole blocks of ``_TABLE_BLOCK`` rows until the table covers m points.
+        """Add rows until the table covers m points: whole blocks of
+        ``_TABLE_BLOCK`` rows up to ``_HANDOVER``, then dyadic blocks.
+
+        The shapes of every block depend on where it starts alone and P is a
+        sequential sum, so no bit of W depends on the sizes earlier growths
+        reached.
+        """
+        rows, done = _table_rows(m), self.rows
+        if rows <= done:
+            return
+        lags = _rho_at(h, np.arange(rows))
+        # x of the aba and bab recurrences; their y is xs[::-1]
+        xs = np.stack((lags**r, lags ** (q - r))).astype(self.w.dtype, copy=False)
+        parts = []
+        if done < _HANDOVER:
+            parts.append(self._recur(xs[:, :min(rows, _HANDOVER)]))
+        n = max(done, _HANDOVER)
+        while n < rows:
+            parts.append(_block_terms(xs[:, :2 * n]))
+            n *= 2
+        c, g = (np.concatenate(z, axis=-1) for z in zip(*parts))
+
+        (a0, b0), (a, b) = xs[:, 0], xs[:, done:]
+        ab = a * b
+        p = ab.copy()
+        p[0] += self.p
+        np.cumsum(p, out=p)
+        e = a0 * b + a * b0
+        w = (4.0 * (c * c + a * g[1] + b * g[0]) - 8.0 * (e * c + p * ab)
+             + 2.0 * (e * e + ab * ab) + 4.0 * (a0 * b0) * ab)
+        if done == 0:
+            w[0] = (a0 * b0) ** 2
+        self.rows, self.p, self.w = rows, p[-1], np.concatenate((self.w, w))
+
+    def _recur(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """c and G of the rows from ``self.rows`` to ``xs.shape[1]`` by the recurrences.
 
         Block [R0, R0 + B) works on the columns w < R0 + B.  A column w >= R0
         enters it at sum_{u<R0} x(u) y(w-u), one real FFT pair of length
@@ -299,24 +324,17 @@ class _RangeTable:
         additions carry them down the block (sequential, as the recurrence
         is, and about five times faster than ``cumsum`` along an axis), and
         one product and one pairwise row sum give G; the zeros past lag 0 of
-        the reversed x cut every row at w = R.  The shapes of a block depend
-        on R0 and B alone and P is a sequential sum, so no bit of W depends on
-        the sizes earlier growths reached.  One buffer, of the last block's
-        size, serves every block; no call goes through BLAS.
+        the reversed x cut every row at w = R.  One buffer, of the last
+        block's size, serves every block; no call goes through BLAS.
         """
-        b_rows = _TABLE_BLOCK
-        rows, done = -(-m // b_rows) * b_rows, self.rows
-        if rows <= done:
-            return
-        lags = _rho_at(h, np.arange(rows))
-        xs = np.stack((lags**r, lags ** (q - r)))  # x of the aba and bab recurrences
-        ys = xs[::-1]  # and their y
+        b_rows, done, rows = _TABLE_BLOCK, self.rows, xs.shape[1]
+        ys = xs[::-1]
         y_sym = np.concatenate((ys[:, :0:-1], ys), axis=1)  # lag 0 at column rows - 1
-        x_rev = np.concatenate((xs[:, ::-1], np.zeros((2, b_rows))), axis=1)  # x(rows-1-k)
-        state = np.zeros((2, rows))
+        x_rev = np.concatenate((xs[:, ::-1], np.zeros((2, b_rows), xs.dtype)), axis=1)  # x(rows-1-k)
+        state = np.zeros((2, rows), xs.dtype)
         state[:, :done] = self.state
-        c, g = np.empty(rows - done), np.empty((2, rows - done))
-        buf = np.empty(2 * b_rows * rows)
+        c, g = np.empty(rows - done, xs.dtype), np.empty((2, rows - done), xs.dtype)
+        buf = np.empty(2 * b_rows * rows, xs.dtype)
         diag = np.arange(b_rows)
         for r0 in range(done, rows, b_rows):
             n, k = r0 + b_rows, r0 - done
@@ -335,23 +353,75 @@ class _RangeTable:
             c[k:k + b_rows] = v[diag, 0, r0 + diag]
             x_view = _skewed(x_rev, rows - 1 - r0, v.shape, (-1, x_rev.shape[1], 1))
             g[:, k:k + b_rows] = np.multiply(v, x_view, out=v).sum(axis=2).T
-
-        (a0, b0), (a, b) = xs[:, 0], xs[:, done:]
-        ab = a * b
-        p = ab.copy()
-        p[0] += self.p
-        np.cumsum(p, out=p)
-        e = a0 * b + a * b0
-        w = (4.0 * (c * c + a * g[1] + b * g[0]) - 8.0 * (e * c + p * ab)
-             + 2.0 * (e * e + ab * ab) + 4.0 * (a0 * b0) * ab)
-        if done == 0:
-            w[0] = (a0 * b0) ** 2
-        self.rows, self.p = rows, float(p[-1])
-        self.state, self.w = state, np.concatenate((self.w, w))
+        self.state = state if rows < _HANDOVER else state[:, :0]
+        return c, g
 
     def sum(self, m: int) -> float:
         """S(m) for m <= rows: one pairwise sum of (m - R) W(R) over R < m."""
-        return float(np.sum(np.arange(m, 0, -1, dtype=np.float64) * self.w[:m]))
+        return float(np.sum(np.arange(m, 0, -1, dtype=self.w.dtype) * self.w[:m]))
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of E across the two halves of every node, its s points on the last axis.
+
+    For R in the left half they are sum_{i<=R} x(i) C1(R-i), i in the left
+    half and C1(t) = sum_k x(k) y(k-t) over k in the right half; for R in
+    the right half, sum_{d>=1} x(R+d) C2(d) with C2(d) = sum_i x(i) y(i+d)
+    over i in the left half.  Every y index lies inside the node, so
+    transforms of length s need no padding.  Returns (left, right).
+    """
+    s = x.shape[-1]
+    half = s // 2
+    xl_hat, xr_hat, y_hat = rfft(x[..., :half], s), rfft(x[..., half:], s), rfft(y)
+    c2 = irfft(np.conj(xl_hat) * y_hat, s)[..., :half]
+    c2[..., 0] = 0.0
+    right = irfft(np.conj(rfft(c2, s)) * xr_hat, s)[..., :half]
+    # C1(t) is the correlation of y with x on r at lag half - t
+    c1 = irfft(np.conj(xr_hat) * y_hat, s)[..., half:0:-1]
+    del xr_hat, y_hat
+    left = irfft(rfft(c1, s) * xl_hat, s)[..., :half]
+    return left, right
+
+
+def _block_terms(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c(R), and G(R) of both recurrences, on the block [N, 2N) from x on lags < L = 2N.
+
+    G(R) = (x * V)(R) - E(R) with V(w) = sum_{u<L} x(u) y(|u-w|), one FFT
+    Toeplitz product, and E(R) = sum_{i<=R<k<L} x(i) x(k) y(i+k-R).  Rows
+    i < N of E are the right half of the cross terms of the node [0, L);
+    rows i >= N are the block's own, taken by divide and conquer one level
+    of nodes at a time, down to nodes of 4 points summed term by term.
+    Every shape depends on N alone.
+    """
+    ys, (_, size) = xs[::-1], xs.shape
+    n = size // 2
+    x_hat = rfft(xs, 2 * size)
+    c = irfft(x_hat[0] * x_hat[1], 2 * size)[n:size]
+    t_hat = rfft(np.concatenate((ys, np.zeros((2, 1), xs.dtype), ys[:, :0:-1]), axis=1))
+    t_hat *= x_hat
+    v_hat = rfft(irfft(t_hat, 2 * size)[:, :size], 2 * size)
+    del t_hat
+    v_hat *= x_hat
+    del x_hat
+    g = irfft(v_hat, 2 * size)[:, n:size].copy()
+    del v_hat
+
+    e = _cross(xs[:, None], ys[:, None])[1][:, 0].copy()
+    x, y = xs[:, n:], ys[:, n:]
+    s = n
+    while s > 4:
+        left, right = _cross(x.reshape(2, -1, s), y.reshape(2, -1, s))
+        nodes = e.reshape(2, -1, s)
+        nodes[..., :s // 2] += left
+        nodes[..., s // 2:] += right
+        s //= 2
+    x, y, nodes = (z.reshape(2, -1, 4) for z in (x, y, e))
+    for k in range(1, 4):
+        for big_r in range(k):
+            for i in range(big_r + 1):
+                nodes[..., big_r] += x[..., i] * x[..., k] * y[..., i + k - big_r]
+    g -= e
+    return c, g
 
 
 #: (H, q, min(r, q-r)) -> its range table, least recently used first.
@@ -376,62 +446,6 @@ def _lattice_sum(h: float, q: int, r: int, m: int) -> float:
     return table.sum(m)
 
 
-def _signs(seed: int, rows: int, m: int) -> np.ndarray:
-    """rows x m Rademacher probes, one raw Philox bit each."""
-    n = rows * m
-    raw = philox_bits(seed).random_raw(-(-n // 64))
-    bits = np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")[:n]
-    out = bits.reshape(rows, m).astype(np.float64)
-    out *= -2.0
-    out += 1.0
-    return out
-
-
-def _orthonormalize(rows: np.ndarray) -> int:
-    """Gram-Schmidt on the rows, in place and twice; returns the rank kept.
-
-    A row that the second pass shrinks below half its norm lies in the span
-    of the rows kept before it, up to rounding (the Kahan-Parlett test), so
-    it is dropped and later rows move up.  The reductions are einsum loops,
-    not BLAS calls, so their bits do not depend on the BLAS thread count.
-    """
-    rank = 0
-    for j in range(rows.shape[0]):
-        v = rows[rank]
-        if rank != j:
-            v[:] = rows[j]
-        basis = rows[:rank]
-        norms = []
-        for _ in range(2):
-            v -= np.einsum("k,km->m", np.einsum("km,m->k", basis, v), basis)
-            norms.append(math.sqrt(np.einsum("m,m->", v, v)))
-        if norms[1] > 0.5 * norms[0]:
-            v /= norms[1]
-            rank += 1
-    return rank
-
-
-def _circulant_hat(s: np.ndarray, n: int) -> np.ndarray:
-    """Half spectrum of the size-n circulant whose top-left m x m block is T_s,
-    s on lags 0..m-1 and n >= 2m - 1."""
-    m = s.size
-    return rfft(np.concatenate((s, np.zeros(n - 2 * m + 1), s[:0:-1])))
-
-
-def _toeplitz_part(a, b_ext, a_hat, b_hat, m: int, n: int) -> tuple[float, np.ndarray]:
-    """Tr(T_F^2) and the length-n spectrum of T_F's circulant, F = a * b on lags |t| <= m-1.
-
-    F(g) = sum_{t=0}^{m-1} a(t) b(|g-t|) + sum_{t=1}^{m-1} a(t) b(g+t): a
-    Toeplitz product with b on lags |l| <= m-1 plus a Hankel product with
-    a(0) left out, which subtracts a(0) from every frequency of a_hat.
-    """
-    f = irfft(_circulant_hat(b_ext[:m], n) * a_hat + b_hat * np.conj(a_hat - a[0]), n)[:m]
-    weights = 2.0 * (m - np.arange(m))
-    weights[0] = m
-    tf_sq = float(np.einsum("g,g,g->", weights, f, f))
-    return tf_sq, _circulant_hat(f, n)
-
-
 def _next_fast_len(target: int) -> int:
     """Smallest 2^i 3^j 5^k >= target, the real-FFT size of ``scipy.fft.next_fast_len``."""
     best = 1 << (target - 1).bit_length()
@@ -445,135 +459,44 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
-def _lowrank_sum(a: np.ndarray, b_ext: np.ndarray, m: int, seed: int) -> tuple[float, float]:
-    """Tr((T_a T_b)^2) from M = T_F - E, with its estimated relative error.
-
-    ``a`` holds lags 0..m-1 and ``b_ext`` lags 0..2m-2 (both even in the
-    lag); the method is in the module docstring.
-    Q is an orthonormal basis of E_up (E_up^T E_up) Omega for
-    ``LOWRANK_PROBES`` sign probes Omega drawn from ``seed``, and
-    B = E_up^T Q.  The terms that use Q B^T in place of E_up err by at most
-    |R| (4 |T_F| + 8 |B| + 4 |R|) in Frobenius norms, R = E_up - Q B^T, and
-    |R| is estimated from ``_RESIDUAL_PROBES`` more sign probes w, since
-    E |R w|^2 = |R|^2.  The transforms are ``numpy.fft``'s, of length
-    ``_next_fast_len(2m - 1)``.
-    """
-    n = _next_fast_len(2 * m - 1)
-    a_hat, b_hat = rfft(a, n), rfft(b_ext, n)
-    tf_sq, f_hat = _toeplitz_part(a, b_ext, a_hat, b_hat, m, n)
-
-    def hankel(c_hat, x, x_hat=None):
-        # z[u] = sum_v c(u + v) x[v] is a correlation: multiply by conj(x_hat);
-        # a given x_hat is overwritten
-        if x_hat is None:
-            x_hat = rfft(x, n)
-        np.conjugate(x_hat, out=x_hat)
-        x_hat *= c_hat
-        return irfft(x_hat, n)[:, :m]
-
-    def e_up(x):
-        y = hankel(b_hat, x)
-        y[:, 0] = 0.0
-        return hankel(a_hat, y)
-
-    def e_up_t(x, x_hat=None):
-        y = hankel(a_hat, x, x_hat)
-        y[:, 0] = 0.0
-        return hankel(b_hat, y)
-
-    q = _signs(seed, LOWRANK_PROBES, m)  # the one k x m buffer, overwritten in place
-    rank = LOWRANK_PROBES
-    for apply in (e_up, e_up_t, e_up):
-        for s in range(0, rank, _FFT_ROWS):
-            rows = q[s:min(s + _FFT_ROWS, rank)]
-            rows[:] = apply(rows)
-        rank = _orthonormalize(q[:rank])
-    q = q[:rank]
-
-    # terms() and residual_sq() run per chunk of rows, so each chunk's FFT
-    # temporaries are freed before the next chunk allocates its own
-    def terms(rows):
-        # rows of Q -> their share of Tr(T_F Q B^T) and |B|^2, rows of B^T Q and B^T J Q;
-        # one transform of the rows serves T_F and then, conjugated in place, E_up^T
-        x_hat = rfft(rows, n)
-        tf_rows = irfft(x_hat * f_hat, n)[:, :m]
-        b_rows = e_up_t(rows, x_hat)
-        return (float(np.einsum("im,im->", b_rows, tf_rows)),
-                float(np.einsum("im,im->", b_rows, b_rows)),
-                np.einsum("im,jm->ij", b_rows, q),
-                np.einsum("im,jm->ij", b_rows[:, ::-1], q))
-
-    trace_fe = b_sq = 0.0
-    c = np.empty((rank, rank))  # B^T Q
-    d = np.empty((rank, rank))  # B^T J Q
-    for s in range(0, rank, _FFT_ROWS):
-        t_fe, t_b, c[s:s + _FFT_ROWS], d[s:s + _FFT_ROWS] = terms(q[s:s + _FFT_ROWS])
-        trace_fe += t_fe
-        b_sq += t_b
-    total = (tf_sq - 4.0 * trace_fe
-             + 2.0 * float(np.einsum("ij,ji->", c, c)) + 2.0 * float(np.einsum("ij,ji->", d, d)))
-
-    def residual_sq(probes):
-        z = e_up(probes)
-        z -= np.einsum("lk,km->lm", np.einsum("lm,km->lk", z, q), q)
-        return float(np.einsum("lm,lm->", z, z))
-
-    res_sq = sum(residual_sq(_signs(hash64(seed, "residual", s),
-                                    min(_FFT_ROWS, _RESIDUAL_PROBES - s), m))
-                 for s in range(0, _RESIDUAL_PROBES, _FFT_ROWS))
-    res = math.sqrt(res_sq / _RESIDUAL_PROBES)
-    bound = res * (4.0 * math.sqrt(tf_sq) + 8.0 * math.sqrt(b_sq) + 4.0 * res)
-    return total, (bound / total if total > 0.0 else math.inf)
-
-
 @functools.lru_cache(maxsize=CONTRACTION_CACHE_SIZE)
-def _unscaled_contraction(h: float, q: int, r: int, m: int) -> tuple[float, float]:
-    """(Tr((T_a T_b)^2), its error) with a = rho^r, b = rho^{q-r} on a block of size m.
-
-    The error is the estimated relative error of a low-rank sum and 0.0 for
-    the exact lattice pass and the closed form.
-    """
+def _unscaled_contraction(h: float, q: int, r: int, m: int) -> float:
+    """Tr((T_a T_b)^2) with a = rho^r, b = rho^{q-r} on a block of size m."""
     if h == 0.5:
-        return float(m), 0.0  # rho has one-point support, so T_a = T_b = I
-    if m >= LOWRANK_CROSSOVER:
-        rho_tab = _rho_at(h, np.arange(2 * m - 1))
-        value, error = _lowrank_sum(rho_tab[:m] ** r, rho_tab ** (q - r), m,
-                                    hash64("contraction", float(h).hex(), q, r, m))
-        if error < LOWRANK_TOLERANCE or m > LATTICE_FALLBACK_MAX:
-            return value, error
-    return _lattice_sum(h, q, r, m), 0.0
+        return float(m)  # rho has one-point support, so T_a = T_b = I
+    return _lattice_sum(h, q, r, m)
 
 
 def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
     """||f (x)_r f||^2 in H^{(x 2(q-r))}.
 
-    Exact over the block: the range table below ``LOWRANK_CROSSOVER``, the
-    low-rank evaluator (to ``LOWRANK_TOLERANCE``) from it on, and H = 1/2 in
-    closed form (rho has one-point support there, so the lattice sum is the
-    block size).  Orders r and q - r share one cached sum.
+    Exact over the block, to ``CONTRACTION_RTOL``: the range table, and
+    H = 1/2 in closed form (rho has one-point support there, so the lattice
+    sum is the block size).  Orders r and q - r share one cached sum.
     """
     q = f.rank
     if not 1 <= r <= q - 1:
         raise ValueError(f"contraction order must be in [1, {q - 1}], got {r}")
     h = check_hurst(h)
-    total, _ = _unscaled_contraction(h, q, min(r, q - r), f.size)
-    return f.scale**4 * max(total, 0.0)
+    return f.scale**4 * max(_unscaled_contraction(h, q, min(r, q - r), f.size), 0.0)
 
 
 def contraction_work(m: int, q: int) -> tuple[float, float]:
     """Estimated (operations, bytes) of the contraction sums of one rank-q block of m points.
 
-    Orders r and q - r share a sum, so there are q // 2 of them.  Below
-    ``LOWRANK_CROSSOVER`` each reads a range table: m^2 operations are the
-    cold cost of growing it to m, and a size the table covers costs O(m);
-    from the crossover on the low-rank evaluator takes k m log2(m)
-    operations and a k x m probe buffer of 8 k m bytes, k = ``LOWRANK_PROBES``.
+    Orders r and q - r share a sum, so there are q // 2 of them, each read
+    from a range table; the cold cost of growing one to m is counted, and a
+    size the table covers costs O(m).  Up to ``_HANDOVER`` the recurrences
+    take m^2 operations and O(m) memory.  Past it the dyadic blocks add
+    about m log2(m)^2 operations, and a growth's temporaries peak at about
+    340 bytes per row of its largest block [N, 2N), counted as 384.
     """
     sums = q // 2
-    if m < LOWRANK_CROSSOVER:
+    if m <= _HANDOVER:
         return float(sums * m * m), 0.0
-    k = LOWRANK_PROBES
-    return sums * k * float(m) * math.log2(m), 8.0 * k * m
+    block = _table_rows(m) // 2  # rows of the largest block, N < m
+    # 384 bytes a row, through the ratio N / m, so a block past the float range reads inf
+    return sums * (_HANDOVER**2 + float(m) * math.log2(m) ** 2), 384.0 * m * (block / m)
 
 
 def _check_work(fam: KernelFamily) -> None:
@@ -588,18 +511,6 @@ def _check_work(fam: KernelFamily) -> None:
             f"of {WORK_BUDGET:.3g} operations and {MEMORY_BUDGET / 2**20:.3g} MiB; "
             f"lower n or the last time"
         )
-
-
-def contraction_error(fam: KernelFamily) -> float:
-    """Largest estimated relative error of the contraction sums behind ``fam``.
-
-    0.0 when every sum ran on the exact lattice pass or in closed form.  The
-    sums come from the contraction cache, so after ``wasserstein_bound`` on
-    the same family no sum runs again.
-    """
-    h, q = fam.hurst, fam.rank
-    return max((_unscaled_contraction(h, q, min(r, q - r), f.size)[1]
-                for f in fam.kernels for r in range(1, q)), default=0.0)
 
 
 def _pair_entry(a_target: float, f: StepKernel, g: StepKernel,

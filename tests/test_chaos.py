@@ -199,7 +199,11 @@ def _table_grid_sizes():
 
 def test_blocked_lattice_pass_matches_extended_precision_reference():
     # H = 0.3 has negative lags, H = 0.5 one-point support; at H = 0.3 an odd
-    # r makes a = rho change sign, so the entries of the FFT's heads cancel
+    # r makes a = rho change sign, so the entries of the FFT's heads cancel.
+    # Past the hand-over the sums come from dyadic blocks, and at 4096 the
+    # table run in np.longdouble keeps within REFERENCE_RTOL too.  Reports
+    # state this precision as CONTRACTION_RTOL
+    assert chaos.CONTRACTION_RTOL == REFERENCE_RTOL
     small, large = _table_grid_sizes()
     for sizes, cases in ((small, [(0.3, 2, 1), (0.5, 3, 1), (0.7, 4, 2)]),
                          (large, [(0.3, 4, 2), (0.3, 3, 1)])):
@@ -208,6 +212,10 @@ def test_blocked_lattice_pass_matches_extended_precision_reference():
                 reference = _reference(h, q, r, m)
                 value = chaos._lattice_sum(h, q, r, m)
                 assert abs(value - reference) <= REFERENCE_RTOL * reference, (h, q, r, m)
+                if m == 4096:
+                    twin = chaos._RangeTable(np.longdouble)
+                    twin.grow(h, q, r, m)
+                    assert abs(twin.sum(m) - reference) <= REFERENCE_RTOL * reference, (h, q, r)
 
 
 def _growth_peak(table, h, q, r, m):
@@ -230,11 +238,11 @@ def test_blocked_lattice_pass_memory_is_bounded_by_the_block():
 
 
 def test_lattice_pass_asks_for_one_buffer_size_whatever_the_block():
-    # one buffer, sized by the last block, serves every block of a growth:
-    # growing a table by one block or by all of them asks for the same
-    # memory, up to the O(m) arrays
+    # one buffer, sized by the last block, serves every block of the
+    # recurrences: growing a table by one block or by all of them up to the
+    # hand-over asks for the same memory, up to the O(m) arrays
     b = chaos._TABLE_BLOCK
-    for rows in (2 * b, 9 * b, 32 * b):
+    for rows in (2 * b, 9 * b, chaos._HANDOVER):
         whole = _growth_peak(chaos._RangeTable(), 0.6, 3, 1, rows)
         table = chaos._RangeTable()
         table.grow(0.6, 3, 1, rows - b)
@@ -272,7 +280,7 @@ def test_table_sums_match_the_brute_force_up_to_64_points():
 
 
 def test_table_sums_do_not_depend_on_the_order_of_sizes():
-    sizes = [1, 2, 63, 64, 65, 129, 200, 376, 564, 700]
+    sizes = [1, 2, 63, 64, 65, 129, 200, 376, 564, 700, 1000, 1024, 1025, 3000, 5000]
     orders = {"ascending": sorted(sizes), "descending": sorted(sizes, reverse=True),
               "shuffled": [int(m) for m in np.random.default_rng(31).permutation(sizes)]}
     for h, q, r in ((0.1, 3, 1), (0.7, 4, 2)):
@@ -347,7 +355,7 @@ def test_bound_builds_one_lag_table_that_ends_with_the_report(monkeypatch):
         for j, g in enumerate(fam.kernels):
             assert rep.inner_products[i, j] == kernel_inner(f, g, 0.7)
         for r in range(1, 4):
-            fresh, _ = chaos._unscaled_contraction.__wrapped__(0.7, 4, min(r, 4 - r), f.size)
+            fresh = chaos._unscaled_contraction.__wrapped__(0.7, 4, min(r, 4 - r), f.size)
             assert rep.contraction_norms_sq[i, r - 1] == f.scale**4 * fresh
     # two inner products per block; tables (q, r) = (4, 1) and (4, 2) grow to 376, then to 564
     assert len(calls) == 1 + 2 * 2 + 2 * 2
@@ -361,8 +369,8 @@ def test_brownian_contraction_is_the_block_size():
         table.grow(0.5, q, r, 1024)
         assert table.w[0] == 1.0 and not np.any(table.w[1:])
         for m in (1, 2, 3, 257, 1024):
-            closed, error = chaos._unscaled_contraction.__wrapped__(0.5, q, r, m)
-            assert closed == m and error == 0.0
+            closed = chaos._unscaled_contraction.__wrapped__(0.5, q, r, m)
+            assert closed == m
             assert closed == table.sum(m) == chaos._lattice_sum(0.5, q, r, m)
             if m <= 64:
                 f = StepKernel(rank=q, scale=1.0, block=(0, m))
@@ -535,10 +543,6 @@ def test_kernel_family_rejects_times_out_of_range():
         kernel_family(0.6, 2, 10**30, (0.0, 1.0))
 
 
-LOWRANK_CASES = [(h, q, r) for h in (0.3, 0.6, 0.7, 0.8) for q in (2, 3, 4)
-                 if h < 1.0 - 1.0 / (2 * q) for r in range(1, q // 2 + 1)]
-
-
 def test_next_fast_len_is_the_real_fft_size_of_scipy():
     from scipy.fft import next_fast_len
 
@@ -546,78 +550,104 @@ def test_next_fast_len_is_the_real_fft_size_of_scipy():
     assert [chaos._next_fast_len(t) for t in targets] == [next_fast_len(t, real=True) for t in targets]
 
 
-def test_lowrank_sum_matches_lattice_pass():
-    for m in (chaos.LOWRANK_CROSSOVER, 2 * chaos.LOWRANK_CROSSOVER):
-        for h, q, r in LOWRANK_CASES:
-            exact = chaos._lattice_sum(h, q, r, m)
-            fast, error = chaos._unscaled_contraction.__wrapped__(h, q, r, m)
-            assert 0.0 < error < chaos.LOWRANK_TOLERANCE, (h, q, r, m)
-            assert abs(fast - exact) <= 1e-13 * exact, (h, q, r, m)
+def test_dyadic_blocks_match_the_recurrence_grown_past_the_handover(monkeypatch):
+    # the divide and conquer of [1024, 2048) against the 64-row recurrence run
+    # on to 2048 rows; at H = 0.3 an odd r makes a = rho change sign
+    handover = chaos._HANDOVER
+    cases = [(h, q, r) for h in (0.3, 0.6, 0.7, 0.8) for q in (2, 3, 4)
+             if h < 1.0 - 1.0 / (2 * q) for r in range(1, q // 2 + 1)]
+    for h, q, r in cases:
+        blocks = chaos._RangeTable()
+        blocks.grow(h, q, r, handover + 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(chaos, "_HANDOVER", 2 * handover)
+            recurrence = chaos._RangeTable()
+            recurrence.grow(h, q, r, 2 * handover)
+        assert blocks.rows == recurrence.rows == 2 * handover
+        assert np.array_equal(blocks.w[:handover], recurrence.w[:handover])
+        for m in (handover + 1, handover + 333, 2 * handover):
+            exact = recurrence.sum(m)
+            assert abs(blocks.sum(m) - exact) <= 1e-15 * exact, (h, q, r, m)
 
 
-def _count_evaluators(monkeypatch):
-    runs = {"lattice": [], "lowrank": []}
-    lattice, lowrank = chaos._lattice_sum, chaos._lowrank_sum
+def _count_parts(monkeypatch):
+    """The rows of every recurrence run and the N of every dyadic block, on an empty store."""
+    runs = {"recurrence": [], "blocks": []}
+    recur, block_terms = chaos._RangeTable._recur, chaos._block_terms
 
-    def counting_lattice(h, q, r, m):
-        runs["lattice"].append(m)
-        return lattice(h, q, r, m)
+    def counting_recur(self, xs):
+        runs["recurrence"].append(xs.shape[1])
+        return recur(self, xs)
 
-    def counting_lowrank(a, b_ext, m, seed):
-        runs["lowrank"].append(m)
-        return lowrank(a, b_ext, m, seed)
+    def counting_blocks(xs):
+        runs["blocks"].append(xs.shape[1] // 2)
+        return block_terms(xs)
 
-    monkeypatch.setattr(chaos, "_lattice_sum", counting_lattice)
-    monkeypatch.setattr(chaos, "_lowrank_sum", counting_lowrank)
+    monkeypatch.setattr(chaos._RangeTable, "_recur", counting_recur)
+    monkeypatch.setattr(chaos, "_block_terms", counting_blocks)
+    monkeypatch.setattr(chaos, "_TABLES", {})
     chaos._unscaled_contraction.cache_clear()
     return runs
 
 
 def test_contraction_dispatch_at_the_crossover(monkeypatch):
-    runs = _count_evaluators(monkeypatch)
-    m = chaos.LOWRANK_CROSSOVER
-    _, below = chaos._unscaled_contraction(0.7, 2, 1, m - 1)
-    assert runs == {"lattice": [m - 1], "lowrank": []} and below == 0.0
-    _, at = chaos._unscaled_contraction(0.7, 2, 1, m)
-    assert runs == {"lattice": [m - 1], "lowrank": [m]} and 0.0 < at
-    # the largest bound-grid level, blocks 376 and 564, stays on the lattice pass
-    fam = kernel_family(0.7, 3, 376, (0, 1, 2.5))
-    wasserstein_bound(fam, np.eye(2))
-    assert runs == {"lattice": [m - 1, 376, 564], "lowrank": [m]}
-    assert chaos.contraction_error(fam) == 0.0
+    # the recurrences cover the rows up to the hand-over, dyadic blocks the rest
+    runs = _count_parts(monkeypatch)
+    m = chaos._HANDOVER
+    chaos._unscaled_contraction(0.7, 2, 1, m)
+    assert runs == {"recurrence": [m], "blocks": []}
+    chaos._unscaled_contraction(0.7, 2, 1, m + 1)
+    assert runs == {"recurrence": [m], "blocks": [m]}
+    chaos._unscaled_contraction(0.7, 2, 1, 5 * m)
+    assert runs == {"recurrence": [m], "blocks": [m, 2 * m, 4 * m]}
+    # a size the table covers reads it; the recurrence holds no state past the hand-over
+    chaos._unscaled_contraction(0.7, 2, 1, 3 * m)
+    assert runs["blocks"] == [m, 2 * m, 4 * m]
+    assert chaos._TABLES[(0.7, 2, 1)].state.size == 0
+    # the largest bound-grid level, blocks 376 and 564, stays on the recurrence
+    wasserstein_bound(kernel_family(0.7, 3, 376, (0, 1, 2.5)), np.eye(2))
+    assert runs == {"recurrence": [m, 384, 576], "blocks": [m, 2 * m, 4 * m]}
 
 
-def test_lowrank_fallback_returns_lattice_bits(monkeypatch):
-    lattice = chaos._lattice_sum
-    runs = _count_evaluators(monkeypatch)
-    monkeypatch.setattr(chaos, "LOWRANK_TOLERANCE", 0.0)
-    m = chaos.LOWRANK_CROSSOVER
-    value, error = chaos._unscaled_contraction(0.6, 3, 1, m)
-    assert runs == {"lattice": [m], "lowrank": [m]}
-    table = chaos._RangeTable()
-    table.grow(0.6, 3, 1, m)
-    assert value == lattice(0.6, 3, 1, m) == table.sum(m)
-    assert error == 0.0
+def test_dyadic_block_memory_is_bounded_by_its_rows():
+    # every temporary of block [N, 2N) is O(N): within 512 bytes a row, where
+    # one (2N x 2N) array would be 32 MiB at N = 1024
+    for n in (chaos._HANDOVER, 4 * chaos._HANDOVER):
+        lags = rho(0.7, np.arange(2 * n))
+        xs = np.stack((lags, lags**2))
+        tracemalloc.start()
+        try:
+            chaos._block_terms(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * n, (n, peak)
 
 
-def test_no_lattice_fallback_above_its_largest_block(monkeypatch):
-    runs = _count_evaluators(monkeypatch)
-    monkeypatch.setattr(chaos, "LOWRANK_TOLERANCE", 0.0)
-    m = chaos.LATTICE_FALLBACK_MAX + 8
-    _, error = chaos._unscaled_contraction(0.6, 3, 1, m)
-    assert runs == {"lattice": [], "lowrank": [m]}
-    assert error > 0.0
-    # the estimate reaches the report through the cache, with no second sum
-    assert chaos.contraction_error(kernel_family(0.6, 3, m, (0, 1))) == error
-    assert runs == {"lattice": [], "lowrank": [m]}
+def test_long_double_table_up_to_2_16_points():
+    # the same table in np.longdouble: the float64 sums keep within
+    # REFERENCE_RTOL of it at 2^13, where the low-rank evaluator read 2.4e-14
+    # at (0.6, 4, 2), and at 2^16
+    for (h, q, r), sizes in (((0.6, 4, 2), (2**13,)), ((0.3, 3, 1), (2**13,)),
+                             ((0.7, 3, 1), (2**13 + 1, 2**16))):
+        table, twin = chaos._RangeTable(), chaos._RangeTable(np.longdouble)
+        for m in sizes:
+            table.grow(h, q, r, m)
+            twin.grow(h, q, r, m)
+            reference = twin.sum(m)
+            assert abs(table.sum(m) - reference) <= REFERENCE_RTOL * reference, (h, q, r, m)
 
 
 def test_bound_curve_refuses_oversize_level_before_any_sum(monkeypatch):
-    runs = _count_evaluators(monkeypatch)
+    growths = _count_growths(monkeypatch)
     with pytest.raises(ValueError, match="contraction work at n=4194304: block size 4194304"):
         bound_curve(0.7, 2, (0.0, 1.0), [128, 256, 4194304], np.eye(1))
-    assert runs == {"lattice": [], "lowrank": []}
+    assert growths == []
     # the deepest recorded rates level, 2^13, and m = 2^16 fit the budget at the largest rank
     for m in (2**13, 2**16):
         ops, nbytes = chaos.contraction_work(m, 20)
         assert ops <= chaos.WORK_BUDGET and nbytes <= chaos.MEMORY_BUDGET
+    # at q = 2 the largest block admitted is 2^20 points: one more needs a block of 2^20 rows
+    for m, fits in ((2**20, True), (2**20 + 1, False)):
+        ops, nbytes = chaos.contraction_work(m, 2)
+        assert (ops <= chaos.WORK_BUDGET and nbytes <= chaos.MEMORY_BUDGET) == fits, m

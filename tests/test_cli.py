@@ -604,29 +604,25 @@ def test_oversize_malliavin_refused_before_any_path(monkeypatch):
 
     monkeypatch.setattr(cli, "malliavin_grams", no_paths)
     code, out = run_cli(["malliavin", "--H", "0.6", "--q", "2", "--times", "0,1",
-                         "--n", "1048576", "--m", "2"])
+                         "--n", "4194304", "--m", "2"])
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
     assert "past the budget" in err["message"]
 
 
-def test_bound_and_rates_report_contraction_error():
+def test_bound_and_rates_report_contraction_rtol():
+    # every sum is exact to the one stated precision, whichever way it ran:
+    # the recurrences, dyadic blocks past the hand-over, or the H = 1/2 closed form
     small = ["--H", "0.7", "--q", "2", "--times", "0,1"]
-    blobs = {}
-    for key, argv in (("bound-lattice", ["bound", *small, "--n", "512"]),
-                      ("bound-lowrank", ["bound", *small, "--n", "2048"]),
-                      ("rates", ["rates", *small, "--n", "512,1024,2048"]),
-                      ("bound-half", ["bound", "--H", "0.5", "--q", "2", "--n", "4096"])):
+    for argv in (["bound", *small, "--n", "512"],
+                 ["bound", *small, "--n", "2048"],
+                 ["rates", *small, "--n", "512,1024,2048"],
+                 ["bound", "--H", "0.5", "--q", "2", "--n", "4096"]):
         code, out = run_cli(argv)
         assert code == 0
-        blobs[key] = json.loads(out)["results"]["diagnostics"]["contraction_error_max"]
-    assert blobs["bound-lattice"] == blobs["bound-half"] == 0.0
-    assert 0.0 < blobs["bound-lowrank"] < 1e-13
-    # 2048 is the rates curve's largest estimate, and it comes from the cache
-    assert blobs["rates"] >= blobs["bound-lowrank"]
-    code, out = run_cli(["bound", *small, "--n", "2048"])
-    assert json.loads(out)["results"]["diagnostics"]["contraction_error_max"] == blobs["bound-lowrank"]
+        assert json.loads(out)["results"]["diagnostics"] == {"contraction_rtol": chaos.CONTRACTION_RTOL}
+    assert chaos.CONTRACTION_RTOL == 1e-14
 
 
 def _python(code: str, *args: str, threads: int | None = None) -> str:
@@ -645,9 +641,9 @@ def _python(code: str, *args: str, threads: int | None = None) -> str:
 
 
 @pytest.mark.parametrize("argv", [
-    # blocks of 1024 points run the lattice pass, 2048 to 8192 the low-rank evaluator
+    # blocks of 1024 points run the recurrences, 2048 to 8192 the dyadic blocks too
     ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "1024,2048,4096,8192"],
-    # blocks of 376 and 564 points run the lattice pass
+    # blocks of 376 and 564 points run the recurrences
     ["bound", "--H", "0.7", "--q", "4", "--n", "376", "--times", "0,1,2.5"],
     # Gram sums over blocks of 6000 and 20,000 points, the second past the 10,000 terms
     # at which OpenBLAS splits a dot across its threads
@@ -665,10 +661,8 @@ def test_report_independent_of_blas_threads(argv):
     one, two = (_python(code, *argv, threads=threads) for threads in (1, 2))
     assert one == two
     results = json.loads(one)["results"]
-    if argv[0] == "rates":
-        assert results["diagnostics"]["contraction_error_max"] > 0.0
-    if argv[0] == "bound":
-        assert results["diagnostics"]["contraction_error_max"] == 0.0
+    if argv[0] in ("bound", "rates"):
+        assert results["diagnostics"] == {"contraction_rtol": 1e-14}
 
 
 def test_u0_apply_independent_of_blas_threads():
