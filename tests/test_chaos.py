@@ -124,7 +124,6 @@ def _count_growths(monkeypatch):
 
     monkeypatch.setattr(chaos._RangeTable, "grow", counting)
     monkeypatch.setattr(chaos, "_TABLES", {})
-    chaos._unscaled_contraction.cache_clear()
     return growths
 
 
@@ -138,11 +137,6 @@ def test_contraction_cache_runs_one_lattice_sum_per_key(monkeypatch):
     assert growths == [(3, 1, 512)]
     assert second.bound == first.bound
     assert np.array_equal(second.contraction_norms_sq, first.contraction_norms_sq)
-
-
-def test_contraction_cache_is_bounded():
-    maxsize = chaos._unscaled_contraction.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize == chaos.CONTRACTION_CACHE_SIZE
 
 
 def _gather_quad_sum(a, b_ext, m):
@@ -297,20 +291,41 @@ def test_table_sums_do_not_depend_on_the_order_of_sizes():
 
 
 def test_range_table_store_is_bounded(monkeypatch):
-    assert 0 < chaos.RANGE_TABLES and 0 < chaos.RANGE_TABLE_BYTES <= chaos.MEMORY_BUDGET
+    assert 0 < chaos.RANGE_TABLE_BYTES <= chaos.MEMORY_BUDGET
     monkeypatch.setattr(chaos, "_TABLES", {})
-    monkeypatch.setattr(chaos, "RANGE_TABLES", 3)
     keys = [(h, 2, 1) for h in (0.3, 0.4, 0.6, 0.7, 0.55)]
-    for key in keys:
+    for key in keys[:3]:
         chaos._lattice_sum(*key, 100)
-    assert list(chaos._TABLES) == keys[-3:]
+    one = chaos._TABLES[keys[0]].nbytes  # 128 rows; below the hand-over bytes go with rows
+    monkeypatch.setattr(chaos, "RANGE_TABLE_BYTES", 3 * one)
     # a hit moves its table to the back, so the least recently used goes first
-    chaos._lattice_sum(*keys[2], 50)
-    assert list(chaos._TABLES) == [keys[3], keys[4], keys[2]]
-    one = chaos._TABLES[keys[2]].nbytes
-    monkeypatch.setattr(chaos, "RANGE_TABLE_BYTES", 2 * one)
-    chaos._lattice_sum(0.65, 2, 1, 100)
-    assert list(chaos._TABLES) == [keys[2], (0.65, 2, 1)]
+    chaos._lattice_sum(*keys[0], 50)
+    assert list(chaos._TABLES) == [keys[1], keys[2], keys[0]]
+    chaos._lattice_sum(*keys[3], 100)
+    assert list(chaos._TABLES) == [keys[2], keys[0], keys[3]]
+    # a growth to 256 rows holds two tables' bytes, so one more table goes
+    chaos._lattice_sum(*keys[0], 200)
+    assert list(chaos._TABLES) == [keys[3], keys[0]]
+    assert sum(t.nbytes for t in chaos._TABLES.values()) == 3 * one
+    # a table past the whole bound stays, alone, while it is the one just grown
+    big = chaos._lattice_sum(*keys[4], 600)
+    assert list(chaos._TABLES) == [keys[4]]
+    assert chaos._TABLES[keys[4]].nbytes > chaos.RANGE_TABLE_BYTES
+    assert chaos._lattice_sum(*keys[4], 300) < big
+    assert list(chaos._TABLES) == [keys[4]]
+    # and goes first when another table grows
+    chaos._lattice_sum(*keys[1], 100)
+    assert list(chaos._TABLES) == [keys[1]]
+
+
+def test_work_budget_counts_a_dyadic_operation_twice():
+    # one operation of the dyadic blocks takes about twice the time of one of the
+    # recurrences: 2^20 points at q = 4 (two tables of about 7 s) and 2^18 at q = 20
+    # are refused
+    for m, q, fits in ((2**20, 4, False), (2**18, 20, False), (2**20, 2, True),
+                       (2**17, 20, True), (2**16, 20, True), (2**13, 20, True)):
+        ops, nbytes = chaos.contraction_work(m, q)
+        assert (ops <= chaos.WORK_BUDGET and nbytes <= chaos.MEMORY_BUDGET) == fits, (m, q)
 
 
 def test_q2_tie_point_range_weight_decays_like_one_over_the_range():
@@ -343,7 +358,6 @@ def test_bound_builds_one_lag_table_that_ends_with_the_report(monkeypatch):
 
     monkeypatch.setattr(chaos, "rho", counting)
     monkeypatch.setattr(chaos, "_TABLES", {})
-    chaos._unscaled_contraction.cache_clear()
     rep = wasserstein_bound(fam, np.eye(2))
     # lags 0..2 * 564 - 2 serve both blocks' sums and every inner product
     assert calls == [1127]
@@ -355,7 +369,7 @@ def test_bound_builds_one_lag_table_that_ends_with_the_report(monkeypatch):
         for j, g in enumerate(fam.kernels):
             assert rep.inner_products[i, j] == kernel_inner(f, g, 0.7)
         for r in range(1, 4):
-            fresh = chaos._unscaled_contraction.__wrapped__(0.7, 4, min(r, 4 - r), f.size)
+            fresh = chaos._lattice_sum(0.7, 4, min(r, 4 - r), f.size)
             assert rep.contraction_norms_sq[i, r - 1] == f.scale**4 * fresh
     # two inner products per block; tables (q, r) = (4, 1) and (4, 2) grow to 376, then to 564
     assert len(calls) == 1 + 2 * 2 + 2 * 2
@@ -369,9 +383,8 @@ def test_brownian_contraction_is_the_block_size():
         table.grow(0.5, q, r, 1024)
         assert table.w[0] == 1.0 and not np.any(table.w[1:])
         for m in (1, 2, 3, 257, 1024):
-            closed = chaos._unscaled_contraction.__wrapped__(0.5, q, r, m)
-            assert closed == m
-            assert closed == table.sum(m) == chaos._lattice_sum(0.5, q, r, m)
+            closed = chaos._lattice_sum(0.5, q, r, m)
+            assert closed == m == table.sum(m)
             if m <= 64:
                 f = StepKernel(rank=q, scale=1.0, block=(0, m))
                 assert contraction_norm_sq_brute(f, r, 0.5) == pytest.approx(closed, rel=1e-14)
@@ -543,13 +556,6 @@ def test_kernel_family_rejects_times_out_of_range():
         kernel_family(0.6, 2, 10**30, (0.0, 1.0))
 
 
-def test_next_fast_len_is_the_real_fft_size_of_scipy():
-    from scipy.fft import next_fast_len
-
-    targets = range(1, 2**17 + 1)
-    assert [chaos._next_fast_len(t) for t in targets] == [next_fast_len(t, real=True) for t in targets]
-
-
 def test_dyadic_blocks_match_the_recurrence_grown_past_the_handover(monkeypatch):
     # the divide and conquer of [1024, 2048) against the 64-row recurrence run
     # on to 2048 rows; at H = 0.3 an odd r makes a = rho change sign
@@ -586,7 +592,6 @@ def _count_parts(monkeypatch):
     monkeypatch.setattr(chaos._RangeTable, "_recur", counting_recur)
     monkeypatch.setattr(chaos, "_block_terms", counting_blocks)
     monkeypatch.setattr(chaos, "_TABLES", {})
-    chaos._unscaled_contraction.cache_clear()
     return runs
 
 
@@ -594,14 +599,14 @@ def test_contraction_dispatch_at_the_crossover(monkeypatch):
     # the recurrences cover the rows up to the hand-over, dyadic blocks the rest
     runs = _count_parts(monkeypatch)
     m = chaos._HANDOVER
-    chaos._unscaled_contraction(0.7, 2, 1, m)
+    chaos._lattice_sum(0.7, 2, 1, m)
     assert runs == {"recurrence": [m], "blocks": []}
-    chaos._unscaled_contraction(0.7, 2, 1, m + 1)
+    chaos._lattice_sum(0.7, 2, 1, m + 1)
     assert runs == {"recurrence": [m], "blocks": [m]}
-    chaos._unscaled_contraction(0.7, 2, 1, 5 * m)
+    chaos._lattice_sum(0.7, 2, 1, 5 * m)
     assert runs == {"recurrence": [m], "blocks": [m, 2 * m, 4 * m]}
     # a size the table covers reads it; the recurrence holds no state past the hand-over
-    chaos._unscaled_contraction(0.7, 2, 1, 3 * m)
+    chaos._lattice_sum(0.7, 2, 1, 3 * m)
     assert runs["blocks"] == [m, 2 * m, 4 * m]
     assert chaos._TABLES[(0.7, 2, 1)].state.size == 0
     # the largest bound-grid level, blocks 376 and 564, stays on the recurrence

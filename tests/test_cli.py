@@ -150,7 +150,7 @@ def test_rates_refuses_two_levels_before_any_sum(monkeypatch):
     def no_sums(*args):
         raise AssertionError("a contraction sum ran for a two-point curve")
 
-    monkeypatch.setattr(chaos, "_unscaled_contraction", no_sums)
+    monkeypatch.setattr(chaos, "_lattice_sum", no_sums)
     code, out = run_cli(["rates", "--H", "0.7", "--q", "2", "--times", "0,1",
                          "--n", "16384,32768"])
     assert code == 2
@@ -689,8 +689,8 @@ def test_cli_import_leaves_out_the_matching_modules():
 
 
 def test_cli_jobs_load_no_scipy_module():
-    # one report of every subcommand, the rates curve reaching the low-rank
-    # evaluator (block 2048) and the bound the lattice pass
+    # one report of every subcommand, the rates curve reaching the range table's
+    # dyadic block [1024, 2048) and the bound its recurrences
     jobs = [
         ["bound", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "512"],
         ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "512,1024,2048"],
