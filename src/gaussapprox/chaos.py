@@ -103,6 +103,8 @@ __all__ = [
     "wasserstein_bound",
     "rate_exponent",
     "sharp_rate_exponent",
+    "RateFit",
+    "fit_rate",
     "bound_curve",
     "contraction_work",
 ]
@@ -696,6 +698,36 @@ def sharp_rate_exponent(h: float, q: int) -> float:
     derived yet.
     """
     return max(-0.5, 2.0 * rate_exponent(h, q))
+
+
+@dataclass(frozen=True)
+class RateFit:
+    """Least-squares fit of log(value) against log(n)."""
+
+    slope: float
+    intercept: float
+    rss: float
+    n_range: tuple[int, int]
+
+
+def fit_rate(points) -> RateFit:
+    """Least-squares slope of log(value) against log(n) over >= 3 points."""
+    pts = [(int(n), float(v)) for n, v in points]
+    if len(pts) < 3:
+        raise ValueError("need at least three points to fit a rate")
+    if any(v <= 0.0 for _, v in pts):
+        raise ValueError("values must be positive before taking logs")
+    log_n = np.log([n for n, _ in pts])
+    log_v = np.log([v for _, v in pts])
+    design = np.stack([log_n, np.ones_like(log_n)], axis=1)
+    coef, _, _, _ = np.linalg.lstsq(design, log_v, rcond=None)
+    resid = log_v - design @ coef
+    return RateFit(
+        slope=float(coef[0]),
+        intercept=float(coef[1]),
+        rss=float(np.dot(resid, resid)),
+        n_range=(min(n for n, _ in pts), max(n for n, _ in pts)),
+    )
 
 
 def bound_curve(h: float, q: int, times, n_list, c) -> list[tuple[int, float]]:

@@ -22,7 +22,9 @@ also the tests' oracle.
 
 The outer expectation over Y runs on a seeded stream; the inner expectation
 inside T_ab is a deterministic rule.  Specializing to the identity map gives
-the Gaussian-vs-Gaussian bound ``Q(C, K) * ||C - K||_HS``.
+the Gaussian-vs-Gaussian bound ``Q(C, K) * ||C - K||_HS``,
+``gaussian_pair_bound``, which lives in :mod:`gaussapprox.linalg` and is
+exported here too.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_covariance, hs_norm, prefactor, q_factor, sample_gaussian
+from .linalg import as_covariance, gaussian_pair_bound, prefactor, sample_gaussian
 from .rng import hash64
 from .stein import OU_NODES, QuadratureSpec, ou_rule_1d, ou_sums, ou_time_rule
 
@@ -242,15 +244,6 @@ def _bound_terms(c, t_values: np.ndarray, pref: float) -> tuple[np.ndarray, np.n
     entries_mean = sq.mean(axis=0)
     entries_se = sq.std(axis=0, ddof=1) / math.sqrt(t_values.shape[0])
     return entries_mean, entries_se, float(pref * math.sqrt(float(np.sum(entries_mean))))
-
-
-def gaussian_pair_bound(k, c) -> float:
-    """Q(C, K) * ||C - K||_HS for two positive definite targets."""
-    k = as_covariance(k)
-    c = as_covariance(c)
-    if k.dim != c.dim:
-        raise ValueError(f"dimension mismatch: {k.dim} vs {c.dim}")
-    return q_factor(c, k) * hs_norm(c.matrix - k.matrix)
 
 
 def w1_gaussian_1d(var_a: float, var_b: float) -> float:

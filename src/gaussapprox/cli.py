@@ -20,30 +20,27 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, chatterjee, empirical, stein
 from .chaos import (
     CONTRACTION_RTOL,
     bound_curve,
+    fit_rate,
     kernel_family,
     rate_exponent,
     wasserstein_bound,
 )
-from .chatterjee import chatterjee_bound, family_from_config, gaussian_pair_bound
-from .empirical import fit_rate, malliavin_grams, simulate_bm_vector
 from .errors import GaussApproxError
 from .fgn import sigma_bm
-from .linalg import as_covariance, hs_norm, matrix_from_json, matrix_to_json, prefactor, q_factor
-from .rng import hash64, standard_normals
-from .stein import (
-    DEFAULT_GH_ORDER,
-    DEFAULT_U_NODES,
-    QuadratureSpec,
-    default_quadrature,
-    grid_points,
-    lipschitz_test_functions,
-    rule_size,
-    stein_report,
+from .linalg import (
+    as_covariance,
+    gaussian_pair_bound,
+    hs_norm,
+    matrix_from_json,
+    matrix_to_json,
+    prefactor,
+    q_factor,
 )
+from .rng import hash64, standard_normals
 
 #: Most oracle values a ``stein-check`` job may evaluate: points x u-nodes x
 #: Gaussian-rule nodes x functions x (d + d^2), a gradient and a Hessian per
@@ -191,7 +188,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
     times = _parse_times(args.times)
     if args.m < 2:
         raise ValueError("simulate needs --m >= 2 (sample covariance)")
-    batch = simulate_bm_vector(args.H, args.q, args.n, times, args.m, args.seed)
+    batch = empirical.simulate_bm_vector(args.H, args.q, args.n, times, args.m, args.seed)
     values = batch.values
     results = {
         "mean": values.mean(axis=0).tolist(),
@@ -222,7 +219,7 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
         raise ValueError(f"C has dim {cov.dim}, expected {fam.dim}")
     # the bound refuses an oversize family before any path is drawn
     lemma = wasserstein_bound(fam, cov).lemma_entries
-    grams, diagnostics = malliavin_grams(fam, args.m, args.seed)
+    grams, diagnostics = empirical.malliavin_grams(fam, args.m, args.seed)
     dev_sq = (cov.matrix[None, :, :] - grams) ** 2
     config = {
         "h": args.H, "q": args.q, "n": args.n, "times": list(times),
@@ -238,36 +235,42 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
     }
 
 
+def _u_nodes(args) -> int:
+    """--quad-unodes, or stein's default; the parser leaves ``stein`` unloaded."""
+    return stein.DEFAULT_U_NODES if args.quad_unodes is None else args.quad_unodes
+
+
 def _cmd_stein_check(args) -> tuple[dict, dict]:
     c = _parse_matrix(args.C, args.matrix_file, "C", 2 if args.d is None else args.d)
     cov = as_covariance(c)
     if args.d is not None and cov.dim != args.d:
         raise ValueError(f"--d {args.d} disagrees with C of dim {cov.dim}")
-    order = default_quadrature(cov.dim).gh_order if args.quad_gh_order is None else args.quad_gh_order
+    order = stein.default_quadrature(cov.dim).gh_order if args.quad_gh_order is None else args.quad_gh_order
+    u_nodes = _u_nodes(args)
     names = args.functions.split(",") if args.functions else None
-    registry = {f.name: f for f in lipschitz_test_functions(cov.dim)}
+    registry = {f.name: f for f in stein.lipschitz_test_functions(cov.dim)}
     chosen = [registry[n] for n in names] if names else list(registry.values())
     # counted in closed form before QuadratureSpec bounds the flags; an order
     # below its floor counts one node
-    nodes = args.grid_steps**2 * args.quad_unodes * rule_size(cov.dim, max(order, 1)) * len(chosen)
+    nodes = args.grid_steps**2 * u_nodes * stein.rule_size(cov.dim, max(order, 1)) * len(chosen)
     work = nodes * cov.dim * (cov.dim + 1)
     if work > STEIN_CHECK_MAX_WORK:
         raise ValueError(f"stein-check would evaluate about {work:.2e} oracle values (points x "
                          f"u-nodes x rule nodes x functions x (d + d^2)), over the cap "
                          f"{STEIN_CHECK_MAX_WORK:.0e}; lower --grid-steps, --quad-unodes, "
                          "--quad-gh-order or --functions")
-    quad = QuadratureSpec(u_nodes=args.quad_unodes, gh_order=order)
+    quad = stein.QuadratureSpec(u_nodes=u_nodes, gh_order=order)
     lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
         lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi
-        pts = grid_points(lo, hi, args.grid_steps, d=2)
+        pts = stein.grid_points(lo, hi, args.grid_steps, d=2)
     elif lo is not None or hi is not None:
         raise ValueError(f"--grid-lo and --grid-hi set the d = 2 grid; at d = {cov.dim} "
                          "the points are a seeded scatter")
     else:
         # regular grids explode beyond d = 2; use a seeded scatter instead
         pts = 1.5 * standard_normals(hash64(args.seed, "stein-grid"), (args.grid_steps**2, cov.dim))
-    reports = [stein_report(g, cov, pts, quad) for g in chosen]
+    reports = [stein.stein_report(g, cov, pts, quad) for g in chosen]
     config = {
         "c": matrix_to_json(cov.matrix), "seed": args.seed,
         "functions": [g.name for g in chosen],
@@ -281,12 +284,12 @@ def _cmd_chatterjee(args) -> tuple[dict, dict]:
     k = _parse_matrix(args.K, args.matrix_file, "K", None)
     kcov = as_covariance(k)
     fn_cfg = json.loads(args.functions) if args.functions else {"type": "componentwise", "kind": "identity", "n": kcov.dim}
-    family = family_from_config(fn_cfg, k=kcov)
+    family = chatterjee.family_from_config(fn_cfg, k=kcov)
     c = _parse_matrix(args.C, args.matrix_file, "C", family.dim)
     # every family the CLI builds averages J exactly or by a 1-d Gauss-Hermite rule
-    order = DEFAULT_GH_ORDER if args.quad_gh_order is None else args.quad_gh_order
-    quad = QuadratureSpec(u_nodes=args.quad_unodes, gh_order=order)
-    report = chatterjee_bound(family, kcov, c, mc_size=args.m, seed=args.seed, quad=quad)
+    order = stein.DEFAULT_GH_ORDER if args.quad_gh_order is None else args.quad_gh_order
+    quad = stein.QuadratureSpec(u_nodes=_u_nodes(args), gh_order=order)
+    report = chatterjee.chatterjee_bound(family, kcov, c, mc_size=args.m, seed=args.seed, quad=quad)
     config = {
         "k": matrix_to_json(kcov.matrix), "c": matrix_to_json(np.asarray(c)),
         "functions": fn_cfg, "m": args.m, "seed": args.seed,
@@ -341,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=int, required=True)
             p.add_argument("--times", type=str, default="1")
         if quad:
-            p.add_argument("--quad-unodes", type=int, default=DEFAULT_U_NODES)
+            p.add_argument("--quad-unodes", type=int, default=None)
             p.add_argument("--quad-gh-order", type=int, default=None)
 
     p = sub.add_parser("bound", help="Wasserstein bound for one discretization level")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SampleBatch
-from .chaos import KernelFamily, kernel_family
+from .chaos import KernelFamily, RateFit, fit_rate, kernel_family
 from .fgn import FgnPath, _circulant_factors, _Factors, _paths, check_hurst
 from .hermite import _check_rank, hermite_eval
 from .rng import hash64, philox_bits, standard_normals
@@ -69,16 +69,6 @@ class WassersteinEstimate:
     method: str  # "quantile-1d", "matching" or "sliced"
     sizes: tuple[int, ...]
     stderr: float | None = None
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares fit of log(value) against log(n)."""
-
-    slope: float
-    intercept: float
-    rss: float
-    n_range: tuple[int, int]
 
 
 def replicate(factors: _Factors, m: int, seed: int, tag: str,
@@ -309,24 +299,4 @@ def empirical_w1_multid(a: SampleBatch, b: SampleBatch, method: str | None = Non
         method="sliced",
         sizes=(a.m, b.m),
         stderr=float(np.std(vals, ddof=1) / math.sqrt(SLICED_DIRECTIONS)),
-    )
-
-
-def fit_rate(points) -> RateFit:
-    """Least-squares slope of log(value) against log(n) over >= 3 points."""
-    pts = [(int(n), float(v)) for n, v in points]
-    if len(pts) < 3:
-        raise ValueError("need at least three points to fit a rate")
-    if any(v <= 0.0 for _, v in pts):
-        raise ValueError("values must be positive before taking logs")
-    log_n = np.log([n for n, _ in pts])
-    log_v = np.log([v for _, v in pts])
-    design = np.stack([log_n, np.ones_like(log_n)], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(design, log_v, rcond=None)
-    resid = log_v - design @ coef
-    return RateFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        rss=float(np.dot(resid, resid)),
-        n_range=(min(n for n, _ in pts), max(n for n, _ in pts)),
     )

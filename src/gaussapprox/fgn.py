@@ -89,6 +89,19 @@ def _series_coefficients(h: float) -> np.ndarray:
     return c
 
 
+def _power_coefficients(h: float, q: int) -> np.ndarray:
+    """The first _SERIES_TERMS coefficients e_k of the q-th power of the binomial series of rho.
+
+    The k-th coefficient of the power uses series terms 0..k only, so these
+    are exact.  The loop is numpy.polynomial's ``polypow``, bit for bit,
+    without importing that package.
+    """
+    c = e = _series_coefficients(h)
+    for _ in range(q - 1):
+        e = np.convolve(e, c)
+    return e[:_SERIES_TERMS]
+
+
 #: Cephes' Euler-Maclaurin coefficients (2k)! / B_2k of the Hurwitz zeta tail.
 _ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
            7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
@@ -352,8 +365,7 @@ def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
         raise ValueError(f"max_lag must be >= {_SERIES_CUTOFF:g}, got {max_lag}")
 
     head = 1.0 + 2.0 * float(np.sum(rho(h, np.arange(1, max_lag + 1, dtype=np.float64)) ** q))
-    # The k-th coefficient of the power uses series terms 0..k only, so these are exact.
-    e = np.polynomial.polynomial.polypow(_series_coefficients(h), q)[:_SERIES_TERMS]
+    e = _power_coefficients(h, q)
     s = q * (2.0 - 2.0 * h) + 2.0 * np.arange(_SERIES_TERMS)
     zeta = np.array([_hurwitz_zeta(x, max_lag + 1.0) for x in s.tolist()])
     tail = 2.0 * float(np.sum(e * zeta))

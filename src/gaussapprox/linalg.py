@@ -27,6 +27,7 @@ __all__ = [
     "hs_norm",
     "prefactor",
     "q_factor",
+    "gaussian_pair_bound",
     "cholesky_lower",
     "sample_gaussian",
     "matrix_to_json",
@@ -141,6 +142,15 @@ def q_factor(c, k) -> float:
     if c.dim != k.dim:
         raise ValueError(f"dimension mismatch: {c.dim} vs {k.dim}")
     return min(prefactor(c), prefactor(k))
+
+
+def gaussian_pair_bound(k, c) -> float:
+    """Q(C, K) * ||C - K||_HS for two positive definite targets."""
+    k = as_covariance(k)
+    c = as_covariance(c)
+    if k.dim != c.dim:
+        raise ValueError(f"dimension mismatch: {k.dim} vs {c.dim}")
+    return q_factor(c, k) * hs_norm(c.matrix - k.matrix)
 
 
 def cholesky_lower(c) -> np.ndarray:

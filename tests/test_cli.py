@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussapprox import chaos, cli
+from gaussapprox import chaos, cli, empirical, stein
 from gaussapprox.cli import SUBCOMMANDS, main
 from gaussapprox.stein import rule_size
 
@@ -453,7 +453,7 @@ def test_stein_check_admits_a_grid_of_eleven_steps(monkeypatch, d):
         raise Admitted
 
     # stein_report runs only once the job has passed the work guard
-    monkeypatch.setattr(cli, "stein_report", admitted)
+    monkeypatch.setattr(stein, "stein_report", admitted)
     with pytest.raises(Admitted):
         run_cli(["stein-check", "--d", str(d), "--grid-steps", "11"])
 
@@ -602,7 +602,7 @@ def test_oversize_malliavin_refused_before_any_path(monkeypatch):
     def no_paths(*args):
         raise AssertionError("malliavin_grams ran for an oversize family")
 
-    monkeypatch.setattr(cli, "malliavin_grams", no_paths)
+    monkeypatch.setattr(empirical, "malliavin_grams", no_paths)
     code, out = run_cli(["malliavin", "--H", "0.6", "--q", "2", "--times", "0,1",
                          "--n", "4194304", "--m", "2"])
     assert code == 2
@@ -713,3 +713,28 @@ def test_cli_jobs_load_no_scipy_module():
     codes, loaded = json.loads(_python(code, json.dumps(jobs)))
     assert codes == [0] * len(jobs)
     assert loaded == []
+
+
+def test_cli_jobs_run_only_the_modules_they_call():
+    # deferred modules stay unexecuted until a job reads them; type() does not load one
+    code = ("import io, json, sys, types; from contextlib import redirect_stdout\n"
+            "import gaussapprox.cli as cli\n"
+            "names = ['stein', 'chatterjee', 'empirical', 'diff']\n"
+            "def ran():\n"
+            "    return [n for n in names if type(sys.modules['gaussapprox.' + n]) is types.ModuleType]\n"
+            "cli.build_parser()\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    seen.append([code, ran(), 'numpy.polynomial' in sys.modules])\n"
+            "print(json.dumps(seen))")
+    jobs = [
+        ["bound", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "512"],
+        ["rates", "--H", "0.7", "--q", "2", "--times", "0,1", "--n", "512,1024,2048"],
+        ["gaussian-pair", "--C", "[[1.0, 0.2], [0.2, 1.0]]", "--K", "[[1.0, 0.0], [0.0, 1.0]]"],
+        ["simulate", "--H", "0.7", "--q", "2", "--times", "0,1,2", "--n", "64", "--m", "50",
+         "--seed", "1"],
+    ]
+    seen = json.loads(_python(code, json.dumps(jobs)))
+    assert seen == [[0, [], False]] * 3 + [[0, ["empirical"], False]]

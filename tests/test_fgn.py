@@ -139,6 +139,16 @@ def test_hurwitz_zeta_port_keeps_the_bits_of_scipy():
         assert abs(port - exact) <= tol * exact, s
 
 
+def test_power_coefficients_keep_the_bits_of_polypow():
+    # polypow trims the all-zero series of H = 1/2 to [0.]; the loop keeps its zeros
+    for h in np.round(np.linspace(0.01, 0.99, 99), 2).tolist():
+        c = fgn._series_coefficients(h)
+        for q in range(2, 21):
+            ref = np.polynomial.polynomial.polypow(c, q)[:fgn._SERIES_TERMS]
+            ref = np.pad(ref, (0, fgn._SERIES_TERMS - ref.size))
+            assert np.array_equal(fgn._power_coefficients(h, q), ref), (h, q)
+
+
 def test_binomial_keeps_the_bits_of_scipy_below_k_20():
     from scipy.special import binom
 
