@@ -21,7 +21,7 @@ H, Q, N, M = 0.5, 2, 512, 2000
 TIMES = (0.0, 1.0, 2.0)
 
 fam = kernel_family(H, Q, N, TIMES)
-batch = simulate_bm_vector(H, Q, N, TIMES, M, seed=2718, family=fam)
+batch = simulate_bm_vector(H, Q, N, TIMES, M, seed=2718)
 bound = wasserstein_bound(fam, np.eye(2)).bound
 print(f"H={H}, q={Q}, n={N}, m={M} replications; bound to N(0, I_2): {bound:.4f}")
 

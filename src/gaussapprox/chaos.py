@@ -63,9 +63,9 @@ d-dimensional family of equal blocks grows one table per distinct
 min(r, q-r).  The tables are the only cache of the sums: a store bounded by
 ``RANGE_TABLE_BYTES``.  At H = 1/2 the increments are independent, rho has
 one-point support and T_a = T_b = I, so the sum is the closed form m and no
-table grows.  While :func:`wasserstein_bound` assembles one bound it holds
-one table of rho over every lag its sums and inner products read, and the
-table goes with the report.
+table grows.  The same store keeps one table of rho per H, over every lag
+the sums and inner products at that H have read, so each lag is evaluated
+once while its table stays.
 
 Before its first sum, :func:`wasserstein_bound` estimates the contraction
 work of its largest block with :func:`contraction_work` and refuses a family
@@ -75,7 +75,6 @@ checks every level before any of them runs.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 
@@ -127,8 +126,8 @@ _HANDOVER = 1024
 WORK_BUDGET = 2**30
 MEMORY_BUDGET = 2**28
 
-#: Bytes the range tables, one per (H, q, min(r, q-r)), may hold together;
-#: the least recently used go first.
+#: Bytes the range tables, one per (H, q, min(r, q-r)), and the lag tables,
+#: one per H, may hold together; the least recently used go first.
 RANGE_TABLE_BYTES = MEMORY_BUDGET // 16
 
 
@@ -208,19 +207,6 @@ def kernel_family(h: float, q: int, n: int, times, sigma: SigmaEstimate | None =
     )
 
 
-#: (H, rho(H, 0..L-1)) of the bound :func:`wasserstein_bound` is assembling.
-_REPORT_LAGS = contextvars.ContextVar("report_lags", default=None)
-
-
-def _rho_at(h: float, t: np.ndarray) -> np.ndarray:
-    """rho(h, t) at the integer lags t, from the held table when it covers them;
-    ``rho`` takes each |t| on its own, so the entries have the bits of a fresh call."""
-    held, lags = _REPORT_LAGS.get(), np.abs(t)
-    if held is not None and held[0] == h and lags.max() < held[1].size:
-        return held[1][lags]
-    return rho(h, t)
-
-
 def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     """<f, g> in H^{(x q)}; E[I_q(f) I_q(g)] = q! <f, g>."""
     if f.rank != g.rank:
@@ -231,7 +217,7 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     t = np.arange(a0 - b1 + 1, a1 - b0)
     counts = np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)
     counts = np.clip(counts, 0, None).astype(np.float64)
-    vals = _rho_at(h, t) ** f.rank
+    vals = _rho_lags(h, max(a1 - b0, b1 - a0))[np.abs(t)] ** f.rank
     return f.scale * g.scale * float(np.sum(counts * vals))
 
 
@@ -287,7 +273,7 @@ class _RangeTable:
         rows, done = _table_rows(m), self.rows
         if rows <= done:
             return
-        lags = _rho_at(h, np.arange(rows))
+        lags = _rho_lags(h, rows)
         # x of the aba and bab recurrences; their y is xs[::-1]
         xs = np.stack((lags**r, lags ** (q - r))).astype(self.w.dtype, copy=False)
         parts = []
@@ -421,28 +407,49 @@ def _block_terms(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, g
 
 
-#: (H, q, min(r, q-r)) -> its range table, least recently used first.
-_TABLES: dict[tuple[float, int, int], _RangeTable] = {}
+#: (H, q, min(r, q-r)) -> its range table and (H,) -> its lag table,
+#: least recently used first.
+_TABLES: dict[tuple, _RangeTable | np.ndarray] = {}
+
+
+def _store(key: tuple, entry, grown: bool):
+    """Put ``entry`` at the back of the store under ``key`` and return it.
+
+    After a growth the least recently used entries go while the store holds
+    more than ``RANGE_TABLE_BYTES`` bytes, all but this newest one.
+    """
+    _TABLES[key] = entry
+    if grown:
+        while len(_TABLES) > 1 and sum(t.nbytes for t in _TABLES.values()) > RANGE_TABLE_BYTES:
+            del _TABLES[next(iter(_TABLES))]
+    return entry
+
+
+def _rho_lags(h: float, n: int) -> np.ndarray:
+    """rho(h, 0..n-1) from the lag table of H; a short table grows by ``rho``
+    on the missing lags alone, which takes each lag on its own, so every
+    entry has the bits of a fresh call."""
+    lags = _TABLES.pop((h,), np.empty(0))
+    grown = lags.size < n
+    if grown:
+        lags = np.concatenate((lags, rho(h, np.arange(lags.size, n))))
+    return _store((h,), lags, grown)[:n]
 
 
 def _lattice_sum(h: float, q: int, r: int, m: int) -> float:
     """Tr((T_a T_b)^2) on m points, a = rho^r, b = rho^{q-r}, from the key's range table.
 
     At H = 1/2 it is m.  Otherwise a size the table covers costs one O(m)
-    read; a larger one grows the table, and the least recently used tables
-    go while the store holds more than ``RANGE_TABLE_BYTES`` bytes, all but
-    the one just grown.
+    read; a larger one grows the table (see :func:`_store`).
     """
     if h == 0.5:
         return float(m)  # rho has one-point support, so T_a = T_b = I
     key = (h, q, r)
     table = _TABLES.pop(key, None) or _RangeTable()
-    _TABLES[key] = table
-    if table.rows < m:
+    grown = table.rows < m
+    if grown:
         table.grow(h, q, r, m)
-        while len(_TABLES) > 1 and sum(t.nbytes for t in _TABLES.values()) > RANGE_TABLE_BYTES:
-            del _TABLES[next(iter(_TABLES))]
-    return table.sum(m)
+    return _store(key, table, grown).sum(m)
 
 
 def contraction_norm_sq(f: StepKernel, r: int, h: float) -> float:
@@ -503,23 +510,14 @@ def _pair_entry(a_target: float, f: StepKernel, g: StepKernel,
     p, q = f.rank, g.rank
     if p == q:
         total = (a_target - math.factorial(p) * inner_fg) ** 2
-        acc = 0.0
-        for r in range(1, p):
-            coeff = (
-                math.factorial(r - 1) ** 2
-                * math.comb(p - 1, r - 1) ** 4
-                * math.factorial(2 * p - 2 * r)
-            )
-            acc += coeff * (contr_f[p - r - 1] + contr_g[p - r - 1])
-        return total + 0.5 * p * p * acc
-    total = a_target**2
-    total += (
-        math.factorial(p) ** 2
-        * math.comb(q - 1, p - 1) ** 2
-        * math.factorial(q - p)
-        * inner_ff
-        * math.sqrt(max(contr_g[q - p - 1], 0.0))
-    )
+    else:
+        total = a_target**2 + (
+            math.factorial(p) ** 2
+            * math.comb(q - 1, p - 1) ** 2
+            * math.factorial(q - p)
+            * inner_ff
+            * math.sqrt(max(contr_g[q - p - 1], 0.0))
+        )
     acc = 0.0
     for r in range(1, p):
         coeff = (
@@ -605,26 +603,19 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
     _check_work(fam)
     h, q = fam.hurst, fam.rank
 
-    # one lag table serves the sums and the inner products, and goes with the report
-    span = fam.kernels[-1].block[1] - fam.kernels[0].block[0]
-    lags = max(2 * max(f.size for f in fam.kernels) - 1, span)
-    token = _REPORT_LAGS.set((h, rho(h, np.arange(lags))))
-    try:
-        contr = np.array(
-            [[contraction_norm_sq(f, r, h) for r in range(1, q)] for f in fam.kernels]
-        ).reshape(d, q - 1)
-        inner = np.empty((d, d))
-        for i, f in enumerate(fam.kernels):
-            for j, g in enumerate(fam.kernels[: i + 1]):
-                inner[i, j] = inner[j, i] = kernel_inner(f, g, h)
-    finally:
-        _REPORT_LAGS.reset(token)
+    contr = np.array(
+        [[contraction_norm_sq(f, r, h) for r in range(1, q)] for f in fam.kernels]
+    ).reshape(d, q - 1)
+    inner = np.empty((d, d))
+    for i, f in enumerate(fam.kernels):
+        for j, g in enumerate(fam.kernels[: i + 1]):
+            inner[i, j] = inner[j, i] = kernel_inner(f, g, h)
 
     entries = np.empty((d, d))
     for i in range(d):
         for j in range(d):
             entries[i, j] = _pair_entry(
-                cov.entry(i, j), fam.kernels[i], fam.kernels[j],
+                float(cov.matrix[i, j]), fam.kernels[i], fam.kernels[j],
                 inner[i, j], inner[i, i], contr[i], contr[j],
             )
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SampleBatch
-from .chaos import KernelFamily, RateFit, fit_rate, kernel_family
-from .fgn import FgnPath, _circulant_factors, _Factors, _paths, check_hurst
-from .hermite import _check_rank, hermite_eval
+from .chaos import MEMORY_BUDGET, KernelFamily, RateFit, fit_rate, kernel_family
+from .fgn import FgnPath, _circulant_factors, _embedding_size, _Factors, _paths
+from .hermite import hermite_eval
 from .rng import hash64, philox_bits, standard_normals
 
 __all__ = [
@@ -99,34 +99,41 @@ def replicate(factors: _Factors, m: int, seed: int, tag: str,
                     "normals_per_path": factors.normals_per_path}
 
 
-def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int,
-                       family: KernelFamily | None = None) -> SampleBatch:
+def _sampling_factors(h: float, n: int) -> _Factors:
+    """``_circulant_factors`` of (H, n), refused with ValueError before any array
+    is built when the sampler would pass ``chaos.MEMORY_BUDGET``: the factors
+    take about 44 bytes an embedding point and a block of one path 44-66 more
+    (tracemalloc)."""
+    size = _embedding_size(n)
+    nbytes = 110.0 * size
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(
+            f"fGn sampler at n={n}: a circulant embedding of {size} points needs about "
+            f"{nbytes / 2**20:.3g} MiB, past the budget of {MEMORY_BUDGET / 2**20:.3g} MiB; "
+            f"lower n or the last time"
+        )
+    return _circulant_factors(h, n)
+
+
+def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int) -> SampleBatch:
     """m replications of the normalized d-dimensional increment vector.
 
     Replication r simulates the fGn path of length floor(n t_d) in window r
     of the stream hash64(seed, "bm-vector") and block-sums H_q over each
     kernel block.  The embedding spectrum of that length is factored once
     for all m paths, and paths, H_q and block sums run a block of paths at a
-    time (``replicate``).  ``family`` skips the rebuild when a matching
-    kernel family (same h, q, n, times) is already at hand; a family that
-    does not match raises ValueError.  The batch's ``diagnostics`` carry
+    time (``replicate``); a sampler past the memory budget is refused
+    (``_sampling_factors``).  The batch's ``diagnostics`` carry
     ``embedding_min_ratio`` and ``normals_per_path``.
     """
-    if family is None:
-        fam = kernel_family(h, q, n, times)
-    else:
-        fam = family
-        have = (fam.hurst, fam.rank, fam.level, fam.times)
-        given = (check_hurst(h), _check_rank(q), int(n), tuple(float(t) for t in times))
-        if have != given:
-            raise ValueError(f"family has (H, q, n, times) = {have}, the arguments give {given}")
+    fam = kernel_family(h, q, n, times)
 
     def block_sums(paths: np.ndarray) -> np.ndarray:
         hq = hermite_eval(fam.rank, paths)
         return np.stack([ker.scale * np.sum(hq[:, ker.block[0]:ker.block[1]], axis=1)
                          for ker in fam.kernels], axis=1)
 
-    factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
+    factors = _sampling_factors(fam.hurst, fam.kernels[-1].block[1])
     values, diagnostics = replicate(factors, m, seed, "bm-vector", block_sums)
     return SampleBatch(values=values, seed=seed, provenance="bm-vector", diagnostics=diagnostics)
 
@@ -185,10 +192,10 @@ def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, d
     Entry r equals ``pathwise_malliavin_inner`` of path r (window r of the
     stream, ``replicate``).  One embedding spectrum serves the sampling and
     the Toeplitz products of all m paths, and H_{q-1} and the FFT pairs run
-    a block of paths at a time.  Also returns the diagnostics of
-    ``replicate``.
+    a block of paths at a time.  A sampler past the memory budget is refused
+    (``_sampling_factors``).  Also returns the diagnostics of ``replicate``.
     """
-    factors = _circulant_factors(fam.hurst, fam.kernels[-1].block[1])
+    factors = _sampling_factors(fam.hurst, fam.kernels[-1].block[1])
     return replicate(factors, m, seed, "malliavin",
                      lambda paths: _grams(fam, factors.spectrum, hermite_eval(fam.rank - 1, paths)))
 

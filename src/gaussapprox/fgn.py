@@ -193,12 +193,14 @@ class FgnPath:
         return self.increments.shape[0]
 
 
-def _embedding_eigenvalues(h: float, n: int) -> np.ndarray:
-    """FFT eigenvalues of the circulant extension of rho(0..n-1).
+def _embedding_size(n: int) -> int:
+    """Size of the circulant embedding of n steps: the first power of two >= 2n."""
+    return 1 << max(1, 2 * n - 1).bit_length()
 
-    Embedding size is the first power of two >= 2n.
-    """
-    size = 1 << max(1, 2 * n - 1).bit_length()
+
+def _embedding_eigenvalues(h: float, n: int) -> np.ndarray:
+    """FFT eigenvalues of the circulant extension of rho(0..n-1), of size ``_embedding_size(n)``."""
+    size = _embedding_size(n)
     half = size // 2
     head = rho(h, np.arange(half + 1))
     row = np.concatenate([head, head[-2:0:-1]])
@@ -330,9 +332,6 @@ class SigmaEstimate:
     lags: int
     partial_sum: float
     tail_estimate: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def check_breuer_major_hypothesis(h: float, q: int) -> None:

@@ -115,9 +115,6 @@ class CovarianceMatrix:
         """Spectral condition number lambda_max / lambda_min."""
         return float(self.spectrum[0] / self.spectrum[-1])
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.matrix[i, j])
-
 
 def as_covariance(c) -> CovarianceMatrix:
     """Coerce an array-like (or pass through a CovarianceMatrix)."""

@@ -153,14 +153,14 @@ class QuadratureSpec:
         return (self.u_nodes, self.gh_order)
 
 
-def default_quadrature(d: int, u_nodes: int = DEFAULT_U_NODES) -> QuadratureSpec:
+def default_quadrature(d: int) -> QuadratureSpec:
     """Tensor Gauss-Hermite of order 8 for d <= 4, the sparse rule of level 5 beyond.
 
     A tensor rule has order^d points, so it explodes in d.
     """
     if d <= GH_MAX_DIM:
-        return QuadratureSpec(u_nodes=u_nodes)
-    return QuadratureSpec(u_nodes=u_nodes, gh_order=DEFAULT_SPARSE_LEVEL)
+        return QuadratureSpec()
+    return QuadratureSpec(gh_order=DEFAULT_SPARSE_LEVEL)
 
 
 @functools.lru_cache(maxsize=64)

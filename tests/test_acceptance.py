@@ -239,7 +239,7 @@ def test_criterion_08_end_to_end_domination():
     h, q, n, m = 0.5, 2, 512, 2000
     times = (0.0, 1.0, 2.0)
     fam = kernel_family(h, q, n, times)
-    batch = simulate_bm_vector(h, q, n, times, m, seed=808, family=fam)
+    batch = simulate_bm_vector(h, q, n, times, m, seed=808)
     bound = wasserstein_bound(fam, np.eye(2)).bound
     marg = [empirical_w1_1d(batch.values[:, i]) for i in range(2)]
     ok_w1 = all(e.value <= bound + 3.0 * e.stderr for e in marg)

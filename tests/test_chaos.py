@@ -293,29 +293,29 @@ def test_table_sums_do_not_depend_on_the_order_of_sizes():
 def test_range_table_store_is_bounded(monkeypatch):
     assert 0 < chaos.RANGE_TABLE_BYTES <= chaos.MEMORY_BUDGET
     monkeypatch.setattr(chaos, "_TABLES", {})
-    keys = [(h, 2, 1) for h in (0.3, 0.4, 0.6, 0.7, 0.55)]
-    for key in keys[:3]:
-        chaos._lattice_sum(*key, 100)
-    one = chaos._TABLES[keys[0]].nbytes  # 128 rows; below the hand-over bytes go with rows
+    one = 8 * 100  # bytes of a lag table of 100 lags
     monkeypatch.setattr(chaos, "RANGE_TABLE_BYTES", 3 * one)
+    for h in (0.3, 0.4, 0.6):
+        chaos._rho_lags(h, 100)
     # a hit moves its table to the back, so the least recently used goes first
-    chaos._lattice_sum(*keys[0], 50)
-    assert list(chaos._TABLES) == [keys[1], keys[2], keys[0]]
-    chaos._lattice_sum(*keys[3], 100)
-    assert list(chaos._TABLES) == [keys[2], keys[0], keys[3]]
-    # a growth to 256 rows holds two tables' bytes, so one more table goes
-    chaos._lattice_sum(*keys[0], 200)
-    assert list(chaos._TABLES) == [keys[3], keys[0]]
+    chaos._rho_lags(0.3, 50)
+    assert list(chaos._TABLES) == [(0.4,), (0.6,), (0.3,)]
+    chaos._rho_lags(0.7, 100)
+    assert list(chaos._TABLES) == [(0.6,), (0.3,), (0.7,)]
+    # a growth to 200 lags holds two tables' bytes, so one more table goes
+    chaos._rho_lags(0.3, 200)
+    assert list(chaos._TABLES) == [(0.7,), (0.3,)]
     assert sum(t.nbytes for t in chaos._TABLES.values()) == 3 * one
-    # a table past the whole bound stays, alone, while it is the one just grown
-    big = chaos._lattice_sum(*keys[4], 600)
-    assert list(chaos._TABLES) == [keys[4]]
-    assert chaos._TABLES[keys[4]].nbytes > chaos.RANGE_TABLE_BYTES
-    assert chaos._lattice_sum(*keys[4], 300) < big
-    assert list(chaos._TABLES) == [keys[4]]
+    # range tables share the bound: one past it stays, alone, while it is the
+    # one just grown, and its growth evicts the lag table it read
+    big = chaos._lattice_sum(0.7, 2, 1, 100)
+    assert list(chaos._TABLES) == [(0.7, 2, 1)]
+    assert chaos._TABLES[(0.7, 2, 1)].nbytes > chaos.RANGE_TABLE_BYTES
+    assert chaos._lattice_sum(0.7, 2, 1, 50) < big
+    assert list(chaos._TABLES) == [(0.7, 2, 1)]
     # and goes first when another table grows
-    chaos._lattice_sum(*keys[1], 100)
-    assert list(chaos._TABLES) == [keys[1]]
+    chaos._rho_lags(0.4, 10)
+    assert list(chaos._TABLES) == [(0.4,)]
 
 
 def test_work_budget_counts_a_dyadic_operation_twice():
@@ -347,32 +347,39 @@ def test_lag_table_entries_have_the_bits_of_fresh_rho_calls():
         assert np.array_equal(table[np.abs(t)], rho(h, t)), h
 
 
-def test_bound_builds_one_lag_table_that_ends_with_the_report(monkeypatch):
-    fam = kernel_family(0.7, 4, 376, (0, 1, 2.5))
+def test_each_lag_of_a_hurst_index_is_evaluated_once(monkeypatch):
     calls = []
     real = chaos.rho
 
     def counting(h, x):
-        calls.append(np.size(x))
+        calls.append(np.array(x))
         return real(h, x)
+
+    def bounds(fams):
+        return [wasserstein_bound(fam, np.eye(2)) for fam in fams]
 
     monkeypatch.setattr(chaos, "rho", counting)
     monkeypatch.setattr(chaos, "_TABLES", {})
-    rep = wasserstein_bound(fam, np.eye(2))
-    # lags 0..2 * 564 - 2 serve both blocks' sums and every inner product
-    assert calls == [1127]
-    assert chaos._REPORT_LAGS.get() is None
-    # outside the report each value takes its own rho call, and each growth
-    # of a fresh range table one, and the bits agree
+    small = [kernel_family(0.7, 4, 376, (0, 1, 2.5))]
+    reps = bounds(small)
+    # the range tables grow to 384 and 576 rows, the inner products read lags < 940
+    assert [c.size for c in calls] == [384, 192, 364]
+    # a second report at the same H evaluates no lag again
+    small.append(kernel_family(0.7, 3, 376, (0, 1, 2.5)))
+    reps += bounds(small[1:])
+    assert len(calls) == 3
+    # a larger one evaluates only the lags past the table
+    large = [kernel_family(0.7, 4, 512, (0, 1, 2.5))]
+    reps += bounds(large)
+    assert np.array_equal(np.concatenate(calls), np.arange(1280))
+    assert np.array_equal(chaos._TABLES[(0.7,)], real(0.7, np.arange(1280)))
+    # on an empty store, the large report first, every bit is the same
     chaos._TABLES.clear()
-    for i, f in enumerate(fam.kernels):
-        for j, g in enumerate(fam.kernels):
-            assert rep.inner_products[i, j] == kernel_inner(f, g, 0.7)
-        for r in range(1, 4):
-            fresh = chaos._lattice_sum(0.7, 4, min(r, 4 - r), f.size)
-            assert rep.contraction_norms_sq[i, r - 1] == f.scale**4 * fresh
-    # two inner products per block; tables (q, r) = (4, 1) and (4, 2) grow to 376, then to 564
-    assert len(calls) == 1 + 2 * 2 + 2 * 2
+    before = len(calls)
+    fresh = bounds(large) + bounds(small)
+    assert np.array_equal(np.concatenate(calls[before:]), np.arange(1280))
+    for rep, again in zip(reps, fresh[1:] + fresh[:1]):
+        assert rep.to_json() == again.to_json()
 
 
 def test_brownian_contraction_is_the_block_size():

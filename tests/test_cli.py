@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -74,6 +75,25 @@ def test_simulate_with_a_failing_embedding_guard_exits_3(monkeypatch):
     err = json.loads(out)["error"]
     assert err["type"] == "NotPositiveDefinite"
     assert "not nonnegative definite" in err["message"]
+
+
+def test_sampler_past_the_memory_budget_exits_2_before_allocating():
+    # 2^46 embedding points: numpy would refuse the 256 TiB array with a MemoryError
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["simulate", "--H", "0.6", "--q", "2", "--n", "35184372088832",
+                             "--m", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "70368744177664 points" in err["message"] and "256 MiB" in err["message"]
+    # malliavin refuses the same way; its bound admits this family
+    fam = chaos.kernel_family(0.6, 2, 2**21, (0, 1))
+    with pytest.raises(ValueError, match="4194304 points"):
+        empirical.malliavin_grams(fam, 2, 1)
 
 
 def test_unknown_flag_exits_2():

@@ -277,7 +277,7 @@ def test_paths_do_not_depend_on_the_block_size(monkeypatch):
     times = (0.0, 1.0, 2.5)
     fam = kernel_family(0.65, 2, 36, times)
     jobs = {
-        "simulate": lambda: simulate_bm_vector(0.65, 2, 36, times, 40, seed=3, family=fam).values,
+        "simulate": lambda: simulate_bm_vector(0.65, 2, 36, times, 40, seed=3).values,
         "malliavin": lambda: malliavin_grams(fam, 40, seed=3)[0],
     }
     width = fgn._circulant_factors(0.65, 90).normals_per_path
@@ -319,7 +319,7 @@ def test_engine_builds_the_spectrum_once_per_call(monkeypatch):
 
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", counted)
     fam = kernel_family(0.6, 2, 64, (0.0, 1.0, 2.0))
-    simulate_bm_vector(0.6, 2, 64, (0.0, 1.0, 2.0), 30, seed=5, family=fam)
+    simulate_bm_vector(0.6, 2, 64, (0.0, 1.0, 2.0), 30, seed=5)
     assert calls == [(0.6, 128)]
     calls.clear()
     malliavin_grams(fam, 30, seed=5)
@@ -331,7 +331,7 @@ def test_engine_negative_spectrum_raises(monkeypatch):
     times = (0.0, 1.0, 2.0)
     fam = kernel_family(0.7, 2, 32, times)
     with pytest.raises(NotPositiveDefinite, match="not nonnegative definite"):
-        simulate_bm_vector(0.7, 2, 32, times, 10, seed=8, family=fam)
+        simulate_bm_vector(0.7, 2, 32, times, 10, seed=8)
     with pytest.raises(NotPositiveDefinite):
         malliavin_grams(fam, 10, seed=8)
 
@@ -339,20 +339,9 @@ def test_engine_negative_spectrum_raises(monkeypatch):
 def test_replicate_rejects_empty_batch():
     fam = kernel_family(0.6, 2, 16, (0.0, 1.0))
     with pytest.raises(ValueError):
-        simulate_bm_vector(0.6, 2, 16, (0.0, 1.0), 0, seed=1, family=fam)
+        simulate_bm_vector(0.6, 2, 16, (0.0, 1.0), 0, seed=1)
     with pytest.raises(ValueError):
         malliavin_grams(fam, 0, seed=1)
-
-
-def test_simulate_rejects_a_family_that_does_not_match_the_arguments():
-    fam = kernel_family(0.7, 3, 64, (0, 1))
-    for h, q, n, times in ((0.6, 2, 32, (0, 1, 2)), (0.6, 3, 64, (0, 1)), (0.7, 2, 64, (0, 1)),
-                           (0.7, 3, 32, (0, 1)), (0.7, 3, 64, (0, 2))):
-        with pytest.raises(ValueError, match="the arguments give"):
-            simulate_bm_vector(h, q, n, times, 5, seed=1, family=fam)
-    # equal values of other types match: ints for floats, a list for a tuple
-    batch = simulate_bm_vector(0.7, 3.0, 64.0, [0, 1], 5, seed=1, family=fam)
-    assert batch.values.shape == (5, 1)
 
 
 def test_pathwise_malliavin_symmetry_and_isometry():
@@ -411,7 +400,7 @@ def test_end_to_end_marginals_dominated_by_bound():
     for h in (0.5, 0.65):
         n, m = 512, 600
         fam = kernel_family(h, 2, n, (0.0, 1.0, 2.0))
-        batch = simulate_bm_vector(h, 2, n, (0.0, 1.0, 2.0), m, seed=404, family=fam)
+        batch = simulate_bm_vector(h, 2, n, (0.0, 1.0, 2.0), m, seed=404)
         bound = wasserstein_bound(fam, np.eye(2)).bound
         for i in range(batch.d):
             est = empirical_w1_1d(batch.values[:, i])
