@@ -4,8 +4,8 @@ U0g solves  g(x) - E g(Z) = <x, grad f(x)> - <C, Hess f(x)>_HS  for
 Z ~ N(0, C).  The demo evaluates U0g by quadrature, confirms two closed
 forms, measures the equation residual on a grid, and checks the Hessian
 sup-bound prefactor(C) * Lip(g) for the registered test functions.  The
-registered functions carry gradient and Hessian oracles, so the derivatives
-of U0g are exact derivatives of the quadrature; a function without them falls
+registered functions carry a joint gradient-Hessian oracle, so the derivatives
+of U0g are exact derivatives of the quadrature; a function without one falls
 back to finite differences.
 """
 

@@ -217,7 +217,9 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     t = np.arange(a0 - b1 + 1, a1 - b0)
     counts = np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)
     counts = np.clip(counts, 0, None).astype(np.float64)
-    vals = _rho_lags(h, max(a1 - b0, b1 - a0))[np.abs(t)] ** f.rank
+    lags = np.abs(t)
+    lo = int(lags.min())
+    vals = _rho_lags(h, int(lags.max()) + 1, lo)[lags - lo] ** f.rank
     return f.scale * g.scale * float(np.sum(counts * vals))
 
 
@@ -425,15 +427,20 @@ def _store(key: tuple, entry, grown: bool):
     return entry
 
 
-def _rho_lags(h: float, n: int) -> np.ndarray:
-    """rho(h, 0..n-1) from the lag table of H; a short table grows by ``rho``
-    on the missing lags alone, which takes each lag on its own, so every
-    entry has the bits of a fresh call."""
+def _rho_lags(h: float, n: int, lo: int = 0) -> np.ndarray:
+    """rho(h, lo..n-1).  When ``lo`` lies below the n - lo lags asked for, as
+    for every block of a kernel family, they come from the lag table of H; a
+    short table grows by ``rho`` on the missing lags alone.  Lags farther out,
+    as for two blocks far apart, take ``rho`` on these lags alone, uncached,
+    so no table grows to hold the lags below ``lo``.  ``rho`` takes each lag
+    on its own, so every entry has the bits of a fresh call."""
+    if lo >= n - lo:
+        return rho(h, np.arange(lo, n))
     lags = _TABLES.pop((h,), np.empty(0))
     grown = lags.size < n
     if grown:
         lags = np.concatenate((lags, rho(h, np.arange(lags.size, n))))
-    return _store((h,), lags, grown)[:n]
+    return _store((h,), lags, grown)[lo:n]
 
 
 def _lattice_sum(h: float, q: int, r: int, m: int) -> float:

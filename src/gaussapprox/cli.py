@@ -249,6 +249,10 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     u_nodes = _u_nodes(args)
     names = args.functions.split(",") if args.functions else None
     registry = {f.name: f for f in stein.lipschitz_test_functions(cov.dim)}
+    for name in names or ():
+        if name not in registry:
+            raise ValueError(f"--functions: no test function {name!r}; "
+                             f"registered: {', '.join(registry)}")
     chosen = [registry[n] for n in names] if names else list(registry.values())
     # counted in closed form before QuadratureSpec bounds the flags; an order
     # below its floor counts one node
@@ -270,7 +274,7 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     else:
         # regular grids explode beyond d = 2; use a seeded scatter instead
         pts = 1.5 * standard_normals(hash64(args.seed, "stein-grid"), (args.grid_steps**2, cov.dim))
-    reports = [stein.stein_report(g, cov, pts, quad) for g in chosen]
+    reports = stein.stein_report(chosen, cov, pts, quad)
     config = {
         "c": matrix_to_json(cov.matrix), "seed": args.seed,
         "functions": [g.name for g in chosen],

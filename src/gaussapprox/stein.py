@@ -18,17 +18,21 @@ deterministic Gauss-Hermite rule after Cholesky whitening: the tensor rule
 the OU sums are analytic in u, and the u-integral runs on Gauss-Legendre in
 u (:func:`ou_time_rule`).
 
-Derivatives: when g carries ``gradient`` and ``hessian`` oracles,
+Derivatives: when g carries a ``derivatives`` oracle, which returns its
+gradient and Hessian together from the transcendentals they share,
 :func:`u0_derivatives` differentiates that quadrature sum exactly, term by
-term, for a whole batch of points, on the OU node loop :func:`ou_sums` that
-also averages the Jacobian of ``chatterjee.t_ab_matrix``.  That loop builds
-its nodes coordinate-major and hands the oracles a (..., d) view of them, so
-plain numpy over the last axis runs on long contiguous rows.  Without oracles,
-``u0_gradient`` and ``u0_hessian`` take central differences of ``u0_apply``
-at the point-scaled steps of :mod:`gaussapprox.diff`; they also serve the
-tests as the reference.  ``stein_residual``, ``hessian_bound_check`` and
-``stein_report`` all read one pass over the points, which makes that choice
-once and returns each point's equation residual and Hessian HS norm.
+term, for a whole batch of points and a whole list of test functions, on the
+OU node loop :func:`ou_sums` that also averages the Jacobian of
+``chatterjee.t_ab_matrix``.  That loop builds each block of nodes once for
+all the functions, coordinate-major, and hands the oracles a (..., d) view
+of them, so plain numpy over the last axis runs on long contiguous rows.
+Without oracles, ``u0_gradient`` and ``u0_hessian`` take central
+differences of ``u0_apply`` at the point-scaled steps of
+:mod:`gaussapprox.diff`; they also serve the tests as the reference.
+``stein_report`` (for a list of functions), ``stein_residual`` and
+``hessian_bound_check`` (for one) all read one pass over the points, which
+makes that choice per function and returns each point's equation residual
+and Hessian HS norm.
 """
 
 from __future__ import annotations
@@ -104,14 +108,14 @@ OU_NODES = 2**14
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Scalar test function on R^d with optional derivative oracles.
+    """Scalar test function on R^d with an optional derivative oracle.
 
     ``fn`` must accept arrays of shape (..., d) and return shape (...,).
-    ``lipschitz`` is required by the Hessian bound check.  ``gradient``
-    (shape (..., d)) and ``hessian`` (shape (..., d, d), or (d, d) when
-    constant) are exact oracles: stein_discrepancy requires them, and with
-    them the Stein checks differentiate U0g exactly instead of by finite
-    differences.
+    ``lipschitz`` is required by the Hessian bound check.  ``derivatives``
+    returns the exact gradient (shape (..., d)) and Hessian (shape
+    (..., d, d), or (d, d) when constant) together: stein_discrepancy
+    requires it, and with it the Stein checks differentiate U0g exactly
+    instead of by finite differences.
     """
 
     __test__ = False  # "Test" prefix, but not a pytest class
@@ -119,15 +123,14 @@ class TestFunction:
     name: str
     fn: object
     lipschitz: float | None = None
-    gradient: object = None
-    hessian: object = None
+    derivatives: object = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=np.float64))
 
     @property
     def has_oracles(self) -> bool:
-        return self.gradient is not None and self.hessian is not None
+        return self.derivatives is not None
 
 
 @dataclass(frozen=True)
@@ -326,15 +329,31 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
     """Gaussian-rule sums of oracles over the OU nodes u x + sqrt(1 - u^2) Z, Z ~ N(0, C).
 
     Yields ``(block, sums)`` for consecutive slices ``block`` of the (P, d)
-    ``points``: ``sums[k][p, i] = sum_z wts_z fns[k](u_i x_p + sqrt(1 - u_i^2) z)``
+    ``points``.  An oracle returns an array or a tuple of arrays, and
+    ``sums`` holds one sum per array, in the order of ``fns`` and of each
+    tuple: ``sums[k][p, i] = sum_z wts_z v_k(u_i x_p + sqrt(1 - u_i^2) z)``
     over the points z and weights wts of the configured Gaussian rule, with
-    the oracle's values flattened, shape (p, u_nodes, -1).  The u_i and
+    the values v_k flattened, shape (p, u_nodes, -1).  The u_i and
     sqrt(1 - u_i^2) come from :func:`ou_time_rule`.  Nodes are built per
     block of points and of u-nodes, at most ``OU_NODES`` of them at a time
-    (one u-node of a larger rule is held whole), and each (point, u-node) sum
-    runs on its own, so its bits do not depend on the blocking.  A block's
-    oracle values are released once the next block's exist.  The caller
-    validates ``points``.
+    (one u-node of a larger rule is held whole), once for all the oracles,
+    and each (point, u-node) sum runs on its own, so its bits depend neither
+    on the blocking nor on the other oracles.  The caller validates
+    ``points``.
+
+    Hold rule: the oracles run one after another on a block's nodes, each
+    oracle's values are summed at once, and all of a block's values stay
+    held until the next block's nodes exist, so at most every oracle's
+    values of one block are held.  The next block's oracles then find freed
+    memory of the sizes they ask for, and glibc malloc neither trims nor
+    re-faults it.  Measured in one process over the seed-701 ``stein-lab``
+    job list (six 121-point ``stein-check`` jobs of five functions each, 2
+    vCPUs, medians of 5 runs), against 42.4k minor faults, 42.5 MiB peak RSS
+    and 0.75 s for one pass per function, this hold read 5.5k faults, 42.3
+    MiB and 0.43 s.  Holding each oracle's values only until the next
+    oracle's exist read 60.1k faults, 41.8 MiB and 0.64 s; freeing them
+    right after their sums 46.7k, 41.6 MiB and 0.59 s; holding a block's
+    values until the next block's exist 17.9k, 45.4 MiB and 0.58 s.
 
     Layout: a block's nodes are built coordinate-major, shape (d, p, u, R),
     and every oracle sees them as the view (p, u * R, d), so each elementwise
@@ -355,17 +374,20 @@ def ou_sums(fns, cov: CovarianceMatrix, points: np.ndarray, quad: QuadratureSpec
     p_step = max(1, OU_NODES // (len(u) * wts.size))
     for lo in range(0, len(points), p_step):
         x = points[lo:lo + p_step].T[:, :, None, None]
-        sums = [[] for _ in fns]
+        parts = []
         for a in range(0, len(u), u_step):
             nodes = u[a:a + u_step] * x + c[a:a + u_step] * rule_t
             view = np.moveaxis(nodes, 0, -1).reshape(nodes.shape[1], -1, d)
-            # All oracles run before any sum, and the last block's values stay held:
-            # else malloc trims and re-faults each call's temporaries (+20 % stein-lab)
-            values = [fn(view) for fn in fns]
-            for v, parts in zip(values, sums):
-                # one R-long weighted sum per (point, u-node, value)
-                parts.append(np.einsum("r,purm->pum", wts, v.reshape(nodes.shape[1:] + (-1,))))
-        yield slice(lo, lo + p_step), [np.concatenate(parts, axis=1) for parts in sums]
+            # rebinding ``held`` frees the last block's values only now (hold rule)
+            sums, held = [], []
+            for fn in fns:
+                values = fn(view)
+                held.append(values)
+                for v in values if isinstance(values, tuple) else (values,):
+                    # one R-long weighted sum per (point, u-node, value)
+                    sums.append(np.einsum("r,purm->pum", wts, v.reshape(nodes.shape[1:] + (-1,))))
+            parts.append(sums)
+        yield slice(lo, lo + p_step), [np.concatenate(s, axis=1) for s in zip(*parts)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -421,8 +443,13 @@ def u0_hessian(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> n
     return fd_hessian(lambda p: u0_apply(g, cov, p, quad), x)
 
 
-def u0_derivatives(g: TestFunction, cov, points,
-                   quad: QuadratureSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _as_list(fns) -> tuple[list, bool]:
+    """The functions of ``fns``, and whether it is one TestFunction rather than a sequence."""
+    one = isinstance(fns, TestFunction)
+    return ([fns] if one else list(fns)), one
+
+
+def u0_derivatives(fns, cov, points, quad: QuadratureSpec | None = None):
     """Exact gradients and Hessians of the quadrature U0g at a batch of points.
 
     Differentiating the sum that ``u0_apply`` evaluates, term by term, over
@@ -432,14 +459,19 @@ def u0_derivatives(g: TestFunction, cov, points,
         Hess U0g(x) = sum_i wu_i u_i sum_z wts_z Hess g(n_iz),
 
     since the 1/u_i of the time integral cancels against d n_iz / dx = u_i.
-    ``g`` must carry gradient and Hessian oracles.  ``points`` has shape
-    (P, d) (or (d,) for one point); returns gradients (P, d) and Hessians
-    (P, d, d).  The inner sums over z come from :func:`ou_sums`, the sums
-    over u from one weighted sum per point, so a point gets the same bits
-    alone as in a batch, whatever the node blocking.
+    ``fns`` is a sequence of test functions, each with a ``derivatives``
+    oracle; one pass of :func:`ou_sums` builds each block of nodes once for
+    all of them.  ``points`` has shape (P, d) (or (d,) for one point).
+    Returns one pair (gradients (P, d), Hessians (P, d, d)) per function,
+    or that pair alone when ``fns`` is one TestFunction.  The sums over u
+    are one weighted sum per point, so a point gets the same bits alone as
+    in a batch, and a function the same bits alone as in a list, whatever
+    the node blocking.
     """
-    if not g.has_oracles:
-        raise ValueError(f"test function {g.name!r} lacks gradient/Hessian oracles")
+    fns, one = _as_list(fns)
+    for g in fns:
+        if not g.has_oracles:
+            raise ValueError(f"test function {g.name!r} lacks gradient/Hessian oracles")
     cov = as_covariance(cov)
     d = cov.dim
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -449,41 +481,50 @@ def u0_derivatives(g: TestFunction, cov, points,
         quad = default_quadrature(d)
     u, _, wu = ou_time_rule(quad.u_nodes)
 
-    def hessian(nodes):
-        return np.broadcast_to(g.hessian(nodes), nodes.shape + (d,))
+    def oracle(g):
+        def derivatives(nodes):
+            grad, hess = g.derivatives(nodes)
+            return grad, np.broadcast_to(hess, nodes.shape + (d,))
+        return derivatives
 
-    grads = np.empty((len(pts), d))
-    hessians = np.empty((len(pts), d * d))
-    # Hessians first: the larger oracle runs before the gradients are held
-    for block, (s_hess, s_grad) in ou_sums((hessian, g.gradient), cov, pts, quad):
-        grads[block] = np.einsum("u,pum->pm", wu, s_grad)
-        hessians[block] = np.einsum("u,pum->pm", wu * u, s_hess)
-    return grads, hessians.reshape(len(pts), d, d)
+    grads = np.empty((len(fns), len(pts), d))
+    hessians = np.empty((len(fns), len(pts), d * d))
+    for block, sums in ou_sums([oracle(g) for g in fns], cov, pts, quad):
+        for k in range(len(fns)):
+            grads[k, block] = np.einsum("u,pum->pm", wu, sums[2 * k])
+            hessians[k, block] = np.einsum("u,pum->pm", wu * u, sums[2 * k + 1])
+    out = list(zip(grads, hessians.reshape(len(fns), len(pts), d, d)))
+    return out[0] if one else out
 
 
-def _stein_pass(g: TestFunction, cov, points,
-                quad: QuadratureSpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """The Stein residual and the HS norm of Hess U0g at each point.
+def _stein_pass(fns: list, cov, points, quad: QuadratureSpec | None) -> list:
+    """The Stein residual and the HS norm of Hess U0g at each point, per function.
 
     The residual is |g(x) - E g(Z) - (<x, grad U0g(x)> - <C, Hess U0g(x)>_HS)|.
-    The derivatives are exact by ``u0_derivatives`` when g has oracles, and
-    default-step central differences of ``u0_gradient`` and ``u0_hessian``
-    otherwise.  Residuals and norms are taken row by row over the batch, so
-    a point gets the same bits alone as in a batch.
+    The derivatives of the functions with oracles are exact, from one
+    ``u0_derivatives`` pass for all of them; the others take default-step
+    central differences of ``u0_gradient`` and ``u0_hessian``.  Residuals
+    and norms are taken row by row over the batch, so a point gets the same
+    bits alone as in a batch.  Returns one pair (residuals, norms) per function.
     """
     cov = as_covariance(cov)
     if quad is None:
         quad = default_quadrature(cov.dim)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if g.has_oracles:
-        grads, hessians = u0_derivatives(g, cov, pts, quad)
-    else:
-        grads = np.array([u0_gradient(g, cov, x, quad) for x in pts])
-        hessians = np.array([u0_hessian(g, cov, x, quad) for x in pts])
-    drift = np.sum(pts * grads, axis=-1)
-    diffusion = np.sum(cov.matrix * hessians, axis=(-2, -1))
-    residuals = np.abs(g(pts) - mean_under_target(g, cov, quad) - (drift - diffusion))
-    return residuals, np.sqrt(np.sum(hessians * hessians, axis=(-2, -1)))
+    exact = [g for g in fns if g.has_oracles]
+    derivatives = iter(u0_derivatives(exact, cov, pts, quad) if exact else ())
+    out = []
+    for g in fns:
+        if g.has_oracles:
+            grads, hessians = next(derivatives)
+        else:
+            grads = np.array([u0_gradient(g, cov, x, quad) for x in pts])
+            hessians = np.array([u0_hessian(g, cov, x, quad) for x in pts])
+        drift = np.sum(pts * grads, axis=-1)
+        diffusion = np.sum(cov.matrix * hessians, axis=(-2, -1))
+        residuals = np.abs(g(pts) - mean_under_target(g, cov, quad) - (drift - diffusion))
+        out.append((residuals, np.sqrt(np.sum(hessians * hessians, axis=(-2, -1)))))
+    return out
 
 
 def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> float:
@@ -491,7 +532,7 @@ def stein_residual(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) 
 
     The derivatives are exact when g has oracles, central differences otherwise.
     """
-    return float(_stein_pass(g, cov, np.asarray(x, dtype=np.float64)[None], quad)[0][0])
+    return float(_stein_pass([g], cov, np.asarray(x, dtype=np.float64)[None], quad)[0][0][0])
 
 
 @dataclass(frozen=True)
@@ -511,7 +552,7 @@ def hessian_bound_check(g: TestFunction, cov, points, quad: QuadratureSpec | Non
     oracles, central differences otherwise.
     """
     _require_lipschitz(g)
-    return _bound_check(g, cov, _stein_pass(g, cov, points, quad)[1])
+    return _bound_check(g, cov, _stein_pass([g], cov, points, quad)[0][1])
 
 
 def _require_lipschitz(g: TestFunction) -> None:
@@ -535,23 +576,30 @@ def _bound_check(g: TestFunction, cov, norms: np.ndarray) -> HessianBoundCheck:
     )
 
 
-def stein_report(g: TestFunction, cov, points, quad: QuadratureSpec | None = None) -> dict:
-    """Combined diagnostic: residual max and Hessian check over the points.
+def stein_report(fns, cov, points, quad: QuadratureSpec | None = None):
+    """Combined diagnostic per test function: residual max and Hessian check over the points.
 
     Gives the values of ``stein_residual`` and ``hessian_bound_check`` from
-    one pass, so one gradient and one Hessian of U0g per point serve both.
+    one pass, so one gradient and one Hessian of U0g per point serve both,
+    and the functions with oracles share each block of OU nodes.  Returns
+    one report per function of the sequence ``fns``, or the report alone
+    when ``fns`` is one TestFunction.
     """
-    _require_lipschitz(g)
-    residuals, norms = _stein_pass(g, cov, points, quad)
-    check = _bound_check(g, cov, norms)
-    return {
-        "function": g.name,
-        "points": check.points,
-        "residual_max": float(np.max(residuals)),
-        "hessian_max": check.max_hs_norm,
-        "rhs": check.rhs,
-        "pass": check.passed,
-    }
+    fns, one = _as_list(fns)
+    for g in fns:
+        _require_lipschitz(g)
+    reports = []
+    for g, (residuals, norms) in zip(fns, _stein_pass(fns, cov, points, quad)):
+        check = _bound_check(g, cov, norms)
+        reports.append({
+            "function": g.name,
+            "points": check.points,
+            "residual_max": float(np.max(residuals)),
+            "hessian_max": check.max_hs_norm,
+            "rhs": check.rhs,
+            "pass": check.passed,
+        })
+    return reports[0] if one else reports
 
 
 @dataclass(frozen=True)
@@ -566,7 +614,7 @@ def stein_discrepancy(sample: SampleBatch, functions, cov) -> list[DiscrepancyRe
 
     Vanishes (within Monte Carlo error) iff the sample law is N(0, C), by the
     characterizing integration-by-parts identity.  Every function must carry
-    exact gradient and Hessian oracles.
+    an exact ``derivatives`` oracle.
     """
     cov = as_covariance(cov)
     y = sample.values
@@ -578,8 +626,7 @@ def stein_discrepancy(sample: SampleBatch, functions, cov) -> list[DiscrepancyRe
     for f in functions:
         if not f.has_oracles:
             raise ValueError(f"function {f.name!r} lacks gradient/Hessian oracles")
-        grads = np.asarray(f.gradient(y), dtype=np.float64)
-        hesses = np.asarray(f.hessian(y), dtype=np.float64)
+        grads, hesses = (np.asarray(v, dtype=np.float64) for v in f.derivatives(y))
         if hesses.ndim == 2:
             hess_term = np.full(sample.m, hs_inner(cov.matrix, hesses))
         else:
@@ -598,9 +645,10 @@ def stein_discrepancy(sample: SampleBatch, functions, cov) -> list[DiscrepancyRe
 def lipschitz_test_functions(d: int) -> list[TestFunction]:
     """The registered Lipschitz test functions on R^d with exact constants.
 
-    Each carries closed-form gradient and Hessian oracles, which work over
-    the last axis of any layout; a new Hessian axis goes before the
-    coordinate axis, as :func:`ou_sums` asks.
+    Each carries a closed-form ``derivatives`` oracle that computes the
+    transcendental its gradient and Hessian share once, and works over the
+    last axis of any layout; a new Hessian axis goes before the coordinate
+    axis, as :func:`ou_sums` asks.
     """
     sqrt_d = math.sqrt(d)
     eye = np.eye(d)
@@ -608,32 +656,29 @@ def lipschitz_test_functions(d: int) -> list[TestFunction]:
     def first_coord(x):
         return x[..., 0]
 
-    def first_coord_grad(x):
-        return np.broadcast_to(eye[0], x.shape)
-
-    def zero_hess(x):
-        return np.zeros(x.shape + (d,))
+    def first_coord_derivatives(x):
+        return np.broadcast_to(eye[0], x.shape), np.broadcast_to(0.0, x.shape + (d,))
 
     def sin_sum(x):
         return np.sin(np.sum(x, axis=-1))
 
-    def sin_sum_grad(x):
-        return np.broadcast_to(np.cos(np.sum(x, axis=-1))[..., None], x.shape)
-
-    def sin_sum_hess(x):
-        return np.broadcast_to(-np.sin(np.sum(x, axis=-1))[..., None, None], x.shape + (d,))
+    def sin_sum_derivatives(x):
+        s = np.sum(x, axis=-1)
+        return (np.broadcast_to(np.cos(s)[..., None], x.shape),
+                np.broadcast_to(-np.sin(s)[..., None, None], x.shape + (d,)))
 
     def sqrt_norm(x):
         return np.sqrt(1.0 + np.sum(x * x, axis=-1))
 
-    def sqrt_norm_grad(x):
-        return x / sqrt_norm(x)[..., None]
-
-    def sqrt_norm_hess(x):
-        # (I - grad grad^T) / r with r = sqrt(1 + |x|^2), grad = x / r
+    def sqrt_norm_derivatives(x):
+        # grad = x / r and Hess = (I - grad grad^T) / r with r = sqrt(1 + |x|^2),
+        # the Hessian's steps in place: the same bits with one (..., d, d) array
         r = sqrt_norm(x)[..., None]
         grad = x / r
-        return (eye - grad[..., None, :] * grad[..., :, None]) / r[..., None]
+        hess = grad[..., None, :] * grad[..., :, None]
+        np.subtract(eye, hess, out=hess)
+        hess /= r[..., None]
+        return grad, hess
 
     def logsumexp(x):
         m = np.max(x, axis=-1)
@@ -643,55 +688,54 @@ def lipschitz_test_functions(d: int) -> list[TestFunction]:
         e = np.exp(x - np.max(x, axis=-1, keepdims=True))
         return e / np.sum(e, axis=-1, keepdims=True)
 
-    def logsumexp_hess(x):
+    def logsumexp_derivatives(x):
+        # grad = softmax(x) = p and Hess = diag(p) - p p^T
         p = softmax(x)
-        return p[..., None, :] * eye - p[..., None, :] * p[..., :, None]
+        hess = p[..., None, :] * eye
+        hess -= p[..., None, :] * p[..., :, None]
+        return p, hess
 
     def logcosh_sum(x):
         ax = np.abs(x)
         return np.sum(ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0), axis=-1)
 
-    def logcosh_sum_hess(x):
-        return (1.0 - np.tanh(x) ** 2)[..., None, :] * eye
+    def logcosh_sum_derivatives(x):
+        t = np.tanh(x)
+        sech_sq = t**2
+        np.subtract(1.0, sech_sq, out=sech_sq)
+        return t, sech_sq[..., None, :] * eye
 
     return [
         TestFunction("first_coordinate", first_coord, lipschitz=1.0,
-                     gradient=first_coord_grad, hessian=zero_hess),
-        TestFunction("sin_of_sum", sin_sum, lipschitz=sqrt_d,
-                     gradient=sin_sum_grad, hessian=sin_sum_hess),
+                     derivatives=first_coord_derivatives),
+        TestFunction("sin_of_sum", sin_sum, lipschitz=sqrt_d, derivatives=sin_sum_derivatives),
         TestFunction("sqrt_one_plus_norm_sq", sqrt_norm, lipschitz=1.0,
-                     gradient=sqrt_norm_grad, hessian=sqrt_norm_hess),
-        TestFunction("log_sum_exp", logsumexp, lipschitz=1.0,
-                     gradient=softmax, hessian=logsumexp_hess),
+                     derivatives=sqrt_norm_derivatives),
+        TestFunction("log_sum_exp", logsumexp, lipschitz=1.0, derivatives=logsumexp_derivatives),
         TestFunction("log_cosh_sum", logcosh_sum, lipschitz=sqrt_d,
-                     gradient=np.tanh, hessian=logcosh_sum_hess),
+                     derivatives=logcosh_sum_derivatives),
     ]
 
 
 def quadratic_test_functions(d: int) -> list[TestFunction]:
-    """Monomials x_i x_j (i <= j) with exact gradient and Hessian oracles."""
+    """Monomials x_i x_j (i <= j) with an exact ``derivatives`` oracle, the Hessian constant."""
     out = []
     for i in range(d):
         for j in range(i, d):
             def fn(x, i=i, j=j):
                 return x[..., i] * x[..., j]
 
-            def grad(x, i=i, j=j):
-                g = np.zeros_like(x)
-                g[..., i] += x[..., j]
-                g[..., j] += x[..., i]
-                return g
-
             hess = np.zeros((d, d))
             hess[i, j] += 1.0
             hess[j, i] += 1.0
 
-            out.append(
-                TestFunction(
-                    f"x{i + 1}*x{j + 1}", fn,
-                    gradient=grad, hessian=lambda x, hess=hess: hess,
-                )
-            )
+            def derivatives(x, i=i, j=j, hess=hess):
+                g = np.zeros_like(x)
+                g[..., i] += x[..., j]
+                g[..., j] += x[..., i]
+                return g, hess
+
+            out.append(TestFunction(f"x{i + 1}*x{j + 1}", fn, derivatives=derivatives))
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,25 @@ def test_kernel_inner_examples():
 
     with pytest.raises(ValueError):
         kernel_inner(a, StepKernel(rank=3, scale=1.0, block=(0, 1)), h)
+
+
+def test_kernel_inner_of_far_apart_blocks_builds_no_lag_table(monkeypatch):
+    # the pair's 3 lags lie near 10^7: rho on them alone, not a table of 10^7 lags
+    monkeypatch.setattr(chaos, "_TABLES", {})
+    f = StepKernel(rank=2, scale=1.0, block=(0, 1))
+    g = StepKernel(rank=2, scale=1.0, block=(10**7, 10**7 + 1))
+    start = time.perf_counter()
+    value = kernel_inner(f, g, 0.7)
+    assert time.perf_counter() - start < 0.1
+    assert value == 3.1211602171394135e-10
+    assert (0.7,) not in chaos._TABLES
+    # either way of evaluating rho gives every pair the same bits
+    for a, b in (((0, 3), (50, 54)), ((40, 47), (0, 2)), ((0, 5), (5, 9)), ((3, 9), (0, 12))):
+        f, g = StepKernel(3, 0.8, a), StepKernel(3, 1.1, b)
+        t = np.arange(a[0] - b[1] + 1, a[1] - b[0])
+        counts = np.clip(np.minimum(a[1], b[1] + t) - np.maximum(a[0], b[0] + t), 0, None)
+        vals = chaos._rho_lags(0.7, int(np.abs(t).max()) + 1)[np.abs(t)] ** 3
+        assert kernel_inner(f, g, 0.7) == 0.8 * 1.1 * float(np.sum(counts.astype(np.float64) * vals))
 
 
 def test_contraction_examples():

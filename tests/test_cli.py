@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -503,6 +504,46 @@ def test_stein_check_dimension_flag():
     assert json.loads(out)["config"]["c"]["dim"] == 3
     _, default = run_cli(["stein-check", *small])
     assert json.loads(default)["config"]["c"]["rows"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("functions, token", [
+    ("nosuch", "nosuch"), ("sin_of_sum,,log_sum_exp", ""),
+], ids=["unknown", "empty"])
+def test_stein_check_names_an_unknown_function(functions, token):
+    code, out = run_cli(["stein-check", "--grid-steps", "2", "--functions", functions])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == (f"--functions: no test function {token!r}; registered: first_coordinate, "
+                              "sin_of_sum, sqrt_one_plus_norm_sq, log_sum_exp, log_cosh_sum")
+
+
+def test_stein_check_builds_each_node_block_once_for_every_function(monkeypatch):
+    real = stein.lipschitz_test_functions
+    calls = []
+
+    def counted(d):
+        def counting(g):
+            def derivatives(x):
+                calls.append((g.name, x))
+                return g.derivatives(x)
+            return dataclasses.replace(g, derivatives=derivatives)
+        return [counting(g) for g in real(d)]
+
+    argv = ["stein-check", "--grid-steps", "11"]
+    _, plain = run_cli(argv)
+    monkeypatch.setattr(stein, "lipschitz_test_functions", counted)
+    run_cli([*argv, "--functions", "log_sum_exp"])
+    blocks = len(calls)
+    assert blocks > 1
+    calls.clear()
+    code, out = run_cli(argv)
+    assert code == 0 and out == plain
+    # each joint oracle runs once per block, and the five of a block read one array of nodes
+    names = [g.name for g in real(2)]
+    assert [name for name, _ in calls] == names * blocks
+    for i in range(0, len(calls), len(names)):
+        assert all(x is calls[i][1] for _, x in calls[i:i + len(names)])
 
 
 @pytest.mark.parametrize("flag", ["--grid-lo", "--grid-hi"])

@@ -266,10 +266,29 @@ def test_hessian_bound_check_examples():
 
 
 def test_stein_report_keys():
-    g = lipschitz_test_functions(2)[0]
-    rep = stein_report(g, C_EYE, grid_points(-2.0, 2.0, 3), QUAD)
-    assert set(rep) == {"function", "points", "residual_max", "hessian_max", "rhs", "pass"}
-    assert rep["pass"]
+    fns = lipschitz_test_functions(2)[:2]
+    reps = stein_report(fns, C_EYE, grid_points(-2.0, 2.0, 3), QUAD)
+    assert [rep["function"] for rep in reps] == [g.name for g in fns]
+    for rep in reps:
+        assert set(rep) == {"function", "points", "residual_max", "hessian_max", "rhs", "pass"}
+        assert rep["pass"]
+    # one TestFunction gives its report alone
+    assert stein_report(fns[0], C_EYE, grid_points(-2.0, 2.0, 3), QUAD) == reps[0]
+
+
+def test_stein_report_of_a_list_equals_each_function_alone():
+    # the functions share each block of OU nodes, not a bit of their sums; a
+    # function without oracles keeps its finite differences inside a list
+    pts = grid_points(-3.0, 3.0, 4)
+    fns = lipschitz_test_functions(2)
+    plain = _without_oracles(fns[1])
+    for cov in (C_CORR, C_EYE):
+        alone = {g.name: stein_report([g], cov, pts, QUAD)[0] for g in fns}
+        for f, g in itertools.permutations(fns, 2):
+            assert stein_report([f, g], cov, pts, QUAD) == [alone[f.name], alone[g.name]]
+        assert stein_report(fns, cov, pts, QUAD) == list(alone.values())
+        mixed = stein_report([fns[3], plain, fns[2]], cov, pts, QUAD)
+        assert mixed == [alone[fns[3].name], stein_report(plain, cov, pts, QUAD), alone[fns[2].name]]
 
 
 def _without_oracles(g):
@@ -329,7 +348,7 @@ def test_registered_oracles_match_central_differences(d):
     x = np.random.default_rng(d).uniform(-2.0, 2.0, size=(2, 3, d))
     h, k = 1e-5, 1e-3
     for g in lipschitz_test_functions(d):
-        grad, hess = g.gradient(x), g.hessian(x)
+        grad, hess = g.derivatives(x)
         assert grad.shape == (2, 3, d) and hess.shape == (2, 3, d, d)
         fd_grad = np.stack([(g.fn(x + e) - g.fn(x - e)) / (2 * h) for e in h * np.eye(d)], axis=-1)
         fd_hess = np.stack([
@@ -339,7 +358,7 @@ def test_registered_oracles_match_central_differences(d):
         assert np.allclose(grad, fd_grad, rtol=0, atol=1e-8), g.name
         assert np.allclose(hess, fd_hess, rtol=0, atol=1e-5), g.name
         # one point of shape (d,) gives the values it has inside the batch
-        assert np.allclose(g.hessian(x[1, 2]), hess[1, 2], rtol=0, atol=1e-15), g.name
+        assert np.allclose(g.derivatives(x[1, 2])[1], hess[1, 2], rtol=0, atol=1e-15), g.name
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -350,8 +369,56 @@ def test_registered_oracles_do_not_depend_on_memory_layout(d):
     copy = np.ascontiguousarray(view)
     assert not view.flags.c_contiguous
     for g in lipschitz_test_functions(d):
-        for oracle in (g.fn, g.gradient, g.hessian):
-            assert np.array_equal(oracle(view), oracle(copy)), g.name
+        assert np.array_equal(g.fn(view), g.fn(copy)), g.name
+        for a, b in zip(g.derivatives(view), g.derivatives(copy), strict=True):
+            assert np.array_equal(a, b), g.name
+
+
+def _separate_oracles(d):
+    """The gradient and Hessian oracles of each registered function, one function each."""
+    eye = np.eye(d)
+
+    def sqrt_norm(x):
+        return np.sqrt(1.0 + np.sum(x * x, axis=-1))
+
+    def softmax(x):
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    def sqrt_norm_hess(x):
+        r = sqrt_norm(x)[..., None]
+        grad = x / r
+        return (eye - grad[..., None, :] * grad[..., :, None]) / r[..., None]
+
+    def logsumexp_hess(x):
+        p = softmax(x)
+        return p[..., None, :] * eye - p[..., None, :] * p[..., :, None]
+
+    return {
+        "first_coordinate": (lambda x: np.broadcast_to(eye[0], x.shape),
+                             lambda x: np.zeros(x.shape + (d,))),
+        "sin_of_sum": (
+            lambda x: np.broadcast_to(np.cos(np.sum(x, axis=-1))[..., None], x.shape),
+            lambda x: np.broadcast_to(-np.sin(np.sum(x, axis=-1))[..., None, None], x.shape + (d,))),
+        "sqrt_one_plus_norm_sq": (lambda x: x / sqrt_norm(x)[..., None], sqrt_norm_hess),
+        "log_sum_exp": (softmax, logsumexp_hess),
+        "log_cosh_sum": (np.tanh, lambda x: (1.0 - np.tanh(x) ** 2)[..., None, :] * eye),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_registered_derivatives_keep_the_bits_of_separate_oracles(d):
+    # the joint oracle computes a shared softmax, tanh, norm or sum once
+    cm = np.random.default_rng(10 + d).uniform(-3.0, 3.0, size=(d, 3, 4, 9))
+    view = np.moveaxis(cm, 0, -1)
+    separate = _separate_oracles(d)
+    fns = lipschitz_test_functions(d)
+    assert [g.name for g in fns] == list(separate)
+    for x in (view, np.ascontiguousarray(view)):
+        for g in fns:
+            grad, hess = g.derivatives(x)
+            assert np.array_equal(grad, separate[g.name][0](x)), g.name
+            assert np.array_equal(hess, separate[g.name][1](x)), g.name
 
 
 @pytest.mark.parametrize("cov", [
@@ -377,8 +444,9 @@ def test_u0_derivatives_of_monomials_closed_form():
     for g in quadratic_test_functions(2):
         grads, hessians = u0_derivatives(g, C_CORR, pts, QUAD)
         for x, grad, hess in zip(pts, grads, hessians):
-            assert np.allclose(grad, g.gradient(x) / 2.0, rtol=0, atol=1e-12), g.name
-            assert np.allclose(hess, g.hessian(x) / 2.0, rtol=0, atol=1e-12), g.name
+            grad_g, hess_g = g.derivatives(x)
+            assert np.allclose(grad, grad_g / 2.0, rtol=0, atol=1e-12), g.name
+            assert np.allclose(hess, hess_g / 2.0, rtol=0, atol=1e-12), g.name
             assert stein_residual(g, C_CORR, x, QUAD) < 1e-12
 
 
@@ -393,6 +461,16 @@ def test_u0_derivatives_chunked_over_u_nodes(monkeypatch):
         assert np.allclose(a, b, rtol=0, atol=1e-15)
     single = [u0_derivatives(g, C_CORR, x, QUAD) for x in pts]
     assert all(np.array_equal(s[1][0], h) for s, h in zip(single, chunked[1]))
+
+
+def test_u0_derivatives_of_a_list_equal_each_function_alone():
+    pts = grid_points(-3.0, 3.0, 4)
+    fns = lipschitz_test_functions(2)
+    together = u0_derivatives(fns, C_CORR, pts, QUAD)
+    assert len(together) == len(fns)
+    for g, (grads, hessians) in zip(fns, together):
+        alone = u0_derivatives([g], C_CORR, pts, QUAD)[0]
+        assert np.array_equal(grads, alone[0]) and np.array_equal(hessians, alone[1]), g.name
 
 
 def _peak_mib(fn):
@@ -503,8 +581,7 @@ def test_stein_discrepancy_constant_function_zero():
     f = TestFunction(
         "const",
         lambda x: np.ones(x.shape[:-1]),
-        gradient=lambda x: np.zeros_like(x),
-        hessian=lambda x: np.zeros((2, 2)),
+        derivatives=lambda x: (np.zeros_like(x), np.zeros((2, 2))),
     )
     res = stein_discrepancy(batch, [f], C_EYE)[0]
     assert res.value == 0.0
