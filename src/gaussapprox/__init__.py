@@ -44,11 +44,13 @@ from .rng import hash64, standard_normals
 
 #: Public names of the modules that run on their first attribute read.  No
 #: ``bound``, ``rates`` or ``gaussian-pair`` job reads one, so those jobs
-#: neither compile nor execute them; ``diff`` loads with ``stein``.
+#: neither compile nor execute them; ``diff`` loads with ``stein``, and
+#: ``quadrature`` with ``stein`` or ``chatterjee``.
 _DEFERRED = {
     "diff": (),
-    "stein": ("QuadratureSpec", "TestFunction", "hessian_bound_check", "stein_discrepancy",
-              "stein_residual", "u0_apply"),
+    "quadrature": ("QuadratureSpec",),
+    "stein": ("TestFunction", "hessian_bound_check", "stein_discrepancy", "stein_residual",
+              "u0_apply"),
     "empirical": ("WassersteinEstimate", "empirical_w1_1d", "empirical_w1_multid",
                   "malliavin_grams", "normal_quantile", "pathwise_malliavin_inner",
                   "simulate_bm_vector"),

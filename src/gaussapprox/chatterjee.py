@@ -11,14 +11,14 @@ where, after the substitution t = u^2 and with J the Jacobian of F,
 
 that is T_ab(y) = int_0^1 sum_ij K(i,j) d_i f_a(y) E[d_j f_b(u y + sqrt(1-u^2) Y)] du.
 Jbar is the Ornstein-Uhlenbeck (Mehler) semigroup applied to J; its
-u-integral runs on :func:`gaussapprox.stein.ou_time_rule`.  A family that
-knows it in closed form or by a 1-d rule carries ``mean_jacobian``: the
+u-integral runs on :func:`gaussapprox.quadrature.ou_time_rule`.  A family
+that knows it in closed form or by a 1-d rule carries ``mean_jacobian``: the
 linear map (Jbar = A), the quadratic forms (J is linear and E[Y] = 0, so
 Jbar = J / 2) and the componentwise maps (Jbar is diagonal, each entry a 1-d
-average, :func:`gaussapprox.stein.ou_rule_1d`).  Any other family averages J
-over the nodes of the Stein solution U0's Gaussian rule (tensor for n <= 4,
-sparse above), summed by :func:`gaussapprox.stein.ou_sums`; that path is
-also the tests' oracle.
+average, :func:`gaussapprox.quadrature.ou_rule_1d`).  Any other family
+averages J over the nodes of the Stein solution U0's Gaussian rule (tensor
+for n <= 4, sparse above), summed by :func:`gaussapprox.quadrature.ou_sums`;
+that path is also the tests' oracle.
 
 The outer expectation over Y runs on a seeded stream; the inner expectation
 inside T_ab is a deterministic rule.  Specializing to the identity map gives
@@ -35,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .linalg import as_covariance, gaussian_pair_bound, prefactor, sample_gaussian
+from .quadrature import QuadratureSpec, ou_rule_1d, ou_sums, ou_time_rule
 from .rng import hash64
-from .stein import OU_NODES, QuadratureSpec, ou_rule_1d, ou_sums, ou_time_rule
 
 __all__ = [
     "SmoothVectorFunction",
@@ -65,8 +66,8 @@ class SmoothVectorFunction:
     ``u_nodes`` Gauss-Legendre nodes in u and, where it needs one, a
     Gauss-Hermite rule of that ``order``; its ``inner_rule`` attribute names
     the rule for the report (``"exact"`` or ``"gauss-hermite-1d"``).  Without
-    it, Jbar comes from :func:`~gaussapprox.stein.gaussian_rule` (``"tensor"``,
-    the sparse rule above n = 4).  Sub-exponential
+    it, Jbar comes from :func:`~gaussapprox.quadrature.gaussian_rule`
+    (``"tensor"``, the sparse rule above n = 4).  Sub-exponential
     growth of F is the caller's responsibility.
     """
 
@@ -100,11 +101,11 @@ def t_ab_matrix(F: SmoothVectorFunction, k, y, quad: QuadratureSpec | None = Non
 
     Jbar comes from ``F.mean_jacobian`` at the Gauss-Hermite order of ``quad``
     (default ``QuadratureSpec()``), or, without it, from the Jacobian
-    averaged over the nodes of :func:`~gaussapprox.stein.gaussian_rule` by
-    :func:`~gaussapprox.stein.ou_sums`.  Either holds at most
-    :data:`~gaussapprox.stein.OU_NODES` evaluations at a time, in blocks of
-    points; the path without it splits one point's sum over u-nodes when
-    that point has more.  Returns shape (d, d) or (m, d, d).
+    averaged over the nodes of :func:`~gaussapprox.quadrature.gaussian_rule`
+    by :func:`~gaussapprox.quadrature.ou_sums`.  Either holds at most
+    :data:`~gaussapprox.quadrature.OU_NODES` evaluations at a time, in
+    blocks of points; the path without it splits one point's sum over
+    u-nodes when that point has more.  Returns shape (d, d) or (m, d, d).
     """
     k = as_covariance(k)
     y = np.asarray(y, dtype=np.float64)
@@ -125,7 +126,7 @@ def _t_values(F: SmoothVectorFunction, k, ys: np.ndarray, quad: QuadratureSpec,
         for block, (s_jac,) in ou_sums((F.jacobian_at,), k, ys, quad):
             mean_jac[block] = np.einsum("u,pum->pm", wu, s_jac).reshape(-1, F.dim, k.dim)
     else:
-        step = max(1, OU_NODES // (quad.u_nodes * order * k.dim))
+        step = max(1, quadrature.OU_NODES // (quad.u_nodes * order * k.dim))
         for lo in range(0, len(ys), step):
             mean_jac[lo:lo + step] = F.mean_jacobian(ys[lo:lo + step], k, quad.u_nodes, order)
     return F.jacobian_at(ys) @ k.matrix @ np.swapaxes(mean_jac, -1, -2)
@@ -350,13 +351,16 @@ def family_from_config(cfg: dict, k=None) -> SmoothVectorFunction:
         raise ValueError(f"function family config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("type")
     if kind == "linear":
+        _require(cfg, "matrix")
         return linear_map_family(_config_matrix(cfg["matrix"], "matrix"))
     if kind == "quadratic":
+        _require(cfg, "matrices")
         mats = cfg["matrices"]
         if not isinstance(mats, list):
             raise ValueError(f"'matrices' must be a list of matrices, got {type(mats).__name__}")
         return quadratic_form_family([_config_matrix(q, "matrices") for q in mats], k=k)
     if kind == "componentwise":
+        _require(cfg, "kind", "n")
         name, n = cfg["kind"], cfg["n"]
         if not isinstance(name, str):
             raise ValueError(f"'kind' must be a string, got {type(name).__name__}")
@@ -364,6 +368,15 @@ def family_from_config(cfg: dict, k=None) -> SmoothVectorFunction:
             raise ValueError(f"'n' must be an integer, got {type(n).__name__}")
         return componentwise_family(name, n)
     raise ValueError(f"unknown function family type {kind!r}")
+
+
+def _require(cfg: dict, *keys: str) -> None:
+    """ValueError naming the ``keys`` that a family config lacks, if any."""
+    missing = [name for name in keys if name not in cfg]
+    if missing:
+        raise ValueError(f"{cfg['type']} function family config lacks "
+                         f"{', '.join(map(repr, missing))}; its keys are "
+                         f"{', '.join(map(repr, ('type',) + keys))}")
 
 
 def _config_matrix(obj, field: str) -> np.ndarray:

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, chatterjee, empirical, stein
+from . import __version__, chatterjee, empirical, quadrature, stein
 from .chaos import (
     CONTRACTION_RTOL,
     bound_curve,
@@ -100,8 +100,10 @@ def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int 
             raise ValueError(f"matrix {key} required (inline or --matrix-file)")
         return np.eye(d)
     if isinstance(obj, dict):
-        if "rows" not in obj:
-            raise ValueError(f"matrix {key}: JSON object must carry 'dim' and 'rows'")
+        missing = [name for name in ("dim", "rows") if name not in obj]
+        if missing:
+            raise ValueError(f"matrix {key}: JSON object lacks {', '.join(map(repr, missing))}; "
+                             "it must carry 'dim' and 'rows'")
         return matrix_from_json(obj)
     return np.asarray(obj, dtype=np.float64)
 
@@ -236,8 +238,8 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
 
 
 def _u_nodes(args) -> int:
-    """--quad-unodes, or stein's default; the parser leaves ``stein`` unloaded."""
-    return stein.DEFAULT_U_NODES if args.quad_unodes is None else args.quad_unodes
+    """--quad-unodes, or the default; the parser leaves ``quadrature`` unloaded."""
+    return quadrature.DEFAULT_U_NODES if args.quad_unodes is None else args.quad_unodes
 
 
 def _cmd_stein_check(args) -> tuple[dict, dict]:
@@ -245,7 +247,7 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     cov = as_covariance(c)
     if args.d is not None and cov.dim != args.d:
         raise ValueError(f"--d {args.d} disagrees with C of dim {cov.dim}")
-    order = stein.default_quadrature(cov.dim).gh_order if args.quad_gh_order is None else args.quad_gh_order
+    order = quadrature.default_quadrature(cov.dim).gh_order if args.quad_gh_order is None else args.quad_gh_order
     u_nodes = _u_nodes(args)
     names = args.functions.split(",") if args.functions else None
     registry = {f.name: f for f in stein.lipschitz_test_functions(cov.dim)}
@@ -256,14 +258,14 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     chosen = [registry[n] for n in names] if names else list(registry.values())
     # counted in closed form before QuadratureSpec bounds the flags; an order
     # below its floor counts one node
-    nodes = args.grid_steps**2 * u_nodes * stein.rule_size(cov.dim, max(order, 1)) * len(chosen)
+    nodes = args.grid_steps**2 * u_nodes * quadrature.rule_size(cov.dim, max(order, 1)) * len(chosen)
     work = nodes * cov.dim * (cov.dim + 1)
     if work > STEIN_CHECK_MAX_WORK:
         raise ValueError(f"stein-check would evaluate about {work:.2e} oracle values (points x "
                          f"u-nodes x rule nodes x functions x (d + d^2)), over the cap "
                          f"{STEIN_CHECK_MAX_WORK:.0e}; lower --grid-steps, --quad-unodes, "
                          "--quad-gh-order or --functions")
-    quad = stein.QuadratureSpec(u_nodes=u_nodes, gh_order=order)
+    quad = quadrature.QuadratureSpec(u_nodes=u_nodes, gh_order=order)
     lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
         lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi
@@ -291,8 +293,8 @@ def _cmd_chatterjee(args) -> tuple[dict, dict]:
     family = chatterjee.family_from_config(fn_cfg, k=kcov)
     c = _parse_matrix(args.C, args.matrix_file, "C", family.dim)
     # every family the CLI builds averages J exactly or by a 1-d Gauss-Hermite rule
-    order = stein.DEFAULT_GH_ORDER if args.quad_gh_order is None else args.quad_gh_order
-    quad = stein.QuadratureSpec(u_nodes=_u_nodes(args), gh_order=order)
+    order = quadrature.DEFAULT_GH_ORDER if args.quad_gh_order is None else args.quad_gh_order
+    quad = quadrature.QuadratureSpec(u_nodes=_u_nodes(args), gh_order=order)
     report = chatterjee.chatterjee_bound(family, kcov, c, mc_size=args.m, seed=args.seed, quad=quad)
     config = {
         "k": matrix_to_json(kcov.matrix), "c": matrix_to_json(np.asarray(c)),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussapprox import stein
+from gaussapprox import quadrature
 from gaussapprox.chatterjee import (
     SmoothVectorFunction,
     chatterjee_bound,
@@ -18,7 +18,7 @@ from gaussapprox.chatterjee import (
 )
 from gaussapprox.diff import fd_gradient
 from gaussapprox.linalg import CovarianceMatrix, hs_norm, prefactor
-from gaussapprox.stein import QuadratureSpec, gaussian_rule
+from gaussapprox.quadrature import QuadratureSpec, gaussian_rule
 
 K2 = CovarianceMatrix.from_matrix([[1.0, 0.3], [0.3, 2.0]])
 QUAD = QuadratureSpec(u_nodes=32, gh_order=8)
@@ -370,9 +370,26 @@ def test_t_ab_tensor_rule_chunked_over_u_nodes(case, monkeypatch):
         sizes.append(math.prod(pts.shape[:-1]))
         return fam.jacobian_at(pts)
 
-    monkeypatch.setattr(stein, "OU_NODES", 3 * 6**3)
+    monkeypatch.setattr(quadrature, "OU_NODES", 3 * 6**3)
     split = t_ab_matrix(dataclasses.replace(fam, jacobian=recording), K3, OUTER, QUAD_SMALL)
     assert max(sizes) == 3 * 6**3
+    np.testing.assert_array_equal(split, whole)
+
+
+def test_mean_jacobian_batches_follow_the_one_node_budget(monkeypatch):
+    # quadrature.OU_NODES is the only budget: patching it splits mean_jacobian's batches too
+    fam = componentwise_family("tanh", 3)
+    whole = t_ab_matrix(fam, K3, OUTER, QUAD_SMALL)
+    sizes = []
+
+    def recording(ys, k, u_nodes, order):
+        sizes.append(len(ys))
+        return fam.mean_jacobian(ys, k, u_nodes, order)
+
+    recording.inner_rule = fam.inner_rule
+    monkeypatch.setattr(quadrature, "OU_NODES", 2 * 16 * 6 * 3)
+    split = t_ab_matrix(dataclasses.replace(fam, mean_jacobian=recording), K3, OUTER, QUAD_SMALL)
+    assert sizes == [2, 2, 2, 1]
     np.testing.assert_array_equal(split, whole)
 
 

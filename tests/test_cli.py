@@ -16,7 +16,7 @@ import pytest
 
 from gaussapprox import chaos, cli, empirical, stein
 from gaussapprox.cli import SUBCOMMANDS, main
-from gaussapprox.stein import rule_size
+from gaussapprox.quadrature import rule_size
 
 
 def run_cli(argv):
@@ -205,6 +205,24 @@ def test_bad_function_family_exit_code(functions):
     code, out = run_cli(["chatterjee", "--K", "[[1.0]]", "--functions", functions])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gaussian-pair", "--C", '{"rows": [[1.0]]}', "--K", "[[1.0]]"],
+     "matrix C: JSON object lacks 'dim'; it must carry 'dim' and 'rows'"),
+    (["chatterjee", "--K", "[[1.0]]", "--functions", '{"type": "linear"}'],
+     "linear function family config lacks 'matrix'; its keys are 'type', 'matrix'"),
+    (["chatterjee", "--K", "[[1.0]]", "--functions", '{"type": "quadratic"}'],
+     "quadratic function family config lacks 'matrices'; its keys are 'type', 'matrices'"),
+    (["chatterjee", "--K", "[[1.0]]", "--functions", '{"type": "componentwise", "kind": "tanh"}'],
+     "componentwise function family config lacks 'n'; its keys are 'type', 'kind', 'n'"),
+    (["chatterjee", "--K", "[[1.0]]", "--functions", '{"type": "componentwise", "n": 1}'],
+     "componentwise function family config lacks 'kind'; its keys are 'type', 'kind', 'n'"),
+])
+def test_json_object_missing_a_key_exits_2_naming_it(argv, message):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
 
 
 def test_config_error_exit_code():
@@ -780,7 +798,7 @@ def test_cli_jobs_run_only_the_modules_they_call():
     # deferred modules stay unexecuted until a job reads them; type() does not load one
     code = ("import io, json, sys, types; from contextlib import redirect_stdout\n"
             "import gaussapprox.cli as cli\n"
-            "names = ['stein', 'chatterjee', 'empirical', 'diff']\n"
+            "names = ['stein', 'chatterjee', 'empirical', 'diff', 'quadrature']\n"
             "def ran():\n"
             "    return [n for n in names if type(sys.modules['gaussapprox.' + n]) is types.ModuleType]\n"
             "cli.build_parser()\n"
@@ -796,6 +814,9 @@ def test_cli_jobs_run_only_the_modules_they_call():
         ["gaussian-pair", "--C", "[[1.0, 0.2], [0.2, 1.0]]", "--K", "[[1.0, 0.0], [0.0, 1.0]]"],
         ["simulate", "--H", "0.7", "--q", "2", "--times", "0,1,2", "--n", "64", "--m", "50",
          "--seed", "1"],
+        ["chatterjee", "--K", "[[1.0, 0.3], [0.3, 1.0]]", "--m", "20", "--seed", "1",
+         "--functions", json.dumps({"type": "componentwise", "kind": "tanh", "n": 2})],
     ]
     seen = json.loads(_python(code, json.dumps(jobs)))
-    assert seen == [[0, [], False]] * 3 + [[0, ["empirical"], False]]
+    assert seen == ([[0, [], False]] * 3 + [[0, ["empirical"], False]]
+                    + [[0, ["chatterjee", "empirical", "quadrature"], True]])

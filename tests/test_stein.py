@@ -6,16 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussapprox import stein
+from gaussapprox import quadrature, stein
 from gaussapprox.chatterjee import componentwise_family, t_ab_matrix
 from gaussapprox.diff import fd_gradient, fd_hessian
 from gaussapprox.linalg import CovarianceMatrix, hs_inner, sample_gaussian
+from gaussapprox.quadrature import QuadratureSpec, default_quadrature, gaussian_rule
 from gaussapprox.rng import hash64, standard_normals
 from gaussapprox.stein import (
-    QuadratureSpec,
     TestFunction,
-    default_quadrature,
-    gaussian_rule,
     grid_points,
     hessian_bound_check,
     lipschitz_test_functions,
@@ -48,15 +46,15 @@ def test_quadrature_spec_validation():
 def test_quadrature_spec_bounds_keep_every_rule_finite():
     # chatterjee checks T at twice gh_order, a sparse level L takes the 1-d
     # orders up to 2L - 1; past the bounds the spec refuses before any rule
-    for kwargs in ({"u_nodes": stein.U_MAX_NODES + 1}, {"gh_order": stein.GH_MAX_ORDER + 1}):
+    for kwargs in ({"u_nodes": quadrature.U_MAX_NODES + 1}, {"gh_order": quadrature.GH_MAX_ORDER + 1}):
         with pytest.raises(ValueError, match="must lie in"):
             QuadratureSpec(**kwargs)
-    QuadratureSpec(u_nodes=stein.U_MAX_NODES, gh_order=stein.GH_MAX_ORDER)
-    x, w = np.polynomial.hermite_e.hermegauss(2 * stein.GH_MAX_ORDER)
+    QuadratureSpec(u_nodes=quadrature.U_MAX_NODES, gh_order=quadrature.GH_MAX_ORDER)
+    x, w = np.polynomial.hermite_e.hermegauss(2 * quadrature.GH_MAX_ORDER)
     w = w / math.sqrt(2.0 * math.pi)
     assert np.isfinite(w).all()
     assert abs(w.sum() - 1.0) < 1e-14 and abs(np.sum(w * x**2) - 1.0) < 1e-14
-    u, wu = np.polynomial.legendre.leggauss(stein.U_MAX_NODES)
+    u, wu = np.polynomial.legendre.leggauss(quadrature.U_MAX_NODES)
     assert abs(wu.sum() - 2.0) < 1e-13 and abs(np.sum(wu * u**2) - 2.0 / 3.0) < 1e-13
 
 
@@ -70,20 +68,20 @@ def test_gaussian_rule_moments():
 
 
 def test_gaussian_rule_cache_is_bounded_and_keyed_by_value():
-    assert stein._gaussian_rule.cache_info().maxsize == stein.RULE_CACHE_SIZE
-    stein._gaussian_rule.cache_clear()
+    assert quadrature._gaussian_rule.cache_info().maxsize == quadrature.RULE_CACHE_SIZE
+    quadrature._gaussian_rule.cache_clear()
     first = gaussian_rule(C_CORR, QUAD)
     # an equal matrix given as a plain array hits the same entry
     again = gaussian_rule(np.array([[1.0, 0.5], [0.5, 1.0]]), QuadratureSpec(u_nodes=64, gh_order=8))
     assert again[0] is first[0] and again[1] is first[1]
-    info = stein._gaussian_rule.cache_info()
+    info = quadrature._gaussian_rule.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     other = gaussian_rule(C_CORR, QuadratureSpec(u_nodes=64, gh_order=6))
     assert other[0].shape == (36, 2)
     # the rule does not depend on the time rule, so u_nodes is not part of the key
     shared = gaussian_rule(C_CORR, QuadratureSpec(u_nodes=128, gh_order=8))
     assert shared[0] is first[0] and shared[1] is first[1]
-    assert stein._gaussian_rule.cache_info().misses == 2
+    assert quadrature._gaussian_rule.cache_info().misses == 2
 
 
 def _gaussian_moment(powers) -> float:
@@ -94,7 +92,7 @@ def _gaussian_moment(powers) -> float:
 @pytest.mark.parametrize("d", [5, 6])
 @pytest.mark.parametrize("level", [3, 4, 5])
 def test_sparse_rule_is_exact_to_total_degree_2l_minus_1(d, level):
-    pts, wts = stein._sparse_std(d, level)
+    pts, wts = quadrature._sparse_std(d, level)
     for degree in range(2 * level):
         for axes in itertools.combinations_with_replacement(range(d), degree):
             powers = np.bincount(np.array(axes, dtype=int), minlength=d)
@@ -112,8 +110,8 @@ def test_sparse_rule_is_exact_to_total_degree_2l_minus_1(d, level):
     (5, 11, 493_935),
 ])
 def test_sparse_rule_node_count_is_the_closed_count(d, level, nodes):
-    assert stein.rule_size(d, level) == nodes
-    pts, wts = stein._sparse_std(d, level)
+    assert quadrature.rule_size(d, level) == nodes
+    pts, wts = quadrature._sparse_std(d, level)
     assert pts.shape == (nodes, d) and wts.shape == (nodes,)
     # merged by exact value: no two nodes are equal
     assert len(np.unique(pts, axis=0)) == nodes
@@ -130,7 +128,7 @@ def test_sparse_rule_is_symmetric_in_z():
 
 
 def test_rule_over_the_cap_raises_before_building():
-    assert stein.rule_size(4, 60) == 60**4 and stein.rule_size(80, 5) == 30_097_441
+    assert quadrature.rule_size(4, 60) == 60**4 and quadrature.rule_size(80, 5) == 30_097_441
     with pytest.raises(ValueError, match="sparse Gauss-Hermite rule"):
         gaussian_rule(np.eye(80), QuadratureSpec(gh_order=5))
     with pytest.raises(ValueError, match="tensor Gauss-Hermite rule"):
@@ -178,7 +176,7 @@ def test_u0_stable_under_doubling_u_nodes():
 
 def test_ou_time_rule_moments_and_read_only():
     # at 32 nodes; at 48, numpy's leggauss weights are themselves 1.8e-15 off
-    u, c, w = stein.ou_time_rule(32)
+    u, c, w = quadrature.ou_time_rule(32)
     for k in range(21):
         assert abs(np.dot(w, u**k) - 1.0 / (k + 1)) <= 1e-15, k
     assert np.allclose(u**2 + c**2, 1.0, rtol=0, atol=4e-16)
@@ -203,7 +201,7 @@ def test_default_u_nodes_converge_under_doubling(d, covs, pts):
     # The error grows with |x|: a complex singularity of g along the OU path
     # lies about 1/|x| from the real axis.  Measured at the default of 48
     # nodes: 3.4e-14 at [-3, -3] (sqrt_one_plus_norm_sq), 2.9e-15 at d = 5.
-    n = stein.DEFAULT_U_NODES
+    n = quadrature.DEFAULT_U_NODES
     for cov in covs:
         for g in lipschitz_test_functions(d):
             quads = [dataclasses.replace(default_quadrature(d), u_nodes=k) for k in (n, 2 * n)]
@@ -455,7 +453,7 @@ def test_u0_derivatives_chunked_over_u_nodes(monkeypatch):
     g = lipschitz_test_functions(2)[3]
     pts = grid_points(-2.0, 2.0, 3)
     whole = u0_derivatives(g, C_CORR, pts, QUAD)
-    monkeypatch.setattr(stein, "OU_NODES", 3 * 64)
+    monkeypatch.setattr(quadrature, "OU_NODES", 3 * 64)
     chunked = u0_derivatives(g, C_CORR, pts, QUAD)
     for a, b in zip(whole, chunked):
         assert np.allclose(a, b, rtol=0, atol=1e-15)
