@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .linalg import as_covariance, gaussian_pair_bound, prefactor, sample_gaussian
+from .chaos import MEMORY_BUDGET
+from .linalg import as_covariance, gaussian_pair_bound, matrix_from_json, prefactor, sample_gaussian
 from .quadrature import QuadratureSpec, ou_rule_1d, ou_sums, ou_time_rule
 from .rng import hash64
 
@@ -65,7 +66,8 @@ class SmoothVectorFunction:
     point, shape (m, d, n), using
     ``u_nodes`` Gauss-Legendre nodes in u and, where it needs one, a
     Gauss-Hermite rule of that ``order``; its ``inner_rule`` attribute names
-    the rule for the report (``"exact"`` or ``"gauss-hermite-1d"``).  Without
+    the rule for the report (``"exact"`` or ``"gauss-hermite-1d"``), and a
+    ``mean_jacobian`` without it raises ValueError when F is built.  Without
     it, Jbar comes from :func:`~gaussapprox.quadrature.gaussian_rule`
     (``"tensor"``, the sparse rule above n = 4).  Sub-exponential
     growth of F is the caller's responsibility.
@@ -77,6 +79,11 @@ class SmoothVectorFunction:
     fn: object
     jacobian: object
     mean_jacobian: object = None
+
+    def __post_init__(self):
+        if self.mean_jacobian is not None and not hasattr(self.mean_jacobian, "inner_rule"):
+            raise ValueError(f"the mean_jacobian of {self.name!r} has no inner_rule tag "
+                             "naming the rule it uses")
 
     def jacobian_at(self, pts) -> np.ndarray:
         """Jacobian of F at each point of pts, shape (..., d, n)."""
@@ -190,6 +197,12 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
         raise ValueError(f"function output dim {F.dim} != C dim {c.dim}")
     if mc_size < 2:
         raise ValueError("mc_size must be >= 2")
+    # per draw: the outer normals, J and Jbar, and T at one or two inner orders
+    nbytes = 8.0 * mc_size * (k.dim + 2 * F.dim * k.dim + 2 * F.dim**2)
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(f"chatterjee bound at mc_size={mc_size}: the draws, Jacobians, Jbar and "
+                         f"T need about {nbytes / 2**20:.3g} MiB, past the budget of "
+                         f"{MEMORY_BUDGET / 2**20:.3g} MiB; lower mc_size (--m)")
     if quad is None:
         quad = QuadratureSpec()
 
@@ -352,13 +365,13 @@ def family_from_config(cfg: dict, k=None) -> SmoothVectorFunction:
     kind = cfg.get("type")
     if kind == "linear":
         _require(cfg, "matrix")
-        return linear_map_family(_config_matrix(cfg["matrix"], "matrix"))
+        return linear_map_family(matrix_from_json(cfg["matrix"], "'matrix'"))
     if kind == "quadratic":
         _require(cfg, "matrices")
         mats = cfg["matrices"]
         if not isinstance(mats, list):
             raise ValueError(f"'matrices' must be a list of matrices, got {type(mats).__name__}")
-        return quadratic_form_family([_config_matrix(q, "matrices") for q in mats], k=k)
+        return quadratic_form_family([matrix_from_json(q, "'matrices'") for q in mats], k=k)
     if kind == "componentwise":
         _require(cfg, "kind", "n")
         name, n = cfg["kind"], cfg["n"]
@@ -377,11 +390,3 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ValueError(f"{cfg['type']} function family config lacks "
                          f"{', '.join(map(repr, missing))}; its keys are "
                          f"{', '.join(map(repr, ('type',) + keys))}")
-
-
-def _config_matrix(obj, field: str) -> np.ndarray:
-    """A numeric array from a config field, or ValueError naming the field."""
-    try:
-        return np.asarray(obj, dtype=np.float64)
-    except TypeError:
-        raise ValueError(f"{field!r} must hold numbers, got {obj!r}") from None

@@ -99,13 +99,7 @@ def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int 
         if d is None:
             raise ValueError(f"matrix {key} required (inline or --matrix-file)")
         return np.eye(d)
-    if isinstance(obj, dict):
-        missing = [name for name in ("dim", "rows") if name not in obj]
-        if missing:
-            raise ValueError(f"matrix {key}: JSON object lacks {', '.join(map(repr, missing))}; "
-                             "it must carry 'dim' and 'rows'")
-        return matrix_from_json(obj)
-    return np.asarray(obj, dtype=np.float64)
+    return matrix_from_json(obj, f"matrix {key}")
 
 
 def _check_seed(args) -> None:

@@ -99,11 +99,13 @@ def replicate(factors: _Factors, m: int, seed: int, tag: str,
                     "normals_per_path": factors.normals_per_path}
 
 
-def _sampling_factors(h: float, n: int) -> _Factors:
-    """``_circulant_factors`` of (H, n), refused with ValueError before any array
-    is built when the sampler would pass ``chaos.MEMORY_BUDGET``: the factors
+def _sampling_factors(h: float, n: int, m: int, row: int) -> _Factors:
+    """``_circulant_factors`` of (H, n) for a job of m replications of ``row``
+    values each, refused with ValueError before any array is built when the
+    sampler or the values would pass ``chaos.MEMORY_BUDGET``: the factors
     take about 44 bytes an embedding point and a block of one path 44-66 more
-    (tracemalloc)."""
+    (tracemalloc), and ``replicate`` holds every block's rows and then their
+    concatenation, 16 bytes a value."""
     size = _embedding_size(n)
     nbytes = 110.0 * size
     if nbytes > MEMORY_BUDGET:
@@ -111,6 +113,12 @@ def _sampling_factors(h: float, n: int) -> _Factors:
             f"fGn sampler at n={n}: a circulant embedding of {size} points needs about "
             f"{nbytes / 2**20:.3g} MiB, past the budget of {MEMORY_BUDGET / 2**20:.3g} MiB; "
             f"lower n or the last time"
+        )
+    kept = 16.0 * m * row
+    if kept > MEMORY_BUDGET:
+        raise ValueError(
+            f"{m} replications keep {m * row} values, about {kept / 2**20:.3g} MiB, "
+            f"past the budget of {MEMORY_BUDGET / 2**20:.3g} MiB; lower m"
         )
     return _circulant_factors(h, n)
 
@@ -122,9 +130,9 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int) -> Sa
     of the stream hash64(seed, "bm-vector") and block-sums H_q over each
     kernel block.  The embedding spectrum of that length is factored once
     for all m paths, and paths, H_q and block sums run a block of paths at a
-    time (``replicate``); a sampler past the memory budget is refused
-    (``_sampling_factors``).  The batch's ``diagnostics`` carry
-    ``embedding_min_ratio`` and ``normals_per_path``.
+    time (``replicate``); a sampler or a batch past the memory budget is
+    refused before the first draw (``_sampling_factors``).  The batch's
+    ``diagnostics`` carry ``embedding_min_ratio`` and ``normals_per_path``.
     """
     fam = kernel_family(h, q, n, times)
 
@@ -133,7 +141,7 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int) -> Sa
         return np.stack([ker.scale * np.sum(hq[:, ker.block[0]:ker.block[1]], axis=1)
                          for ker in fam.kernels], axis=1)
 
-    factors = _sampling_factors(fam.hurst, fam.kernels[-1].block[1])
+    factors = _sampling_factors(fam.hurst, fam.kernels[-1].block[1], m, fam.dim)
     values, diagnostics = replicate(factors, m, seed, "bm-vector", block_sums)
     return SampleBatch(values=values, seed=seed, provenance="bm-vector", diagnostics=diagnostics)
 
@@ -192,10 +200,11 @@ def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, d
     Entry r equals ``pathwise_malliavin_inner`` of path r (window r of the
     stream, ``replicate``).  One embedding spectrum serves the sampling and
     the Toeplitz products of all m paths, and H_{q-1} and the FFT pairs run
-    a block of paths at a time.  A sampler past the memory budget is refused
-    (``_sampling_factors``).  Also returns the diagnostics of ``replicate``.
+    a block of paths at a time.  A sampler or Gram matrices past the memory
+    budget are refused before the first draw (``_sampling_factors``).  Also
+    returns the diagnostics of ``replicate``.
     """
-    factors = _sampling_factors(fam.hurst, fam.kernels[-1].block[1])
+    factors = _sampling_factors(fam.hurst, fam.kernels[-1].block[1], m, fam.dim**2)
     return replicate(factors, m, seed, "malliavin",
                      lambda paths: _grams(fam, factors.spectrum, hermite_eval(fam.rank - 1, paths)))
 

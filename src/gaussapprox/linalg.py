@@ -180,8 +180,26 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(a.shape[0]), "rows": [[float(x) for x in row] for row in a]}
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    rows = np.asarray(obj["rows"], dtype=np.float64)
-    if rows.shape != (int(obj["dim"]), int(obj["dim"])):
-        raise ValueError("rows do not match declared dim")
+def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
+    """A float64 array from either JSON form: nested lists, or {"dim": d, "rows": [[...], ...]}.
+
+    A malformed matrix raises ValueError naming ``name``: an object without
+    both keys, a ``dim`` that is not an integer or does not match the rows,
+    or an entry that is not a number.
+    """
+    try:
+        if not isinstance(obj, dict):
+            return np.asarray(obj, dtype=np.float64)
+        missing = [key for key in ("dim", "rows") if key not in obj]
+        if missing:
+            raise ValueError(f"{name}: JSON object lacks {', '.join(map(repr, missing))}; "
+                             "it must carry 'dim' and 'rows'")
+        dim = obj["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f"{name}: 'dim' must be an integer, got {dim!r}")
+        rows = np.asarray(obj["rows"], dtype=np.float64)
+    except TypeError:
+        raise ValueError(f"{name} must hold numbers, got {obj!r}") from None
+    if rows.shape != (dim, dim):
+        raise ValueError(f"{name}: rows do not match declared dim {dim}")
     return rows

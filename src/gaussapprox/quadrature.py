@@ -55,8 +55,8 @@ RULE_MAX_NODES = 10**7
 DEFAULT_U_NODES = 48
 
 #: Nodes u x + sqrt(1 - u^2) z of the OU path built and evaluated at once, by
-#: ``ou_sums`` and ``u0_apply`` (a single u-node of a larger Gaussian rule is
-#: held whole) and in the phi' values of a ``mean_jacobian``.
+#: ``ou_sums`` (a single u-node of a larger Gaussian rule is held whole) and
+#: in the phi' values of a ``mean_jacobian``.
 OU_NODES = 2**14
 
 

@@ -9,24 +9,27 @@ solves  g(x) - E g(Z) = <x, grad f(x)> - <C, Hess f(x)>_HS.  The module
 evaluates U0g by quadrature, checks the equation residual and the Hessian
 sup-bound ``prefactor(C) * ||g||_Lip``, and computes Stein discrepancies of
 sampled vectors.  The time integral and the inner Gaussian expectation run
-on the rules of :mod:`gaussapprox.quadrature`.
+on the rules of :mod:`gaussapprox.quadrature`, and every OU node
+u x + sqrt(1 - u^2) z is built by its one node loop
+:func:`~gaussapprox.quadrature.ou_sums`, which also averages the Jacobian
+of ``chatterjee.t_ab_matrix``: :func:`u0_apply` sums g there, and
+:func:`u0_derivatives` the derivative oracles.
 
 Derivatives: when g carries a ``derivatives`` oracle, which returns its
 gradient and Hessian together from the transcendentals they share,
 :func:`u0_derivatives` differentiates that quadrature sum exactly, term by
-term, for a whole batch of points and a whole list of test functions, on the
-OU node loop :func:`~gaussapprox.quadrature.ou_sums` that also averages the
-Jacobian of ``chatterjee.t_ab_matrix``.  That loop builds each block of
-nodes once for all the functions, coordinate-major, and hands the oracles a
-(..., d) view of them, so plain numpy over the last axis runs on long
-contiguous rows.
+term, for a batch of points and a list of test functions.  The node loop
+builds each block of nodes once for all the functions, coordinate-major,
+and hands the oracles a (..., d) view of them, so plain numpy over the last
+axis runs on long contiguous rows.
 Without oracles, ``u0_gradient`` and ``u0_hessian`` take central
 differences of ``u0_apply`` at the point-scaled steps of
 :mod:`gaussapprox.diff`; they also serve the tests as the reference.
 ``stein_report`` (for a list of functions), ``stein_residual`` and
 ``hessian_bound_check`` (for one) all read one pass over the points, which
 makes that choice per function and returns each point's equation residual
-and Hessian HS norm.
+and Hessian HS norm; the pass and ``stein_discrepancy`` apply one Stein
+operator <x, grad f> - <C, Hess f>_HS.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .batch import SampleBatch
 from .diff import fd_gradient, fd_hessian
-from .linalg import as_covariance, hs_inner, prefactor
+from .linalg import as_covariance, prefactor
 from .quadrature import QuadratureSpec, default_quadrature, gaussian_rule, ou_sums, ou_time_rule
 
 __all__ = [
@@ -101,10 +103,11 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
     """Evaluate U0g(x) by quadrature after the substitution t = u^2.
 
     The time integral int_0^1 (1/u) E[g(u x + sqrt(1 - u^2) Z) - g(Z)] du
-    runs on :func:`ou_time_rule`.  The nodes u_i x + sqrt(1 - u_i^2) z are
-    built a block of u-nodes at a time, at most ``quadrature.OU_NODES`` (one
-    u-node of a larger rule is held whole), and each block's Gaussian-rule
-    sums are one einsum loop.
+    runs on :func:`ou_time_rule`, and the Gaussian-rule sums of g over the
+    OU nodes of x come from :func:`ou_sums`, in blocks of at most
+    ``quadrature.OU_NODES`` nodes.  g gets a contiguous, point-major copy of
+    each block, so a g that reduces over the last axis in its own order (a
+    matmul ``x @ a`` does) sees the layout it would see called on its own.
     """
     cov = as_covariance(cov)
     x = np.asarray(x, dtype=np.float64)
@@ -112,15 +115,9 @@ def u0_apply(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> flo
         raise ValueError(f"point has shape {x.shape}, expected ({cov.dim},)")
     if quad is None:
         quad = default_quadrature(cov.dim)
-    u, c, wu = ou_time_rule(quad.u_nodes)
-    pts, wts = gaussian_rule(cov, quad)
-    mean_gz = mean_under_target(g, cov, quad)
-    step = max(1, quadrature.OU_NODES // wts.size)
-    inner = np.empty(len(u))
-    for a in range(0, len(u), step):
-        b = slice(a, a + step)
-        inner[b] = np.einsum("ur,r->u", g(u[b, None, None] * x + c[b, None, None] * pts), wts)
-    return float(np.sum(wu * ((inner - mean_gz) / u)))
+    u, _, wu = ou_time_rule(quad.u_nodes)
+    [(_, (inner,))] = ou_sums((lambda nodes: g(np.ascontiguousarray(nodes)),), cov, x[None], quad)
+    return float(np.sum(wu * ((inner[0, :, 0] - mean_under_target(g, cov, quad)) / u)))
 
 
 def u0_gradient(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -133,13 +130,7 @@ def u0_hessian(g: TestFunction, cov, x, quad: QuadratureSpec | None = None) -> n
     return fd_hessian(lambda p: u0_apply(g, cov, p, quad), x)
 
 
-def _as_list(fns) -> tuple[list, bool]:
-    """The functions of ``fns``, and whether it is one TestFunction rather than a sequence."""
-    one = isinstance(fns, TestFunction)
-    return ([fns] if one else list(fns)), one
-
-
-def u0_derivatives(fns, cov, points, quad: QuadratureSpec | None = None):
+def u0_derivatives(fns, cov, points, quad: QuadratureSpec | None = None) -> list[tuple]:
     """Exact gradients and Hessians of the quadrature U0g at a batch of points.
 
     Differentiating the sum that ``u0_apply`` evaluates, term by term, over
@@ -152,13 +143,11 @@ def u0_derivatives(fns, cov, points, quad: QuadratureSpec | None = None):
     ``fns`` is a sequence of test functions, each with a ``derivatives``
     oracle; one pass of :func:`ou_sums` builds each block of nodes once for
     all of them.  ``points`` has shape (P, d) (or (d,) for one point).
-    Returns one pair (gradients (P, d), Hessians (P, d, d)) per function,
-    or that pair alone when ``fns`` is one TestFunction.  The sums over u
-    are one weighted sum per point, so a point gets the same bits alone as
-    in a batch, and a function the same bits alone as in a list, whatever
-    the node blocking.
+    Returns a list with one pair (gradients (P, d), Hessians (P, d, d)) per
+    function.  The sums over u are one weighted sum per point, so a point
+    gets the same bits alone as in a batch, and a function the same bits
+    alone as in a list, whatever the node blocking.
     """
-    fns, one = _as_list(fns)
     for g in fns:
         if not g.has_oracles:
             raise ValueError(f"test function {g.name!r} lacks gradient/Hessian oracles")
@@ -183,8 +172,12 @@ def u0_derivatives(fns, cov, points, quad: QuadratureSpec | None = None):
         for k in range(len(fns)):
             grads[k, block] = np.einsum("u,pum->pm", wu, sums[2 * k])
             hessians[k, block] = np.einsum("u,pum->pm", wu * u, sums[2 * k + 1])
-    out = list(zip(grads, hessians.reshape(len(fns), len(pts), d, d)))
-    return out[0] if one else out
+    return list(zip(grads, hessians.reshape(len(fns), len(pts), d, d)))
+
+
+def _stein_operator(cov, x: np.ndarray, grads, hessians) -> np.ndarray:
+    """<x, grad f(x)> - <C, Hess f(x)>_HS per row of x; a constant (d, d) Hessian broadcasts."""
+    return np.sum(x * grads, axis=-1) - np.sum(cov.matrix * hessians, axis=(-2, -1))
 
 
 def _stein_pass(fns: list, cov, points, quad: QuadratureSpec | None) -> list:
@@ -210,9 +203,8 @@ def _stein_pass(fns: list, cov, points, quad: QuadratureSpec | None) -> list:
         else:
             grads = np.array([u0_gradient(g, cov, x, quad) for x in pts])
             hessians = np.array([u0_hessian(g, cov, x, quad) for x in pts])
-        drift = np.sum(pts * grads, axis=-1)
-        diffusion = np.sum(cov.matrix * hessians, axis=(-2, -1))
-        residuals = np.abs(g(pts) - mean_under_target(g, cov, quad) - (drift - diffusion))
+        stein_op = _stein_operator(cov, pts, grads, hessians)
+        residuals = np.abs(g(pts) - mean_under_target(g, cov, quad) - stein_op)
         out.append((residuals, np.sqrt(np.sum(hessians * hessians, axis=(-2, -1)))))
     return out
 
@@ -266,16 +258,14 @@ def _bound_check(g: TestFunction, cov, norms: np.ndarray) -> HessianBoundCheck:
     )
 
 
-def stein_report(fns, cov, points, quad: QuadratureSpec | None = None):
+def stein_report(fns, cov, points, quad: QuadratureSpec | None = None) -> list[dict]:
     """Combined diagnostic per test function: residual max and Hessian check over the points.
 
     Gives the values of ``stein_residual`` and ``hessian_bound_check`` from
     one pass, so one gradient and one Hessian of U0g per point serve both,
-    and the functions with oracles share each block of OU nodes.  Returns
-    one report per function of the sequence ``fns``, or the report alone
-    when ``fns`` is one TestFunction.
+    and the functions with oracles share each block of OU nodes.  Returns a
+    list with one report per function of the sequence ``fns``.
     """
-    fns, one = _as_list(fns)
     for g in fns:
         _require_lipschitz(g)
     reports = []
@@ -289,7 +279,7 @@ def stein_report(fns, cov, points, quad: QuadratureSpec | None = None):
             "rhs": check.rhs,
             "pass": check.passed,
         })
-    return reports[0] if one else reports
+    return reports
 
 
 @dataclass(frozen=True)
@@ -316,12 +306,7 @@ def stein_discrepancy(sample: SampleBatch, functions, cov) -> list[DiscrepancyRe
     for f in functions:
         if not f.has_oracles:
             raise ValueError(f"function {f.name!r} lacks gradient/Hessian oracles")
-        grads, hesses = (np.asarray(v, dtype=np.float64) for v in f.derivatives(y))
-        if hesses.ndim == 2:
-            hess_term = np.full(sample.m, hs_inner(cov.matrix, hesses))
-        else:
-            hess_term = np.tensordot(hesses, cov.matrix, axes=([1, 2], [0, 1]))
-        vals = np.sum(y * grads, axis=1) - hess_term
+        vals = _stein_operator(cov, y, *f.derivatives(y))
         out.append(
             DiscrepancyResult(
                 function=f.name,

@@ -393,6 +393,13 @@ def test_mean_jacobian_batches_follow_the_one_node_budget(monkeypatch):
     np.testing.assert_array_equal(split, whole)
 
 
+def test_untagged_mean_jacobian_is_rejected_when_built():
+    # the tag names the inner rule in the report's diagnostics
+    fam = linear_map_family(A23)
+    with pytest.raises(ValueError, match="inner_rule"):
+        dataclasses.replace(fam, mean_jacobian=lambda ys, k, u_nodes, order: fam.jacobian_at(ys))
+
+
 def test_t_ab_rejects_misshapen_points():
     fam = linear_map_family(A23)
     for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))):

@@ -218,6 +218,12 @@ def test_bad_function_family_exit_code(functions):
      "componentwise function family config lacks 'n'; its keys are 'type', 'kind', 'n'"),
     (["chatterjee", "--K", "[[1.0]]", "--functions", '{"type": "componentwise", "n": 1}'],
      "componentwise function family config lacks 'kind'; its keys are 'type', 'kind', 'n'"),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", '{"dim": null, "rows": [[1.0]]}'],
+     "matrix C: 'dim' must be an integer, got None"),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", '{"dim": [1], "rows": [[1.0]]}'],
+     "matrix C: 'dim' must be an integer, got [1]"),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", '[[1.0, {"a": 1}], [0, 1]]'],
+     "matrix C must hold numbers, got [[1.0, {'a': 1}], [0, 1]]"),
 ])
 def test_json_object_missing_a_key_exits_2_naming_it(argv, message):
     code, out = run_cli(argv)
@@ -675,6 +681,21 @@ def test_oversize_bound_refused_with_work_estimate():
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
     assert err["message"].startswith("contraction work at n=10: block size 1e+301, q=3 needs an estimated ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chatterjee", "--K", "[[1.0,0.2],[0.2,1.0]]", "--m", "1000000000000"],
+    ["simulate", "--H", "0.6", "--q", "2", "--n", "64", "--m", "1000000000000"],
+    ["malliavin", "--H", "0.6", "--q", "2", "--n", "64", "--m", "1000000000000"],
+], ids=lambda argv: argv[0])
+def test_oversize_monte_carlo_job_refused_before_its_first_draw(argv):
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "past the budget" in err["message"]
 
 
 def test_oversize_malliavin_refused_before_any_path(monkeypatch):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussapprox import quadrature, stein
+from gaussapprox import chatterjee, quadrature, stein
 from gaussapprox.chatterjee import componentwise_family, t_ab_matrix
 from gaussapprox.diff import fd_gradient, fd_hessian
 from gaussapprox.linalg import CovarianceMatrix, hs_inner, sample_gaussian
@@ -205,7 +205,7 @@ def test_default_u_nodes_converge_under_doubling(d, covs, pts):
     for cov in covs:
         for g in lipschitz_test_functions(d):
             quads = [dataclasses.replace(default_quadrature(d), u_nodes=k) for k in (n, 2 * n)]
-            for a, b in zip(*(u0_derivatives(g, cov, pts, q) for q in quads)):
+            for a, b in zip(*(u0_derivatives([g], cov, pts, q)[0] for q in quads)):
                 assert np.allclose(a, b, rtol=0, atol=1e-13), g.name
 
 
@@ -270,8 +270,6 @@ def test_stein_report_keys():
     for rep in reps:
         assert set(rep) == {"function", "points", "residual_max", "hessian_max", "rhs", "pass"}
         assert rep["pass"]
-    # one TestFunction gives its report alone
-    assert stein_report(fns[0], C_EYE, grid_points(-2.0, 2.0, 3), QUAD) == reps[0]
 
 
 def test_stein_report_of_a_list_equals_each_function_alone():
@@ -286,7 +284,7 @@ def test_stein_report_of_a_list_equals_each_function_alone():
             assert stein_report([f, g], cov, pts, QUAD) == [alone[f.name], alone[g.name]]
         assert stein_report(fns, cov, pts, QUAD) == list(alone.values())
         mixed = stein_report([fns[3], plain, fns[2]], cov, pts, QUAD)
-        assert mixed == [alone[fns[3].name], stein_report(plain, cov, pts, QUAD), alone[fns[2].name]]
+        assert mixed == [alone[fns[3].name], *stein_report([plain], cov, pts, QUAD), alone[fns[2].name]]
 
 
 def _without_oracles(g):
@@ -302,7 +300,7 @@ def test_stein_report_computes_each_derivative_once_per_point(monkeypatch):
             calls = []
             real = stein.u0_apply
             monkeypatch.setattr(stein, "u0_apply", lambda *a, **k: calls.append(1) or real(*a, **k))
-            rep = stein_report(fn, C_CORR, pts, QUAD)
+            [rep] = stein_report([fn], C_CORR, pts, QUAD)
             monkeypatch.undo()
             # d = 2 without oracles: 4 evaluations for the gradient and 9 for
             # the Hessian stencil; with oracles the derivatives are exact
@@ -311,7 +309,7 @@ def test_stein_report_computes_each_derivative_once_per_point(monkeypatch):
             assert rep["hessian_max"] == check.max_hs_norm
             assert (rep["rhs"], rep["pass"], rep["points"]) == (check.rhs, check.passed, check.points)
     with pytest.raises(ValueError, match="Lipschitz"):
-        stein_report(TestFunction("nolip", lambda x: x[..., 0]), C_EYE, pts, QUAD)
+        stein_report([TestFunction("nolip", lambda x: x[..., 0])], C_EYE, pts, QUAD)
 
 
 def test_stein_check_path_makes_no_finite_differences(monkeypatch):
@@ -332,12 +330,12 @@ def test_stein_check_path_makes_no_finite_differences(monkeypatch):
     monkeypatch.setattr(diff, "fd_hessian", fd_hessian)
     pts = grid_points(-2.0, 2.0, 3)
     for g in lipschitz_test_functions(2):
-        stein_report(g, C_CORR, pts, QUAD)
+        stein_report([g], C_CORR, pts, QUAD)
         hessian_bound_check(g, C_CORR, pts, QUAD)
         stein_residual(g, C_CORR, pts[1], QUAD)
     assert calls == {"u0_apply": 0, "fd_hessian": 0}
     # the fallback for a function without oracles: 4 + 9 evaluations per point at d = 2
-    stein_report(_without_oracles(lipschitz_test_functions(2)[1]), C_CORR, pts, QUAD)
+    stein_report([_without_oracles(lipschitz_test_functions(2)[1])], C_CORR, pts, QUAD)
     assert calls == {"u0_apply": 13 * len(pts), "fd_hessian": len(pts)}
 
 
@@ -428,7 +426,7 @@ def test_u0_derivatives_match_finite_differences(cov):
     quad = QuadratureSpec(u_nodes=32, gh_order=6)
     pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(4, d))
     for g in lipschitz_test_functions(d):
-        grads, hessians = u0_derivatives(g, cov, pts, quad)
+        [(grads, hessians)] = u0_derivatives([g], cov, pts, quad)
         assert grads.shape == (4, d) and hessians.shape == (4, d, d)
         for x, grad, hess in zip(pts, grads, hessians):
             assert np.allclose(grad, u0_gradient(g, cov, x, quad), rtol=0, atol=1e-7), g.name
@@ -440,7 +438,7 @@ def test_u0_derivatives_of_monomials_closed_form():
     # constant (d, d) matrix
     pts = grid_points(-2.0, 2.0, 3)
     for g in quadratic_test_functions(2):
-        grads, hessians = u0_derivatives(g, C_CORR, pts, QUAD)
+        [(grads, hessians)] = u0_derivatives([g], C_CORR, pts, QUAD)
         for x, grad, hess in zip(pts, grads, hessians):
             grad_g, hess_g = g.derivatives(x)
             assert np.allclose(grad, grad_g / 2.0, rtol=0, atol=1e-12), g.name
@@ -452,12 +450,12 @@ def test_u0_derivatives_chunked_over_u_nodes(monkeypatch):
     # a node budget below one point's nodes splits the sum over u-nodes
     g = lipschitz_test_functions(2)[3]
     pts = grid_points(-2.0, 2.0, 3)
-    whole = u0_derivatives(g, C_CORR, pts, QUAD)
+    [whole] = u0_derivatives([g], C_CORR, pts, QUAD)
     monkeypatch.setattr(quadrature, "OU_NODES", 3 * 64)
-    chunked = u0_derivatives(g, C_CORR, pts, QUAD)
+    [chunked] = u0_derivatives([g], C_CORR, pts, QUAD)
     for a, b in zip(whole, chunked):
         assert np.allclose(a, b, rtol=0, atol=1e-15)
-    single = [u0_derivatives(g, C_CORR, x, QUAD) for x in pts]
+    single = [u0_derivatives([g], C_CORR, x, QUAD)[0] for x in pts]
     assert all(np.array_equal(s[1][0], h) for s, h in zip(single, chunked[1]))
 
 
@@ -481,6 +479,28 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
+def test_every_ou_average_runs_on_the_one_node_loop(monkeypatch):
+    real = quadrature.ou_sums
+    assert stein.ou_sums is real and chatterjee.ou_sums is real
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(stein, "ou_sums", counting)
+    monkeypatch.setattr(chatterjee, "ou_sums", counting)
+    x = np.array([0.3, -0.5])
+    g = lipschitz_test_functions(2)[2]
+    tanh = dataclasses.replace(componentwise_family("tanh", 2), mean_jacobian=None)
+    for run in (lambda: u0_apply(g, C_CORR, x, QUAD),
+                lambda: u0_derivatives([g], C_CORR, x, QUAD),
+                lambda: t_ab_matrix(tanh, C_CORR, x, QUAD)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 def test_ou_node_loops_stay_within_the_node_budget():
     # one point's 64 x 12^4 (tensor T_ab) or 64 x 8^4 (U0g) nodes are built a
     # block of u-nodes at a time, not all at once (81 MiB and 20 MiB)
@@ -490,14 +510,14 @@ def test_ou_node_loops_stay_within_the_node_budget():
     assert _peak_mib(lambda: t_ab_matrix(tanh, k, x, QuadratureSpec(64, 12))) < 16
     g = lipschitz_test_functions(4)[3]
     cov = CovarianceMatrix.from_matrix(np.eye(4))
-    assert _peak_mib(lambda: u0_derivatives(g, cov, x, QuadratureSpec(64, 8))) < 16
+    assert _peak_mib(lambda: u0_derivatives([g], cov, x, QuadratureSpec(64, 8))) < 16
 
 
 def test_u0_derivatives_requires_oracles_and_matching_points():
     with pytest.raises(ValueError, match="oracles"):
-        u0_derivatives(TestFunction("plain", lambda x: x[..., 0]), C_EYE, np.zeros(2), QUAD)
+        u0_derivatives([TestFunction("plain", lambda x: x[..., 0])], C_EYE, np.zeros(2), QUAD)
     with pytest.raises(ValueError, match="shape"):
-        u0_derivatives(lipschitz_test_functions(2)[0], C_EYE, np.zeros((2, 3)), QUAD)
+        u0_derivatives(lipschitz_test_functions(2)[:1], C_EYE, np.zeros((2, 3)), QUAD)
 
 
 @np.errstate(invalid="ignore")
@@ -507,7 +527,7 @@ def test_non_finite_norm_fails_the_bound_check():
         pts = np.array([[0.0, 0.0], [bad, 0.0]])
         check = hessian_bound_check(g, C_EYE, pts, QUAD)
         assert not check.passed and math.isnan(check.max_hs_norm)
-        rep = stein_report(g, C_EYE, pts, QUAD)
+        [rep] = stein_report([g], C_EYE, pts, QUAD)
         assert not rep["pass"] and math.isnan(rep["residual_max"])
     fd = hessian_bound_check(_without_oracles(g), C_EYE, np.array([[np.nan, 0.0], [0.0, 0.0]]), QUAD)
     assert not fd.passed and math.isnan(fd.max_hs_norm)
@@ -547,7 +567,7 @@ def test_u0_hessian_against_scalar_quadrature_oracle():
         )
         hess = u0_hessian(g, C_CORR, x, QUAD)
         assert np.allclose(hess, phi * np.ones((2, 2)), atol=5e-6)
-        exact = u0_derivatives(registered, C_CORR, x, QUAD)[1][0]
+        exact = u0_derivatives([registered], C_CORR, x, QUAD)[0][1][0]
         assert np.allclose(exact, phi * np.ones((2, 2)), atol=5e-6)
 
 
@@ -605,7 +625,7 @@ def test_first_coordinate_residual_vanishes_above_dim_four():
     # is rounding alone (0.006 to 0.03 under the old Monte Carlo rule)
     cov = CovarianceMatrix.from_matrix(np.eye(5))
     pts = 1.5 * standard_normals(hash64(0, "stein-grid"), (25, 5))
-    rep = stein_report(lipschitz_test_functions(5)[0], cov, pts)
+    [rep] = stein_report(lipschitz_test_functions(5)[:1], cov, pts)
     assert rep["function"] == "first_coordinate"
     assert rep["residual_max"] <= 1e-12 and rep["hessian_max"] == 0.0
 
