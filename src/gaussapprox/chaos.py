@@ -82,6 +82,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .fgn import (
+    MEMORY_BUDGET,
     SigmaEstimate,
     check_breuer_major_hypothesis,
     check_hurst,
@@ -122,9 +123,9 @@ _TABLE_BLOCK = 64
 _HANDOVER = 1024
 
 #: Pre-flight budget of one bound: estimated operations of its contraction
-#: sums, and bytes of the temporaries of the range table's largest block.
+#: sums, and bytes of the temporaries of the range table's largest block
+#: against ``fgn.MEMORY_BUDGET``.
 WORK_BUDGET = 2**30
-MEMORY_BUDGET = 2**28
 
 #: Bytes the range tables, one per (H, q, min(r, q-r)), and the lag tables,
 #: one per H, may hold together; the least recently used go first.

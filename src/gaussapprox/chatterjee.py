@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .chaos import MEMORY_BUDGET
+from .fgn import MEMORY_BUDGET
 from .linalg import as_covariance, gaussian_pair_bound, matrix_from_json, prefactor, sample_gaussian
 from .quadrature import QuadratureSpec, ou_rule_1d, ou_sums, ou_time_rule
 from .rng import hash64

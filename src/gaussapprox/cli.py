@@ -30,7 +30,6 @@ from .chaos import (
     wasserstein_bound,
 )
 from .errors import GaussApproxError
-from .fgn import sigma_bm
 from .linalg import (
     as_covariance,
     gaussian_pair_bound,
@@ -87,17 +86,16 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int | None):
-    """Resolve a target matrix from inline JSON, a matrix file, or identity."""
-    obj = None
+    """Resolve a target matrix from inline JSON or a matrix file (a ``null`` there too), else identity."""
     if inline is not None:
         obj = json.loads(inline)
     elif matrix_file is not None:
         with open(matrix_file, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
         obj = blob.get(key, blob) if isinstance(blob, dict) else blob
-    if obj is None:
-        if d is None:
-            raise ValueError(f"matrix {key} required (inline or --matrix-file)")
+    elif d is None:
+        raise ValueError(f"matrix {key} required (inline or --matrix-file)")
+    else:
         return np.eye(d)
     return matrix_from_json(obj, f"matrix {key}")
 
@@ -164,10 +162,9 @@ def _cmd_rates(args) -> tuple[dict, dict]:
     times = _parse_times(args.times)
     n_list = _parse_n_list(args.n)
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
-    sigma = sigma_bm(args.H, args.q)
-    fams = [kernel_family(args.H, args.q, n, times, sigma=sigma) for n in n_list]
-    # fit_rate's own check would run only after every bound
-    if len(fams) < 3:
+    # fit_rate's own check would run only after every bound; bound_curve
+    # builds and work-checks every level before its first sum
+    if len(n_list) < 3:
         raise ValueError("need at least three points to fit a rate")
     curve = bound_curve(args.H, args.q, times, n_list, c)
     fit = fit_rate(curve)
@@ -211,9 +208,7 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
     cov = as_covariance(c)
     fam = kernel_family(args.H, args.q, args.n, times)
-    if cov.dim != fam.dim:
-        raise ValueError(f"C has dim {cov.dim}, expected {fam.dim}")
-    # the bound refuses an oversize family before any path is drawn
+    # the bound refuses a C of the wrong size or an oversize family before any path is drawn
     lemma = wasserstein_bound(fam, cov).lemma_entries
     grams, diagnostics = empirical.malliavin_grams(fam, args.m, args.seed)
     dev_sq = (cov.matrix[None, :, :] - grams) ** 2
@@ -404,14 +399,18 @@ def main(argv=None) -> int:
         config["threads"] = args.threads
         # a non-finite value raises GaussApproxError here, a numerical failure
         text = _dumps({"subcommand": args.subcommand, "config": config, "results": results})
+        code = 0
     except (GaussApproxError, np.linalg.LinAlgError) as exc:
-        _emit(_error(exc), args.out)
-        return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit(_error(exc), args.out)
+        text, code = _error(exc), 3
+    except (ValueError, KeyError, OSError) as exc:
+        text, code = _error(exc), 2
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        # an unwritable --out is a configuration error, reported where it can be read
+        sys.stdout.write(_error(exc))
         return 2
-    _emit(text, args.out)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

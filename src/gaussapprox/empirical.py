@@ -19,6 +19,11 @@ samplers), takes blocks of at most ``DRAW_NORMALS`` normals from the block
 loop of ``fgn``, and applies the statistic to the whole (block, n) array,
 for ``simulate_bm_vector`` and ``malliavin_grams`` alike.  No value depends
 on the block size.
+
+A job past ``fgn.MEMORY_BUDGET`` is refused with ValueError before its
+first draw: ``_sampling_factors`` checks the values the job keeps, then
+``fgn._circulant_factors`` checks the sampler's embedding, which it does for
+every caller.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SampleBatch
-from .chaos import MEMORY_BUDGET, KernelFamily, RateFit, fit_rate, kernel_family
-from .fgn import FgnPath, _circulant_factors, _embedding_size, _Factors, _paths
+from .chaos import KernelFamily, RateFit, fit_rate, kernel_family
+from .fgn import MEMORY_BUDGET, FgnPath, _circulant_factors, _Factors, _paths
 from .hermite import hermite_eval
 from .rng import hash64, philox_bits, standard_normals
 
@@ -102,18 +107,9 @@ def replicate(factors: _Factors, m: int, seed: int, tag: str,
 def _sampling_factors(h: float, n: int, m: int, row: int) -> _Factors:
     """``_circulant_factors`` of (H, n) for a job of m replications of ``row``
     values each, refused with ValueError before any array is built when the
-    sampler or the values would pass ``chaos.MEMORY_BUDGET``: the factors
-    take about 44 bytes an embedding point and a block of one path 44-66 more
-    (tracemalloc), and ``replicate`` holds every block's rows and then their
-    concatenation, 16 bytes a value."""
-    size = _embedding_size(n)
-    nbytes = 110.0 * size
-    if nbytes > MEMORY_BUDGET:
-        raise ValueError(
-            f"fGn sampler at n={n}: a circulant embedding of {size} points needs about "
-            f"{nbytes / 2**20:.3g} MiB, past the budget of {MEMORY_BUDGET / 2**20:.3g} MiB; "
-            f"lower n or the last time"
-        )
+    values would pass ``MEMORY_BUDGET``: ``replicate`` holds every block's
+    rows and then their concatenation, 16 bytes a value.  The sampler's own
+    size check runs next, in ``_circulant_factors``."""
     kept = 16.0 * m * row
     if kept > MEMORY_BUDGET:
         raise ValueError(
@@ -130,7 +126,7 @@ def simulate_bm_vector(h: float, q: int, n: int, times, m: int, seed: int) -> Sa
     of the stream hash64(seed, "bm-vector") and block-sums H_q over each
     kernel block.  The embedding spectrum of that length is factored once
     for all m paths, and paths, H_q and block sums run a block of paths at a
-    time (``replicate``); a sampler or a batch past the memory budget is
+    time (``replicate``); a batch or a sampler past the memory budget is
     refused before the first draw (``_sampling_factors``).  The batch's
     ``diagnostics`` carry ``embedding_min_ratio`` and ``normals_per_path``.
     """
@@ -182,8 +178,9 @@ def pathwise_malliavin_inner(fam: KernelFamily, path: FgnPath) -> np.ndarray:
     computed and equals row r of ``malliavin_grams`` bit for bit when the
     path is path r of that job.  A path shorter than the family's length, or
     of another Hurst index, raises ValueError; the spectrum comes from
-    ``fgn._circulant_factors``, whose guard raises ``NotPositiveDefinite``
-    as it would for sampling the path.
+    ``fgn._circulant_factors``, which refuses an embedding past
+    ``MEMORY_BUDGET`` with ValueError before building it and whose guard
+    raises ``NotPositiveDefinite``, as for sampling the path.
     """
     length = fam.kernels[-1].block[1]
     if path.n < length:
@@ -200,7 +197,7 @@ def malliavin_grams(fam: KernelFamily, m: int, seed: int) -> tuple[np.ndarray, d
     Entry r equals ``pathwise_malliavin_inner`` of path r (window r of the
     stream, ``replicate``).  One embedding spectrum serves the sampling and
     the Toeplitz products of all m paths, and H_{q-1} and the FFT pairs run
-    a block of paths at a time.  A sampler or Gram matrices past the memory
+    a block of paths at a time.  Gram matrices or a sampler past the memory
     budget are refused before the first draw (``_sampling_factors``).  Also
     returns the diagnostics of ``replicate``.
     """

@@ -10,12 +10,14 @@ definite for every H in (0, 1) (Craigmile 2003, J. Time Ser. Anal. 24, for
 H <= 1/2; Perrin, Harba, Jennane and Iribarren 2002, IEEE Signal Process.
 Lett. 9, for all H), so no second sampler is kept: the embedding guard
 stays, and a spectrum that fails it raises ``NotPositiveDefinite`` (exit
-code 3 on the command line).  Sampling is split into factors that depend on
-(H, n) only and a block loop that reads the next window of
-``normals_per_path`` raw draws of a Philox stream per path, so many paths of
-one length share one embedding spectrum and are drawn a block at a time; a
-path's bits do not depend on the block size.  ``sample_fgn(h, n, seed)`` is
-window 0 of stream ``seed``.
+code 3 on the command line).  The sampler also owns its size check: an
+embedding past ``MEMORY_BUDGET`` bytes, the one memory budget of the
+package, is refused with ValueError before any array is built.  Sampling
+is split into factors that depend on (H, n) only and a block loop that
+reads the next window of ``normals_per_path`` raw draws of a Philox stream
+per path, so many paths of one length share one embedding spectrum and are
+drawn a block at a time; a path's bits do not depend on the block size.
+``sample_fgn(h, n, seed)`` is window 0 of stream ``seed``.
 
 ``rho(x) = (|x+1|^{2H} + |x-1|^{2H} - 2|x|^{2H}) / 2`` is a second difference
 of ``|x|^{2H}`` and cancels catastrophically for large ``|x|`` in the direct
@@ -52,6 +54,10 @@ _SERIES_TERMS = 10
 
 #: Relative tolerance on the circulant embedding's negative eigenvalues.
 EMBEDDING_RTOL = 1e-9
+
+#: Bytes one piece of work may hold, estimated before it runs: the package's
+#: one memory budget, for the embedding here and for chaos, empirical and chatterjee.
+MEMORY_BUDGET = 2**28
 
 
 def check_hurst(h: float) -> float:
@@ -236,10 +242,24 @@ class _Factors:
 def _circulant_factors(h: float, n: int) -> _Factors:
     """Run the embedding guard once and build the factors every draw reuses.
 
+    An embedding whose factors and one drawn path would pass
+    ``MEMORY_BUDGET`` is refused with ValueError before any array is built:
+    the factors take about 44 bytes an embedding point and a block of one
+    path 44-66 more (tracemalloc).  So ``sample_fgn``, every Monte Carlo
+    job and ``empirical.pathwise_malliavin_inner`` share one size check.
+
     Raises ``NotPositiveDefinite`` if the spectrum dips below
     ``-EMBEDDING_RTOL`` relative to its maximum, which the nonnegativity of
     the fGn embedding rules out up to rounding (see the module docstring).
     """
+    size = _embedding_size(n)
+    nbytes = 110.0 * size
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(
+            f"fGn sampler at n={n}: a circulant embedding of {size} points needs about "
+            f"{nbytes / 2**20:.3g} MiB, past the budget of {MEMORY_BUDGET / 2**20:.3g} MiB; "
+            f"lower n or the last time"
+        )
     lam = _embedding_eigenvalues(h, n)
     lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
     spectrum = lam[: lam.size // 2 + 1].copy()
@@ -302,12 +322,14 @@ def sample_fgn(h: float, n: int, seed: int) -> FgnPath:
     """Exact fGn sample of length n by circulant embedding, reproducible for fixed (H, n, seed).
 
     Two steps: ``_circulant_factors`` builds the sampling factors of (H, n)
-    (raising ``NotPositiveDefinite`` if the embedding guard fails) and
-    ``_paths`` turns raw draws into increments.  The path is window 0 of
-    the Philox stream ``seed``: the first ``normals_per_path`` raw draws.
-    Code that draws many paths of one (H, n) builds the factors once and
-    reads window r of one stream for path r (``empirical.replicate``), so
-    path 0 of a job with stream key k is ``sample_fgn(h, n, k)`` bit for bit.
+    (raising ValueError, before any array exists, for an embedding past
+    ``MEMORY_BUDGET``, and ``NotPositiveDefinite`` if the embedding guard
+    fails) and ``_paths`` turns raw draws into increments.  The path is
+    window 0 of the Philox stream ``seed``: the first ``normals_per_path``
+    raw draws.  Code that draws many paths of one (H, n) builds the factors
+    once and reads window r of one stream for path r
+    (``empirical.replicate``), so path 0 of a job with stream key k is
+    ``sample_fgn(h, n, k)`` bit for bit.
     """
     h = check_hurst(h)
     n = int(n)

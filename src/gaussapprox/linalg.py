@@ -183,13 +183,13 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     """A float64 array from either JSON form: nested lists, or {"dim": d, "rows": [[...], ...]}.
 
-    A malformed matrix raises ValueError naming ``name``: an object without
-    both keys, a ``dim`` that is not an integer or does not match the rows,
-    or an entry that is not a number.
+    A malformed matrix raises ValueError naming ``name``: ``null`` or a
+    scalar, an object without both keys, a ``dim`` that is not an integer or
+    does not match the rows, an entry that is not a number, or rows numpy
+    cannot stack (ragged rows, a string entry).
     """
-    try:
-        if not isinstance(obj, dict):
-            return np.asarray(obj, dtype=np.float64)
+    rows = obj
+    if isinstance(obj, dict):
         missing = [key for key in ("dim", "rows") if key not in obj]
         if missing:
             raise ValueError(f"{name}: JSON object lacks {', '.join(map(repr, missing))}; "
@@ -197,9 +197,17 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
         dim = obj["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f"{name}: 'dim' must be an integer, got {dim!r}")
-        rows = np.asarray(obj["rows"], dtype=np.float64)
+        rows = obj["rows"]
+    try:
+        a = np.asarray(rows, dtype=np.float64)
     except TypeError:
         raise ValueError(f"{name} must hold numbers, got {obj!r}") from None
-    if rows.shape != (dim, dim):
-        raise ValueError(f"{name}: rows do not match declared dim {dim}")
-    return rows
+    except ValueError as exc:
+        raise ValueError(f"{name} is not a matrix of numbers: {exc}") from None
+    if isinstance(obj, dict):
+        if a.shape != (dim, dim):
+            raise ValueError(f"{name}: rows do not match declared dim {dim}")
+    elif a.ndim == 0:
+        raise ValueError(f"{name} must be nested lists or an object with 'dim' and 'rows', "
+                         f"got {obj!r}")
+    return a

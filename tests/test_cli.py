@@ -123,7 +123,7 @@ def test_flag_not_read_by_subcommand_exits_2(argv):
 
 MINIMAL_ARGV = {
     "bound": ["--H", "0.5", "--q", "2", "--n", "10"],
-    "rates": ["--H", "0.5", "--q", "2", "--n", "10,20"],
+    "rates": ["--H", "0.5", "--q", "2", "--n", "10,20,40"],
     "simulate": ["--H", "0.5", "--q", "2", "--n", "10"],
     "malliavin": ["--H", "0.5", "--q", "2", "--n", "10"],
     "stein-check": [],
@@ -207,6 +207,16 @@ def test_bad_function_family_exit_code(functions):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+def _numpy_refusal(obj) -> str:
+    """numpy's message for a JSON value it cannot read as a float array."""
+    with pytest.raises(ValueError) as info:
+        np.asarray(obj, dtype=np.float64)
+    return str(info.value)
+
+
+_NOT_A_MATRIX = "matrix C must be nested lists or an object with 'dim' and 'rows', got "
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gaussian-pair", "--C", '{"rows": [[1.0]]}', "--K", "[[1.0]]"],
      "matrix C: JSON object lacks 'dim'; it must carry 'dim' and 'rows'"),
@@ -224,11 +234,40 @@ def test_bad_function_family_exit_code(functions):
      "matrix C: 'dim' must be an integer, got [1]"),
     (["gaussian-pair", "--K", "[[1.0]]", "--C", '[[1.0, {"a": 1}], [0, 1]]'],
      "matrix C must hold numbers, got [[1.0, {'a': 1}], [0, 1]]"),
+    (["bound", "--H", "0.6", "--q", "2", "--n", "10", "--C", "null"], _NOT_A_MATRIX + "None"),
+    (["bound", "--H", "0.6", "--q", "2", "--n", "10", "--matrix-file", "null-c.json"],
+     _NOT_A_MATRIX + "None"),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", "null"], _NOT_A_MATRIX + "None"),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", "2.5"], _NOT_A_MATRIX + "2.5"),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", "[[1.0],[1.0, 2.0]]"],
+     "matrix C is not a matrix of numbers: " + _numpy_refusal([[1.0], [1.0, 2.0]])),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", '"abc"'],
+     "matrix C is not a matrix of numbers: " + _numpy_refusal("abc")),
+    (["gaussian-pair", "--K", "[[1.0]]", "--C", '{"dim": 2, "rows": [[1.0], [1.0, 2.0]]}'],
+     "matrix C is not a matrix of numbers: " + _numpy_refusal([[1.0], [1.0, 2.0]])),
 ])
-def test_json_object_missing_a_key_exits_2_naming_it(argv, message):
+def test_json_object_missing_a_key_exits_2_naming_it(argv, message, tmp_path, monkeypatch):
+    (tmp_path / "null-c.json").write_text('{"C": null}')
+    monkeypatch.chdir(tmp_path)
     code, out = run_cli(argv)
     assert code == 2
     assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("argv, job_code", [
+    (["bound", "--H", "0.6", "--q", "2", "--n", "10"], 0),
+    (["bound", "--H", "0.6", "--q", "2", "--n", "0"], 2),
+    (["bound", "--H", "0.9", "--q", "2", "--n", "10"], 3),
+], ids=["report", "config-error", "numerical-failure"])
+def test_unwritable_out_exits_2_with_the_error_on_stdout(argv, job_code, tmp_path):
+    # the report or error object cannot be written; the write error is printed instead
+    target = tmp_path / "missing" / "x.json"
+    assert run_cli(argv)[0] == job_code
+    code, out = run_cli([*argv, "--out", str(target)])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "FileNotFoundError"
+    assert str(target) in err["message"]
 
 
 def test_config_error_exit_code():
@@ -709,6 +748,43 @@ def test_oversize_malliavin_refused_before_any_path(monkeypatch):
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
     assert "past the budget" in err["message"]
+
+
+def test_rates_builds_each_level_once(monkeypatch):
+    real = chaos.kernel_family
+    levels = []
+
+    def counted(h, q, n, times, sigma=None):
+        levels.append(n)
+        return real(h, q, n, times, sigma=sigma)
+
+    monkeypatch.setattr(chaos, "kernel_family", counted)
+    monkeypatch.setattr(cli, "kernel_family", counted)
+    n_list = [16, 32, 64, 128, 256, 512]
+    code, out = run_cli(["rates", "--H", "0.6", "--q", "3", "--times", "0,1,2,3",
+                         "--n", ",".join(map(str, n_list))])
+    assert code == 0
+    assert [n for n, _ in json.loads(out)["results"]["points"]] == n_list
+    assert levels == n_list
+
+
+def test_rates_counts_its_levels_before_reading_h():
+    code, out = run_cli(["rates", "--H", "0.9", "--q", "2", "--n", "16,32"])
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "need at least three points to fit a rate"}
+
+
+def test_malliavin_target_of_the_wrong_size_is_refused_by_the_bound(monkeypatch):
+    def no_paths(*args):
+        raise AssertionError("malliavin_grams ran for a target of the wrong size")
+
+    monkeypatch.setattr(empirical, "malliavin_grams", no_paths)
+    code, out = run_cli(["malliavin", "--H", "0.6", "--q", "2", "--times", "0,1", "--n", "64",
+                         "--m", "2", "--C", "[[1.0, 0.0], [0.0, 1.0]]"])
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "covariance dim 2 != family dim 1"}
 
 
 def test_bound_and_rates_report_contraction_rtol():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -315,6 +316,24 @@ def test_embedding_guard_passes_a_dip_inside_its_tolerance(monkeypatch):
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", lambda h, n: _dip(real(h, n), ratio))
     assert fgn._circulant_factors(0.6, 50).min_ratio == pytest.approx(ratio, rel=1e-12)
     assert sample_fgn(0.6, 50, 1).n == 50
+
+
+def test_sample_fgn_refuses_an_embedding_past_the_budget():
+    # 2^46 embedding points: numpy cannot allocate even the lags of this embedding
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past the budget"):
+        sample_fgn(0.6, 2**45, 0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_circulant_factors_refuse_before_the_spectrum_is_built(monkeypatch):
+    def no_spectrum(h, n):
+        raise AssertionError("the embedding spectrum was built past the budget")
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", no_spectrum)
+    # 2^23 points at 110 bytes a point: 880 MiB against the 256 MiB budget
+    with pytest.raises(ValueError, match="8388608 points needs about 880 MiB, past the budget of 256 MiB"):
+        fgn._circulant_factors(0.6, 2**22)
 
 
 def test_embedding_spectrum_is_nonnegative_for_every_h_and_n():
