@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from gaussapprox import kernel_family, kernel_inner, malliavin_grams, wasserstein_bound
+from gaussapprox.batch import mean_se
 
 H, Q, N, M = 0.6, 2, 256, 1500
 TIMES = (0.0, 1.0, 2.0)
@@ -20,9 +21,7 @@ fam = kernel_family(H, Q, N, TIMES)
 grams, diagnostics = malliavin_grams(fam, M, seed=99)
 
 target = np.eye(2)
-dev_sq = (target[None] - grams) ** 2
-mean_dev = dev_sq.mean(axis=0)
-se_dev = dev_sq.std(axis=0, ddof=1) / math.sqrt(M)
+mean_dev, se_dev = mean_se((target[None] - grams) ** 2)
 entries = wasserstein_bound(fam, target).lemma_entries
 
 print(f"H={H}, q={Q}, n={N}, {M} paths, embedding min/max eigenvalue {diagnostics['embedding_min_ratio']:.4f}")

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SampleBatch"]
+__all__ = ["SampleBatch", "mean_se"]
 
 
 @dataclass(frozen=True)
@@ -45,3 +46,12 @@ class SampleBatch:
         fileobj.write(",".join(f"f{i + 1}" for i in range(self.d)) + "\n")
         for row in self.values:
             fileobj.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def mean_se(values) -> tuple:
+    """Mean and standard error over the m replications on axis 0.
+
+    The error is the sample standard deviation (divisor m - 1) over sqrt(m);
+    each caller checks m >= 2 itself, before its first draw.
+    """
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(len(values))

@@ -90,7 +90,7 @@ from .fgn import (
     sigma_bm,
 )
 from .hermite import _check_rank
-from .linalg import as_covariance, prefactor
+from .linalg import as_covariance, prefactor, report_json
 
 __all__ = [
     "StepKernel",
@@ -578,21 +578,8 @@ class BoundReport:
     bound: float
 
     def to_json(self) -> dict:
-        """JSON object with every intermediate named."""
-        return {
-            "hurst": self.hurst,
-            "rank": self.rank,
-            "level": self.level,
-            "times": list(self.times),
-            "dim": self.dim,
-            "sigma": self.sigma,
-            "sigma_tail": self.sigma_tail,
-            "inner_products": self.inner_products.tolist(),
-            "contraction_norms_sq": self.contraction_norms_sq.tolist(),
-            "lemma_entries": self.lemma_entries.tolist(),
-            "prefactor": self.prefactor,
-            "bound": self.bound,
-        }
+        """JSON object with every intermediate named, one key per field (:func:`report_json`)."""
+        return report_json(self)
 
 
 def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:

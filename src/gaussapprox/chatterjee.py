@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quadrature
 from .fgn import MEMORY_BUDGET
-from .linalg import as_covariance, gaussian_pair_bound, matrix_from_json, prefactor, sample_gaussian
+from .batch import mean_se
+from .linalg import (as_covariance, gaussian_pair_bound, matrix_from_json, prefactor, report_json,
+                     sample_gaussian)
 from .quadrature import QuadratureSpec, ou_rule_1d, ou_sums, ou_time_rule
 from .rng import hash64
 
@@ -156,7 +158,7 @@ class ChatterjeeReport:
     input_dim: int
     mc_size: int
     seed: int
-    t_values: np.ndarray  # (mc_size, d, d)
+    t_values: np.ndarray = field(metadata={"report": False})  # (mc_size, d, d)
     entries_mean: np.ndarray  # (d, d): MC mean of (C(a,b) - T_ab(Y))^2
     entries_se: np.ndarray
     offsets: np.ndarray  # centering shifts applied to the components
@@ -165,18 +167,8 @@ class ChatterjeeReport:
     diagnostics: dict
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "input_dim": self.input_dim,
-            "mc_size": self.mc_size,
-            "seed": self.seed,
-            "entries_mean": self.entries_mean.tolist(),
-            "entries_se": self.entries_se.tolist(),
-            "offsets": self.offsets.tolist(),
-            "prefactor": self.prefactor,
-            "bound": self.bound,
-            "diagnostics": self.diagnostics,
-        }
+        """JSON object of every field but ``t_values`` (:func:`report_json`)."""
+        return report_json(self)
 
 
 def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
@@ -212,8 +204,7 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
     offsets = np.zeros(d)
     values = np.asarray(F.fn(outer), dtype=np.float64)
     for j, vals in enumerate(values.T):
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(mc_size))
+        mean, se = map(float, mean_se(vals))
         if se > 0 and abs(mean) > 4.0 * se:
             warnings.warn(
                 f"component {j} of {F.name!r} has nonzero mean {mean:.3g} "
@@ -253,10 +244,11 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
 
 
 def _bound_terms(c, t_values: np.ndarray, pref: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """MC mean and standard error of (C(a,b) - T_ab)^2 over the draws, and the bound."""
-    sq = (c.matrix[None, :, :] - t_values) ** 2
-    entries_mean = sq.mean(axis=0)
-    entries_se = sq.std(axis=0, ddof=1) / math.sqrt(t_values.shape[0])
+    """MC mean and standard error of (C(a,b) - T_ab)^2 over the draws, and the bound.
+
+    ``batch.mean_se`` gives both, as it does for the Gram matrices of ``malliavin``.
+    """
+    entries_mean, entries_se = mean_se((c.matrix[None, :, :] - t_values) ** 2)
     return entries_mean, entries_se, float(pref * math.sqrt(float(np.sum(entries_mean))))
 
 

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, chatterjee, empirical, quadrature, stein
+from .batch import mean_se
 from .chaos import (
     CONTRACTION_RTOL,
     bound_curve,
@@ -86,18 +87,24 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int | None):
-    """Resolve a target matrix from inline JSON or a matrix file (a ``null`` there too), else identity."""
+    """Resolve a target matrix from inline JSON, else a matrix file, else the identity of size d.
+
+    A file's list or object with 'dim' or 'rows' is one matrix for every flag; any other object
+    is keyed by flag name, a missing key counting as no source.  A ``null`` is refused."""
     if inline is not None:
-        obj = json.loads(inline)
-    elif matrix_file is not None:
+        return matrix_from_json(json.loads(inline), f"matrix {key}")
+    if matrix_file is not None:
         with open(matrix_file, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
-        obj = blob.get(key, blob) if isinstance(blob, dict) else blob
-    elif d is None:
-        raise ValueError(f"matrix {key} required (inline or --matrix-file)")
-    else:
+        if not isinstance(blob, dict) or "dim" in blob or "rows" in blob:
+            return matrix_from_json(blob, f"matrix {key}")
+        if key in blob:
+            return matrix_from_json(blob[key], f"matrix {key}")
+    if d is not None:
         return np.eye(d)
-    return matrix_from_json(obj, f"matrix {key}")
+    if matrix_file is not None:
+        raise ValueError(f"matrix {key} required: --matrix-file {matrix_file} has no key {key!r}")
+    raise ValueError(f"matrix {key} required (inline or --matrix-file)")
 
 
 def _check_seed(args) -> None:
@@ -211,16 +218,15 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
     # the bound refuses a C of the wrong size or an oversize family before any path is drawn
     lemma = wasserstein_bound(fam, cov).lemma_entries
     grams, diagnostics = empirical.malliavin_grams(fam, args.m, args.seed)
-    dev_sq = (cov.matrix[None, :, :] - grams) ** 2
+    gram_mean, gram_se = mean_se(grams)
+    dev_sq_mean, dev_sq_se = mean_se((cov.matrix[None, :, :] - grams) ** 2)
     config = {
         "h": args.H, "q": args.q, "n": args.n, "times": list(times),
         "m": args.m, "seed": args.seed, "c": matrix_to_json(cov.matrix),
     }
     return config, {
-        "gram_mean": grams.mean(axis=0).tolist(),
-        "gram_se": (grams.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
-        "dev_sq_mean": dev_sq.mean(axis=0).tolist(),
-        "dev_sq_se": (dev_sq.std(axis=0, ddof=1) / np.sqrt(args.m)).tolist(),
+        "gram_mean": gram_mean.tolist(), "gram_se": gram_se.tolist(),
+        "dev_sq_mean": dev_sq_mean.tolist(), "dev_sq_se": dev_sq_se.tolist(),
         "lemma_entries": lemma.tolist(),
         "diagnostics": diagnostics,
     }

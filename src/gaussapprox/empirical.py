@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import SampleBatch
+from .batch import SampleBatch, mean_se
 from .chaos import KernelFamily, RateFit, fit_rate, kernel_family
 from .fgn import MEMORY_BUDGET, FgnPath, _circulant_factors, _Factors, _paths
 from .hermite import hermite_eval
@@ -246,13 +246,8 @@ def empirical_w1_1d(sample) -> WassersteinEstimate:
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite entries")
     m = x.size
-    gaps = np.abs(np.sort(x) - normal_quantile((np.arange(m) + 0.5) / m))
-    return WassersteinEstimate(
-        value=float(np.mean(gaps)),
-        method="quantile-1d",
-        sizes=(m,),
-        stderr=float(np.std(gaps, ddof=1) / math.sqrt(m)),
-    )
+    mean, se = mean_se(np.abs(np.sort(x) - normal_quantile((np.arange(m) + 0.5) / m)))
+    return WassersteinEstimate(value=float(mean), method="quantile-1d", sizes=(m,), stderr=float(se))
 
 
 def _w1_1d_pair(x: np.ndarray, y: np.ndarray) -> float:
@@ -307,9 +302,5 @@ def empirical_w1_multid(a: SampleBatch, b: SampleBatch, method: str | None = Non
     vals = np.array(
         [_w1_1d_pair(a.values @ t, b.values @ t) for t in theta]
     ) / _mean_abs_projection(a.d)
-    return WassersteinEstimate(
-        value=float(np.mean(vals)),
-        method="sliced",
-        sizes=(a.m, b.m),
-        stderr=float(np.std(vals, ddof=1) / math.sqrt(SLICED_DIRECTIONS)),
-    )
+    mean, se = mean_se(vals)
+    return WassersteinEstimate(value=float(mean), method="sliced", sizes=(a.m, b.m), stderr=float(se))

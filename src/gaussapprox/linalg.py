@@ -9,7 +9,7 @@ amplified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "sample_gaussian",
     "matrix_to_json",
     "matrix_from_json",
+    "report_json",
 ]
 
 #: Relative eigenvalue tolerance below which a matrix is rejected as non-PD.
@@ -178,6 +179,24 @@ def matrix_to_json(a) -> dict:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     return {"dim": int(a.shape[0]), "rows": [[float(x) for x in row] for row in a]}
+
+
+def report_json(obj) -> dict:
+    """JSON object of a report dataclass: arrays by ``tolist()``, tuples as lists, the rest as is.
+
+    A field marked ``field(metadata={"report": False})`` is left out.
+    """
+    out = {}
+    for f in fields(obj):
+        if not f.metadata.get("report", True):
+            continue
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:

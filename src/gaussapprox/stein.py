@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import SampleBatch
+from .batch import SampleBatch, mean_se
 from .diff import fd_gradient, fd_hessian
 from .linalg import as_covariance, prefactor
 from .quadrature import QuadratureSpec, default_quadrature, gaussian_rule, ou_sums, ou_time_rule
@@ -306,14 +306,8 @@ def stein_discrepancy(sample: SampleBatch, functions, cov) -> list[DiscrepancyRe
     for f in functions:
         if not f.has_oracles:
             raise ValueError(f"function {f.name!r} lacks gradient/Hessian oracles")
-        vals = _stein_operator(cov, y, *f.derivatives(y))
-        out.append(
-            DiscrepancyResult(
-                function=f.name,
-                value=float(np.mean(vals)),
-                stderr=float(np.std(vals, ddof=1) / math.sqrt(sample.m)),
-            )
-        )
+        mean, se = mean_se(_stein_operator(cov, y, *f.derivatives(y)))
+        out.append(DiscrepancyResult(function=f.name, value=float(mean), stderr=float(se)))
     return out
 
 

@@ -245,13 +245,23 @@ _NOT_A_MATRIX = "matrix C must be nested lists or an object with 'dim' and 'rows
      "matrix C is not a matrix of numbers: " + _numpy_refusal("abc")),
     (["gaussian-pair", "--K", "[[1.0]]", "--C", '{"dim": 2, "rows": [[1.0], [1.0, 2.0]]}'],
      "matrix C is not a matrix of numbers: " + _numpy_refusal([[1.0], [1.0, 2.0]])),
+    (["gaussian-pair", "--matrix-file", "k-only.json"],
+     "matrix C required: --matrix-file k-only.json has no key 'C'"),
 ])
 def test_json_object_missing_a_key_exits_2_naming_it(argv, message, tmp_path, monkeypatch):
     (tmp_path / "null-c.json").write_text('{"C": null}')
+    (tmp_path / "k-only.json").write_text('{"K": [[1.0]]}')
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(argv)
     assert code == 2
     assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+
+
+def test_matrix_file_without_the_key_falls_back_to_the_identity(tmp_path):
+    path = tmp_path / "k-only.json"
+    path.write_text('{"K": [[1.0]]}')
+    argv = ["bound", "--H", "0.6", "--q", "2", "--n", "10"]
+    assert run_cli([*argv, "--matrix-file", str(path)]) == run_cli(argv)
 
 
 @pytest.mark.parametrize("argv, job_code", [

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussapprox import empirical, fgn
+from gaussapprox import batch, empirical, fgn
 from gaussapprox.batch import SampleBatch
 from gaussapprox.chaos import (
     KernelFamily,
@@ -93,6 +93,21 @@ def test_fit_rate_examples():
         fit_rate([(10, 1.0), (20, 0.5)])
     with pytest.raises(ValueError):
         fit_rate([(10, 1.0), (20, 0.5), (40, -0.1)])
+
+
+@pytest.mark.parametrize("m", [2, 1000])
+def test_mean_se_matches_the_expressions_it_replaces(m):
+    # the 1-d forms of chatterjee's centring check and the estimators, over a
+    # 1-d array and a strided column, then the (m, d, d) form of malliavin
+    wide = standard_normals(m, (m, 3))
+    for values in (standard_normals(m + 1, (m,)), wide.T[1]):
+        mean, se = batch.mean_se(values)
+        assert np.array_equal(mean, np.mean(values))
+        assert np.array_equal(se, np.std(values, ddof=1) / math.sqrt(m))
+    grams = standard_normals(m + 2, (m, 2, 2))
+    mean, se = batch.mean_se(grams)
+    assert np.array_equal(mean, grams.mean(axis=0))
+    assert np.array_equal(se, grams.std(axis=0, ddof=1) / np.sqrt(m))
 
 
 def test_empirical_w1_1d_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gaussapprox import linalg
+from gaussapprox.chaos import BoundReport, kernel_family, wasserstein_bound
+from gaussapprox.chatterjee import chatterjee_bound, linear_map_family
 from gaussapprox.errors import NotPositiveDefinite
 from gaussapprox.linalg import (
     CovarianceMatrix,
@@ -151,3 +155,19 @@ def test_matrix_json_roundtrip():
     assert matrix_to_json(c)["dim"] == 2
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 3, "rows": [[1.0]]})
+
+
+def test_report_json_writes_every_field_of_a_bound_report():
+    report = wasserstein_bound(kernel_family(0.6, 3, 20, (0.0, 1.0, 2.5)), np.eye(2))
+    blob = linalg.report_json(report)
+    assert set(blob) == {f.name for f in dataclasses.fields(BoundReport)}
+    assert blob["times"] == [0.0, 1.0, 2.5]
+    assert blob["lemma_entries"] == report.lemma_entries.tolist()
+
+
+def test_report_json_leaves_out_the_chatterjee_draws():
+    report = chatterjee_bound(linear_map_family([[1.0, 0.5]]), np.eye(2), [[1.25]], mc_size=4)
+    blob = linalg.report_json(report)
+    assert set(blob) == {f.name for f in dataclasses.fields(report)} - {"t_values"}
+    assert blob["entries_se"] == report.entries_se.tolist()
+    json.dumps(blob, allow_nan=False)
