@@ -173,10 +173,10 @@ class KernelFamily:
 
 
 def kernel_family(h: float, q: int, n: int, times, sigma: SigmaEstimate | None = None) -> KernelFamily:
-    """Build the kernel family for times 0 = t_0 < t_1 < ... < t_d at level n."""
-    h = check_hurst(h)
-    q = _check_rank(q)
-    check_breuer_major_hypothesis(h, q)
+    """Build the kernel family for times 0 = t_0 < t_1 < ... < t_d at level n.
+
+    (H, q) must pass ``fgn.check_breuer_major_hypothesis``."""
+    h, q = check_breuer_major_hypothesis(h, q)
     n = int(n)
     if n < 1:
         raise ValueError("discretization level n must be >= 1")
@@ -638,11 +638,9 @@ def rate_exponent(h: float, q: int) -> float:
     The middle regime (1/2, (2q-3)/(2q-2)] is empty for q = 2.  This is an
     upper rate, d_W <= C n^{rate}: the computed bound decays at least this
     fast, and for H > 1/2 it decays strictly faster, at the exponent returned
-    by :func:`sharp_rate_exponent`.
+    by :func:`sharp_rate_exponent`.  (H, q) must pass ``check_breuer_major_hypothesis``.
     """
-    h = check_hurst(h)
-    q = _check_rank(q, minimum=2)
-    check_breuer_major_hypothesis(h, q)
+    h, q = check_breuer_major_hypothesis(h, q)
     if h <= 0.5:
         return -0.5
     if h <= (2 * q - 3) / (2 * q - 2):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .fgn import MEMORY_BUDGET
+from .fgn import check_memory
 from .batch import mean_se
 from .linalg import (as_covariance, gaussian_pair_bound, matrix_from_json, prefactor, report_json,
                      sample_gaussian)
@@ -179,7 +179,8 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
     hypothesis is violated; a warning is emitted and the estimated mean is
     recorded as a centering offset (T_ab itself depends only on gradients).
     With ``F.mean_jacobian``, T is evaluated again at twice the inner order,
-    and the difference is the reported inner-rule error.
+    and the difference is the reported inner-rule error.  Draws past the
+    memory budget are refused before the first (``fgn.check_memory``).
     """
     k = as_covariance(k)
     c = as_covariance(c)
@@ -190,11 +191,9 @@ def chatterjee_bound(F: SmoothVectorFunction, k, c, mc_size: int = 500,
     if mc_size < 2:
         raise ValueError("mc_size must be >= 2")
     # per draw: the outer normals, J and Jbar, and T at one or two inner orders
-    nbytes = 8.0 * mc_size * (k.dim + 2 * F.dim * k.dim + 2 * F.dim**2)
-    if nbytes > MEMORY_BUDGET:
-        raise ValueError(f"chatterjee bound at mc_size={mc_size}: the draws, Jacobians, Jbar and "
-                         f"T need about {nbytes / 2**20:.3g} MiB, past the budget of "
-                         f"{MEMORY_BUDGET / 2**20:.3g} MiB; lower mc_size (--m)")
+    check_memory(8.0 * mc_size * (k.dim + 2 * F.dim * k.dim + 2 * F.dim**2),
+                 f"chatterjee bound at mc_size={mc_size}: the draws, Jacobians, Jbar and T need",
+                 "lower mc_size (--m)")
     if quad is None:
         quad = QuadratureSpec()
 
@@ -371,6 +370,8 @@ def family_from_config(cfg: dict, k=None) -> SmoothVectorFunction:
             raise ValueError(f"'kind' must be a string, got {type(name).__name__}")
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"'n' must be an integer, got {type(n).__name__}")
+        if n < 1:
+            raise ValueError(f"'n' must be >= 1, got {n}")
         return componentwise_family(name, n)
     raise ValueError(f"unknown function family type {kind!r}")
 

@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stein-check", help="Stein equation residual and Hessian bound")
     common(p, matrices=True, seed=True, quad=True)
-    p.add_argument("--d", type=int, default=None,
+    p.add_argument("--d", type=_positive_int, default=None,
                    help="dimension of the identity target without --C (default 2)")
     p.add_argument("--functions", type=str, default=None, help="comma-separated registry names")
     p.add_argument("--grid-lo", type=_finite_float, default=None, help="d = 2 only (default -3)")
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
         code = 0
     except (GaussApproxError, np.linalg.LinAlgError) as exc:
         text, code = _error(exc), 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         text, code = _error(exc), 2
     try:
         _emit(text, args.out)

@@ -20,10 +20,10 @@ loop of ``fgn``, and applies the statistic to the whole (block, n) array,
 for ``simulate_bm_vector`` and ``malliavin_grams`` alike.  No value depends
 on the block size.
 
-A job past ``fgn.MEMORY_BUDGET`` is refused with ValueError before its
-first draw: ``_sampling_factors`` checks the values the job keeps, then
-``fgn._circulant_factors`` checks the sampler's embedding, which it does for
-every caller.
+A job past ``fgn.MEMORY_BUDGET`` is refused with ValueError by
+``fgn.check_memory`` before its first draw: ``_sampling_factors`` checks the
+values the job keeps, then ``fgn._circulant_factors`` checks the sampler's
+embedding, which it does for every caller.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .batch import SampleBatch, mean_se
 from .chaos import KernelFamily, RateFit, fit_rate, kernel_family
-from .fgn import MEMORY_BUDGET, FgnPath, _circulant_factors, _Factors, _paths
+from .fgn import FgnPath, _circulant_factors, _Factors, _paths, check_memory
 from .hermite import hermite_eval
 from .rng import hash64, philox_bits, standard_normals
 
@@ -107,15 +107,10 @@ def replicate(factors: _Factors, m: int, seed: int, tag: str,
 def _sampling_factors(h: float, n: int, m: int, row: int) -> _Factors:
     """``_circulant_factors`` of (H, n) for a job of m replications of ``row``
     values each, refused with ValueError before any array is built when the
-    values would pass ``MEMORY_BUDGET``: ``replicate`` holds every block's
-    rows and then their concatenation, 16 bytes a value.  The sampler's own
-    size check runs next, in ``_circulant_factors``."""
-    kept = 16.0 * m * row
-    if kept > MEMORY_BUDGET:
-        raise ValueError(
-            f"{m} replications keep {m * row} values, about {kept / 2**20:.3g} MiB, "
-            f"past the budget of {MEMORY_BUDGET / 2**20:.3g} MiB; lower m"
-        )
+    values would pass the memory budget (``fgn.check_memory``): ``replicate``
+    holds every block's rows and then their concatenation, 16 bytes a value.
+    The sampler's own size check runs next, in ``_circulant_factors``."""
+    check_memory(16.0 * m * row, f"{m} replications keep {m * row} values,", "lower m")
     return _circulant_factors(h, n)
 
 

@@ -60,6 +60,13 @@ EMBEDDING_RTOL = 1e-9
 MEMORY_BUDGET = 2**28
 
 
+def check_memory(nbytes: float, what: str, lower: str) -> None:
+    """Raise ValueError("{what} about X MiB, past the budget of B MiB; {lower}") past the budget."""
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(f"{what} about {nbytes / 2**20:.3g} MiB, past the budget of "
+                         f"{MEMORY_BUDGET / 2**20:.3g} MiB; {lower}")
+
+
 def check_hurst(h: float) -> float:
     h = float(h)
     if not 0.0 < h < 1.0:
@@ -243,7 +250,7 @@ def _circulant_factors(h: float, n: int) -> _Factors:
     """Run the embedding guard once and build the factors every draw reuses.
 
     An embedding whose factors and one drawn path would pass
-    ``MEMORY_BUDGET`` is refused with ValueError before any array is built:
+    ``MEMORY_BUDGET`` is refused by ``check_memory`` before any array is built:
     the factors take about 44 bytes an embedding point and a block of one
     path 44-66 more (tracemalloc).  So ``sample_fgn``, every Monte Carlo
     job and ``empirical.pathwise_malliavin_inner`` share one size check.
@@ -253,13 +260,8 @@ def _circulant_factors(h: float, n: int) -> _Factors:
     the fGn embedding rules out up to rounding (see the module docstring).
     """
     size = _embedding_size(n)
-    nbytes = 110.0 * size
-    if nbytes > MEMORY_BUDGET:
-        raise ValueError(
-            f"fGn sampler at n={n}: a circulant embedding of {size} points needs about "
-            f"{nbytes / 2**20:.3g} MiB, past the budget of {MEMORY_BUDGET / 2**20:.3g} MiB; "
-            f"lower n or the last time"
-        )
+    check_memory(110.0 * size, f"fGn sampler at n={n}: a circulant embedding of {size} points "
+                 "needs", "lower n or the last time")
     lam = _embedding_eigenvalues(h, n)
     lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
     spectrum = lam[: lam.size // 2 + 1].copy()
@@ -356,12 +358,16 @@ class SigmaEstimate:
     tail_estimate: float
 
 
-def check_breuer_major_hypothesis(h: float, q: int) -> None:
-    """Require H < 1 - 1/(2q), i.e. summability of rho^q."""
+def check_breuer_major_hypothesis(h: float, q: int) -> tuple[float, int]:
+    """(H, q) as (float, int) after ``check_hurst``, rank 2..``MAX_RANK`` (ValueError) and
+    H < 1 - 1/(2q), the summability of rho^q (``HypothesisViolation``)."""
+    h = check_hurst(h)
+    q = _check_rank(q, minimum=2)
     if not h < 1.0 - 1.0 / (2 * q):
         raise HypothesisViolation(
             f"H={h} violates H < 1 - 1/(2q) = {1.0 - 1.0 / (2 * q)} for q={q}"
         )
+    return h, q
 
 
 @functools.lru_cache(maxsize=256)
@@ -375,12 +381,11 @@ def sigma_bm(h: float, q: int, max_lag: int = 64) -> SigmaEstimate:
     Hurwitz zeta function (``_hurwitz_zeta``, a port of Cephes'), exact to
     machine precision.  ``max_lag`` must reach the series cutoff (16).
 
-    Kept per (H, q, max_lag): a sweep over levels asks the same estimate
-    once per report, and the estimate is frozen, so the callers share it.
+    (H, q) must pass ``check_breuer_major_hypothesis``.  Kept per (H, q,
+    max_lag): a sweep over levels asks the same estimate once per report,
+    and the estimate is frozen, so the callers share it.
     """
-    h = check_hurst(h)
-    q = _check_rank(q, minimum=2)
-    check_breuer_major_hypothesis(h, q)
+    h, q = check_breuer_major_hypothesis(h, q)
     max_lag = int(max_lag)
     if max_lag < _SERIES_CUTOFF:
         raise ValueError(f"max_lag must be >= {_SERIES_CUTOFF:g}, got {max_lag}")

@@ -43,6 +43,13 @@ def test_kernel_family_construction():
         kernel_family(0.5, 2, 16, (0.5, 1.0))
 
 
+@pytest.mark.parametrize("q", [0, 1])
+def test_kernel_family_refuses_a_rank_below_two_before_the_hypothesis(q):
+    with pytest.raises(ValueError, match=f"rank must be >= 2, got {q}") as info:
+        kernel_family(0.6, q, 16, (0, 1))
+    assert not isinstance(info.value, HypothesisViolation)
+
+
 def test_kernel_inner_examples():
     h = 0.5
     f = StepKernel(rank=2, scale=1.0, block=(0, 3))

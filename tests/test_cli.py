@@ -51,6 +51,26 @@ def test_hypothesis_violation_exit_code():
     assert "1 - 1/(2q)" in err["message"]
 
 
+@pytest.mark.parametrize("q", ["0", "1"])
+@pytest.mark.parametrize("h", ["0.3", "0.6"])
+def test_rank_below_two_exits_2_alike_in_every_subcommand(h, q):
+    levels = {"bound": ["--n", "16"], "rates": ["--n", "8,16,32"],
+              "simulate": ["--n", "16", "--m", "10"], "malliavin": ["--n", "16", "--m", "10"]}
+    for name, rest in levels.items():
+        code, out = run_cli([name, "--H", h, "--q", q, *rest])
+        assert (code, json.loads(out)["error"]) == (
+            2, {"type": "ValueError", "message": f"rank must be >= 2, got {q}"}), name
+
+
+def test_a_stray_key_error_is_not_a_configuration_error(monkeypatch):
+    def lookup(args):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "_check_seed", lookup)
+    with pytest.raises(KeyError):
+        run_cli(["gaussian-pair", "--C", "[[1.0]]", "--K", "[[1.0]]"])
+
+
 def test_non_pd_matrix_exit_code():
     code, out = run_cli([
         "gaussian-pair", "--C", "[[1.0, 2.0], [2.0, 1.0]]", "--K", "[[1.0, 0.0], [0.0, 1.0]]",
@@ -180,17 +200,21 @@ def test_rates_refuses_two_levels_before_any_sum(monkeypatch):
     assert "need at least three points" in err["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["stein-check", "--d", "0", "--grid-steps", "2"],
-    ["chatterjee", "--K", "[[1.0]]",
-     "--functions", '{"type":"componentwise","kind":"tanh","n":0}'],
-])
-def test_empty_matrix_exit_code(argv):
-    code, out = run_cli(argv)
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_nonpositive_stein_dimension_exits_2_naming_d(d, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stein-check", "--d", d, "--grid-steps", "2"])
+    assert exc.value.code == 2
+    assert f"argument --d: must be >= 1, got {d}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_componentwise_family_without_components_exits_2_naming_n(n):
+    functions = json.dumps({"type": "componentwise", "kind": "tanh", "n": n})
+    code, out = run_cli(["chatterjee", "--K", "[[1.0]]", "--functions", functions])
     assert code == 2
-    err = json.loads(out)["error"]
-    assert err["type"] == "ValueError"
-    assert "nonempty" in err["message"]
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": f"'n' must be >= 1, got {n}"}
 
 
 @pytest.mark.parametrize("functions", [

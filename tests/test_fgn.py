@@ -83,6 +83,24 @@ def test_sigma_examples():
         sigma_bm(0.8, 2)  # needs H < 3/4
 
 
+def test_breuer_major_hypothesis_checks_h_then_rank_then_summability():
+    h, q = fgn.check_breuer_major_hypothesis(np.float64(0.6), np.int64(2))
+    assert (h, q) == (0.6, 2) and (type(h), type(q)) == (float, int)
+    with pytest.raises(ValueError, match="Hurst index"):
+        fgn.check_breuer_major_hypothesis(1.0, 0)
+    with pytest.raises(ValueError, match="rank must be >= 2, got 1"):
+        fgn.check_breuer_major_hypothesis(0.9, 1)
+    with pytest.raises(HypothesisViolation):
+        fgn.check_breuer_major_hypothesis(0.9, 2)
+
+
+def test_check_memory_refuses_past_the_budget_only():
+    assert fgn.check_memory(fgn.MEMORY_BUDGET, "never", "never") is None
+    with pytest.raises(ValueError) as info:
+        fgn.check_memory(fgn.MEMORY_BUDGET + 2**20, "a job needs", "lower m")
+    assert str(info.value) == "a job needs about 257 MiB, past the budget of 256 MiB; lower m"
+
+
 def test_sigma_stable_under_doubling_truncation():
     base = sigma_bm(0.6, 2, max_lag=10**6)
     doubled = sigma_bm(0.6, 2, max_lag=2 * 10**6)
