@@ -44,6 +44,10 @@ matrices T_a, T_b built from a = rho^r, b = rho^{q-r} on the block.
   half.  Every y index lies inside the
   node, so transforms of the node's length suffice, and one array per level
   holds all of its nodes.  c on the block is one FFT convolution.
+* A key with r = q - r, every q = 2 sum and r = 2 at q = 4, has a = b, so
+  the aba and bab recurrences are one: its table runs one row through every
+  recurrence step, FFT and divide-and-conquer pass, where other keys run
+  two.  Every step acts row by row, so the row keeps the bits of the pair.
 
 A table grows by whole blocks whose shapes depend on where they start
 alone, and P is a sequential sum, so the bits of S(m) do not depend on the
@@ -251,15 +255,16 @@ class _RangeTable:
     V_R[w] = V_{R-1}[w] + x(R) y(|R-w|) over w <= R, with
     G(R) = sum_{w<=R} V_R[w] x(R-w), and c(R) = V_R[R] of the aba one; past
     it every dyadic block takes c and G from :func:`_block_terms`.
-    ``state`` holds the last row of both recurrences (aba first) until the
-    table reaches the hand-over, ``w`` holds W(0..rows-1) and ``p`` holds
+    ``state`` holds the last row of each recurrence (aba first; one row
+    when r = q - r, where a = b and both are one) until the table reaches
+    the hand-over, ``w`` holds W(0..rows-1) and ``p`` holds
     P(rows-1), all in ``dtype``: float64 in the library, np.longdouble for
     the tests' extended-precision twin.
     """
 
     def __init__(self, dtype=np.float64):
         self.rows, self.p = 0, 0.0
-        self.state, self.w = np.zeros((2, 0), dtype), np.empty(0, dtype)
+        self.state, self.w = np.empty((0, 0), dtype), np.empty(0, dtype)
 
     @property
     def nbytes(self) -> int:
@@ -277,8 +282,10 @@ class _RangeTable:
         if rows <= done:
             return
         lags = _rho_lags(h, rows)
-        # x of the aba and bab recurrences; their y is xs[::-1]
-        xs = np.stack((lags**r, lags ** (q - r))).astype(self.w.dtype, copy=False)
+        # x of the aba and bab recurrences, their y xs[::-1]; when r = q - r
+        # a = b and the two are one recurrence, run on one row
+        powers = (r,) if 2 * r == q else (r, q - r)
+        xs = np.stack([lags**k for k in powers]).astype(self.w.dtype, copy=False)
         parts = []
         if done < _HANDOVER:
             parts.append(self._recur(xs[:, :min(rows, _HANDOVER)]))
@@ -288,13 +295,13 @@ class _RangeTable:
             n *= 2
         c, g = (np.concatenate(z, axis=-1) for z in zip(*parts))
 
-        (a0, b0), (a, b) = xs[:, 0], xs[:, done:]
+        (a0, b0), (a, b) = xs[[0, -1], 0], xs[[0, -1], done:]
         ab = a * b
         p = ab.copy()
         p[0] += self.p
         np.cumsum(p, out=p)
         e = a0 * b + a * b0
-        w = (4.0 * (c * c + a * g[1] + b * g[0]) - 8.0 * (e * c + p * ab)
+        w = (4.0 * (c * c + a * g[-1] + b * g[0]) - 8.0 * (e * c + p * ab)
              + 2.0 * (e * e + ab * ab) + 4.0 * (a0 * b0) * ab)
         if done == 0:
             w[0] = (a0 * b0) ** 2
@@ -306,21 +313,22 @@ class _RangeTable:
         Block [R0, R0 + B) works on the columns w < R0 + B.  A column w >= R0
         enters it at sum_{u<R0} x(u) y(w-u), one real FFT pair of the
         power-of-two length >= R0 + B.  One product of skewed views of the lag
-        table gives the increments x(R) y(|R-w|) of both recurrences, row
+        table gives the increments x(R) y(|R-w|) of each recurrence, row
         additions carry them down the block (sequential, as the recurrence
         is, and about five times faster than ``cumsum`` along an axis), and
         one product and one pairwise row sum give G; the zeros past lag 0 of
         the reversed x cut every row at w = R.  One buffer, of the last
         block's size, serves every block; no call goes through BLAS.
         """
-        b_rows, done, rows = _TABLE_BLOCK, self.rows, xs.shape[1]
+        b_rows, done, (k_rows, rows) = _TABLE_BLOCK, self.rows, xs.shape
         ys = xs[::-1]
         y_sym = np.concatenate((ys[:, :0:-1], ys), axis=1)  # lag 0 at column rows - 1
-        x_rev = np.concatenate((xs[:, ::-1], np.zeros((2, b_rows), xs.dtype)), axis=1)  # x(rows-1-k)
-        state = np.zeros((2, rows), xs.dtype)
-        state[:, :done] = self.state
-        c, g = np.empty(rows - done, xs.dtype), np.empty((2, rows - done), xs.dtype)
-        buf = np.empty(2 * b_rows * rows, xs.dtype)
+        x_rev = np.concatenate((xs[:, ::-1], np.zeros((k_rows, b_rows), xs.dtype)), axis=1)  # x(rows-1-k)
+        state = np.zeros((k_rows, rows), xs.dtype)
+        if done:
+            state[:, :done] = self.state
+        c, g = np.empty(rows - done, xs.dtype), np.empty((k_rows, rows - done), xs.dtype)
+        buf = np.empty(k_rows * b_rows * rows, xs.dtype)
         diag = np.arange(b_rows)
         for r0 in range(done, rows, b_rows):
             n, k = r0 + b_rows, r0 - done
@@ -329,7 +337,7 @@ class _RangeTable:
                 head = irfft(rfft(xs[:, :r0], size) * rfft(ys[:, :n], size), size)
                 state[:, r0:n] = head[:, r0:n]
             # v[i, j, w]: V_R[w] of recurrence j at R = r0 + i
-            v = buf[:2 * b_rows * n].reshape(b_rows, 2, n)
+            v = buf[:k_rows * b_rows * n].reshape(b_rows, k_rows, n)
             np.multiply(xs.T[r0:n, :, None],
                         _skewed(y_sym, rows - 1 - r0, v.shape, (-1, y_sym.shape[1], 1)), out=v)
             v[0] += state[:, :n]
@@ -347,14 +355,16 @@ class _RangeTable:
         return float(np.sum(np.arange(m, 0, -1, dtype=self.w.dtype) * self.w[:m]))
 
 
-def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross(x: np.ndarray, y: np.ndarray, left: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """The terms of E across the two halves of every node, its s points on the last axis.
 
     For R in the left half they are sum_{i<=R} x(i) C1(R-i), i in the left
     half and C1(t) = sum_k x(k) y(k-t) over k in the right half; for R in
     the right half, sum_{d>=1} x(R+d) C2(d) with C2(d) = sum_i x(i) y(i+d)
     over i in the left half.  Every y index lies inside the node, so
-    transforms of length s need no padding.  Returns (left, right).
+    transforms of length s need no padding.  Returns (left, right); with
+    ``left`` false, as for the root node, whose left half no row reads, the
+    three transforms that feed only the left half do not run and it is None.
     """
     s = x.shape[-1]
     half = s // 2
@@ -362,6 +372,8 @@ def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c2 = irfft(np.conj(xl_hat) * y_hat, s)[..., :half]
     c2[..., 0] = 0.0
     right = irfft(np.conj(rfft(c2, s)) * xr_hat, s)[..., :half]
+    if not left:
+        return None, right
     # C1(t) is the correlation of y with x on r at lag half - t
     c1 = irfft(np.conj(xr_hat) * y_hat, s)[..., half:0:-1]
     del xr_hat, y_hat
@@ -370,20 +382,22 @@ def _cross(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_terms(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c(R), and G(R) of both recurrences, on the block [N, 2N) from x on lags < L = 2N.
+    """c(R), and G(R) of each recurrence, on the block [N, 2N) from x on lags < L = 2N.
 
-    G(R) = (x * V)(R) - E(R) with V(w) = sum_{u<L} x(u) y(|u-w|), one FFT
-    Toeplitz product, and E(R) = sum_{i<=R<k<L} x(i) x(k) y(i+k-R).  Rows
-    i < N of E are the right half of the cross terms of the node [0, L);
-    rows i >= N are the block's own, taken by divide and conquer one level
-    of nodes at a time, down to nodes of 4 points summed term by term.
-    Every shape depends on N alone.
+    ``xs`` holds x of the aba and bab recurrences, or of the one recurrence
+    when a = b, one row each.  G(R) = (x * V)(R) - E(R) with
+    V(w) = sum_{u<L} x(u) y(|u-w|), one FFT Toeplitz product, and
+    E(R) = sum_{i<=R<k<L} x(i) x(k) y(i+k-R).  Rows i < N of E are the right
+    half of the cross terms of the node [0, L); rows i >= N are the block's
+    own, taken by divide and conquer one level of nodes at a time, down to
+    nodes of 4 points summed term by term.  Every shape depends on N and the
+    row count alone, and every step acts row by row.
     """
-    ys, (_, size) = xs[::-1], xs.shape
+    ys, (k_rows, size) = xs[::-1], xs.shape
     n = size // 2
     x_hat = rfft(xs, 2 * size)
-    c = irfft(x_hat[0] * x_hat[1], 2 * size)[n:size]
-    t_hat = rfft(np.concatenate((ys, np.zeros((2, 1), xs.dtype), ys[:, :0:-1]), axis=1))
+    c = irfft(x_hat[0] * x_hat[-1], 2 * size)[n:size]
+    t_hat = rfft(np.concatenate((ys, np.zeros((k_rows, 1), xs.dtype), ys[:, :0:-1]), axis=1))
     t_hat *= x_hat
     v_hat = rfft(irfft(t_hat, 2 * size)[:, :size], 2 * size)
     del t_hat
@@ -392,16 +406,16 @@ def _block_terms(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = irfft(v_hat, 2 * size)[:, n:size].copy()
     del v_hat
 
-    e = _cross(xs[:, None], ys[:, None])[1][:, 0].copy()
+    e = _cross(xs[:, None], ys[:, None], left=False)[1][:, 0].copy()
     x, y = xs[:, n:], ys[:, n:]
     s = n
     while s > 4:
-        left, right = _cross(x.reshape(2, -1, s), y.reshape(2, -1, s))
-        nodes = e.reshape(2, -1, s)
+        left, right = _cross(x.reshape(k_rows, -1, s), y.reshape(k_rows, -1, s))
+        nodes = e.reshape(k_rows, -1, s)
         nodes[..., :s // 2] += left
         nodes[..., s // 2:] += right
         s //= 2
-    x, y, nodes = (z.reshape(2, -1, 4) for z in (x, y, e))
+    x, y, nodes = (z.reshape(k_rows, -1, 4) for z in (x, y, e))
     for k in range(1, 4):
         for big_r in range(k):
             for i in range(big_r + 1):
@@ -485,6 +499,8 @@ def contraction_work(m: int, q: int) -> tuple[float, float]:
     2-vCPU VM against 9 ns for one of the recurrences (growing a table from
     empty to 1024, 2^13, 2^16 and 2^18 points).  A growth's temporaries peak
     at about 340 bytes per row of its largest block [N, 2N), counted as 384.
+    Every count is of a table that runs two recurrence rows, an upper bound
+    for the one row of a key with r = q - r.
     """
     sums = q // 2
     if m <= _HANDOVER:

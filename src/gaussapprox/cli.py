@@ -237,6 +237,15 @@ def _u_nodes(args) -> int:
     return quadrature.DEFAULT_U_NODES if args.quad_unodes is None else args.quad_unodes
 
 
+def _quadrature(args, u_nodes: int, order: int) -> quadrature.QuadratureSpec:
+    """The spec of --quad-unodes and --quad-gh-order; a value out of range is refused by its flag."""
+    for flag, value, lo, hi in (("--quad-unodes", u_nodes, quadrature.U_MIN_NODES, quadrature.U_MAX_NODES),
+                                ("--quad-gh-order", order, quadrature.GH_MIN_ORDER, quadrature.GH_MAX_ORDER)):
+        if not lo <= value <= hi:
+            raise ValueError(f"{args.subcommand} needs {flag} in [{lo}, {hi}], got {value}")
+    return quadrature.QuadratureSpec(u_nodes=u_nodes, gh_order=order)
+
+
 def _cmd_stein_check(args) -> tuple[dict, dict]:
     c = _parse_matrix(args.C, args.matrix_file, "C", 2 if args.d is None else args.d)
     cov = as_covariance(c)
@@ -251,7 +260,7 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
             raise ValueError(f"--functions: no test function {name!r}; "
                              f"registered: {', '.join(registry)}")
     chosen = [registry[n] for n in names] if names else list(registry.values())
-    # counted in closed form before QuadratureSpec bounds the flags; an order
+    # counted in closed form before _quadrature bounds the flags; an order
     # below its floor counts one node
     nodes = args.grid_steps**2 * u_nodes * quadrature.rule_size(cov.dim, max(order, 1)) * len(chosen)
     work = nodes * cov.dim * (cov.dim + 1)
@@ -260,7 +269,7 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
                          f"u-nodes x rule nodes x functions x (d + d^2)), over the cap "
                          f"{STEIN_CHECK_MAX_WORK:.0e}; lower --grid-steps, --quad-unodes, "
                          "--quad-gh-order or --functions")
-    quad = quadrature.QuadratureSpec(u_nodes=u_nodes, gh_order=order)
+    quad = _quadrature(args, u_nodes, order)
     lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
         lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi
@@ -289,7 +298,9 @@ def _cmd_chatterjee(args) -> tuple[dict, dict]:
     c = _parse_matrix(args.C, args.matrix_file, "C", family.dim)
     # every family the CLI builds averages J exactly or by a 1-d Gauss-Hermite rule
     order = quadrature.DEFAULT_GH_ORDER if args.quad_gh_order is None else args.quad_gh_order
-    quad = quadrature.QuadratureSpec(u_nodes=_u_nodes(args), gh_order=order)
+    quad = _quadrature(args, _u_nodes(args), order)
+    if args.m < 2:
+        raise ValueError("chatterjee needs --m >= 2 (standard errors)")
     report = chatterjee.chatterjee_bound(family, kcov, c, mc_size=args.m, seed=args.seed, quad=quad)
     config = {
         "k": matrix_to_json(kcov.matrix), "c": matrix_to_json(np.asarray(c)),

@@ -41,6 +41,12 @@ DEFAULT_GH_ORDER = 8
 #: weights overflow near order 370 and are NaN from 372 on.
 GH_MAX_ORDER = 128
 
+#: Smallest ``gh_order``.
+GH_MIN_ORDER = 4
+
+#: Smallest ``u_nodes``.
+U_MIN_NODES = 8
+
 #: Largest ``u_nodes``.  ``leggauss(n)`` is a dense O(n^3) eigensolve: 1024
 #: nodes build in 0.12-0.14 s (2-vCPU VM) and integrate 1 and x^2 to 2e-14.
 U_MAX_NODES = 1024
@@ -73,10 +79,10 @@ class QuadratureSpec:
     gh_order: int = DEFAULT_GH_ORDER
 
     def __post_init__(self):
-        if not 8 <= self.u_nodes <= U_MAX_NODES:
-            raise ValueError(f"u_nodes must lie in [8, {U_MAX_NODES}], got {self.u_nodes}")
-        if not 4 <= self.gh_order <= GH_MAX_ORDER:
-            raise ValueError(f"Gauss-Hermite order must lie in [4, {GH_MAX_ORDER}], "
+        if not U_MIN_NODES <= self.u_nodes <= U_MAX_NODES:
+            raise ValueError(f"u_nodes must lie in [{U_MIN_NODES}, {U_MAX_NODES}], got {self.u_nodes}")
+        if not GH_MIN_ORDER <= self.gh_order <= GH_MAX_ORDER:
+            raise ValueError(f"Gauss-Hermite order must lie in [{GH_MIN_ORDER}, {GH_MAX_ORDER}], "
                              f"got {self.gh_order}")
 
     def key(self) -> tuple:

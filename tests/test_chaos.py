@@ -334,12 +334,13 @@ def test_range_table_store_is_bounded(monkeypatch):
     assert list(chaos._TABLES) == [(0.7,), (0.3,)]
     assert sum(t.nbytes for t in chaos._TABLES.values()) == 3 * one
     # range tables share the bound: one past it stays, alone, while it is the
-    # one just grown, and its growth evicts the lag table it read
-    big = chaos._lattice_sum(0.7, 2, 1, 100)
-    assert list(chaos._TABLES) == [(0.7, 2, 1)]
-    assert chaos._TABLES[(0.7, 2, 1)].nbytes > chaos.RANGE_TABLE_BYTES
-    assert chaos._lattice_sum(0.7, 2, 1, 50) < big
-    assert list(chaos._TABLES) == [(0.7, 2, 1)]
+    # one just grown, and its growth evicts the lag table it read; an
+    # asymmetric key, whose table holds two state rows
+    big = chaos._lattice_sum(0.7, 3, 1, 100)
+    assert list(chaos._TABLES) == [(0.7, 3, 1)]
+    assert chaos._TABLES[(0.7, 3, 1)].nbytes > chaos.RANGE_TABLE_BYTES
+    assert chaos._lattice_sum(0.7, 3, 1, 50) < big
+    assert list(chaos._TABLES) == [(0.7, 3, 1)]
     # and goes first when another table grows
     chaos._rho_lags(0.4, 10)
     assert list(chaos._TABLES) == [(0.4,)]
@@ -661,6 +662,37 @@ def test_dyadic_block_memory_is_bounded_by_its_rows():
         finally:
             tracemalloc.stop()
         assert peak < 512 * n, (n, peak)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_one_row_terms_have_the_bits_of_either_row_of_a_pair(dtype):
+    # when r = q - r the aba and bab recurrences are one: a table runs it on
+    # one row, and every step acts row by row, so that row keeps the bits of
+    # the two-row run; at H = 0.3 a = rho changes sign
+    for h in (0.3, 0.7):
+        lags = rho(h, np.arange(8 * chaos._HANDOVER)).astype(dtype)
+        for n in (chaos._HANDOVER, 2 * chaos._HANDOVER, 4 * chaos._HANDOVER):
+            x = lags[:2 * n]
+            (c1, g1), (c2, g2) = chaos._block_terms(x[None]), chaos._block_terms(np.stack((x, x)))
+            assert g1.shape == (1, n) and g1.dtype == dtype
+            assert np.array_equal(c1, c2) and np.array_equal(g1[0], g2[0]), (h, n)
+        for rows in (chaos._TABLE_BLOCK, 5 * chaos._TABLE_BLOCK, chaos._HANDOVER):
+            x = lags[:rows]
+            (c1, g1), (c2, g2) = (chaos._RangeTable(dtype)._recur(xs) for xs in (x[None], np.stack((x, x))))
+            assert g1.shape == (1, rows) and g1.dtype == dtype
+            assert np.array_equal(c1, c2) and np.array_equal(g1[0], g2[0]), (h, rows)
+
+
+def test_symmetric_table_holds_one_state_row(monkeypatch):
+    # the store counts half the state bytes of an asymmetric table of the same size
+    monkeypatch.setattr(chaos, "_TABLES", {})
+    for sym, asym in (((0.7, 2, 1), (0.7, 3, 1)), ((0.7, 4, 2), (0.7, 4, 1))):
+        for key in (sym, asym):
+            chaos._lattice_sum(*key, 500)
+        one, two = chaos._TABLES[sym], chaos._TABLES[asym]
+        assert one.rows == two.rows == 512
+        assert one.state.shape == (1, 512) and two.state.shape == (2, 512)
+        assert one.nbytes - one.w.nbytes == (two.nbytes - two.w.nbytes) // 2 == 8 * 512
 
 
 def test_long_double_table_up_to_2_16_points():

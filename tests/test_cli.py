@@ -526,10 +526,10 @@ def _strict_json(text):
     # numpy's Gauss-Hermite weights are NaN at order 400, and chatterjee checks
     # T at twice --quad-gh-order; both orders are refused at the flag
     (["stein-check", "--grid-steps", "1", "--quad-gh-order", "400", "--functions", "sin_of_sum"],
-     2, "Gauss-Hermite order must lie in [4, 128], got 400"),
+     2, "stein-check needs --quad-gh-order in [4, 128], got 400"),
     (["chatterjee", "--K", "[[1.0,0.2],[0.2,1.0]]", "--m", "10", "--quad-gh-order", "186",
       "--functions", '{"type":"componentwise","kind":"tanh","n":2}'],
-     2, "Gauss-Hermite order must lie in [4, 128], got 186"),
+     2, "chatterjee needs --quad-gh-order in [4, 128], got 186"),
     # the map overflows, so the bound is infinite and the report fails
     (["chatterjee", "--K", "[[1.0,0.1],[0.1,1.0]]", "--m", "5",
       "--functions", '{"type":"linear","matrix":[[1e308,1e308]]}'],
@@ -560,6 +560,24 @@ def test_quadrature_flags_past_their_bound_exit_2_before_any_rule(monkeypatch, a
     assert code == 2
     err = _strict_json(out)["error"]
     assert err["type"] == "ValueError" and f"got {value}" in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chatterjee", "--K", "[[1.0]]", "--m", "1"], "chatterjee needs --m >= 2 (standard errors)"),
+    (["chatterjee", "--K", "[[1.0]]", "--quad-unodes", "0"],
+     "chatterjee needs --quad-unodes in [8, 1024], got 0"),
+    (["chatterjee", "--K", "[[1.0]]", "--quad-gh-order", "0"],
+     "chatterjee needs --quad-gh-order in [4, 128], got 0"),
+    (["stein-check", "--grid-steps", "1", "--quad-unodes", "0"],
+     "stein-check needs --quad-unodes in [8, 1024], got 0"),
+    (["stein-check", "--grid-steps", "1", "--quad-gh-order", "0"],
+     "stein-check needs --quad-gh-order in [4, 128], got 0"),
+], ids=["chatterjee-m", "chatterjee-unodes", "chatterjee-gh-order", "stein-unodes", "stein-gh-order"])
+def test_count_flag_refusals_name_the_flag(argv, message):
+    # worded as simulate --m 1 is, not by the library parameter behind the flag
+    code, out = run_cli(argv)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == message
 
 
 @pytest.mark.parametrize("d", [3, 4])
