@@ -67,14 +67,14 @@ d-dimensional family of equal blocks grows one table per distinct
 min(r, q-r).  The tables are the only cache of the sums: a store bounded by
 ``RANGE_TABLE_BYTES``.  At H = 1/2 the increments are independent, rho has
 one-point support and T_a = T_b = I, so the sum is the closed form m and no
-table grows.  The same store keeps one table of rho per H, over every lag
-the sums and inner products at that H have read, so each lag is evaluated
-once while its table stays.
+table grows.  The same store keeps one table of rho per H, which grows only
+from its end: a read that starts past the end, as for two blocks far apart,
+takes rho on its own lags, uncached, and every other read is served by the
+table, so each lag is evaluated once while its table stays.
 
-Before its first sum, :func:`wasserstein_bound` estimates the contraction
-work of its largest block with :func:`contraction_work` and refuses a family
-past ``WORK_BUDGET`` operations or ``MEMORY_BUDGET`` bytes; :func:`bound_curve`
-checks every level before any of them runs.
+Before its first sum and the eigensolve of C, :func:`wasserstein_bound` refuses
+a family past the budgets of :func:`_check_work`, the work of its largest block
+and the bytes of its d x d matrices; :func:`bound_curve` checks every level first.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ from .fgn import (
     SigmaEstimate,
     check_breuer_major_hypothesis,
     check_hurst,
+    check_memory,
     rho,
     sigma_bm,
 )
@@ -219,12 +220,12 @@ def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
     h = check_hurst(h)
     a0, a1 = f.block
     b0, b1 = g.block
-    t = np.arange(a0 - b1 + 1, a1 - b0)
-    counts = np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)
-    counts = np.clip(counts, 0, None).astype(np.float64)
+    t = np.arange(a0 - b1 + 1, a1 - b0)  # the offsets with overlap, each count >= 1
+    counts = (np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)).astype(np.float64)
     lags = np.abs(t)
     lo = int(lags.min())
-    vals = _rho_lags(h, int(lags.max()) + 1, lo)[lags - lo] ** f.rank
+    # each distinct lag is powered once
+    vals = (_rho_lags(h, int(lags.max()) + 1, lo) ** f.rank)[lags - lo]
     return f.scale * g.scale * float(np.sum(counts * vals))
 
 
@@ -443,15 +444,15 @@ def _store(key: tuple, entry, grown: bool):
 
 
 def _rho_lags(h: float, n: int, lo: int = 0) -> np.ndarray:
-    """rho(h, lo..n-1).  When ``lo`` lies below the n - lo lags asked for, as
-    for every block of a kernel family, they come from the lag table of H; a
-    short table grows by ``rho`` on the missing lags alone.  Lags farther out,
-    as for two blocks far apart, take ``rho`` on these lags alone, uncached,
-    so no table grows to hold the lags below ``lo``.  ``rho`` takes each lag
-    on its own, so every entry has the bits of a fresh call."""
-    if lo >= n - lo:
+    """rho(h, lo..n-1).  The lag table of H grows only from its end: a read that
+    starts past the end, as for two blocks far apart, takes ``rho`` on its own
+    lags, uncached; every other read is served by the table, which grows by
+    ``rho`` on the missing lags, at most the lags asked for.  ``rho`` takes each
+    lag on its own, so every entry has the bits of a fresh call."""
+    lags = _TABLES.get((h,), np.empty(0))
+    if lo > lags.size:
         return rho(h, np.arange(lo, n))
-    lags = _TABLES.pop((h,), np.empty(0))
+    _TABLES.pop((h,), None)
     grown = lags.size < n
     if grown:
         lags = np.concatenate((lags, rho(h, np.arange(lags.size, n))))
@@ -511,7 +512,12 @@ def contraction_work(m: int, q: int) -> tuple[float, float]:
 
 
 def _check_work(fam: KernelFamily) -> None:
-    """Refuse a family whose largest block would take contraction work past the budget."""
+    """Refuse a family whose three d x d matrices (C, the inner products and the lemma
+    entries, built and printed) pass ``MEMORY_BUDGET`` at 80 bytes a float, or whose
+    largest block would take contraction work past the budget.  A ``bound`` job peaks
+    at 66 traced bytes a float of them from d = 300 to 1000 (tracemalloc)."""
+    d = fam.dim
+    check_memory(240.0 * d * d, f"a bound at d={d} holds three {d} x {d} matrices,", "use fewer time points")
     m = max(f.size for f in fam.kernels)
     ops, nbytes = contraction_work(m, fam.rank)
     if ops > WORK_BUDGET or nbytes > MEMORY_BUDGET:
@@ -602,16 +608,15 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
     """Assembled bound prefactor(C) * sqrt(sum_ij pair_entry(C_ij, f_i, f_j)).
 
     Contraction norms are computed once per kernel and shared across the d^2
-    pair entries; the report retains every intermediate.  A family whose
-    largest block would need contraction work past ``WORK_BUDGET`` or
-    ``MEMORY_BUDGET`` (see :func:`contraction_work`) is refused with a
-    ``ValueError`` before any sum runs.
+    pair entries; the report retains every intermediate.  A family past
+    ``WORK_BUDGET`` or ``MEMORY_BUDGET`` (see :func:`_check_work`) is refused
+    with a ``ValueError`` before any sum runs and before C is eigensolved.
     """
+    _check_work(fam)
     cov = as_covariance(c)
     d = fam.dim
     if cov.dim != d:
         raise ValueError(f"covariance dim {cov.dim} != family dim {d}")
-    _check_work(fam)
     h, q = fam.hurst, fam.rank
 
     contr = np.array(

@@ -213,16 +213,16 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
     if args.m < 2:
         raise ValueError("malliavin needs --m >= 2 (standard errors)")
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
-    cov = as_covariance(c)
     fam = kernel_family(args.H, args.q, args.n, times)
-    # the bound refuses a C of the wrong size or an oversize family before any path is drawn
-    lemma = wasserstein_bound(fam, cov).lemma_entries
+    # the bound refuses an oversize family before C is eigensolved, and then a
+    # C that is not a covariance of the family's size, before any path is drawn
+    lemma = wasserstein_bound(fam, c).lemma_entries
     grams, diagnostics = empirical.malliavin_grams(fam, args.m, args.seed)
     gram_mean, gram_se = mean_se(grams)
-    dev_sq_mean, dev_sq_se = mean_se((cov.matrix[None, :, :] - grams) ** 2)
+    dev_sq_mean, dev_sq_se = mean_se((c[None, :, :] - grams) ** 2)
     config = {
         "h": args.H, "q": args.q, "n": args.n, "times": list(times),
-        "m": args.m, "seed": args.seed, "c": matrix_to_json(cov.matrix),
+        "m": args.m, "seed": args.seed, "c": matrix_to_json(c),
     }
     return config, {
         "gram_mean": gram_mean.tolist(), "gram_se": gram_se.tolist(),
@@ -273,7 +273,7 @@ def _cmd_stein_check(args) -> tuple[dict, dict]:
     lo, hi = args.grid_lo, args.grid_hi
     if cov.dim == 2:
         lo, hi = -3.0 if lo is None else lo, 3.0 if hi is None else hi
-        pts = stein.grid_points(lo, hi, args.grid_steps, d=2)
+        pts = stein.grid_points(lo, hi, args.grid_steps)
     elif lo is not None or hi is not None:
         raise ValueError(f"--grid-lo and --grid-hi set the d = 2 grid; at d = {cov.dim} "
                          "the points are a seeded scatter")

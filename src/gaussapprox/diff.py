@@ -1,4 +1,5 @@
-"""Central finite differences used by the Stein and Chatterjee modules.
+"""Central finite differences: the fallback of ``stein`` for a test function
+without derivative oracles (``u0_gradient``, ``u0_hessian``), and the tests.
 
 Without an explicit step ``h`` the step scales with the point x: 1e-4 (1 + ||x||)
 for a gradient, 1e-3 (1 + ||x||) for a Hessian, whose differences cancel more.

@@ -408,8 +408,9 @@ def quadratic_test_functions(d: int) -> list[TestFunction]:
     return out
 
 
-def grid_points(lo: float, hi: float, steps: int, d: int = 2) -> np.ndarray:
-    """Regular steps^d grid over [lo, hi]^d, flattened to (steps^d, d)."""
-    axes = [np.linspace(lo, hi, steps)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
+def grid_points(lo: float, hi: float, steps: int) -> np.ndarray:
+    """Regular steps x steps grid over [lo, hi]^2, flattened to (steps^2, 2): the
+    d = 2 grid of ``stein-check``, whose points at d > 2 are a seeded scatter."""
+    axis = np.linspace(lo, hi, steps)
+    grids = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)

@@ -3,7 +3,8 @@
 Runs, through ``gaussapprox.cli.main`` in one process, every seed-independent
 benchmark report (``all_deterministic_argvs``), the seed-1 job list of each
 of the four benchmark workloads, ``stein-check`` at d = 3, 4, 5 with 2, 3
-and 5 grid steps, each subcommand's ``--help``, and then a fixed list of
+and 5 grid steps, ``bound`` over 20, 100 and 300 equal blocks
+(``many_times``), each subcommand's ``--help``, and then a fixed list of
 jobs that fail (``failing_argvs``).  It prints one JSON line per job: the
 argv, the exit code, the stdout text and, when there is any, the stderr
 text, where argparse writes its refusals.  The job lists are read from
@@ -35,7 +36,13 @@ def argvs() -> list[list[str]]:
         jobs += [job["argv"] for job in workloads.build_jobs(workload, 1, 20)]
     jobs += [["stein-check", "--d", str(d), "--grid-steps", str(steps)]
              for d in (3, 4, 5) for steps in (2, 3, 5)]
+    jobs += [many_times(d) for d in (20, 100, 300)]
     return jobs + [[name, "--help"] for name in cli.SUBCOMMANDS] + failing_argvs()
+
+
+def many_times(d: int) -> list[str]:
+    """A ``bound`` job at d time points 1, 2, ..., d: d equal blocks of 64 points."""
+    return ["bound", "--H", "0.6", "--q", "2", "--n", "64", "--times", ",".join(map(str, range(d + 1)))]
 
 
 #: The level flags of each Breuer-Major subcommand in ``failing_argvs``.
@@ -57,6 +64,7 @@ def failing_argvs() -> list[list[str]]:
         ["malliavin", *bm, "--n", "64", "--m", str(10**8)],
         ["chatterjee", "--K", "[[1.0]]", "--m", str(10**9)],
         ["bound", *bm, "--n", str(10**9)],
+        many_times(1100),
         ["stein-check", "--d", "80"],
         # configuration errors
         ["rates", *bm, "--n", "8,16"],

@@ -90,6 +90,57 @@ def test_kernel_inner_of_far_apart_blocks_builds_no_lag_table(monkeypatch):
         assert kernel_inner(f, g, 0.7) == 0.8 * 1.1 * float(np.sum(counts.astype(np.float64) * vals))
 
 
+def test_lag_table_grows_only_from_its_end(monkeypatch):
+    monkeypatch.setattr(chaos, "_TABLES", {})
+    # on an empty store, a read that starts past lag 0 builds no table
+    assert np.array_equal(chaos._rho_lags(0.7, 3, 1), rho(0.7, np.arange(1, 3)))
+    assert chaos._TABLES == {}
+    chaos._rho_lags(0.7, 10)
+    # a read that starts inside the table grows it by at most the lags it asked for
+    for lo, n in ((4, 30), (30, 35), (0, 20), (34, 80)):
+        before = chaos._TABLES[(0.7,)].size
+        vals = chaos._rho_lags(0.7, n, lo)
+        assert chaos._TABLES[(0.7,)].size - before <= n - lo, (lo, n)
+        assert np.array_equal(vals, rho(0.7, np.arange(lo, n))), (lo, n)
+    # and one that starts past its end leaves it as it is
+    assert np.array_equal(chaos._rho_lags(0.7, 200, 100), rho(0.7, np.arange(100, 200)))
+    assert np.array_equal(chaos._TABLES[(0.7,)], rho(0.7, np.arange(80)))
+
+
+def test_equal_block_bound_evaluates_each_lag_once(monkeypatch):
+    # 100 blocks of 64 points read lags below 6,400: each block's pairs with the
+    # blocks before it start inside the table, so each lag is evaluated once
+    lags = []
+    real = chaos.rho
+
+    def counting(h, x):
+        lags.append(np.size(x))
+        return real(h, x)
+
+    monkeypatch.setattr(chaos, "rho", counting)
+    monkeypatch.setattr(chaos, "_TABLES", {})
+    wasserstein_bound(kernel_family(0.6, 2, 64, range(101)), np.eye(100))
+    assert len(lags) <= 100
+    assert sum(lags) <= 6400
+
+
+def test_kernel_inner_powers_each_distinct_lag_once(monkeypatch):
+    powered = []
+
+    class Lags(np.ndarray):
+        def __pow__(self, k):
+            powered.append(self.size)
+            return np.asarray(self) ** k
+
+    f = StepKernel(rank=3, scale=0.8, block=(5, 5 + 300))
+    expected = kernel_inner(f, f, 0.7)
+    real = chaos._rho_lags
+    monkeypatch.setattr(chaos, "_rho_lags", lambda h, n, lo=0: real(h, n, lo).view(Lags))
+    # the 599 signed lags of a 300-point block with itself take 300 distinct values
+    assert kernel_inner(f, f, 0.7) == expected
+    assert powered == [300]
+
+
 def test_contraction_examples():
     n = 32
     f = StepKernel(rank=2, scale=1.0 / (math.sqrt(2.0) * math.sqrt(n)), block=(0, n))
@@ -354,6 +405,13 @@ def test_work_budget_counts_a_dyadic_operation_twice():
                        (2**17, 20, True), (2**16, 20, True), (2**13, 20, True)):
         ops, nbytes = chaos.contraction_work(m, q)
         assert (ops <= chaos.WORK_BUDGET and nbytes <= chaos.MEMORY_BUDGET) == fits, (m, q)
+
+
+def test_bound_admits_at_most_1057_time_points():
+    # three d x d matrices at 80 bytes a float, against MEMORY_BUDGET = 256 MiB
+    chaos._check_work(kernel_family(0.6, 2, 1, range(1058)))
+    with pytest.raises(ValueError, match=r"^a bound at d=1058 holds three 1058 x 1058 matrices, about 256 MiB"):
+        chaos._check_work(kernel_family(0.6, 2, 1, range(1059)))
 
 
 def test_q2_tie_point_range_weight_decays_like_one_over_the_range():

@@ -802,6 +802,26 @@ def test_oversize_malliavin_refused_before_any_path(monkeypatch):
     assert "past the budget" in err["message"]
 
 
+@pytest.mark.parametrize("name, levels", [("bound", "1"), ("rates", "1,2,4"), ("malliavin", "1")])
+def test_too_many_time_points_refused_before_any_sum(monkeypatch, name, levels):
+    # three 1100 x 1100 matrices at 80 bytes a float pass the 256 MiB budget;
+    # 1057 time points are the most a bound admits
+    def no_work(*args):
+        raise AssertionError("a sum or an eigensolve ran for an oversize family")
+
+    for fn in ("kernel_inner", "contraction_norm_sq", "as_covariance"):
+        monkeypatch.setattr(chaos, fn, no_work)
+    argv = [name, "--H", "0.6", "--q", "2", "--n", levels, "--times", ",".join(map(str, range(1, 1101)))]
+    start = time.perf_counter()
+    code, out = run_cli(argv + (["--m", "2"] if name == "malliavin" else []))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError",
+        "message": "a bound at d=1100 holds three 1100 x 1100 matrices, about 277 MiB, past the "
+                   "budget of 256 MiB; use fewer time points"}
+
+
 def test_rates_builds_each_level_once(monkeypatch):
     real = chaos.kernel_family
     levels = []
