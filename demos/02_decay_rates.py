@@ -8,8 +8,10 @@ faster, at sharp_rate_exponent(H, q) = max(-1/2, 2 * rate_exponent(H, q)),
 which the fitted slopes follow.
 
 The local slope per octave, log2(bound(n) / bound(n/2)), shows how the curve
-approaches the sharp exponent up to n = 2^15.  Blocks of 1024 and more run on
-the low-rank contraction evaluator, so the deep levels take seconds.
+approaches the sharp exponent up to n = 2^15.  Past 1024 points the range
+table of each contraction key grows by dyadic blocks [N, 2N), each in
+O(N log^2 N), and serves every smaller level from the same table, so the
+whole script takes about 0.3 s (2-vCPU VM, fresh interpreter).
 """
 
 import math

@@ -511,13 +511,25 @@ def contraction_work(m: int, q: int) -> tuple[float, float]:
     return sums * (_HANDOVER**2 + 2.0 * m * math.log2(m) ** 2), 384.0 * m * (block / m)
 
 
+#: Bytes counted for each float of a d x d matrix that a job builds and prints.
+#: A ``bound`` job peaks at 66 traced bytes a float of its three from d = 300
+#: to 1000, and a ``malliavin`` job at 71-74 of its six at d = 300 (tracemalloc).
+_FLOAT_BYTES = 80
+
+
+def check_matrices(d: int, count: int, job: str) -> None:
+    """Refuse a job whose ``count`` d x d matrices, built and printed, pass
+    ``MEMORY_BUDGET`` at ``_FLOAT_BYTES`` a float."""
+    words = {3: "three", 6: "six"}[count]
+    check_memory(count * _FLOAT_BYTES * d * d, f"{job} at d={d} holds {words} {d} x {d} matrices,",
+                 "use fewer time points")
+
+
 def _check_work(fam: KernelFamily) -> None:
     """Refuse a family whose three d x d matrices (C, the inner products and the lemma
-    entries, built and printed) pass ``MEMORY_BUDGET`` at 80 bytes a float, or whose
-    largest block would take contraction work past the budget.  A ``bound`` job peaks
-    at 66 traced bytes a float of them from d = 300 to 1000 (tracemalloc)."""
-    d = fam.dim
-    check_memory(240.0 * d * d, f"a bound at d={d} holds three {d} x {d} matrices,", "use fewer time points")
+    entries) pass the memory budget (:func:`check_matrices`), or whose largest block
+    would take contraction work past the budget."""
+    check_matrices(fam.dim, 3, "a bound")
     m = max(f.size for f in fam.kernels)
     ops, nbytes = contraction_work(m, fam.rank)
     if ops > WORK_BUDGET or nbytes > MEMORY_BUDGET:
@@ -530,23 +542,25 @@ def _check_work(fam: KernelFamily) -> None:
         )
 
 
-def _pair_entry(a_target: float, f: StepKernel, g: StepKernel,
-                inner_fg: float, inner_ff: float,
-                contr_f: np.ndarray, contr_g: np.ndarray) -> float:
-    """Pair estimate from precomputed inner products and contraction norms.
+def _pair_entry(p: int, q: int, a_target, inner_fg, inner_ff, contr_f, contr_g):
+    """Pair estimate of ranks p <= q from inner products and contraction norms,
+    broadcast over numpy operands.
 
-    ``contr_f[r-1] = ||f (x)_r f||^2`` for r = 1..p-1 (ranks p <= q assumed).
+    ``contr_f[..., r-1] = ||f (x)_r f||^2`` for r = 1..p-1, and ``contr_g``
+    likewise up to q-1; ``inner_fg`` is read only when p = q and ``inner_ff``
+    only when p < q.  Each square is
+    ``np.float_power``, one libm ``pow`` per element as in a scalar ``x ** 2``,
+    not numpy's ``x * x``, so every element has the bits of a scalar call.
     """
-    p, q = f.rank, g.rank
     if p == q:
-        total = (a_target - math.factorial(p) * inner_fg) ** 2
+        total = np.float_power(a_target - math.factorial(p) * inner_fg, 2.0)
     else:
-        total = a_target**2 + (
+        total = np.float_power(a_target, 2.0) + (
             math.factorial(p) ** 2
             * math.comb(q - 1, p - 1) ** 2
             * math.factorial(q - p)
             * inner_ff
-            * math.sqrt(max(contr_g[q - p - 1], 0.0))
+            * np.sqrt(contr_g[..., q - p - 1])
         )
     acc = 0.0
     for r in range(1, p):
@@ -556,7 +570,7 @@ def _pair_entry(a_target: float, f: StepKernel, g: StepKernel,
             * math.comb(q - 1, r - 1) ** 2
             * math.factorial(p + q - 2 * r)
         )
-        acc += coeff * (contr_f[p - r - 1] + contr_g[q - r - 1])
+        acc += coeff * (contr_f[..., p - r - 1] + contr_g[..., q - r - 1])
     return total + 0.5 * p * p * acc
 
 
@@ -573,9 +587,9 @@ def lemma_pair_bound(a: float, f: StepKernel, g: StepKernel, h: float) -> float:
     p, q = f.rank, g.rank
     contr_f = np.array([contraction_norm_sq(f, r, h) for r in range(1, p)])
     contr_g = np.array([contraction_norm_sq(g, r, h) for r in range(1, q)])
-    inner_fg = kernel_inner(f, g, h) if p == q else 0.0
-    inner_ff = kernel_inner(f, f, h)
-    return _pair_entry(float(a), f, g, inner_fg, inner_ff, contr_f, contr_g)
+    inner_fg = kernel_inner(f, g, h) if p == q else None
+    inner_ff = kernel_inner(f, f, h) if p < q else None
+    return _pair_entry(p, q, float(a), inner_fg, inner_ff, contr_f, contr_g)
 
 
 @dataclass(frozen=True)
@@ -607,8 +621,9 @@ class BoundReport:
 def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
     """Assembled bound prefactor(C) * sqrt(sum_ij pair_entry(C_ij, f_i, f_j)).
 
-    Contraction norms are computed once per kernel and shared across the d^2
-    pair entries; the report retains every intermediate.  A family past
+    Contraction norms are computed once per kernel, and one call of
+    :func:`_pair_entry` on (d, d) operands gives all d^2 pair entries; the
+    report retains every intermediate.  A family past
     ``WORK_BUDGET`` or ``MEMORY_BUDGET`` (see :func:`_check_work`) is refused
     with a ``ValueError`` before any sum runs and before C is eigensolved.
     """
@@ -627,13 +642,7 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
         for j, g in enumerate(fam.kernels[: i + 1]):
             inner[i, j] = inner[j, i] = kernel_inner(f, g, h)
 
-    entries = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            entries[i, j] = _pair_entry(
-                float(cov.matrix[i, j]), fam.kernels[i], fam.kernels[j],
-                inner[i, j], inner[i, i], contr[i], contr[j],
-            )
+    entries = _pair_entry(q, q, cov.matrix, inner, None, contr[:, None, :], contr[None, :, :])
 
     pref = prefactor(cov)
     bound = pref * math.sqrt(float(np.sum(entries)))
@@ -699,8 +708,13 @@ def sharp_rate_exponent(h: float, q: int) -> float:
     and the bound carries a log correction.  At q = 2, H = 5/8 the range
     table gives it: R W(R) = 0.3822 from R = 64 to 2047, so
     Tr((T_a T_b)^2) = 0.382 m log m + O(m) and the contraction part decays
-    like n^{-1/2} (log n)^{1/2}.  At q = 3, H = 3/4 the log power is not
-    derived yet.
+    like n^{-1/2} (log n)^{1/2}.  At q = 3, H = 3/4 the spectral density of
+    the increments is f ~ c_H lambda^{1-2H} near 0, c_H = sin(pi H)
+    Gamma(2H+1), and rho^2 ~ A / k with A = (H(2H-1))^2, whose spectral
+    density is ~ 2A ln(1/lambda).  So R W(R) ~ (c_H^2 (2A)^2 / pi) ln^2 R
+    = 0.022247 ln^2 R (the table fits 0.02224 over R = 2^6..2^17),
+    Tr((T_a T_b)^2) = (0.02225 / 3) m ln^3 m + O(m ln^2 m), and the
+    contraction part decays like n^{-1/2} (log n)^{3/2}.
     """
     return max(-0.5, 2.0 * rate_exponent(h, q))
 

@@ -25,6 +25,7 @@ from .batch import mean_se
 from .chaos import (
     CONTRACTION_RTOL,
     bound_curve,
+    check_matrices,
     fit_rate,
     kernel_family,
     rate_exponent,
@@ -214,6 +215,10 @@ def _cmd_malliavin(args) -> tuple[dict, dict]:
         raise ValueError("malliavin needs --m >= 2 (standard errors)")
     c = _parse_matrix(args.C, args.matrix_file, "C", len(times) - 1)
     fam = kernel_family(args.H, args.q, args.n, times)
+    # the report prints six d x d matrices (C, the lemma entries, and the mean
+    # and standard error of the Gram matrices and of their squared deviation
+    # from C), counted before the bound's first sum and before any path
+    check_matrices(fam.dim, 6, "malliavin")
     # the bound refuses an oversize family before C is eigensolved, and then a
     # C that is not a covariance of the family's size, before any path is drawn
     lemma = wasserstein_bound(fam, c).lemma_entries

@@ -178,7 +178,7 @@ def matrix_to_json(a) -> dict:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    return {"dim": int(a.shape[0]), "rows": [[float(x) for x in row] for row in a]}
+    return {"dim": int(a.shape[0]), "rows": a.tolist()}
 
 
 def report_json(obj) -> dict:

@@ -424,6 +424,24 @@ def test_q2_tie_point_range_weight_decays_like_one_over_the_range():
         assert abs(big_r * table.w[big_r] - ref) <= 5e-5, big_r
 
 
+def test_q3_tie_point_range_weight_grows_like_log_squared():
+    # at (H, q, r) = (3/4, 3, 1), f ~ c_H lambda^(1-2H) near 0 and rho^2 ~ A / k,
+    # so R W(R) ~ (c_H^2 (2A)^2 / pi) ln^2 R = 0.022247 ln^2 R and
+    # S(m) = (0.02225 / 3) m ln^3 m + O(m ln^2 m)
+    h = 0.75
+    c_h = math.sin(math.pi * h) * math.gamma(2 * h + 1)
+    predicted = c_h**2 * (2 * (h * (2 * h - 1)) ** 2) ** 2 / math.pi
+    assert predicted == pytest.approx(0.022247, abs=5e-7)
+    table = chaos._RangeTable()
+    table.grow(h, 3, 1, 2**17)
+    big_r = np.arange(2**6, 2**17)
+    weight, log_r = big_r * table.w[big_r], np.log(big_r)
+    coef = np.polyfit(log_r, weight, 2)
+    # the fit reads 0.022242, its largest residual 2.9e-4 at R = 64
+    assert coef[0] == pytest.approx(predicted, abs=2e-5)
+    assert np.max(np.abs(weight - np.polyval(coef, log_r))) < 5e-4
+
+
 def test_lag_table_entries_have_the_bits_of_fresh_rho_calls():
     for h in (0.3, 0.5, 0.7, 0.8):
         table = rho(h, np.arange(2000))
@@ -560,6 +578,101 @@ def test_wasserstein_bound_examples():
 
     with pytest.raises(ValueError):
         wasserstein_bound(fam, np.eye(3))
+
+
+def _scalar_pair_entry(a_target, f, g, inner_fg, inner_ff, contr_f, contr_g):
+    """The pair entry one scalar call at a time, the reference of the broadcast one."""
+    p, q = f.rank, g.rank
+    if p == q:
+        total = (a_target - math.factorial(p) * inner_fg) ** 2
+    else:
+        total = a_target**2 + (
+            math.factorial(p) ** 2
+            * math.comb(q - 1, p - 1) ** 2
+            * math.factorial(q - p)
+            * inner_ff
+            * math.sqrt(max(contr_g[q - p - 1], 0.0))
+        )
+    acc = 0.0
+    for r in range(1, p):
+        coeff = (
+            math.factorial(r - 1) ** 2
+            * math.comb(p - 1, r - 1) ** 2
+            * math.comb(q - 1, r - 1) ** 2
+            * math.factorial(p + q - 2 * r)
+        )
+        acc += coeff * (contr_f[p - r - 1] + contr_g[q - r - 1])
+    return total + 0.5 * p * p * acc
+
+
+def _scalar_entries(fam, c, inner, contr):
+    """The d x d lemma entries by one scalar call per pair."""
+    d = fam.dim
+    entries = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            entries[i, j] = _scalar_pair_entry(
+                float(c[i, j]), fam.kernels[i], fam.kernels[j],
+                inner[i, j], inner[i, i], contr[i], contr[j],
+            )
+    return entries
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 19, 20])
+def test_pair_entries_keep_the_bits_of_the_scalar_loop(q):
+    # p! and the coefficients pass 2^53 at q = 19 and 20
+    c = np.array([[1.0, 0.3, -0.1], [0.3, 1.4, 0.2], [-0.1, 0.2, 0.8]])
+    for h in (0.3, 0.6, 0.7):
+        for times, n in (((0, 1, 2, 3), 16), ((0, 0.7, 2.5, 3), 24)):
+            fam = kernel_family(h, q, n, times)
+            for target in (c, np.eye(3)):
+                rep = wasserstein_bound(fam, target)
+                ref = _scalar_entries(fam, target, rep.inner_products, rep.contraction_norms_sq)
+                assert (rep.lemma_entries == ref).all(), (h, times)
+                assert rep.bound == rep.prefactor * math.sqrt(float(np.sum(ref)))
+    # lemma_pair_bound, and through it alone the mixed-rank branch p < q; a
+    # broadcast over 4000 targets meets squares where pow and x * x differ
+    h, targets = 0.6, np.random.default_rng(5).uniform(-3.0, 3.0, 4000)
+    for p in [p for p in sorted({1, 2, 3, q - 1, q}) if p <= q]:
+        f = StepKernel(rank=p, scale=0.3, block=(0, 12))
+        g = StepKernel(rank=q, scale=0.2, block=(12, 30))
+        contr_f = np.array([contraction_norm_sq(f, r, h) for r in range(1, p)])
+        contr_g = np.array([contraction_norm_sq(g, r, h) for r in range(1, q)])
+        inner_fg = kernel_inner(f, g, h) if p == q else 0.0
+        inner_ff = kernel_inner(f, f, h)
+        ref = [_scalar_pair_entry(float(a), f, g, inner_fg, inner_ff, contr_f, contr_g) for a in targets]
+        assert (chaos._pair_entry(p, q, targets, inner_fg, inner_ff, contr_f, contr_g) == ref).all(), p
+        for a in targets[:3]:
+            assert lemma_pair_bound(a, f, g, h) == lemma_pair_bound(a, g, f, h) == _scalar_pair_entry(
+                float(a), f, g, inner_fg, inner_ff, contr_f, contr_g), p
+
+
+def test_pair_entries_of_300_equal_blocks_keep_the_bits_of_the_scalar_loop():
+    # a random C gives 45,150 distinct squares, large enough against the
+    # contraction terms that x * x in place of pow changes 39 entries
+    fam = kernel_family(0.6, 2, 64, range(301))
+    noise = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 300))
+    c = 30.0 * np.eye(300) + (noise + noise.T) / 2
+    rep = wasserstein_bound(fam, c)
+    ref = _scalar_entries(fam, c, rep.inner_products, rep.contraction_norms_sq)
+    assert (rep.lemma_entries == ref).all()
+    assert rep.bound == rep.prefactor * math.sqrt(float(np.sum(ref)))
+
+
+def test_one_pair_entry_call_per_bound(monkeypatch):
+    calls = []
+    real = chaos._pair_entry
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chaos, "_pair_entry", counting)
+    fam = kernel_family(0.7, 3, 40, (0, 1, 2.5, 4))
+    rep = wasserstein_bound(fam, np.eye(3))
+    assert len(calls) == 1 and rep.lemma_entries.shape == (3, 3)
+    lemma_pair_bound(1.0, fam.kernels[0], fam.kernels[1], 0.7)
+    assert len(calls) == 2
 
 
 def test_wasserstein_bound_permutation_invariant():

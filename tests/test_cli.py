@@ -816,10 +816,60 @@ def test_too_many_time_points_refused_before_any_sum(monkeypatch, name, levels):
     code, out = run_cli(argv + (["--m", "2"] if name == "malliavin" else []))
     assert time.perf_counter() - start < 1.0
     assert code == 2
+    held = ("malliavin at d=1100 holds six 1100 x 1100 matrices, about 554 MiB" if name == "malliavin"
+            else "a bound at d=1100 holds three 1100 x 1100 matrices, about 277 MiB")
     assert json.loads(out)["error"] == {
-        "type": "ValueError",
-        "message": "a bound at d=1100 holds three 1100 x 1100 matrices, about 277 MiB, past the "
-                   "budget of 256 MiB; use fewer time points"}
+        "type": "ValueError", "message": f"{held}, past the budget of 256 MiB; use fewer time points"}
+
+
+def test_malliavin_admits_at_most_747_time_points(monkeypatch):
+    # six d x d matrices at 80 bytes a float, against MEMORY_BUDGET = 256 MiB,
+    # counted before the bound's first sum and before any path
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    def no_work(*args):
+        raise AssertionError("a sum, an eigensolve or a path ran for an oversize family")
+
+    for fn in ("kernel_inner", "contraction_norm_sq", "as_covariance"):
+        monkeypatch.setattr(chaos, fn, no_work)
+    monkeypatch.setattr(empirical, "malliavin_grams", no_work)
+    monkeypatch.setattr(cli, "wasserstein_bound", admitted)
+
+    def argv(d):
+        return ["malliavin", "--H", "0.6", "--q", "2", "--n", "1", "--m", "2",
+                "--times", ",".join(map(str, range(1, d + 1)))]
+
+    with pytest.raises(Admitted):
+        cli.main(argv(747))
+    start = time.perf_counter()
+    code, out = run_cli(argv(748))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "malliavin at d=748 holds six 748 x 748 matrices, about 256 MiB, past the budget of "
+        "256 MiB; use fewer time points")
+
+
+def test_malliavin_memory_count_covers_its_traced_peak():
+    # d = 300 at m = 2: the six printed d x d matrices, counted at 80 bytes a
+    # float, bound the peak traced memory of the whole job (71-74 bytes a float
+    # at n = 1 and 64); blocks of one point keep the traced run short
+    d = 300
+    argv = ["malliavin", "--H", "0.6", "--q", "2", "--n", "1", "--m", "2",
+            "--times", ",".join(map(str, range(1, d + 1)))]
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out)["results"]["lemma_entries"]) == d
+    assert peak <= 6 * chaos._FLOAT_BYTES * d * d
 
 
 def test_rates_builds_each_level_once(monkeypatch):
