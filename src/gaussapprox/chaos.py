@@ -65,12 +65,17 @@ swap exchanges a and b and Tr((T_a T_b)^2) = Tr((T_b T_a)^2).  So one range
 table per (H, q, min(r, q-r)) serves every block size of both orders, and a
 d-dimensional family of equal blocks grows one table per distinct
 min(r, q-r).  The tables are the only cache of the sums: a store bounded by
-``RANGE_TABLE_BYTES``.  At H = 1/2 the increments are independent, rho has
-one-point support and T_a = T_b = I, so the sum is the closed form m and no
-table grows.  The same store keeps one table of rho per H, which grows only
-from its end: a read that starts past the end, as for two blocks far apart,
-takes rho on its own lags, uncached, and every other read is served by the
-table, so each lag is evaluated once while its table stays.
+``RANGE_TABLE_BYTES``.  The same shift invariance holds for the inner
+products: the unscaled sum over two blocks depends only on their sizes and
+the offset between their starts, so :func:`wasserstein_bound` sums each
+distinct pair geometry once, d sums for d equal blocks against d(d+1)/2
+pairs, and scales each pair by c_f c_g.  At H = 1/2 the increments are
+independent, rho has one-point support and T_a = T_b = I, so the sum is the
+closed form m and no table grows.  The same store keeps one table of rho
+per H, which grows only from its end: a read that starts past the end, as
+for two blocks far apart, takes rho on its own lags, uncached, and every
+other read is served by the table, so each lag is evaluated once while its
+table stays.
 
 Before its first sum and the eigensolve of C, :func:`wasserstein_bound` refuses
 a family past the budgets of :func:`_check_work`, the work of its largest block
@@ -214,19 +219,27 @@ def kernel_family(h: float, q: int, n: int, times, sigma: SigmaEstimate | None =
 
 
 def kernel_inner(f: StepKernel, g: StepKernel, h: float) -> float:
-    """<f, g> in H^{(x q)}; E[I_q(f) I_q(g)] = q! <f, g>."""
+    """<f, g> in H^{(x q)}, c_f c_g times :func:`_lattice_inner`; E[I_q(f) I_q(g)] = q! <f, g>."""
     if f.rank != g.rank:
         raise ValueError(f"rank mismatch: {f.rank} vs {g.rank}")
-    h = check_hurst(h)
-    a0, a1 = f.block
-    b0, b1 = g.block
+    return f.scale * g.scale * _lattice_inner(check_hurst(h), f.rank, f.block, g.block)
+
+
+def _lattice_inner(h: float, q: int, a: tuple[int, int], b: tuple[int, int]) -> float:
+    """sum_{k in a, l in b} rho(k-l)^q over the blocks a = [a0, a1) and b = [b0, b1).
+
+    Every bit depends on the two sizes and a0 - b0 alone: the offsets and
+    their counts do, and a lag-table read has the bits of a fresh ``rho`` call.
+    """
+    a0, a1 = a
+    b0, b1 = b
     t = np.arange(a0 - b1 + 1, a1 - b0)  # the offsets with overlap, each count >= 1
     counts = (np.minimum(a1, b1 + t) - np.maximum(a0, b0 + t)).astype(np.float64)
     lags = np.abs(t)
     lo = int(lags.min())
     # each distinct lag is powered once
-    vals = (_rho_lags(h, int(lags.max()) + 1, lo) ** f.rank)[lags - lo]
-    return f.scale * g.scale * float(np.sum(counts * vals))
+    vals = (_rho_lags(h, int(lags.max()) + 1, lo) ** q)[lags - lo]
+    return float(np.sum(counts * vals))
 
 
 def _skewed(base: np.ndarray, start: int, shape, steps) -> np.ndarray:
@@ -621,9 +634,11 @@ class BoundReport:
 def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
     """Assembled bound prefactor(C) * sqrt(sum_ij pair_entry(C_ij, f_i, f_j)).
 
-    Contraction norms are computed once per kernel, and one call of
-    :func:`_pair_entry` on (d, d) operands gives all d^2 pair entries; the
-    report retains every intermediate.  A family past
+    Contraction norms are computed once per kernel, and the unscaled inner
+    sum :func:`_lattice_inner` once per block geometry (size_i, size_j,
+    start_i - start_j); each pair scales it as :func:`kernel_inner` does.  One
+    call of :func:`_pair_entry` on (d, d) operands gives all d^2 pair entries;
+    the report retains every intermediate.  A family past
     ``WORK_BUDGET`` or ``MEMORY_BUDGET`` (see :func:`_check_work`) is refused
     with a ``ValueError`` before any sum runs and before C is eigensolved.
     """
@@ -638,9 +653,13 @@ def wasserstein_bound(fam: KernelFamily, c) -> BoundReport:
         [[contraction_norm_sq(f, r, h) for r in range(1, q)] for f in fam.kernels]
     ).reshape(d, q - 1)
     inner = np.empty((d, d))
+    sums = {}  # (size_i, size_j, start_i - start_j) -> the unscaled lattice sum
     for i, f in enumerate(fam.kernels):
         for j, g in enumerate(fam.kernels[: i + 1]):
-            inner[i, j] = inner[j, i] = kernel_inner(f, g, h)
+            key = (f.size, g.size, f.block[0] - g.block[0])
+            if key not in sums:
+                sums[key] = _lattice_inner(h, q, f.block, g.block)
+            inner[i, j] = inner[j, i] = f.scale * g.scale * sums[key]
 
     entries = _pair_entry(q, q, cov.matrix, inner, None, contr[:, None, :], contr[None, :, :])
 

@@ -51,9 +51,22 @@ STEIN_CHECK_MAX_WORK = 10**10
 SUBCOMMANDS = ("bound", "rates", "simulate", "malliavin", "stein-check", "chatterjee", "gaussian-pair")
 
 
+def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
+    """The comma-separated values of ``flag``, empty tokens skipped; a token
+    that ``kind`` cannot read is refused by its flag."""
+    vals = []
+    for tok in text.split(","):
+        if tok.strip() != "":
+            try:
+                vals.append(kind(tok))
+            except ValueError:
+                raise ValueError(f"{flag}: expected {noun}, got {tok!r}") from None
+    return vals
+
+
 def _parse_times(text: str) -> tuple[float, ...]:
     """Comma-separated increasing reals; the implicit t_0 = 0 may be included."""
-    vals = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+    vals = tuple(_parse_list(text, "--times", float, "a number"))
     if not vals:
         raise ValueError("empty --times")
     if vals[0] != 0.0:
@@ -84,7 +97,7 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    return _parse_list(text, "--n", int, "an integer")
 
 
 def _parse_matrix(inline: str | None, matrix_file: str | None, key: str, d: int | None):

@@ -3,11 +3,12 @@
 Runs, through ``gaussapprox.cli.main`` in one process, every seed-independent
 benchmark report (``all_deterministic_argvs``), the seed-1 job list of each
 of the four benchmark workloads, ``stein-check`` at d = 3, 4, 5 with 2, 3
-and 5 grid steps, ``bound`` over 20, 100 and 300 equal blocks
-(``many_times``), each subcommand's ``--help``, and then a fixed list of
-jobs that fail (``failing_argvs``).  It prints one JSON line per job: the
-argv, the exit code, the stdout text and, when there is any, the stderr
-text, where argparse writes its refusals.  The job lists are read from
+and 5 grid steps, ``bound`` over 20, 100, 300 and 1000 equal blocks
+(``many_times``; a bound admits at most 1057), each subcommand's
+``--help``, and then a fixed list of jobs that fail (``failing_argvs``).
+It prints one JSON line per job: the argv, the exit code, the stdout text
+and, when there is any, the stderr text, where argparse writes its
+refusals.  The job lists are read from
 ``perfbench/`` as ``tests/test_recorded_values.py`` reads them, and nothing
 there is changed.
 
@@ -36,7 +37,7 @@ def argvs() -> list[list[str]]:
         jobs += [job["argv"] for job in workloads.build_jobs(workload, 1, 20)]
     jobs += [["stein-check", "--d", str(d), "--grid-steps", str(steps)]
              for d in (3, 4, 5) for steps in (2, 3, 5)]
-    jobs += [many_times(d) for d in (20, 100, 300)]
+    jobs += [many_times(d) for d in (20, 100, 300, 1000)]
     return jobs + [[name, "--help"] for name in cli.SUBCOMMANDS] + failing_argvs()
 
 

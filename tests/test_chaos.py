@@ -675,6 +675,60 @@ def test_one_pair_entry_call_per_bound(monkeypatch):
     assert len(calls) == 2
 
 
+def _per_pair_report(fam, c):
+    """inner_products, lemma_entries and bound with one kernel_inner call per pair of the lower triangle."""
+    d, h, q = fam.dim, fam.hurst, fam.rank
+    inner = np.empty((d, d))
+    for i, f in enumerate(fam.kernels):
+        for j, g in enumerate(fam.kernels[: i + 1]):
+            inner[i, j] = inner[j, i] = kernel_inner(f, g, h)
+    contr = np.array([[contraction_norm_sq(f, r, h) for r in range(1, q)] for f in fam.kernels])
+    cov = chaos.as_covariance(c)
+    entries = chaos._pair_entry(q, q, cov.matrix, inner, None, contr[:, None, :], contr[None, :, :])
+    return inner, entries, chaos.prefactor(cov) * math.sqrt(float(np.sum(entries)))
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inner_products_by_block_geometry_keep_the_bits_of_kernel_inner(monkeypatch, h, q):
+    # at n = 100 the three blocks of 0,0.1,0.2,0.3 have 10 points each, but the
+    # third step is 0.09999999999999998: at 7 of these 9 (H, q) the third
+    # scale differs from the first two in its last bit
+    families = [kernel_family(h, q, n, times) for times, n in (
+        ((0, 1, 2, 3), 16), ((0, 1, 2.5), 24), ((0, 0.7, 2.5, 3), 24), ((0, 0.1, 0.2, 0.3), 100))]
+    if (h, q) == (0.7, 3):
+        families.append(kernel_family(h, q, 16, range(301)))
+    refs = [_per_pair_report(fam, np.eye(fam.dim)) for fam in families]
+
+    def per_pair(*args):
+        raise AssertionError("wasserstein_bound called kernel_inner")
+
+    monkeypatch.setattr(chaos, "kernel_inner", per_pair)
+    for fam, (inner, entries, bound) in zip(families, refs):
+        rep = wasserstein_bound(fam, np.eye(fam.dim))
+        assert (rep.inner_products == inner).all(), fam.times[:4]
+        assert (rep.lemma_entries == entries).all(), fam.times[:4]
+        assert rep.bound == bound, fam.times[:4]
+
+
+def test_one_lattice_inner_sum_per_block_geometry(monkeypatch):
+    calls = []
+    real = chaos._lattice_inner
+
+    def counting(h, q, a, b):
+        calls.append((a[1] - a[0], b[1] - b[0], a[0] - b[0]))
+        return real(h, q, a, b)
+
+    monkeypatch.setattr(chaos, "_lattice_inner", counting)
+    # 300 equal blocks: one sum per offset, against 45,150 pairs
+    wasserstein_bound(kernel_family(0.6, 2, 64, range(301)), np.eye(300))
+    assert calls == [(64, 64, 64 * k) for k in range(300)]
+    # 0,1,2.5 at n = 24: blocks of 24 and 36 points, three geometries
+    calls.clear()
+    wasserstein_bound(kernel_family(0.6, 2, 24, (0, 1, 2.5)), np.eye(2))
+    assert calls == [(24, 24, 0), (36, 24, 24), (36, 36, 0)]
+
+
 def test_wasserstein_bound_permutation_invariant():
     h, q, n = 0.6, 2, 48
     fam = kernel_family(h, q, n, (0.0, 0.5, 1.5, 2.0))

@@ -534,7 +534,12 @@ def _strict_json(text):
     (["chatterjee", "--K", "[[1.0,0.1],[0.1,1.0]]", "--m", "5",
       "--functions", '{"type":"linear","matrix":[[1e308,1e308]]}'],
      3, "results.bound = inf is not finite"),
-], ids=["stein-order-400", "chatterjee-order-186", "chatterjee-overflow"])
+    # a list flag names itself and the token it cannot read; empty tokens are skipped
+    (["bound", "--H", "0.6", "--q", "2", "--n", "16", "--times", "0,,x"],
+     2, "--times: expected a number, got 'x'"),
+    (["rates", "--H", "0.6", "--q", "2", "--n", "16,32.5,,64"],
+     2, "--n: expected an integer, got '32.5'"),
+], ids=["stein-order-400", "chatterjee-order-186", "chatterjee-overflow", "times-token", "rates-n-token"])
 def test_every_report_is_strict_json(argv, code, message):
     with np.errstate(all="ignore"):
         got, out = run_cli(argv)
@@ -809,7 +814,7 @@ def test_too_many_time_points_refused_before_any_sum(monkeypatch, name, levels):
     def no_work(*args):
         raise AssertionError("a sum or an eigensolve ran for an oversize family")
 
-    for fn in ("kernel_inner", "contraction_norm_sq", "as_covariance"):
+    for fn in ("kernel_inner", "_lattice_inner", "contraction_norm_sq", "as_covariance"):
         monkeypatch.setattr(chaos, fn, no_work)
     argv = [name, "--H", "0.6", "--q", "2", "--n", levels, "--times", ",".join(map(str, range(1, 1101)))]
     start = time.perf_counter()
@@ -834,7 +839,7 @@ def test_malliavin_admits_at_most_747_time_points(monkeypatch):
     def no_work(*args):
         raise AssertionError("a sum, an eigensolve or a path ran for an oversize family")
 
-    for fn in ("kernel_inner", "contraction_norm_sq", "as_covariance"):
+    for fn in ("kernel_inner", "_lattice_inner", "contraction_norm_sq", "as_covariance"):
         monkeypatch.setattr(chaos, fn, no_work)
     monkeypatch.setattr(empirical, "malliavin_grams", no_work)
     monkeypatch.setattr(cli, "wasserstein_bound", admitted)
